@@ -6,14 +6,12 @@ constant), exact asymptotic machinery (difference expansions with
 parametric coefficients, rate extraction, the family optimizer),
 polynomial positivity certificates for the two-sided bracket on the
 optimal sequence, and a catalog of published inequalities that can be
-swept with certified verdicts.  The hot integer loops run on a compiled
-extension when available and on pure Python otherwise, with
-bit-identical results.
+swept with certified verdicts.  The hot integer loops are pure Python
+in ``gammaseq._kernels_py``.
 """
 
 __version__ = "0.1.0"
 
-from ._backend import BACKEND as kernel_backend
 from .numerics import (
     BigReal,
     Enclosure,
@@ -62,7 +60,6 @@ from .bounds import catalog, check, get_entry, sweep
 
 __all__ = [
     "__version__",
-    "kernel_backend",
     "BigReal",
     "Enclosure",
     "gamma_bootstrap",

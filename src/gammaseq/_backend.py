@@ -1,19 +1,4 @@
-"""Kernel backend selection.
+"""Alias of the kernel module for ``perfbench/tracer.py``, which imports
+``gammaseq._backend.kernels``; no package module imports it."""
 
-The compiled extension is preferred when it imported successfully;
-setting GAMMASEQ_PURE=1 before import forces the pure-Python kernels.
-Both backends return bit-identical results, so the choice never
-affects any computed value, only speed.
-"""
-
-import os
-
-if os.environ.get("GAMMASEQ_PURE") == "1":
-    from . import _kernels_py as kernels
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-BACKEND = kernels.BACKEND
+from . import _kernels_py as kernels  # noqa: F401

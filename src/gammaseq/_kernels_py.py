@@ -5,12 +5,7 @@ scale q as X ~ x * 2**q, and each kernel returns a pair of integers
 (lo, hi) with lo <= x * 2**q <= hi.  Rounding is always directed
 outward, so kernel outputs compose into rigorous enclosures no matter
 how they are combined downstream.
-
-The compiled twin ``gammaseq._kernels`` implements the identical
-integer algorithms; both backends produce bit-for-bit equal output.
 """
-
-BACKEND = "python"
 
 
 def _cdiv(a, b):

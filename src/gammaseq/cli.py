@@ -7,7 +7,8 @@ strings "p/q", inexact ones as decimal strings with an explicit digit
 count, so identical inputs give byte-identical output.
 
 Exit codes: 0 success, 1 a sweep found a certified-false row, 2 usage
-error, 3 undecided rows remained at the precision cap.
+error, 3 undecided rows remained at the precision cap, or the requested
+precision could not decide the result.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, bounds, numerics, polycert, rates, sequences, series
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 
 DEFAULT_PRECISION = 128
 DEFAULT_ORDER = series.DEFAULT_ORDER
@@ -229,8 +230,9 @@ def cmd_sweep_bounds(args) -> int:
         "decimal_digits": digits,
         "citation": entry.citation,
     }
-    if report.min_margin is not None:
-        meta["min_margin"] = _decimal(report.min_margin, digits)
+    min_margin = report.min_margin
+    if min_margin is not None:
+        meta["min_margin"] = _decimal(min_margin, digits)
         meta["min_margin_n"] = report.min_margin_n
     if entry.note:
         meta["note"] = entry.note
@@ -406,6 +408,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except PrecisionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
 
 
 def entrypoint() -> None:

@@ -18,7 +18,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .errors import DomainError
 
 __all__ = [

@@ -1,21 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
-import gammaseq._kernels_py as kernels_py
-
-try:
-    import gammaseq._kernels as kernels_compiled
-except ImportError:
-    kernels_compiled = None
-
-_BACKENDS = [kernels_py] + ([kernels_compiled] if kernels_compiled else [])
-
-
-@pytest.fixture(params=_BACKENDS, ids=lambda m: m.BACKEND)
-def kernel_backend(request):
-    return request.param
-
 
 def mpf_to_fraction(x) -> Fraction:
     """Exact rational value of an mpmath float (they are dyadic)."""

@@ -182,6 +182,17 @@ def test_undecided_rows_exit_three(capsys, monkeypatch):
     assert code == 3
 
 
+def test_precision_error_exits_three(capsys):
+    # the differences shrink below what 32 bits can resolve by n = 2048
+    code = cli.main(["rate", "--seq", "s", "--grid-start", "16",
+                     "--grid-stop", "16384", "--precision", "32"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_version_flag(capsys):
     import gammaseq
 

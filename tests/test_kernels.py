@@ -1,19 +1,20 @@
-"""Kernel contracts: every (lo, hi) pair brackets the true value, and the
-two backends produce bit-identical output."""
+"""Kernel contracts: every (lo, hi) pair brackets the true value."""
 
-import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gammaseq._kernels_py as kernels_py
 from conftest import mpf_to_fraction
 
-try:
-    import gammaseq._kernels as kernels_compiled
-except ImportError:
-    kernels_compiled = None
+
+@pytest.fixture(scope="module", params=[kernels_py], ids=["python"])
+def kernels(request):
+    # one kernel module; the "python" id keeps the test ids stable
+    return request.param
 
 
 def brute_harmonic(n):
@@ -26,67 +27,77 @@ def brute_harmonic(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 97, 1000])
 @pytest.mark.parametrize("q", [64, 160])
-def test_harmonic_fixed_brackets_exact_value(kernel_backend, n, q):
-    lo, hi = kernel_backend.harmonic_fixed(n, q)
+def test_harmonic_fixed_brackets_exact_value(kernels, n, q):
+    lo, hi = kernels.harmonic_fixed(n, q)
     target = brute_harmonic(n) * 2**q
     assert lo <= target <= hi
     assert hi - lo <= n
 
 
-def test_atanh_fixed_brackets_oracle(kernel_backend):
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), q=st.integers(0, 200))
+def test_harmonic_fixed_brackets_exact_value_property(kernels, n, q):
+    lo, hi = kernels.harmonic_fixed(n, q)
+    target = brute_harmonic(n) * 2**q
+    assert lo <= target <= hi
+    assert hi - lo <= n
+
+
+@st.composite
+def atanh_args(draw):
+    w = draw(st.integers(2, 10**6))
+    u = draw(st.integers(0, w // 2))
+    q = draw(st.integers(1, 256))
+    return u, w, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=atanh_args())
+@example(args=(0, 7, 64))  # u = 0
+@example(args=(5, 10, 64))  # 2u = w
+@example(args=(1, 2, 1))  # 2u = w at the smallest scale
+@example(args=(999_999, 1_999_998, 2))  # small q, large operands
+def test_atanh_fixed_brackets_oracle(kernels, args):
+    u, w, q = args
     mp.mp.prec = 400
-    rng = random.Random(7)
-    for _ in range(25):
-        w = rng.randrange(3, 10**6)
-        u = rng.randrange(0, w // 2 + 1)
-        q = rng.choice([64, 128, 256])
-        lo, hi = kernel_backend.atanh_fixed(u, w, q)
-        oracle = mpf_to_fraction(mp.atanh(mp.mpf(u) / w)) * 2**q
-        assert lo <= oracle <= hi
-        assert hi - lo <= 4 * q + 16  # a few ulps per term
+    lo, hi = kernels.atanh_fixed(u, w, q)
+    oracle = mpf_to_fraction(mp.atanh(mp.mpf(u) / w)) * 2**q
+    assert lo <= oracle <= hi
+    assert hi - lo <= 4 * q + 16  # a few ulps per term
 
 
-def test_atanh_fixed_rejects_large_ratio(kernel_backend):
+def test_atanh_fixed_rejects_large_ratio(kernels):
     with pytest.raises(ValueError):
-        kernel_backend.atanh_fixed(2, 3, 64)
+        kernels.atanh_fixed(2, 3, 64)
 
 
-def test_ln2_fixed_brackets_oracle(kernel_backend):
+def test_ln2_fixed_brackets_oracle(kernels):
     mp.mp.prec = 500
     oracle = mpf_to_fraction(mp.ln(2))
     for q in (64, 128, 333):
-        lo, hi = kernel_backend.ln2_fixed(q)
+        lo, hi = kernels.ln2_fixed(q)
         assert lo <= oracle * 2**q <= hi
 
 
-def test_gamma_series_fixed_brackets_oracle(kernel_backend):
+def test_gamma_series_fixed_brackets_oracle(kernels):
     # the alternating sum equals euler + ln x + E1(x)
     mp.mp.prec = 700
     for x in (1, 5, 40, 92):
         q = 400 + 2 * x  # headroom for the exp(x)-sized terms
-        lo, hi = kernel_backend.gamma_series_fixed(x, q)
+        lo, hi = kernels.gamma_series_fixed(x, q)
         oracle = mpf_to_fraction(mp.euler + mp.ln(x) + mp.e1(x)) * 2**q
         assert lo <= oracle <= hi
 
 
-def test_gamma_series_fixed_rejects_nonpositive(kernel_backend):
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(1, 60), q=st.integers(1, 300))
+def test_gamma_series_fixed_brackets_oracle_property(kernels, x, q):
+    mp.mp.prec = 700
+    lo, hi = kernels.gamma_series_fixed(x, q)
+    oracle = mpf_to_fraction(mp.euler + mp.ln(x) + mp.e1(x)) * 2**q
+    assert lo <= oracle <= hi
+
+
+def test_gamma_series_fixed_rejects_nonpositive(kernels):
     with pytest.raises(ValueError):
-        kernel_backend.gamma_series_fixed(0, 64)
-
-
-@pytest.mark.skipif(kernels_compiled is None, reason="extension not built")
-def test_backends_bit_identical():
-    rng = random.Random(13)
-    for n in (1, 7, 100, 4096):
-        for q in (32, 100, 257):
-            assert kernels_py.harmonic_fixed(n, q) == kernels_compiled.harmonic_fixed(n, q)
-    for _ in range(50):
-        w = rng.randrange(2, 10**9)
-        u = rng.randrange(0, w // 2 + 1)
-        q = rng.randrange(32, 400)
-        assert kernels_py.atanh_fixed(u, w, q) == kernels_compiled.atanh_fixed(u, w, q)
-    for q in (50, 128, 301):
-        assert kernels_py.ln2_fixed(q) == kernels_compiled.ln2_fixed(q)
-    for x in (1, 3, 41, 137):
-        q = 300 + 2 * x
-        assert kernels_py.gamma_series_fixed(x, q) == kernels_compiled.gamma_series_fixed(x, q)
+        kernels.gamma_series_fixed(0, 64)

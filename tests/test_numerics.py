@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction
 from gammaseq import numerics
@@ -302,6 +304,17 @@ def test_enclosure_invariants():
     assert enc.contains(Fraction(1, 3))
     with pytest.raises(ValueError):
         Enclosure(hi + 1, lo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.fractions(), b=st.fractions(), p=st.integers(32, 256))
+def test_enclosure_from_fractions_rounds_outward(a, b, p):
+    lo, hi = min(a, b), max(a, b)
+    enc_lo, enc_hi = Enclosure.from_fractions(lo, hi, p).bounds()
+    assert enc_lo <= lo and hi <= enc_hi
+    # one rounding each: less than one ulp, at most 2**(1-p) relative
+    assert lo - enc_lo <= abs(lo) / 2 ** (p - 1)
+    assert enc_hi - hi <= abs(hi) / 2 ** (p - 1)
 
 
 def test_bootstrap_rule_matches_reference_for_small_p():
