@@ -13,15 +13,16 @@ def _cdiv(a, b):
     return -((-a) // b)
 
 
-def harmonic_fixed(n, q):
-    """Enclosure of (1 + 1/2 + ... + 1/n) * 2**q.
+def harmonic_fixed(n, q, m=0):
+    """Enclosure of (1/(m+1) + 1/(m+2) + ... + 1/n) * 2**q, H_n for m = 0.
 
-    Each term contributes at most one ulp of slack, so hi - lo <= n.
+    Each term contributes at most one ulp of slack, so hi - lo <= n - m;
+    the pair for 1..m plus the pair for m+1..n is the pair for 1..n.
     """
     lo = 0
     hi = 0
     one = 1 << q
-    for k in range(1, n + 1):
+    for k in range(m + 1, n + 1):
         d, r = divmod(one, k)
         lo += d
         hi += d + (1 if r else 0)

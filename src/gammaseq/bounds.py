@@ -13,12 +13,13 @@ never be certified; sides that are sharp at n = 1 start at n = 2.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .numerics import GUARD_BITS, BigReal, gamma_reference, ln_interval, sqrt_interval
-from .sequences import DeTempleR, GammaN, SequenceKind, SOptimal, evaluate_interval
+from .sequences import DeTempleR, GammaN, SequenceKind, SOptimal, evaluate_interval, intervals
 
 __all__ = [
     "BoundEntry",
@@ -75,12 +76,12 @@ class _EvalContext:
         self.p = p
         self.gamma: Interval = gamma_reference(p).bounds()
         self._q = p + GUARD_BITS
+        self._ln: dict = {}
 
     def ln(self, x) -> Interval:
-        return ln_interval(x, self._q)
-
-    def sqrt(self, x) -> Interval:
-        return _sqrt(_exact(x), self._q)
+        if x not in self._ln:
+            self._ln[x] = ln_interval(x, self._q)
+        return self._ln[x]
 
 
 @dataclass(frozen=True)
@@ -376,16 +377,12 @@ def get_entry(entry_id: str) -> BoundEntry:
 # checking
 
 
-def _deviation_interval(entry: BoundEntry, n: int, p: int) -> tuple[Interval, int]:
-    q = p + GUARD_BITS + n.bit_length()
-    value = evaluate_interval(entry.target, n, q)
-    g_lo, g_hi = gamma_reference(p).bounds()
-    return (value[0] - g_hi, value[1] - g_lo), q
-
-
-def _check_core(entry: BoundEntry, n: int, p: int):
-    ctx = _EvalContext(p)
-    dev, _q = _deviation_interval(entry, n, p)
+def _check_core(entry: BoundEntry, n: int, ctx: _EvalContext, value: Interval | None = None):
+    """Verdict data at n; value is the sequence interval, evaluated here if not given."""
+    if value is None:
+        value = evaluate_interval(entry.target, n, ctx.p + GUARD_BITS + 2 * n.bit_length())
+    g_lo, g_hi = ctx.gamma
+    dev = (value[0] - g_hi, value[1] - g_lo)
     margins = []
     lower_sup = upper_inf = None
     margin_lower = margin_upper = None
@@ -422,7 +419,7 @@ def check(entry: BoundEntry, n: int, p: int) -> Verdict:
         raise DomainError(
             f"{entry.entry_id!r} is stated for n >= {entry.n_min}, got {n!r}"
         )
-    holds, margin, *_ = _check_core(entry, n, p)
+    holds, margin, *_ = _check_core(entry, n, _EvalContext(p))
     return Verdict(
         holds=holds,
         margin=BigReal.from_fraction(margin, max(64, min(p, 128)), "floor"),
@@ -444,16 +441,20 @@ def sweep(entry: BoundEntry, n_from: int, n_to: int, p: int,
     if n_to < n_from:
         raise DomainError("empty sweep range")
     cap = precision_cap if precision_cap is not None else DEFAULT_CAP_FACTOR * p
+    context = functools.cache(_EvalContext)  # one per precision of this sweep
+    # one bit_length covers the walk's harmonic pair (<= n ulps wide), one is spare
+    walk = intervals(entry.target, n_from, n_to, p + GUARD_BITS + 2 * n_to.bit_length())
     rows = []
-    for n in range(n_from, n_to + 1):
+    for n, value in zip(range(n_from, n_to + 1), walk):
         p_cur = p
         while True:
             holds, margin, m_lo, m_up, lower_sup, upper_inf, dev = _check_core(
-                entry, n, p_cur
+                entry, n, context(p_cur), value
             )
             if holds != UNDECIDED or p_cur >= cap:
                 break
             p_cur = min(2 * p_cur, cap)
+            value = None  # the row restarts alone at the higher precision
         rows.append(SweepRow(
             n=n, verdict=holds, margin=margin,
             margin_lower=m_lo, margin_upper=m_up,

@@ -109,15 +109,19 @@ def cmd_eval(args) -> int:
         raise DomainError("--to must not be smaller than --n")
     digits = _decimal_digits(args.precision)
     rows = []
-    for n in range(args.n, n_last + 1):
-        value = sequences.evaluate(kind, n, args.precision)
+    harmonic = None  # exact H_m of the printed rational part, summed along the range
+    values = sequences.values(kind, args.n, n_last, args.precision)
+    for n, value in zip(range(args.n, n_last + 1), values):
         row = {"n": n, "value": value.decimal_str(digits)}
         try:
             split = sequences.split_eval(kind, n)
-            row["rational_part"] = _frac_str(split.rational_part)
-            row["log_argument"] = _frac_str(split.log_argument)
         except DomainError:
             pass  # irrational-parameter variants have no exact split
+        else:
+            harmonic = (split.rational_part - split.correction if harmonic is None
+                        else harmonic + Fraction(1, split.m))
+            row["rational_part"] = _frac_str(harmonic + split.correction)
+            row["log_argument"] = _frac_str(split.log_argument)
         rows.append(row)
     params = {"seq": args.seq, "n": args.n, "to": n_last,
               "precision": args.precision}

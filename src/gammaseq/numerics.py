@@ -1,11 +1,12 @@
 """Exact and certified numerics.
 
-Three layers live here.  ``Fraction`` values are exact and used
-wherever a quantity is rational (harmonic numbers, series
-coefficients, inequality bounds).  Interval helpers (`ln_interval`,
-`sqrt_interval`, `harmonic_interval`) return pairs of dyadic Fractions
-that are guaranteed to bracket the true real value; they are the
-building blocks of every certified verdict in the package.  `BigReal`
+Three layers live here.  ``Fraction`` values are exact and used for
+small rationals (series coefficients, inequality bounds, sequence
+corrections); exact harmonic numbers only feed printed rational parts.
+Interval helpers (`ln_interval`, `sqrt_interval`, `harmonic_interval`)
+wrap the kernels' outward-rounded integer pairs at scale 2**-q as
+dyadic Fractions that bracket the true value; they are the building
+blocks of every certified verdict in the package.  `BigReal`
 and `Enclosure` are the user-facing rounded types: a `BigReal` is a
 dyadic float with an explicit precision in bits, an `Enclosure` is a
 pair of them with outward rounding.
@@ -309,43 +310,11 @@ def _hsum(a: int, b: int) -> tuple[int, int]:
     return n1 * d2 + n2 * d1, d1 * d2
 
 
-# Ascending sweeps dominate usage, so harmonic_exact keeps the largest
-# value computed so far plus sparse anchors to restart from; the cache
-# is guarded by a lock and never observable in results.
-_H_LOCK = threading.Lock()
-_H_ANCHOR_STEP = 256
-_H_ANCHORS: dict[int, Fraction] = {0: Fraction(0)}
-_H_LAST: list = [0, Fraction(0)]
-
-
 def harmonic_exact(n: int) -> Fraction:
-    """Exact harmonic number 1 + 1/2 + ... + 1/n."""
+    """Exact harmonic number 1 + 1/2 + ... + 1/n, summed afresh on each call
+    (certified paths carry H_n as kernel intervals, see `sequences.intervals`)."""
     _check_n(n)
-    with _H_LOCK:
-        last_n, last_v = _H_LAST
-        if n == last_n:
-            return last_v
-        if n > last_n and n - last_n <= 4 * _H_ANCHOR_STEP:
-            start, value = last_n, last_v
-        else:
-            start = max(k for k in _H_ANCHORS if k <= n)
-            value = _H_ANCHORS[start]
-        if n - start >= 64:
-            num, den = _hsum(start + 1, n)
-            value = value + Fraction(num, den)
-        else:
-            for k in range(start + 1, n + 1):
-                value += Fraction(1, k)
-        _H_LAST[0] = n
-        _H_LAST[1] = value
-        anchor = n - n % _H_ANCHOR_STEP
-        if anchor > 0 and anchor not in _H_ANCHORS:
-            # backfill the nearest grid anchor so later restarts are cheap
-            back = value
-            for k in range(anchor + 1, n + 1):
-                back -= Fraction(1, k)
-            _H_ANCHORS[anchor] = back
-        return value
+    return Fraction(*_hsum(1, n))
 
 
 def harmonic_interval(n: int, q: int) -> tuple[Fraction, Fraction]:
@@ -465,19 +434,12 @@ _BOOTSTRAP_MAX_N = 1 << 17
 _LOG2_E_FLOOR = (14426, 10000)
 
 
-def _s_value_interval(n: int, q: int) -> tuple[Fraction, Fraction]:
-    h_lo, h_hi = harmonic_interval(n - 2, q)
-    corr = Fraction(13, 12 * (n - 1)) + Fraction(5, 12 * n)
-    ln_lo, ln_hi = ln_interval(n, q)
-    return h_lo + corr - ln_hi, h_hi + corr - ln_lo
-
-
 def _bootstrap_bounds(n: int, q: int) -> tuple[Fraction, Fraction]:
-    s_lo, s_hi = _s_value_interval(n, q)
-    cube = Fraction(1, 12 * n**3)
-    lo = s_lo - cube - Fraction(13, 120 * n**4)
-    hi = s_hi - cube - Fraction(11, 120 * n**4)
-    return lo, hi
+    h_lo, h_hi = harmonic_interval(n - 2, q)
+    ln_lo, ln_hi = ln_interval(n, q)
+    rest = Fraction(13, 12 * (n - 1)) + Fraction(5, 12 * n) - Fraction(1, 12 * n**3)
+    return (h_lo + rest - ln_hi - Fraction(13, 120 * n**4),
+            h_hi + rest - ln_lo - Fraction(11, 120 * n**4))
 
 
 def gamma_bootstrap(n: int, p: int) -> Enclosure:

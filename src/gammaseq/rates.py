@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NoOptimumError, PrecisionError, RateInconclusiveError
-from .sequences import SequenceKind, evaluate_interval
+from .sequences import SequenceKind, intervals
 from .series import AsymptoticSeries, ParamPoly, v_family_difference
 
 __all__ = [
@@ -105,12 +105,12 @@ def empirical_rate(kind: SequenceKind, n_grid, p: int) -> EmpiricalRate:
     grid = list(n_grid)
     if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing with at least 4 points")
-    q = p + 32
+    # each difference is ~2(n + 1) ulps wide at 2**-q: <= ~2**-(p + 27) at the grid end
+    q = p + 28 + (grid[-1] + 1).bit_length()
     xs = []
     ys = []
     for n in grid:
-        lo1, hi1 = evaluate_interval(kind, n, q)
-        lo2, hi2 = evaluate_interval(kind, n + 1, q)
+        (lo1, hi1), (lo2, hi2) = intervals(kind, n, n + 1, q)
         d_lo, d_hi = lo1 - hi2, hi1 - lo2
         width = d_hi - d_lo
         mid = (d_lo + d_hi) / 2

@@ -1,10 +1,12 @@
 """Evaluators for the named sequences converging to the Euler constant.
 
-Every sequence here has the shape (exact rational part) - ln(argument),
-and `split_eval` returns exactly those two pieces so downstream
-inequality checks need a single certified logarithm per value.  The two
-variants with irrational parameters (UPlus / UMinus, built on sqrt(6))
-cannot be split exactly and go through interval evaluation instead.
+Every sequence here has the shape H_m + correction - ln(argument) with
+m = n - 1 or n - 2, and `split_eval` returns those small exact pieces.
+Certified values come from one walk over n, `intervals`, which carries
+H_m as the kernel's integer pair at scale 2**-q, one `harmonic_fixed`
+step per index.  The variants with irrational parameters (UPlus /
+UMinus, built on sqrt(6)) have no exact split and enter the same walk
+with interval corrections.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import numerics
+from . import _kernels_py as kernels, numerics
 from .errors import DomainError
 from .numerics import BigReal, harmonic_exact, ln_interval, sqrt_interval
 
@@ -28,7 +30,9 @@ __all__ = [
     "UMinus",
     "SplitValue",
     "split_eval",
+    "intervals",
     "evaluate_interval",
+    "values",
     "evaluate",
     "error_fraction",
     "verify_error_identity",
@@ -109,15 +113,17 @@ class UMinus(SequenceKind):
 
 @dataclass(frozen=True)
 class SplitValue:
-    """Exact decomposition value = rational_part - ln(log_argument)."""
+    """Exact decomposition value = H_m + correction - ln(log_argument)."""
 
-    rational_part: Fraction
+    m: int
+    correction: Fraction
     log_argument: Fraction
     n: int
 
-    def value_interval(self, q: int) -> tuple[Fraction, Fraction]:
-        lo, hi = ln_interval(self.log_argument, q)
-        return self.rational_part - hi, self.rational_part - lo
+    @property
+    def rational_part(self) -> Fraction:
+        """H_m + correction, exactly (H_0 = 0)."""
+        return (harmonic_exact(self.m) if self.m else 0) + self.correction
 
 
 def _check_domain(kind: SequenceKind, n: int) -> None:
@@ -131,29 +137,24 @@ def _check_domain(kind: SequenceKind, n: int) -> None:
 
 
 def split_eval(kind: SequenceKind, n: int) -> SplitValue:
-    """Exact rational part and log argument of the sequence at n."""
+    """Harmonic index, exact correction and log argument of the sequence at n."""
     _check_domain(kind, n)
-    if isinstance(kind, GammaN):
-        return SplitValue(harmonic_exact(n), Fraction(n), n)
-    if isinstance(kind, DeTempleR):
-        return SplitValue(harmonic_exact(n), n + Fraction(1, 2), n)
+    if isinstance(kind, (GammaN, DeTempleR)):
+        # H_n = H_{n-1} + 1/n, the same split as the Mu family's
+        arg = n + Fraction(1, 2) if isinstance(kind, DeTempleR) else Fraction(n)
+        return SplitValue(n - 1, Fraction(1, n), arg, n)
     if isinstance(kind, VernescuV):
-        prefix = harmonic_exact(n - 1) if n > 1 else Fraction(0)
-        return SplitValue(prefix + Fraction(1, 2 * n), Fraction(n), n)
+        return SplitValue(n - 1, Fraction(1, 2 * n), Fraction(n), n)
     if isinstance(kind, MuFamily):
         arg = n + kind.b
         if arg <= 0:
             raise DomainError(f"log argument n + b = {arg} must be positive")
-        prefix = harmonic_exact(n - 1) if n > 1 else Fraction(0)
-        return SplitValue(prefix + 1 / (kind.a * n), arg, n)
+        return SplitValue(n - 1, 1 / (kind.a * n), arg, n)
     if isinstance(kind, VFamily):
-        prefix = harmonic_exact(n - 2) if n > 2 else Fraction(0)
-        correction = (kind.a * n + kind.b) / Fraction(n * (n - 1))
-        return SplitValue(prefix + correction, Fraction(n), n)
+        return SplitValue(n - 2, (kind.a * n + kind.b) / (n * (n - 1)), Fraction(n), n)
     if isinstance(kind, SOptimal):
-        prefix = harmonic_exact(n - 2) if n > 2 else Fraction(0)
         correction = Fraction(13, 12 * (n - 1)) + Fraction(5, 12 * n)
-        return SplitValue(prefix + correction, Fraction(n), n)
+        return SplitValue(n - 2, correction, Fraction(n), n)
     if isinstance(kind, (UPlus, UMinus)):
         raise DomainError(
             f"{kind.describe()} has irrational parameters and no exact split; "
@@ -162,7 +163,15 @@ def split_eval(kind: SequenceKind, n: int) -> SplitValue:
     raise DomainError(f"unknown sequence kind {kind!r}")
 
 
-def _u_variant_interval(kind, n: int, q: int) -> tuple[Fraction, Fraction]:
+def _tails(kind: SequenceKind, q: int):
+    """n -> (m, lo, hi) with [lo, hi] enclosing correction - ln(argument)."""
+    if not isinstance(kind, (UPlus, UMinus)):
+        def tail(n):
+            split = split_eval(kind, n)
+            ln_lo, ln_hi = ln_interval(split.log_argument, q)
+            return split.m, split.correction - ln_hi, split.correction - ln_lo
+
+        return tail
     s_lo, s_hi = sqrt_interval(6, q + 8)
     if isinstance(kind, UPlus):
         a_lo, a_hi = 6 + 2 * s_lo, 6 + 2 * s_hi
@@ -170,33 +179,55 @@ def _u_variant_interval(kind, n: int, q: int) -> tuple[Fraction, Fraction]:
     else:
         a_lo, a_hi = 6 - 2 * s_hi, 6 - 2 * s_lo
         b_lo, b_hi = 1 / s_hi, 1 / s_lo
-    inv_lo = Fraction(1) / (a_hi * n)
-    inv_hi = Fraction(1) / (a_lo * n)
-    arg_lo, arg_hi = n + b_lo, n + b_hi
-    ln_lo = ln_interval(arg_lo, q)[0]
-    ln_hi = ln_interval(arg_hi, q)[1]
-    prefix = harmonic_exact(n - 1) if n > 1 else Fraction(0)
-    return prefix + inv_lo - ln_hi, prefix + inv_hi - ln_lo
+    return lambda n: (n - 1, 1 / (a_hi * n) - ln_interval(n + b_hi, q)[1],
+                      1 / (a_lo * n) - ln_interval(n + b_lo, q)[0])
+
+
+def intervals(kind: SequenceKind, n_from: int, n_to: int, q: int):
+    """Certified dyadic bounds (lo, hi) on the value at n = n_from..n_to.
+
+    Each interval is rounded outward onto scale 2**-q.  The harmonic
+    pairs are exact integer sums, so the interval at n does not depend
+    on where the walk started: it equals evaluate_interval(kind, n, q).
+    """
+    _check_domain(kind, n_from)
+    tail = _tails(kind, q)
+    scale = 1 << q
+    h_lo = h_hi = m_prev = 0
+    for n in range(n_from, n_to + 1):
+        m, t_lo, t_hi = tail(n)
+        d_lo, d_hi = kernels.harmonic_fixed(m, q, m_prev)
+        h_lo, h_hi, m_prev = h_lo + d_lo, h_hi + d_hi, m
+        yield (Fraction(h_lo + (t_lo.numerator << q) // t_lo.denominator, scale),
+               Fraction(h_hi - (-t_hi.numerator << q) // t_hi.denominator, scale))
 
 
 def evaluate_interval(kind: SequenceKind, n: int, q: int) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds on the sequence value at n, scale ~2**-q."""
-    _check_domain(kind, n)
-    if isinstance(kind, (UPlus, UMinus)):
-        return _u_variant_interval(kind, n, q)
-    return split_eval(kind, n).value_interval(q)
+    """Certified rational bounds on the sequence value at n, scale 2**-q."""
+    return next(intervals(kind, n, n, q))
+
+
+def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
+    """Sequence values at n = n_from..n_to rounded to p bits, relative
+    error <= 2**(1-p) each, from one walk of `intervals`."""
+    numerics._check_precision(p)
+    q = p + numerics.GUARD_BITS + n_to.bit_length()
+    for n, (lo, hi) in zip(range(n_from, n_to + 1), intervals(kind, n_from, n_to, q)):
+        q_n = q
+        while (mid := (lo + hi) / 2) and (hi - lo) > abs(mid) * Fraction(1, 1 << p):
+            if lo <= 0 <= hi and not isinstance(kind, (UPlus, UMinus)):
+                split = split_eval(kind, n)  # exactly 0 needs ln(argument) = 0
+                if split.log_argument == 1 and split.rational_part == 0:
+                    mid = 0
+                    break
+            q_n *= 2  # value is unusually close to zero; retry tighter
+            lo, hi = evaluate_interval(kind, n, q_n)
+        yield BigReal.from_fraction(mid, p)
 
 
 def evaluate(kind: SequenceKind, n: int, p: int) -> BigReal:
     """Sequence value rounded to p bits, relative error <= 2**(1-p)."""
-    numerics._check_precision(p)
-    q = p + numerics.GUARD_BITS
-    while True:
-        lo, hi = evaluate_interval(kind, n, q)
-        mid = (lo + hi) / 2
-        if mid == 0 or (hi - lo) <= abs(mid) * Fraction(1, 1 << p):
-            return BigReal.from_fraction(mid, p)
-        q *= 2  # value is unusually close to zero; retry tighter
+    return next(values(kind, n, n, p))
 
 
 def error_fraction(a, b, n: int) -> Fraction:

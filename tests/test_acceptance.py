@@ -88,7 +88,7 @@ def test_criterion_3_cubed_deviation_bracket():
 
 
 def test_criterion_4_theorem_sweep_to_10000():
-    with budget(120.0, "criterion 4: bracket sweep n in [3, 10000] at p = 192"):
+    with budget(30.0, "criterion 4: bracket sweep n in [3, 10000] at p = 192"):
         entry = bounds.get_entry("theorem22")
         report = bounds.sweep(entry, 3, 10000, 192)
         counts = report.counts

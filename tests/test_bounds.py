@@ -86,10 +86,10 @@ def test_check_below_n_min_rejected():
 def test_sharp_sides_start_at_two():
     # anderson's lower side is an equality at n = 1; only the upper
     # side applies there and the check stays certifiable
-    holds, margin, m_lo, m_up, *_ = bounds._check_core(get_entry("anderson"), 1, 128)
+    holds, margin, m_lo, m_up, *_ = bounds._check_core(get_entry("anderson"), 1, _EvalContext(128))
     assert holds == CERTIFIED_TRUE
     assert m_lo is None and m_up is not None
-    holds2, _, m_lo2, m_up2, *_ = bounds._check_core(get_entry("qiu-vuorinen"), 1, 128)
+    holds2, _, m_lo2, m_up2, *_ = bounds._check_core(get_entry("qiu-vuorinen"), 1, _EvalContext(128))
     assert holds2 == CERTIFIED_TRUE
     assert m_lo2 is not None and m_up2 is None
 
@@ -130,7 +130,7 @@ def test_theorem22_upper_margin_scales_like_n4():
     e = get_entry("theorem22")
     values = []
     for n in (1000, 3000, 10000):
-        margin_upper = bounds._check_core(e, n, 192)[3]
+        margin_upper = bounds._check_core(e, n, _EvalContext(192))[3]
         values.append(float(margin_upper) * n**4)
     assert max(values) / min(values) < 1.2
 

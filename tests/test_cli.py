@@ -3,9 +3,12 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from gammaseq import bounds, cli
 from gammaseq.bounds import BoundEntry
-from gammaseq.sequences import GammaN
+from gammaseq.numerics import harmonic_exact
+from gammaseq.sequences import GammaN, SOptimal, VernescuV, VFamily, split_eval
 
 F = Fraction
 
@@ -45,6 +48,22 @@ def test_eval_range_and_params(capsys):
     assert code == 0
     assert [row["n"] for row in data["rows"]] == [3, 4, 5]
     assert data["parameters"]["a"] == "3/2"
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["--seq", "v", "--n", "50", "--to", "60"], VernescuV()),
+    (["--seq", "s", "--n", "3", "--to", "3"], SOptimal()),
+    (["--seq", "vfam", "--a", "3/2", "--b=-5/12", "--n", "40", "--to", "45"],
+     VFamily(F(3, 2), F(-5, 12))),
+])
+def test_eval_running_rational_part(capsys, argv, kind):
+    # the printed rational part is summed along the range; it must equal
+    # the exact H_m + correction on every row, also when the range starts late
+    code, data = run_json(capsys, "eval", *argv)
+    assert code == 0
+    for row in data["rows"]:
+        split = split_eval(kind, row["n"])
+        assert F(row["rational_part"]) == harmonic_exact(split.m) + split.correction
 
 
 def test_expand_symbolic_and_numeric(capsys):

@@ -55,8 +55,10 @@ def test_v_family_at_gamma_parameters_splits_to_2000():
 
 
 def test_concurrent_use_is_consistent():
-    # pure functions plus internal locks: hammer the memoized paths from
-    # several threads and compare against fresh sequential values
+    # pure functions plus two caches (gamma_reference's lru_cache and the
+    # locked ln 2 cache behind ln_interval): hammer them and the exact
+    # harmonic sum from several threads and compare against fresh
+    # sequential values
     def work(seed):
         n = 37 + 13 * seed
         return (

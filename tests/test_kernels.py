@@ -43,6 +43,19 @@ def test_harmonic_fixed_brackets_exact_value_property(kernels, n, q):
     assert hi - lo <= n
 
 
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(0, 300), extra=st.integers(0, 300), q=st.integers(0, 200))
+def test_harmonic_fixed_start_index_continues_the_sum(kernels, m, extra, q):
+    # the pair for terms m+1..n added to the pair for 1..m is the pair for 1..n
+    n = m + extra
+    head = kernels.harmonic_fixed(m, q)
+    tail = kernels.harmonic_fixed(n, q, m)
+    assert (head[0] + tail[0], head[1] + tail[1]) == kernels.harmonic_fixed(n, q)
+    target = (brute_harmonic(n) - brute_harmonic(m)) * 2**q
+    assert tail[0] <= target <= tail[1]
+    assert tail[1] - tail[0] <= extra
+
+
 @st.composite
 def atanh_args(draw):
     w = draw(st.integers(2, 10**6))

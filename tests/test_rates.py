@@ -69,8 +69,16 @@ def test_empirical_rate_for_v_family_members():
 
 
 def test_empirical_rate_requires_significant_bits():
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="n = 2048"):
         empirical_rate(SOptimal(), [256, 512, 1024, 2048], 32)
+
+
+def test_empirical_rate_headroom_covers_harmonic_width():
+    # the walk's harmonic pair is about n ulps wide; the working precision
+    # grows with the grid, so 32 bits still carry the fit up to n = 1024
+    report = empirical_rate(SOptimal(), GRID, 32)
+    assert abs(report.difference_order - 4) <= 0.05
+    assert report.reliable
 
 
 def test_empirical_rate_grid_validation():

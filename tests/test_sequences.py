@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction
 from gammaseq.errors import DomainError
-from gammaseq.numerics import gamma_reference, harmonic_exact
+from gammaseq.numerics import gamma_reference, harmonic_exact, ln_interval
 from gammaseq.sequences import (
     DeTempleR,
     GammaN,
@@ -21,7 +23,9 @@ from gammaseq.sequences import (
     error_fraction,
     evaluate,
     evaluate_interval,
+    intervals,
     split_eval,
+    values,
     verify_error_identity,
 )
 
@@ -96,6 +100,72 @@ def test_interval_contains_oracle(kind, expr):
         assert lo - slack <= oracle <= hi + slack
 
 
+def _mp_frac(x):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def _mp_value(kind, n):
+    # the published formulas, independent of split_eval's H_m + correction form
+    h = mp.harmonic
+    if isinstance(kind, GammaN):
+        return h(n) - mp.ln(n)
+    if isinstance(kind, DeTempleR):
+        return h(n) - mp.ln(n + mp.mpf(1) / 2)
+    if isinstance(kind, VernescuV):
+        return h(n - 1) + mp.mpf(1) / (2 * n) - mp.ln(n)
+    if isinstance(kind, SOptimal):
+        return h(n - 2) + mp.mpf(13) / (12 * (n - 1)) + mp.mpf(5) / (12 * n) - mp.ln(n)
+    if isinstance(kind, MuFamily):
+        return h(n - 1) + 1 / (_mp_frac(kind.a) * n) - mp.ln(n + _mp_frac(kind.b))
+    if isinstance(kind, VFamily):
+        return (h(n - 2) + (_mp_frac(kind.a) * n + _mp_frac(kind.b)) / (n * (n - 1))
+                - mp.ln(n))
+    r6 = mp.sqrt(6)
+    if isinstance(kind, UPlus):
+        return h(n - 1) + 1 / ((6 + 2 * r6) * n) - mp.ln(n - 1 / r6)
+    return h(n - 1) + 1 / ((6 - 2 * r6) * n) - mp.ln(n + 1 / r6)
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=24)
+
+
+@st.composite
+def walks(draw):
+    kind = draw(st.one_of(
+        st.sampled_from([GammaN(), DeTempleR(), VernescuV(), SOptimal(), UPlus(),
+                         UMinus()]),
+        st.builds(MuFamily, _rationals.filter(bool), _rationals),
+        st.builds(VFamily, _rationals, _rationals),
+    ))
+    n_min = kind.n_min
+    if isinstance(kind, MuFamily):
+        n_min = max(n_min, int(-kind.b) + 1)  # keeps n + b > 0
+    n_from = draw(st.integers(n_min, 400))
+    n_to = draw(st.integers(n_from, 400))
+    return kind, n_from, n_to, draw(st.integers(64, 256))
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk=walks())
+def test_walk_agrees_with_single_index_and_oracles(walk):
+    kind, n_from, n_to, q = walk
+    mp.mp.prec = 2 * q
+    slack = F(1, 2 ** (2 * q - 16))  # the oracle's own rounding
+    width_cap = F(n_to + q * n_to.bit_length(), 2**q)
+    got = list(intervals(kind, n_from, n_to, q))
+    assert len(got) == n_to - n_from + 1
+    for n, (lo, hi) in zip(range(n_from, n_to + 1), got):
+        assert (lo, hi) == evaluate_interval(kind, n, q)
+        oracle = mpf_to_fraction(_mp_value(kind, n))
+        assert lo - slack <= oracle <= hi + slack
+        assert 0 <= hi - lo <= width_cap
+        if not isinstance(kind, (UPlus, UMinus)):
+            split = split_eval(kind, n)
+            ln_lo, ln_hi = ln_interval(split.log_argument, q)
+            exact_rational = split.rational_part
+            assert lo <= exact_rational - ln_lo and exact_rational - ln_hi <= hi
+
+
 def test_monotone_error_decay_for_s_optimal():
     gamma_mid = gamma_reference(128).midpoint().to_fraction()
     previous = None
@@ -144,6 +214,14 @@ def test_domain_errors():
         MuFamily(F(0), F(1))
     with pytest.raises(DomainError):
         split_eval(MuFamily(F(1), F(-5)), 3)  # log argument not positive
+
+
+def test_exactly_zero_value_rounds_to_zero():
+    # H_5 + 1/(6 a) = 0 at a = -10/137 and ln(6 - 5) = 0: the value vanishes
+    # exactly while the walk's interval for H_5 keeps a nonzero width
+    kind = MuFamily(F(-10, 137), F(-5))
+    assert evaluate(kind, 6, 64).to_fraction() == 0
+    assert [v.to_fraction() == 0 for v in values(kind, 6, 8, 64)] == [True, False, False]
 
 
 def test_u_variants_have_no_split_but_evaluate():
