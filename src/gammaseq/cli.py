@@ -7,8 +7,10 @@ strings "p/q", inexact ones as decimal strings with an explicit digit
 count, so identical inputs give byte-identical output.
 
 Exit codes: 0 success, 1 a sweep found a certified-false row, 2 usage
-error, 3 undecided rows remained at the precision cap, or the requested
-precision could not decide the result.
+error, or a result would print an integer longer than Python's
+integer-string limit (4300 digits by default), 3 undecided rows remained
+at the precision cap, or the requested precision could not decide the
+result.
 """
 
 from __future__ import annotations
@@ -179,6 +181,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_rate(args) -> int:
     kind = _resolve_kind(args)
+    if args.grid_start < 1:
+        raise DomainError("--grid-start must be at least 1")
     if args.grid_factor < 2:
         raise DomainError("--grid-factor must be at least 2")
     grid = []
@@ -415,6 +419,13 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: a printed number would exceed Python's "
+              f"{sys.get_int_max_str_digits()}-digit limit for integer strings",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

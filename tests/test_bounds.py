@@ -2,15 +2,15 @@
 
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from gammaseq import bounds
+from conftest import mpf_to_fraction
 from gammaseq.bounds import (
     CERTIFIED_FALSE,
     CERTIFIED_TRUE,
     UNDECIDED,
     BoundEntry,
-    _EvalContext,
     catalog,
     check,
     get_entry,
@@ -28,6 +28,25 @@ EXPECTED_IDS = {
 }
 
 
+# the published formula of every side that reads a real constant
+PUBLISHED_CONSTANT_SIDES = {
+    ("anderson", "lower"): lambda n: (1 - mp.euler) / n,
+    ("alzer-chen-qi", "lower"):
+        lambda n: 1 / (2 * n + (2 * mp.euler - 1) / (1 - mp.euler)),
+    ("qiu-vuorinen", "upper"): lambda n: 1 / mp.mpf(2 * n) - (mp.euler - 0.5) / n**2,
+    ("chen", "lower"): lambda n: 1 / (24 * (
+        n + 1 / mp.sqrt(24 * (1 - mp.euler - mp.log(mp.mpf(3) / 2))) - 1) ** 2),
+}
+
+
+def _side_values(entry, side, n, c):
+    """The side at both ends of c's enclosure, or its one value if it ignores c."""
+    fn = getattr(entry, side)
+    if side not in entry.reads_c:
+        return [fn(n, None)]
+    return [fn(n, c[0]), fn(n, c[1])]
+
+
 def test_catalog_has_expected_entries():
     entries = catalog()
     assert len(entries) == 14
@@ -35,18 +54,43 @@ def test_catalog_has_expected_entries():
 
 
 def test_toth_bound_values():
-    ctx = _EvalContext(64)
     e = get_entry("toth")
-    assert e.lower(7, ctx) == (F(1, 2 * 7 + F(2, 5)),) * 2
-    assert e.upper(7, ctx) == (F(1, 2 * 7 + F(1, 3)),) * 2
+    assert e.lower(7, None) == F(1, 2 * 7 + F(2, 5))
+    assert e.upper(7, None) == F(1, 2 * 7 + F(1, 3))
 
 
 def test_karatsuba_keeps_printed_tail_term():
-    ctx = _EvalContext(64)
     e = get_entry("karatsuba")
-    lo = e.lower(2, ctx)[0]
+    lo = e.lower(2, None)
     assert lo == F(1, 4) - F(1, 48) + F(1, 1920) - F(1, 8064)
     assert "126" in e.note and "252" in e.note
+
+
+@pytest.mark.parametrize("p", [64, 128, 256])
+def test_constant_sides_bracket_published_formula(p):
+    entries = {e.entry_id: e for e in catalog()}
+    assert {(e.entry_id, side) for e in entries.values() for side in e.reads_c} == set(
+        PUBLISHED_CONSTANT_SIDES)
+    mp.mp.prec = 2 * p
+    for (entry_id, side), formula in PUBLISHED_CONSTANT_SIDES.items():
+        e = entries[entry_id]
+        fn = getattr(e, side)
+        c_lo, c_hi = e.constant(p)
+        assert c_lo < c_hi
+        c_mid = (c_lo + c_hi) / 2
+        for n in [*range(getattr(e, f"n_min_{side}"), 31), 500, 2000]:
+            at_lo, at_mid, at_hi = fn(n, c_lo), fn(n, c_mid), fn(n, c_hi)
+            assert at_lo > at_mid > at_hi or at_lo < at_mid < at_hi, (entry_id, p, n)
+            oracle = mpf_to_fraction(formula(n))
+            slack = abs(oracle) / 2 ** (2 * p - 16)  # the oracle's own rounding
+            assert min(at_lo, at_hi) - slack <= oracle <= max(at_lo, at_hi) + slack, (
+                entry_id, p, n)
+            # a sweep row compares against the end that is binding for the side
+            row = sweep(e.restricted(side), n, n, p, precision_cap=p).rows[0]
+            if side == "lower":
+                assert row.lower == max(at_lo, at_hi), (entry_id, p, n)
+            else:
+                assert row.upper == min(at_lo, at_hi), (entry_id, p, n)
 
 
 def test_theorem22_per_side_ranges():
@@ -86,12 +130,12 @@ def test_check_below_n_min_rejected():
 def test_sharp_sides_start_at_two():
     # anderson's lower side is an equality at n = 1; only the upper
     # side applies there and the check stays certifiable
-    holds, margin, m_lo, m_up, *_ = bounds._check_core(get_entry("anderson"), 1, _EvalContext(128))
-    assert holds == CERTIFIED_TRUE
-    assert m_lo is None and m_up is not None
-    holds2, _, m_lo2, m_up2, *_ = bounds._check_core(get_entry("qiu-vuorinen"), 1, _EvalContext(128))
-    assert holds2 == CERTIFIED_TRUE
-    assert m_lo2 is not None and m_up2 is None
+    row = sweep(get_entry("anderson"), 1, 1, 128).rows[0]
+    assert row.verdict == CERTIFIED_TRUE
+    assert row.margin_lower is None and row.margin_upper is not None
+    row2 = sweep(get_entry("qiu-vuorinen"), 1, 1, 128).rows[0]
+    assert row2.verdict == CERTIFIED_TRUE
+    assert row2.margin_lower is not None and row2.margin_upper is None
 
 
 def test_sweep_small_ranges_all_true():
@@ -100,6 +144,18 @@ def test_sweep_small_ranges_all_true():
         report = sweep(e, e.n_min, 300, 128)
         assert report.all_certified_true, (entry_id, report.counts)
         assert report.min_margin > 0
+
+
+def test_undecided_rows_escalate_alone_by_doubling():
+    e = get_entry("chen")
+    report = sweep(e, 100, 120, 32)
+    assert report.all_certified_true
+    assert [r.precision for r in report.rows] == [32] * 5 + [64] * 16
+    assert check(e, 105, 32).holds == UNDECIDED
+    # an escalated row is the one-row sweep at its final precision
+    assert report.rows[5] == sweep(e, 105, 105, 64, precision_cap=64).rows[0]
+    capped = sweep(e, 100, 120, 32, precision_cap=48)
+    assert [r.precision for r in capped.rows] == [32] * 5 + [48] * 16
 
 
 def test_monotone_refinement():
@@ -114,15 +170,15 @@ def test_monotone_refinement():
 
 
 def test_self_consistency_lower_below_upper():
-    ctx = _EvalContext(96)
     for e in catalog():
         if e.lower is None or e.upper is None:
             continue
+        c = e.constant(96)
         start = max(e.n_min_lower, e.n_min_upper)
         for n in list(range(start, start + 20)) + [500, 1000]:
-            lo = e.lower(n, ctx)
-            up = e.upper(n, ctx)
-            assert lo[1] < up[0], (e.entry_id, n)
+            lo = _side_values(e, "lower", n, c)
+            up = _side_values(e, "upper", n, c)
+            assert max(lo) < min(up), (e.entry_id, n)
 
 
 def test_theorem22_upper_margin_scales_like_n4():
@@ -130,7 +186,7 @@ def test_theorem22_upper_margin_scales_like_n4():
     e = get_entry("theorem22")
     values = []
     for n in (1000, 3000, 10000):
-        margin_upper = bounds._check_core(e, n, _EvalContext(192))[3]
+        margin_upper = sweep(e, n, n, 192).rows[0].margin_upper
         values.append(float(margin_upper) * n**4)
     assert max(values) / min(values) < 1.2
 
@@ -140,7 +196,7 @@ def test_falsified_entry_certified_false():
     impossible = BoundEntry(
         entry_id="young-falsified",
         target=GammaN(),
-        lower=lambda n, ctx: (F(1, n), F(1, n)),  # above the true deviation
+        lower=lambda n, c: F(1, n),  # above the true deviation
         upper=e.upper,
         n_min_lower=1,
         n_min_upper=1,
@@ -162,7 +218,7 @@ def test_undecided_when_bound_sits_inside_value_interval():
     touching = BoundEntry(
         entry_id="young-touching",
         target=GammaN(),
-        lower=lambda n, ctx: (dev_mid, dev_mid),
+        lower=lambda n, c: dev_mid,
         upper=None,
         n_min_lower=1,
         n_min_upper=None,

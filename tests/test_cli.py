@@ -162,7 +162,7 @@ def test_falsified_entry_exits_one(capsys, monkeypatch):
     falsified = BoundEntry(
         entry_id="falsified-fixture",
         target=GammaN(),
-        lower=lambda n, ctx: (F(1, n), F(1, n)),  # sits above the deviation
+        lower=lambda n, c: F(1, n),  # sits above the deviation
         upper=None,
         n_min_lower=1,
         n_min_upper=None,
@@ -187,7 +187,7 @@ def test_undecided_rows_exit_three(capsys, monkeypatch):
     touching = BoundEntry(
         entry_id="touching-fixture",
         target=GammaN(),
-        lower=lambda n, ctx: (dev_mid, dev_mid),
+        lower=lambda n, c: dev_mid,
         upper=None,
         n_min_lower=1,
         n_min_upper=None,
@@ -210,6 +210,33 @@ def test_precision_error_exits_three(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("start", ["0", "-3"])
+def test_rate_rejects_grid_start_below_one(capsys, start):
+    # 0 * factor stays 0, so such a grid would never reach --grid-stop
+    code = cli.main(["rate", "--seq", "gamma", f"--grid-start={start}", "--grid-stop", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --grid-start must be at least 1\n"
+
+
+def test_integer_string_limit_exits_two(capsys, monkeypatch):
+    # the exact rational part H_9899 has more digits than str() may print
+    code = cli.main(["eval", "--seq", "gamma", "--n", "9900"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+    def other_value_error(args):
+        raise ValueError("not a conversion error")
+
+    monkeypatch.setattr(cli, "cmd_optimize", other_value_error)
+    with pytest.raises(ValueError, match="not a conversion error"):
+        cli.main(["optimize"])
 
 
 def test_version_flag(capsys):

@@ -1,9 +1,12 @@
 """Default CLI output, pinned byte for byte.
 
-Each file under tests/data/ is the stdout of one command, recorded with
-the exact-harmonic evaluator that the interval walk over n replaced.
-Verdicts, exit codes and printed digits must not depend on how the
-certified values are computed.
+Each file under tests/data/ is the stdout of one command, recorded
+before the evaluation behind it changed: the first files with the
+exact-harmonic evaluator that the interval walk over n replaced, the
+anderson, alzer-chen-qi, qiu-vuorinen and escalated chen sweeps with the
+interval arithmetic on bound sides that end-point evaluation in the
+constant replaced.  Verdicts, exit codes and printed digits must not
+depend on how the certified values are computed.
 """
 
 from pathlib import Path
@@ -18,6 +21,15 @@ GOLDEN = [
     ("sweep_theorem22.json",
      "sweep-bounds --entry theorem22 --from 3 --to 40 --precision 192"),
     ("sweep_chen.csv", "sweep-bounds --entry chen --to 40 --precision 128 --format csv"),
+    # rows 105 and up escalate from 32 to 64 bits through chen's constant side
+    ("sweep_chen_escalated.json",
+     "sweep-bounds --entry chen --from 100 --to 120 --precision 32"),
+    ("sweep_anderson.csv",
+     "sweep-bounds --entry anderson --to 40 --precision 128 --format csv"),
+    ("sweep_alzer_chen_qi.csv",
+     "sweep-bounds --entry alzer-chen-qi --to 40 --precision 128 --format csv"),
+    ("sweep_qiu_vuorinen.csv",
+     "sweep-bounds --entry qiu-vuorinen --to 40 --precision 128 --format csv"),
     ("eval_s.json", "eval --seq s --n 3 --to 40 --precision 256"),
     ("eval_uplus.json", "eval --seq uplus --n 1 --to 40 --precision 256"),
     ("rate_r.json", "rate --seq r --grid-start 16 --grid-stop 1024 --precision 256"),
