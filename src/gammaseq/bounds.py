@@ -7,10 +7,12 @@ Karatsuba entry note).  Every bound side is an exact rational function
 of n and of at most one real constant c, monotone in c.  c is enclosed
 once per walk at the working precision, and a side that reads it is
 evaluated exactly at both ends of that enclosure, which brackets the
-side.  A sweep walks the sequence's certified values once and reports
-certified-true only under strict separation; check is the one-row sweep.
-Equality can therefore never be certified; sides that are sharp at
-n = 1 start at n = 2.
+side.  The sides are the only Fractions in a row: a sweep walks the
+sequence's certified values once as integer pairs, and the deviations
+from gamma and the margins are integers at one explicit scale per walk.
+It reports certified-true only under strict separation, decided
+exactly; check is the one-row sweep.  Equality can therefore never be
+certified; sides that are sharp at n = 1 start at n = 2.
 """
 
 from __future__ import annotations
@@ -104,16 +106,24 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One checked index.  value_lo, value_hi and the margins are integers
+    at scale 2**-scale: value_lo * 2**-scale <= target_n - gamma <=
+    value_hi * 2**-scale.  margin_lower is value_lo - ceil(lower * 2**scale),
+    margin_upper is floor(upper * 2**scale) - value_hi and margin the least
+    present; each lies in (e * 2**scale - 1, e * 2**scale] for its exact
+    margin e.  The sides lower and upper are exact rationals."""
+
     n: int
     verdict: str
-    margin: Fraction
-    margin_lower: Fraction | None
-    margin_upper: Fraction | None
+    margin: int
+    margin_lower: int | None
+    margin_upper: int | None
     lower: Fraction | None  # sup of the lower bound interval (binding end)
     upper: Fraction | None  # inf of the upper bound interval
-    value_lo: Fraction
-    value_hi: Fraction
+    value_lo: int
+    value_hi: int
     precision: int
+    scale: int
 
 
 @dataclass(frozen=True)
@@ -134,17 +144,24 @@ class SweepReport:
     def all_certified_true(self) -> bool:
         return all(row.verdict == CERTIFIED_TRUE for row in self.rows)
 
+    def _least(self) -> SweepRow | None:
+        """The first certified-true row of least margin, across scales."""
+        least = None
+        for row in self.rows:  # m / 2**s < m' / 2**s' compared as m 2**s' < m' 2**s
+            if row.verdict == CERTIFIED_TRUE and (
+                    least is None or row.margin << least.scale < least.margin << row.scale):
+                least = row
+        return least
+
     @property
     def min_margin(self) -> Fraction | None:
-        margins = [r.margin for r in self.rows if r.verdict == CERTIFIED_TRUE]
-        return min(margins) if margins else None
+        row = self._least()
+        return None if row is None else Fraction(row.margin, 1 << row.scale)
 
     @property
     def min_margin_n(self) -> int | None:
-        rows = [r for r in self.rows if r.verdict == CERTIFIED_TRUE]
-        if not rows:
-            return None
-        return min(rows, key=lambda r: r.margin).n
+        row = self._least()
+        return None if row is None else row.n
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +351,12 @@ def _bracket(side, reads_c: bool, n: int, c: Interval) -> Interval:
     return (a, b) if a <= b else (b, a)
 
 
+def _on_scale(x: Fraction, scale: int) -> tuple[int, int]:
+    """Floor and ceiling of x * 2**scale."""
+    below, rest = divmod(x.numerator << scale, x.denominator)
+    return below, below + (rest > 0)
+
+
 def _rows(entry: BoundEntry, n_from: int, n_to: int, p: int):
     """SweepRows at precision p for n = n_from..n_to, from one walk over n."""
     if not isinstance(n_from, int) or n_from < entry.n_min:
@@ -342,42 +365,52 @@ def _rows(entry: BoundEntry, n_from: int, n_to: int, p: int):
         )
     if n_to < n_from:
         raise DomainError("empty sweep range")
-    g_lo, g_hi = _gamma(p)
+    gamma = gamma_reference(p)
     c = entry.constant(p) if entry.reads_c else None
     lower = entry.lower if entry.n_min_lower is not None else None
     upper = entry.upper if entry.n_min_upper is not None else None
     # one bit_length covers the walk's harmonic pair (<= n ulps wide), one is spare
-    walk = intervals(entry.target, n_from, n_to, p + GUARD_BITS + 2 * n_to.bit_length())
+    q = p + GUARD_BITS + 2 * n_to.bit_length()
+    # the row scale holds the walk's pairs and gamma's ends exactly
+    scale = max(q, -gamma.lo.exp, -gamma.hi.exp)
+    g_lo = gamma.lo.mant << (scale + gamma.lo.exp)
+    g_hi = gamma.hi.mant << (scale + gamma.hi.exp)
+    shift = scale - q
+    walk = intervals(entry.target, n_from, n_to, q)
     for n, (v_lo, v_hi) in zip(range(n_from, n_to + 1), walk):
-        dev_lo, dev_hi = v_lo - g_hi, v_hi - g_lo
+        dev_lo, dev_hi = (v_lo << shift) - g_hi, (v_hi << shift) - g_lo
         margins = []
         lower_sup = upper_inf = margin_lower = margin_upper = None
-        falsified = False
+        separated, falsified = True, False
+        # an integer d > x exactly when d > floor(x), and d < x when d < ceil(x)
         if lower is not None and n >= entry.n_min_lower:
             lower_inf, lower_sup = _bracket(lower, "lower" in entry.reads_c, n, c)
-            margin_lower = dev_lo - lower_sup
+            below, above = _on_scale(lower_sup, scale)
+            margin_lower = dev_lo - above
             margins.append(margin_lower)
-            falsified = dev_hi <= lower_inf
+            separated = dev_lo > below
+            falsified = dev_hi <= _on_scale(lower_inf, scale)[0]
         if upper is not None and n >= entry.n_min_upper:
             upper_inf, upper_sup = _bracket(upper, "upper" in entry.reads_c, n, c)
-            margin_upper = upper_inf - dev_hi
+            below, above = _on_scale(upper_inf, scale)
+            margin_upper = below - dev_hi
             margins.append(margin_upper)
-            falsified = falsified or dev_lo >= upper_sup
+            separated = separated and dev_hi < above
+            falsified = falsified or dev_lo >= _on_scale(upper_sup, scale)[1]
         if not margins:
             raise DomainError(f"no side of {entry.entry_id!r} applies at n = {n}")
-        margin = min(margins)
         if falsified:
             verdict = CERTIFIED_FALSE
-        elif margin > 0:
+        elif separated:
             verdict = CERTIFIED_TRUE
         else:
             verdict = UNDECIDED
         yield SweepRow(
-            n=n, verdict=verdict, margin=margin,
+            n=n, verdict=verdict, margin=min(margins),
             margin_lower=margin_lower, margin_upper=margin_upper,
             lower=lower_sup, upper=upper_inf,
             value_lo=dev_lo, value_hi=dev_hi,
-            precision=p,
+            precision=p, scale=scale,
         )
 
 
@@ -386,7 +419,8 @@ def check(entry: BoundEntry, n: int, p: int) -> Verdict:
     row = next(_rows(entry, n, n, p))
     return Verdict(
         holds=row.verdict,
-        margin=BigReal.from_fraction(row.margin, max(64, min(p, 128)), "floor"),
+        margin=BigReal.from_fraction(Fraction(row.margin, 1 << row.scale),
+                                     max(64, min(p, 128)), "floor"),
         precision=p,
     )
 
@@ -397,8 +431,11 @@ def sweep(entry: BoundEntry, n_from: int, n_to: int, p: int,
 
     Precision doubles (up to the cap) whenever strict separation fails;
     rows still undecided at the cap are reported as such, never as true.
+    A cap below p is a DomainError.
     """
     cap = precision_cap if precision_cap is not None else DEFAULT_CAP_FACTOR * p
+    if cap < p:
+        raise DomainError(f"precision cap {cap} is below the starting precision {p}")
     rows = []
     for row in _rows(entry, n_from, n_to, p):
         while row.verdict == UNDECIDED and row.precision < cap:

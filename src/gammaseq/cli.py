@@ -219,16 +219,21 @@ def cmd_sweep_bounds(args) -> int:
     report = bounds.sweep(entry, n_from, args.n_to, args.precision,
                           precision_cap=args.precision_cap)
     digits = _decimal_digits(args.precision)
+
+    def decimal(num: int, den: int) -> str:
+        return numerics.decimal_text(num, den, digits, "half-up")
+
     rows = []
     for r in report.rows:
+        unit = 1 << r.scale
         rows.append({
             "n": r.n,
-            "lower": _decimal(r.lower, digits) if r.lower is not None else "",
-            "value_lo": _decimal(r.value_lo, digits),
-            "value_hi": _decimal(r.value_hi, digits),
-            "upper": _decimal(r.upper, digits) if r.upper is not None else "",
+            "lower": decimal(*r.lower.as_integer_ratio()) if r.lower is not None else "",
+            "value_lo": decimal(r.value_lo, unit),
+            "value_hi": decimal(r.value_hi, unit),
+            "upper": decimal(*r.upper.as_integer_ratio()) if r.upper is not None else "",
             "verdict": r.verdict,
-            "margin": _decimal(r.margin, digits),
+            "margin": decimal(r.margin, unit),
         })
     counts = report.counts
     meta = {
@@ -238,10 +243,10 @@ def cmd_sweep_bounds(args) -> int:
         "decimal_digits": digits,
         "citation": entry.citation,
     }
-    min_margin = report.min_margin
-    if min_margin is not None:
-        meta["min_margin"] = _decimal(min_margin, digits)
-        meta["min_margin_n"] = report.min_margin_n
+    least_n = report.min_margin_n
+    if least_n is not None:
+        meta["min_margin"] = rows[least_n - n_from]["margin"]
+        meta["min_margin_n"] = least_n
     if entry.note:
         meta["note"] = entry.note
     _emit(_envelope("sweep-bounds",
@@ -255,16 +260,6 @@ def cmd_sweep_bounds(args) -> int:
     if counts[bounds.UNDECIDED]:
         return EXIT_UNDECIDED
     return EXIT_OK
-
-
-def _decimal(x: Fraction, digits: int) -> str:
-    sign = "-" if x < 0 else ""
-    scaled = abs(x) * 10**digits
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r >= scaled.denominator:
-        q += 1
-    text = str(q).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
 def cmd_certify(args) -> int:

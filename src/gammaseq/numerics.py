@@ -1,15 +1,15 @@
 """Exact and certified numerics.
 
-Three layers live here.  ``Fraction`` values are exact and used for
-small rationals (series coefficients, inequality bounds, sequence
-corrections); exact harmonic numbers only feed printed rational parts.
-Interval helpers (`ln_interval`, `sqrt_interval`, `harmonic_interval`)
-wrap the kernels' outward-rounded integer pairs at scale 2**-q as
-dyadic Fractions that bracket the true value; they are the building
-blocks of every certified verdict in the package.  `BigReal`
-and `Enclosure` are the user-facing rounded types: a `BigReal` is a
-dyadic float with an explicit precision in bits, an `Enclosure` is a
-pair of them with outward rounding.
+``Fraction`` values hold exact rationals only (series coefficients,
+inequality bounds, sequence corrections); exact harmonic numbers only
+feed printed rational parts.  Dyadic quantities are integers at an
+explicit scale, the kernels' protocol: a pair (lo, hi) at scale 2**-q
+brackets the true value.  `ln_fixed` is that integer core for
+logarithms; `ln_interval`, `sqrt_interval` and `harmonic_interval` give
+such brackets as dyadic Fractions.  `BigReal` and `Enclosure` are the
+user-facing rounded types: a `BigReal` is a dyadic float with an
+explicit precision in bits, an `Enclosure` is a pair of them with
+outward rounding.  `BigReal` and `decimal_text` share one rounding routine.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ from .errors import DomainError
 __all__ = [
     "BigReal",
     "Enclosure",
+    "decimal_text",
     "harmonic_exact",
     "harmonic_interval",
     "harmonic_float",
+    "ln_fixed",
     "ln_interval",
     "ln_real",
     "sqrt_interval",
@@ -52,6 +54,37 @@ def _as_fraction(x) -> Fraction:
 def _check_precision(p: int) -> None:
     if not isinstance(p, int) or p < MIN_PRECISION:
         raise DomainError(f"precision must be an integer >= {MIN_PRECISION}, got {p!r}")
+
+
+def _round(num: int, den: int, rounding: str) -> tuple[bool, int]:
+    """num/den (den > 0, not necessarily reduced) rounded to an integer, as
+    (negative, magnitude): "nearest" ties to even, "floor" and "ceiling"
+    round toward -inf and +inf, "half-up" rounds the magnitude with ties
+    away from zero and keeps num's sign when the magnitude rounds to 0."""
+    negative = num < 0
+    q, r = divmod(-num if negative else num, den)
+    if rounding == "nearest":
+        up = 2 * r > den or (2 * r == den and q & 1)
+    elif rounding == "half-up":
+        up = 2 * r >= den
+    elif rounding == "floor":
+        up = negative and r
+    elif rounding == "ceiling":
+        up = not negative and r
+    else:
+        raise ValueError(f"unknown rounding mode {rounding!r}")
+    if up:
+        q += 1
+    return negative and (q > 0 or rounding == "half-up"), q
+
+
+def decimal_text(num: int, den: int, places: int, rounding: str = "nearest") -> str:
+    """num/den (den > 0) as a fixed-point decimal with `places` digits after
+    the point, rounded as `BigReal.from_fraction` rounds bits."""
+    negative, q = _round(num * 10**places, den, rounding)
+    digits = str(q).rjust(places + 1, "0")
+    sign = "-" if negative else ""
+    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
 
 
 # ---------------------------------------------------------------------------
@@ -90,42 +123,20 @@ class BigReal:
     def from_fraction(cls, value, prec: int, rounding: str = "nearest") -> "BigReal":
         """Round an exact value to `prec` bits.
 
-        rounding is one of "nearest" (ties to even), "floor" (toward
-        -inf) or "ceiling" (toward +inf).
+        rounding is "nearest" (ties to even), "floor" (toward -inf),
+        "ceiling" (toward +inf) or "half-up" (ties away from zero).
         """
         _check_precision(prec)
         value = Fraction(value)
         if value == 0:
             return cls(0, 0, prec)
-        num = abs(value.numerator)
-        den = value.denominator
-        negative = value < 0
-        e = num.bit_length() - den.bit_length()
-        if e >= 0:
-            if num < (den << e):
-                e -= 1
-        else:
-            if (num << -e) < den:
-                e -= 1
-        # now 2**e <= |value| < 2**(e+1); target exponent:
+        num, den = value.numerator, value.denominator
+        e = abs(num).bit_length() - den.bit_length()
+        if (abs(num) << max(0, -e)) < (den << max(0, e)):
+            e -= 1
+        # now 2**e <= |value| < 2**(e+1); the result has exactly prec bits
         exp = e - prec + 1
-        if exp >= 0:
-            q, r = divmod(num, den << exp)
-        else:
-            q, r = divmod(num << -exp, den)
-        # q has exactly prec bits; decide the rounding increment
-        if rounding == "nearest":
-            d = den << exp if exp >= 0 else den
-            if 2 * r > d or (2 * r == d and q & 1):
-                q += 1
-        elif rounding == "floor":
-            if negative and r:
-                q += 1
-        elif rounding == "ceiling":
-            if not negative and r:
-                q += 1
-        else:
-            raise ValueError(f"unknown rounding mode {rounding!r}")
+        negative, q = _round(num << max(0, -exp), den << max(0, exp), rounding)
         if q.bit_length() > prec:  # rounded up to a power of two
             q >>= 1
             exp += 1
@@ -202,34 +213,13 @@ class BigReal:
         return self.mant != 0
 
     def __float__(self):
-        m = self.mant
-        e = self.exp
-        bl = abs(m).bit_length()
-        if bl > 53:
-            e += bl - 53
-            m = m >> (bl - 53) if m > 0 else -((-m) >> (bl - 53))
-        return math.ldexp(m, e)
+        return float(self.to_fraction())
 
     def decimal_str(self, places: int, rounding: str = "nearest") -> str:
         """Fixed-point decimal string with `places` digits after the point."""
-        scaled = self.to_fraction() * 10**places
-        num, den = scaled.numerator, scaled.denominator
-        q, r = divmod(abs(num), den)
-        neg = num < 0
-        if rounding == "nearest":
-            if 2 * r > den or (2 * r == den and q & 1):
-                q += 1
-        elif rounding == "floor":
-            if neg and r:
-                q += 1
-        elif rounding == "ceiling":
-            if not neg and r:
-                q += 1
-        else:
-            raise ValueError(f"unknown rounding mode {rounding!r}")
-        digits = str(q).rjust(places + 1, "0")
-        sign = "-" if neg and q else ""
-        return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+        if self.exp >= 0:
+            return decimal_text(self.mant << self.exp, 1, places, rounding)
+        return decimal_text(self.mant, 1 << -self.exp, places, rounding)
 
     def __repr__(self):
         return f"BigReal({self.decimal_str(max(1, self.prec * 3 // 10))}, prec={self.prec})"
@@ -357,21 +347,20 @@ def _ln2_bounds(q: int) -> tuple[int, int]:
     return clo >> d, -((-chi) >> d)
 
 
-def ln_interval(x, q: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure of ln(x) for exact rational x > 0.
+def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
+    """Enclosure (lo, hi, q_eff) of ln(num/den) * 2**q_eff for coprime
+    num, den > 0, at a scale q_eff >= q.
 
-    The working scale is raised automatically when x is close to 1, so
-    the result is accurate relative to |ln x|, not just absolutely.
+    The working scale is raised automatically when num/den is close to 1,
+    so the result is accurate relative to |ln x|, not just absolutely.
     """
-    x = _as_fraction(x)
-    if x <= 0:
-        raise DomainError(f"ln requires a positive argument, got {x}")
-    if x == 1:
-        return Fraction(0), Fraction(0)
-    if x < 1:
-        lo, hi = ln_interval(1 / x, q)
-        return -hi, -lo
-    num, den = x.numerator, x.denominator
+    if num <= 0:
+        raise DomainError(f"ln requires a positive argument, got {Fraction(num, den)}")
+    if num == den:
+        return 0, 0, q
+    if num < den:
+        lo, hi, q_eff = ln_fixed(den, num, q)
+        return -hi, -lo, q_eff
     e = num.bit_length() - den.bit_length()
     if (den << e) > num:
         e -= 1
@@ -390,17 +379,20 @@ def ln_interval(x, q: int) -> tuple[Fraction, Fraction]:
         l2lo, l2hi = _ln2_bounds(q_eff)
         lo += e * l2lo
         hi += e * l2hi
-    scale = 1 << q_eff
-    return Fraction(lo, scale), Fraction(hi, scale)
+    return lo, hi, q_eff
+
+
+def ln_interval(x, q: int) -> tuple[Fraction, Fraction]:
+    """Dyadic enclosure of ln(x) for exact rational x > 0: `ln_fixed` as Fractions."""
+    x = _as_fraction(x)
+    lo, hi, q_eff = ln_fixed(x.numerator, x.denominator, q)
+    return Fraction(lo, 1 << q_eff), Fraction(hi, 1 << q_eff)
 
 
 def ln_real(x, p: int) -> BigReal:
     """ln(x) rounded to p bits with relative error <= 2**(1-p)."""
     _check_precision(p)
-    fx = _as_fraction(x)
-    if fx <= 0:
-        raise DomainError(f"ln requires a positive argument, got {fx}")
-    lo, hi = ln_interval(fx, p + GUARD_BITS)
+    lo, hi = ln_interval(x, p + GUARD_BITS)
     return BigReal.from_fraction((lo + hi) / 2, p)
 
 

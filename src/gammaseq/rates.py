@@ -85,8 +85,8 @@ class EmpiricalRate:
         return self.residual <= RESIDUAL_LIMIT
 
 
-def _log2_fraction(x: Fraction) -> float:
-    num, den = abs(x.numerator), x.denominator
+def _log2_ratio(num: int, den: int) -> float:
+    """log2(num/den) for positive integers num and den."""
     shift = num.bit_length() - den.bit_length()
     if shift >= 0:
         scaled = (num << 64) // (den << shift)
@@ -112,15 +112,14 @@ def empirical_rate(kind: SequenceKind, n_grid, p: int) -> EmpiricalRate:
     for n in grid:
         (lo1, hi1), (lo2, hi2) = intervals(kind, n, n + 1, q)
         d_lo, d_hi = lo1 - hi2, hi1 - lo2
-        width = d_hi - d_lo
-        mid = (d_lo + d_hi) / 2
-        if mid == 0 or abs(mid) < width * (1 << SIGNIFICANT_BITS_REQUIRED):
+        width, twice_mid = d_hi - d_lo, d_lo + d_hi  # both at scale 2**-q
+        if twice_mid == 0 or abs(twice_mid) < width << (SIGNIFICANT_BITS_REQUIRED + 1):
             raise PrecisionError(
                 f"difference at n = {n} has fewer than "
                 f"{SIGNIFICANT_BITS_REQUIRED} significant bits; raise the precision"
             )
         xs.append(math.log(n))
-        ys.append(_log2_fraction(abs(mid)) * math.log(2))
+        ys.append(_log2_ratio(abs(twice_mid), 2 << q) * math.log(2))
     n_pts = len(xs)
     x_mean = sum(xs) / n_pts
     y_mean = sum(ys) / n_pts

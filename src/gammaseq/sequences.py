@@ -2,11 +2,13 @@
 
 Every sequence here has the shape H_m + correction - ln(argument) with
 m = n - 1 or n - 2, and `split_eval` returns those small exact pieces.
-Certified values come from one walk over n, `intervals`, which carries
-H_m as the kernel's integer pair at scale 2**-q, one `harmonic_fixed`
-step per index.  The variants with irrational parameters (UPlus /
-UMinus, built on sqrt(6)) have no exact split and enter the same walk
-with interval corrections.
+Certified values come from one walk over n, `intervals`, which yields
+integer pairs at scale 2**-q: H_m is the kernel's pair, one
+`harmonic_fixed` step per index, plus the correction, an exact Fraction
+like every exact piece here, combined with the integer pair of
+`ln_fixed` and rounded outward once.  The
+variants with irrational parameters (UPlus / UMinus, built on sqrt(6))
+have no exact split and enter the same walk with interval corrections.
 """
 
 from __future__ import annotations
@@ -164,12 +166,16 @@ def split_eval(kind: SequenceKind, n: int) -> SplitValue:
 
 
 def _tails(kind: SequenceKind, q: int):
-    """n -> (m, lo, hi) with [lo, hi] enclosing correction - ln(argument)."""
+    """n -> (m, lo, hi) with [lo, hi] * 2**-q enclosing correction - ln(argument)."""
     if not isinstance(kind, (UPlus, UMinus)):
         def tail(n):
             split = split_eval(kind, n)
-            ln_lo, ln_hi = ln_interval(split.log_argument, q)
-            return split.m, split.correction - ln_hi, split.correction - ln_lo
+            x, c = split.log_argument, split.correction
+            ln_lo, ln_hi, q_ln = numerics.ln_fixed(x.numerator, x.denominator, q)
+            # correction - ln at scale 2**-q_ln over one common denominator
+            num, den = c.numerator << q_ln, c.denominator << (q_ln - q)
+            return (split.m, (num - c.denominator * ln_hi) // den,
+                    -((c.denominator * ln_lo - num) // den))
 
         return tail
     s_lo, s_hi = sqrt_interval(6, q + 8)
@@ -179,32 +185,38 @@ def _tails(kind: SequenceKind, q: int):
     else:
         a_lo, a_hi = 6 - 2 * s_hi, 6 - 2 * s_lo
         b_lo, b_hi = 1 / s_hi, 1 / s_lo
-    return lambda n: (n - 1, 1 / (a_hi * n) - ln_interval(n + b_hi, q)[1],
-                      1 / (a_lo * n) - ln_interval(n + b_lo, q)[0])
+
+    def tail(n):
+        lo = 1 / (a_hi * n) - ln_interval(n + b_hi, q)[1]
+        hi = 1 / (a_lo * n) - ln_interval(n + b_lo, q)[0]
+        return (n - 1, (lo.numerator << q) // lo.denominator,
+                -((-hi.numerator << q) // hi.denominator))
+
+    return tail
 
 
 def intervals(kind: SequenceKind, n_from: int, n_to: int, q: int):
-    """Certified dyadic bounds (lo, hi) on the value at n = n_from..n_to.
+    """Certified integer bounds (lo, hi) on 2**q times the value at
+    n = n_from..n_to.
 
     Each interval is rounded outward onto scale 2**-q.  The harmonic
     pairs are exact integer sums, so the interval at n does not depend
-    on where the walk started: it equals evaluate_interval(kind, n, q).
+    on where the walk started: it is evaluate_interval(kind, n, q).
     """
     _check_domain(kind, n_from)
     tail = _tails(kind, q)
-    scale = 1 << q
     h_lo = h_hi = m_prev = 0
     for n in range(n_from, n_to + 1):
         m, t_lo, t_hi = tail(n)
         d_lo, d_hi = kernels.harmonic_fixed(m, q, m_prev)
         h_lo, h_hi, m_prev = h_lo + d_lo, h_hi + d_hi, m
-        yield (Fraction(h_lo + (t_lo.numerator << q) // t_lo.denominator, scale),
-               Fraction(h_hi - (-t_hi.numerator << q) // t_hi.denominator, scale))
+        yield h_lo + t_lo, h_hi + t_hi
 
 
 def evaluate_interval(kind: SequenceKind, n: int, q: int) -> tuple[Fraction, Fraction]:
     """Certified rational bounds on the sequence value at n, scale 2**-q."""
-    return next(intervals(kind, n, n, q))
+    lo, hi = next(intervals(kind, n, n, q))
+    return Fraction(lo, 1 << q), Fraction(hi, 1 << q)
 
 
 def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
@@ -214,15 +226,16 @@ def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
     q = p + numerics.GUARD_BITS + n_to.bit_length()
     for n, (lo, hi) in zip(range(n_from, n_to + 1), intervals(kind, n_from, n_to, q)):
         q_n = q
-        while (mid := (lo + hi) / 2) and (hi - lo) > abs(mid) * Fraction(1, 1 << p):
+        # twice the midpoint, lo + hi, against the width at scale 2**-q_n
+        while lo + hi and (hi - lo) << (p + 1) > abs(lo + hi):
             if lo <= 0 <= hi and not isinstance(kind, (UPlus, UMinus)):
                 split = split_eval(kind, n)  # exactly 0 needs ln(argument) = 0
                 if split.log_argument == 1 and split.rational_part == 0:
-                    mid = 0
+                    lo = hi = 0
                     break
             q_n *= 2  # value is unusually close to zero; retry tighter
-            lo, hi = evaluate_interval(kind, n, q_n)
-        yield BigReal.from_fraction(mid, p)
+            lo, hi = next(intervals(kind, n, n, q_n))
+        yield BigReal.from_fraction(Fraction(lo + hi, 2 << q_n), p)
 
 
 def evaluate(kind: SequenceKind, n: int, p: int) -> BigReal:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction
 from gammaseq.bounds import (
@@ -11,13 +13,16 @@ from gammaseq.bounds import (
     CERTIFIED_TRUE,
     UNDECIDED,
     BoundEntry,
+    SweepReport,
+    SweepRow,
     catalog,
     check,
     get_entry,
     sweep,
 )
 from gammaseq.errors import DomainError
-from gammaseq.sequences import GammaN
+from gammaseq.numerics import GUARD_BITS, BigReal, decimal_text, gamma_reference
+from gammaseq.sequences import GammaN, evaluate_interval
 
 F = Fraction
 
@@ -186,8 +191,8 @@ def test_theorem22_upper_margin_scales_like_n4():
     e = get_entry("theorem22")
     values = []
     for n in (1000, 3000, 10000):
-        margin_upper = sweep(e, n, n, 192).rows[0].margin_upper
-        values.append(float(margin_upper) * n**4)
+        row = sweep(e, n, n, 192).rows[0]
+        values.append(float(F(row.margin_upper, 2**row.scale)) * n**4)
     assert max(values) / min(values) < 1.2
 
 
@@ -228,3 +233,180 @@ def test_undecided_when_bound_sits_inside_value_interval():
     assert verdict.holds == UNDECIDED
     report = sweep(touching, 10, 10, 64, precision_cap=64)
     assert report.counts[UNDECIDED] == 1
+
+
+def test_verdicts_are_exact_within_one_unit_of_the_row_scale():
+    row = sweep(get_entry("young"), 10, 10, 64).rows[0]
+    unit = F(1, 2**row.scale)
+
+    def with_side(side, value):
+        fixture = BoundEntry(
+            entry_id="young-fixture", target=GammaN(),
+            lower=lambda n, c: value, upper=lambda n, c: value,
+            n_min_lower=1 if side == "lower" else None,
+            n_min_upper=1 if side == "upper" else None,
+            citation="synthetic test fixture",
+        )
+        return sweep(fixture, 10, 10, 64, precision_cap=64).rows[0]
+
+    # half a unit inside the value interval's ends: separated, integer margin 0
+    for side, value in [("lower", row.value_lo - F(1, 2)),
+                        ("upper", row.value_hi + F(1, 2))]:
+        got = with_side(side, value * unit)
+        assert (got.verdict, got.margin) == (CERTIFIED_TRUE, 0), side
+    # on the ends: equality is never certified
+    assert with_side("lower", row.value_lo * unit).verdict == UNDECIDED
+    assert with_side("upper", row.value_hi * unit).verdict == UNDECIDED
+    # a side on the far end falsifies, half a unit short of it does not
+    assert with_side("lower", row.value_hi * unit).verdict == CERTIFIED_FALSE
+    assert with_side("upper", row.value_lo * unit).verdict == CERTIFIED_FALSE
+    assert with_side("lower", (row.value_hi - F(1, 2)) * unit).verdict == UNDECIDED
+    assert with_side("upper", (row.value_lo + F(1, 2)) * unit).verdict == UNDECIDED
+
+
+def test_least_margin_across_scales():
+    def row(n, margin, scale, verdict=CERTIFIED_TRUE):
+        return SweepRow(n=n, verdict=verdict, margin=margin, margin_lower=margin,
+                        margin_upper=None, lower=F(0), upper=None, value_lo=0,
+                        value_hi=0, precision=32, scale=scale)
+
+    # margins 3/4, 3/4, 5/8, 5/8, an undecided 0 and 3/4: the first least is n = 3
+    rows = (row(1, 12, 4), row(2, 3, 2), row(3, 5, 3), row(4, 10, 4),
+            row(5, 0, 3, UNDECIDED), row(6, 3, 2))
+    report = SweepReport("fixture", rows, 32, 64)
+    assert (report.min_margin, report.min_margin_n) == (F(5, 8), 3)
+    finer = SweepReport("fixture", (row(1, 5, 3), row(2, 9, 4)), 32, 64)
+    assert (finer.min_margin, finer.min_margin_n) == (F(9, 16), 2)
+    undecided = SweepReport("fixture", rows[4:5], 32, 64)
+    assert (undecided.min_margin, undecided.min_margin_n) == (None, None)
+
+
+def test_precision_cap_below_start_rejected():
+    with pytest.raises(DomainError):
+        sweep(get_entry("young"), 1, 3, 64, precision_cap=16)
+    assert sweep(get_entry("young"), 1, 3, 64, precision_cap=64).precision_cap == 64
+
+
+def _exact_row(entry, n, p, q):
+    """Verdict, deviations and side margins of the row at n with exact
+    Fraction arithmetic on the walk's value interval at scale 2**-q."""
+    g_lo, g_hi = gamma_reference(p).bounds()
+    lo, hi = evaluate_interval(entry.target, n, q)
+    dev_lo, dev_hi = lo - g_hi, hi - g_lo
+    c = entry.constant(p) if entry.reads_c else None
+    margins = {}
+    falsified = False
+    if entry.lower is not None and n >= entry.n_min_lower:
+        sides = _side_values(entry, "lower", n, c)
+        margins["lower"] = dev_lo - max(sides)
+        falsified = dev_hi <= min(sides)
+    if entry.upper is not None and n >= entry.n_min_upper:
+        sides = _side_values(entry, "upper", n, c)
+        margins["upper"] = min(sides) - dev_hi
+        falsified = falsified or dev_lo >= max(sides)
+    margin = min(margins.values())
+    verdict = (CERTIFIED_FALSE if falsified else
+               CERTIFIED_TRUE if margin > 0 else UNDECIDED)
+    return verdict, dev_lo, dev_hi, margins
+
+
+@st.composite
+def sweeps(draw):
+    entry = draw(st.sampled_from(catalog()))
+    n_from = draw(st.integers(entry.n_min, 400))
+    n_to = draw(st.integers(n_from, min(400, n_from + 30)))
+    return entry, n_from, n_to, draw(st.integers(32, 256))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sweeps())
+@example(case=(get_entry("chen"), 100, 120, 32))  # rows 105 and up escalate to 64
+@example(case=(get_entry("theorem22"), 3, 20, 32))
+def test_rows_match_exact_fraction_oracle(case):
+    entry, n_from, n_to, p = case
+    report = sweep(entry, n_from, n_to, p)
+    for n, row in zip(range(n_from, n_to + 1), report.rows):
+        # the walk's scale at each precision: the whole range at p, one row after
+        walk_q = {p: p + GUARD_BITS + 2 * n_to.bit_length()}
+        prec = p
+        while prec < row.precision:
+            assert _exact_row(entry, n, prec, walk_q[prec])[0] == UNDECIDED, (n, prec)
+            prec = min(2 * prec, report.precision_cap)
+            walk_q[prec] = prec + GUARD_BITS + 2 * n.bit_length()
+        assert prec == row.precision
+        verdict, dev_lo, dev_hi, margins = _exact_row(entry, n, prec, walk_q[prec])
+        assert row.verdict == verdict, (entry.entry_id, n, p)
+        unit = F(1, 2**row.scale)
+        assert row.value_lo * unit == dev_lo and row.value_hi * unit == dev_hi
+        for got, exact in [(row.margin_lower, margins.get("lower")),
+                           (row.margin_upper, margins.get("upper")),
+                           (row.margin, min(margins.values()))]:
+            assert (got is None) == (exact is None)
+            if exact is not None:
+                assert exact - unit < got * unit <= exact, (entry.entry_id, n, p)
+
+
+def _parent_decimal_str(value, places, rounding):
+    # BigReal.decimal_str before the formatters shared one rounding routine
+    scaled = value * 10**places
+    num, den = scaled.numerator, scaled.denominator
+    q, r = divmod(abs(num), den)
+    neg = num < 0
+    if rounding == "nearest":
+        if 2 * r > den or (2 * r == den and q & 1):
+            q += 1
+    elif rounding == "floor":
+        if neg and r:
+            q += 1
+    elif rounding == "ceiling":
+        if not neg and r:
+            q += 1
+    digits = str(q).rjust(places + 1, "0")
+    sign = "-" if neg and q else ""
+    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+
+
+def _parent_sweep_decimal(x, digits):
+    # the sweep columns' half-up formatter before it
+    sign = "-" if x < 0 else ""
+    scaled = abs(x) * 10**digits
+    q, r = divmod(scaled.numerator, scaled.denominator)
+    if 2 * r >= scaled.denominator:
+        q += 1
+    text = str(q).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+@st.composite
+def ratios(draw):
+    """An unreduced num/den, often a decimal tie or a value that prints as 0."""
+    places = draw(st.integers(0, 12))
+    shape = draw(st.sampled_from(["any", "tie", "tiny"]))
+    if shape == "tie":
+        num, den = 2 * draw(st.integers(-10**6, 10**6)) + 1, 2 * 10**places
+    elif shape == "tiny":
+        num, den = draw(st.integers(-10**3, 10**3)), 10 ** (places + 4)
+    else:
+        num, den = draw(st.integers(-10**15, 10**15)), draw(st.integers(1, 10**9))
+    common = draw(st.integers(1, 60))
+    return num * common, den * common, places
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ratios())
+@example(case=(-1, 10**10, 9))  # half-up keeps the sign: -0.000000000
+@example(case=(5120, 5120**2, 9))  # 1/5120 = 0.0001953125, a tie at 9 places
+@example(case=(-6, 12, 0))  # -1/2, a tie at 0 places
+def test_formatter_matches_parent_formatters(case):
+    num, den, places = case
+    value = F(num, den)
+    for mode in ("nearest", "floor", "ceiling"):
+        expected = _parent_decimal_str(value, places, mode)
+        assert decimal_text(num, den, places, mode) == expected
+        if value:
+            x = BigReal.from_fraction(value, 64)
+            assert x.decimal_str(places, mode) == _parent_decimal_str(
+                x.to_fraction(), places, mode)
+    if places:
+        expected = _parent_sweep_decimal(value, places)
+        assert decimal_text(num, den, places, "half-up") == expected

@@ -222,6 +222,16 @@ def test_rate_rejects_grid_start_below_one(capsys, start):
     assert captured.err == "error: --grid-start must be at least 1\n"
 
 
+def test_precision_cap_below_start_exits_two(capsys):
+    # every row would run at 64 bits while the metadata reported the cap of 16
+    code = cli.main(["sweep-bounds", "--entry", "young", "--from", "1", "--to", "3",
+                     "--precision", "64", "--precision-cap", "16"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: precision cap 16 is below the starting precision 64\n"
+
+
 def test_integer_string_limit_exits_two(capsys, monkeypatch):
     # the exact rational part H_9899 has more digits than str() may print
     code = cli.main(["eval", "--seq", "gamma", "--n", "9900"])

@@ -5,8 +5,9 @@ before the evaluation behind it changed: the first files with the
 exact-harmonic evaluator that the interval walk over n replaced, the
 anderson, alzer-chen-qi, qiu-vuorinen and escalated chen sweeps with the
 interval arithmetic on bound sides that end-point evaluation in the
-constant replaced.  Verdicts, exit codes and printed digits must not
-depend on how the certified values are computed.
+constant replaced, the young and tims-tyrrell ties with Fraction rows
+that integer rows at one scale replaced.  Verdicts, exit codes and
+printed digits must not depend on how the certified values are computed.
 """
 
 from pathlib import Path
@@ -30,6 +31,12 @@ GOLDEN = [
      "sweep-bounds --entry alzer-chen-qi --to 40 --precision 128 --format csv"),
     ("sweep_qiu_vuorinen.csv",
      "sweep-bounds --entry qiu-vuorinen --to 40 --precision 128 --format csv"),
+    # exact sides that are decimal ties at 9 digits, 1/5120 = 0.0001953125: young's
+    # upper side at n = 2560, tims-tyrrell's lower at 2559 and upper at 2561
+    ("sweep_young_tie.csv",
+     "sweep-bounds --entry young --from 2555 --to 2565 --precision 32 --format csv"),
+    ("sweep_tims_tyrrell_tie.csv",
+     "sweep-bounds --entry tims-tyrrell --from 2555 --to 2565 --precision 32 --format csv"),
     ("eval_s.json", "eval --seq s --n 3 --to 40 --precision 256"),
     ("eval_uplus.json", "eval --seq uplus --n 1 --to 40 --precision 256"),
     ("rate_r.json", "rate --seq r --grid-start 16 --grid-stop 1024 --precision 256"),

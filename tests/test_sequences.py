@@ -155,6 +155,8 @@ def test_walk_agrees_with_single_index_and_oracles(walk):
     got = list(intervals(kind, n_from, n_to, q))
     assert len(got) == n_to - n_from + 1
     for n, (lo, hi) in zip(range(n_from, n_to + 1), got):
+        assert isinstance(lo, int) and isinstance(hi, int)
+        lo, hi = F(lo, 2**q), F(hi, 2**q)
         assert (lo, hi) == evaluate_interval(kind, n, q)
         oracle = mpf_to_fraction(_mp_value(kind, n))
         assert lo - slack <= oracle <= hi + slack
