@@ -8,8 +8,9 @@ of n and of at most one real constant c, monotone in c.  c is enclosed
 once per walk at the working precision, and a side that reads it is
 evaluated exactly at both ends of that enclosure, which brackets the
 side.  The sides are the only Fractions in a row: a sweep walks the
-sequence's certified values once as integer pairs, and the deviations
-from gamma and the margins are integers at one explicit scale per walk.
+sequence's certified values once as integer pairs, then re-walks only
+its undecided rows at each doubled precision, and the deviations from
+gamma and the margins are integers at one explicit scale per walk.
 It reports certified-true only under strict separation, decided
 exactly; check is the one-row sweep.  Equality can therefore never be
 certified; sides that are sharp at n = 1 start at n = 2.
@@ -18,6 +19,7 @@ certified; sides that are sharp at n = 1 start at n = 2.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -357,27 +359,20 @@ def _on_scale(x: Fraction, scale: int) -> tuple[int, int]:
     return below, below + (rest > 0)
 
 
-def _rows(entry: BoundEntry, n_from: int, n_to: int, p: int):
-    """SweepRows at precision p for n = n_from..n_to, from one walk over n."""
-    if not isinstance(n_from, int) or n_from < entry.n_min:
-        raise DomainError(
-            f"{entry.entry_id!r} is stated for n >= {entry.n_min}, got {n_from!r}"
-        )
-    if n_to < n_from:
-        raise DomainError("empty sweep range")
+def _rows(entry: BoundEntry, ns, p: int):
+    """SweepRows at precision p for the increasing indices ns, from one walk."""
     gamma = gamma_reference(p)
     c = entry.constant(p) if entry.reads_c else None
     lower = entry.lower if entry.n_min_lower is not None else None
     upper = entry.upper if entry.n_min_upper is not None else None
     # one bit_length covers the walk's harmonic pair (<= n ulps wide), one is spare
-    q = p + GUARD_BITS + 2 * n_to.bit_length()
+    q = p + GUARD_BITS + 2 * ns[-1].bit_length()
     # the row scale holds the walk's pairs and gamma's ends exactly
     scale = max(q, -gamma.lo.exp, -gamma.hi.exp)
     g_lo = gamma.lo.mant << (scale + gamma.lo.exp)
     g_hi = gamma.hi.mant << (scale + gamma.hi.exp)
     shift = scale - q
-    walk = intervals(entry.target, n_from, n_to, q)
-    for n, (v_lo, v_hi) in zip(range(n_from, n_to + 1), walk):
+    for n, (v_lo, v_hi) in zip(ns, intervals(entry.target, ns, q)):
         dev_lo, dev_hi = (v_lo << shift) - g_hi, (v_hi << shift) - g_lo
         margins = []
         lower_sup = upper_inf = margin_lower = margin_upper = None
@@ -416,7 +411,7 @@ def _rows(entry: BoundEntry, n_from: int, n_to: int, p: int):
 
 def check(entry: BoundEntry, n: int, p: int) -> Verdict:
     """Certified verdict for one entry at one index: the one-row sweep at p."""
-    row = next(_rows(entry, n, n, p))
+    row = sweep(entry, n, n, p, precision_cap=p).rows[0]
     return Verdict(
         holds=row.verdict,
         margin=BigReal.from_fraction(Fraction(row.margin, 1 << row.scale),
@@ -429,19 +424,29 @@ def sweep(entry: BoundEntry, n_from: int, n_to: int, p: int,
           precision_cap: int | None = None) -> SweepReport:
     """Check an entry across a range, escalating precision on undecided rows.
 
-    Precision doubles (up to the cap) whenever strict separation fails;
-    rows still undecided at the cap are reported as such, never as true.
-    A cap below p is a DomainError.
+    The range is walked once at p; precision then doubles (up to the cap)
+    and each doubling re-walks only the rows still undecided, one walk per
+    bit length of n, which gives every row the scale of a sweep of n alone.
+    Rows undecided at the cap are reported as such, never as true.  A cap
+    below p is a DomainError.
     """
     cap = precision_cap if precision_cap is not None else DEFAULT_CAP_FACTOR * p
     if cap < p:
         raise DomainError(f"precision cap {cap} is below the starting precision {p}")
-    rows = []
-    for row in _rows(entry, n_from, n_to, p):
-        while row.verdict == UNDECIDED and row.precision < cap:
-            # the row restarts alone at the higher precision
-            row = next(_rows(entry, row.n, row.n, min(2 * row.precision, cap)))
-        rows.append(row)
+    if not isinstance(n_from, int) or n_from < entry.n_min:
+        raise DomainError(
+            f"{entry.entry_id!r} is stated for n >= {entry.n_min}, got {n_from!r}"
+        )
+    if n_to < n_from:
+        raise DomainError("empty sweep range")
+    rows = list(_rows(entry, range(n_from, n_to + 1), p))
+    precision = p
+    while precision < cap:
+        precision = min(2 * precision, cap)
+        undecided = [row.n for row in rows if row.verdict == UNDECIDED]
+        for _, ns in itertools.groupby(undecided, int.bit_length):
+            for row in _rows(entry, list(ns), precision):
+                rows[row.n - n_from] = row
     return SweepReport(
         entry_id=entry.entry_id,
         rows=tuple(rows),

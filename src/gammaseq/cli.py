@@ -10,15 +10,16 @@ Exit codes: 0 success, 1 a sweep found a certified-false row, 2 usage
 error, or a result would print an integer longer than Python's
 integer-string limit (4300 digits by default), 3 undecided rows remained
 at the precision cap, or the requested precision could not decide the
-result.
+result, 141 (128 + SIGPIPE) the reader of stdout closed it before the
+output ended, as `gammaseq ... | head` does; no traceback is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
+EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process ended by SIGPIPE
 
 _SEQ_NAMES = ("gamma", "r", "v", "mu", "vfam", "s", "uplus", "uminus")
 
@@ -92,12 +94,10 @@ def _emit(envelope: dict, fmt: str, csv_columns: list | None = None) -> None:
     columns = csv_columns or sorted(
         {key for row in envelope["rows"] for key in row}
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(columns)
     for row in envelope["rows"]:
         writer.writerow([row.get(col, "") for col in columns])
-    sys.stdout.write(buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +424,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; point stdout at devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

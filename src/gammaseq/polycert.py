@@ -322,9 +322,6 @@ class PositivityCertificate:
     center: Fraction
     shifted_coeffs: tuple
 
-    def holds_for(self, x) -> bool:
-        return Fraction(x) > self.center
-
 
 @dataclass(frozen=True)
 class PositivityRefusal:

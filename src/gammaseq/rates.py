@@ -98,9 +98,10 @@ def _log2_ratio(num: int, den: int) -> float:
 def empirical_rate(kind: SequenceKind, n_grid, p: int) -> EmpiricalRate:
     """Fit the difference order of a sequence on a grid of indices.
 
-    Differences are evaluated as certified intervals; if any of them
-    has fewer than 16 significant bits at precision p the fit would be
-    numerical noise, so a PrecisionError asks the caller to raise p.
+    Differences are certified intervals from one walk over the grid
+    points and their successors; if any of them has fewer than 16
+    significant bits at precision p the fit would be numerical noise, so
+    a PrecisionError asks the caller to raise p.
     """
     grid = list(n_grid)
     if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -109,8 +110,8 @@ def empirical_rate(kind: SequenceKind, n_grid, p: int) -> EmpiricalRate:
     q = p + 28 + (grid[-1] + 1).bit_length()
     xs = []
     ys = []
-    for n in grid:
-        (lo1, hi1), (lo2, hi2) = intervals(kind, n, n + 1, q)
+    walk = intervals(kind, [k for n in grid for k in (n, n + 1)], q)
+    for n, (lo1, hi1), (lo2, hi2) in zip(grid, walk, walk):
         d_lo, d_hi = lo1 - hi2, hi1 - lo2
         width, twice_mid = d_hi - d_lo, d_lo + d_hi  # both at scale 2**-q
         if twice_mid == 0 or abs(twice_mid) < width << (SIGNIFICANT_BITS_REQUIRED + 1):

@@ -2,13 +2,13 @@
 
 Every sequence here has the shape H_m + correction - ln(argument) with
 m = n - 1 or n - 2, and `split_eval` returns those small exact pieces.
-Certified values come from one walk over n, `intervals`, which yields
-integer pairs at scale 2**-q: H_m is the kernel's pair, one
-`harmonic_fixed` step per index, plus the correction, an exact Fraction
-like every exact piece here, combined with the integer pair of
-`ln_fixed` and rounded outward once.  The
-variants with irrational parameters (UPlus / UMinus, built on sqrt(6))
-have no exact split and enter the same walk with interval corrections.
+Certified values come from one walk over any nondecreasing indices,
+`intervals`, which yields integer pairs at scale 2**-q: H_m is the
+kernel's pair, carried across the gaps by `harmonic_fixed`, plus the
+tail, whose ends are floor and ceiling of (c - ln x) * 2**q for exact
+rationals c and x and the matching end of `ln_fixed`.  The variants with
+irrational parameters (UPlus / UMinus) have no exact split; their c and
+x at each end are exact rational ends built from an enclosure of sqrt(6).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import _kernels_py as kernels, numerics
 from .errors import DomainError
-from .numerics import BigReal, harmonic_exact, ln_interval, sqrt_interval
+from .numerics import BigReal, harmonic_exact, sqrt_interval
 
 __all__ = [
     "SequenceKind",
@@ -165,17 +165,20 @@ def split_eval(kind: SequenceKind, n: int) -> SplitValue:
     raise DomainError(f"unknown sequence kind {kind!r}")
 
 
+def _ln_ends(c: Fraction, x: Fraction, q: int) -> tuple[int, int]:
+    """Floor and ceiling of (c - ln x) * 2**q for exact rationals c and x > 0."""
+    ln_lo, ln_hi, q_ln = numerics.ln_fixed(x.numerator, x.denominator, q)
+    # c - ln at scale 2**-q_ln over one common denominator
+    num, den = c.numerator << q_ln, c.denominator << (q_ln - q)
+    return (num - c.denominator * ln_hi) // den, -((c.denominator * ln_lo - num) // den)
+
+
 def _tails(kind: SequenceKind, q: int):
     """n -> (m, lo, hi) with [lo, hi] * 2**-q enclosing correction - ln(argument)."""
     if not isinstance(kind, (UPlus, UMinus)):
         def tail(n):
             split = split_eval(kind, n)
-            x, c = split.log_argument, split.correction
-            ln_lo, ln_hi, q_ln = numerics.ln_fixed(x.numerator, x.denominator, q)
-            # correction - ln at scale 2**-q_ln over one common denominator
-            num, den = c.numerator << q_ln, c.denominator << (q_ln - q)
-            return (split.m, (num - c.denominator * ln_hi) // den,
-                    -((c.denominator * ln_lo - num) // den))
+            return (split.m, *_ln_ends(split.correction, split.log_argument, q))
 
         return tail
     s_lo, s_hi = sqrt_interval(6, q + 8)
@@ -187,27 +190,28 @@ def _tails(kind: SequenceKind, q: int):
         b_lo, b_hi = 1 / s_hi, 1 / s_lo
 
     def tail(n):
-        lo = 1 / (a_hi * n) - ln_interval(n + b_hi, q)[1]
-        hi = 1 / (a_lo * n) - ln_interval(n + b_lo, q)[0]
-        return (n - 1, (lo.numerator << q) // lo.denominator,
-                -((-hi.numerator << q) // hi.denominator))
+        # 1/(a n) - ln(n + b) decreases in a and in b: lo takes a_hi and b_hi
+        _check_domain(kind, n)
+        return (n - 1, _ln_ends(1 / (a_hi * n), n + b_hi, q)[0],
+                _ln_ends(1 / (a_lo * n), n + b_lo, q)[1])
 
     return tail
 
 
-def intervals(kind: SequenceKind, n_from: int, n_to: int, q: int):
-    """Certified integer bounds (lo, hi) on 2**q times the value at
-    n = n_from..n_to.
+def intervals(kind: SequenceKind, ns, q: int):
+    """Certified integer bounds (lo, hi) on 2**q times the value at each
+    of the nondecreasing indices ns, rounded outward onto scale 2**-q.
 
-    Each interval is rounded outward onto scale 2**-q.  The harmonic
-    pairs are exact integer sums, so the interval at n does not depend
-    on where the walk started: it is evaluate_interval(kind, n, q).
+    H_m is carried across the gaps as the kernel's exact integer pair and
+    the tail is computed only at ns, so the interval at n does not depend
+    on the other indices: it is evaluate_interval(kind, n, q).
     """
-    _check_domain(kind, n_from)
     tail = _tails(kind, q)
     h_lo = h_hi = m_prev = 0
-    for n in range(n_from, n_to + 1):
+    for n in ns:
         m, t_lo, t_hi = tail(n)
+        if m < m_prev:
+            raise DomainError(f"walk indices must not decrease, got {n} after a larger one")
         d_lo, d_hi = kernels.harmonic_fixed(m, q, m_prev)
         h_lo, h_hi, m_prev = h_lo + d_lo, h_hi + d_hi, m
         yield h_lo + t_lo, h_hi + t_hi
@@ -215,7 +219,7 @@ def intervals(kind: SequenceKind, n_from: int, n_to: int, q: int):
 
 def evaluate_interval(kind: SequenceKind, n: int, q: int) -> tuple[Fraction, Fraction]:
     """Certified rational bounds on the sequence value at n, scale 2**-q."""
-    lo, hi = next(intervals(kind, n, n, q))
+    lo, hi = next(intervals(kind, [n], q))
     return Fraction(lo, 1 << q), Fraction(hi, 1 << q)
 
 
@@ -224,7 +228,8 @@ def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
     error <= 2**(1-p) each, from one walk of `intervals`."""
     numerics._check_precision(p)
     q = p + numerics.GUARD_BITS + n_to.bit_length()
-    for n, (lo, hi) in zip(range(n_from, n_to + 1), intervals(kind, n_from, n_to, q)):
+    ns = range(n_from, n_to + 1)
+    for n, (lo, hi) in zip(ns, intervals(kind, ns, q)):
         q_n = q
         # twice the midpoint, lo + hi, against the width at scale 2**-q_n
         while lo + hi and (hi - lo) << (p + 1) > abs(lo + hi):
@@ -234,7 +239,7 @@ def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
                     lo = hi = 0
                     break
             q_n *= 2  # value is unusually close to zero; retry tighter
-            lo, hi = next(intervals(kind, n, n, q_n))
+            lo, hi = next(intervals(kind, [n], q_n))
         yield BigReal.from_fraction(Fraction(lo + hi, 2 << q_n), p)
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction
+from gammaseq import _kernels_py as kernels
 from gammaseq.bounds import (
     CERTIFIED_FALSE,
     CERTIFIED_TRUE,
@@ -161,6 +162,23 @@ def test_undecided_rows_escalate_alone_by_doubling():
     assert report.rows[5] == sweep(e, 105, 105, 64, precision_cap=64).rows[0]
     capped = sweep(e, 100, 120, 32, precision_cap=48)
     assert [r.precision for r in capped.rows] == [32] * 5 + [48] * 16
+
+
+def test_escalation_sums_harmonic_terms_linear_in_the_range(monkeypatch):
+    # nearly every chen row from 105 on escalates to 64 bits; re-running each
+    # row alone would sum H_n from 1 again, about n_to**2 / 2 terms in all
+    harmonic_fixed = kernels.harmonic_fixed
+    terms = []
+
+    def counting(n, q, m=0):
+        terms.append(n - m)
+        return harmonic_fixed(n, q, m)
+
+    monkeypatch.setattr(kernels, "harmonic_fixed", counting)
+    report = sweep(get_entry("chen"), 100, 4000, 32)
+    assert report.all_certified_true
+    assert sum(r.precision == 64 for r in report.rows) > 3800
+    assert sum(terms) < 20 * 4000
 
 
 def test_monotone_refinement():

@@ -1,7 +1,11 @@
 """CLI surface: envelopes, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,23 @@ def test_integer_string_limit_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_optimize", other_value_error)
     with pytest.raises(ValueError, match="not a conversion error"):
         cli.main(["optimize"])
+
+
+def test_reader_closing_stdout_exits_141_without_traceback():
+    # the CSV rows fill the pipe long before the command ends, so a write fails
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gammaseq.cli", "sweep-bounds", "--entry", "young",
+         "--to", "3000", "--precision", "32", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.read(16) == b"n,lower,value_lo"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert b"Traceback" not in err
 
 
 def test_version_flag(capsys):

@@ -6,8 +6,11 @@ exact-harmonic evaluator that the interval walk over n replaced, the
 anderson, alzer-chen-qi, qiu-vuorinen and escalated chen sweeps with the
 interval arithmetic on bound sides that end-point evaluation in the
 constant replaced, the young and tims-tyrrell ties with Fraction rows
-that integer rows at one scale replaced.  Verdicts, exit codes and
-printed digits must not depend on how the certified values are computed.
+that integer rows at one scale replaced, and the chen span, the uminus
+range and the uplus rate with the per-row restarts and the Fraction tail
+of the sqrt(6) variants that one walk over any indices replaced.
+Verdicts, exit codes and printed digits must not depend on how the
+certified values are computed.
 """
 
 from pathlib import Path
@@ -37,9 +40,14 @@ GOLDEN = [
      "sweep-bounds --entry young --from 2555 --to 2565 --precision 32 --format csv"),
     ("sweep_tims_tyrrell_tie.csv",
      "sweep-bounds --entry tims-tyrrell --from 2555 --to 2565 --precision 32 --format csv"),
+    # 196 rows escalate to 64 bits, re-walked in bit lengths 7, 8 and 9
+    ("sweep_chen_span.csv",
+     "sweep-bounds --entry chen --from 100 --to 300 --precision 32 --format csv"),
     ("eval_s.json", "eval --seq s --n 3 --to 40 --precision 256"),
     ("eval_uplus.json", "eval --seq uplus --n 1 --to 40 --precision 256"),
+    ("eval_uminus.json", "eval --seq uminus --n 1 --to 40 --precision 256"),
     ("rate_r.json", "rate --seq r --grid-start 16 --grid-stop 1024 --precision 256"),
+    ("rate_uplus.json", "rate --seq uplus --grid-start 16 --grid-stop 4096 --precision 64"),
 ]
 
 

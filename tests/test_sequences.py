@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction
+from gammaseq._kernels_py import harmonic_fixed
 from gammaseq.errors import DomainError
-from gammaseq.numerics import gamma_reference, harmonic_exact, ln_interval
+from gammaseq.numerics import gamma_reference, harmonic_exact, ln_interval, sqrt_interval
 from gammaseq.sequences import (
     DeTempleR,
     GammaN,
@@ -142,22 +143,44 @@ def walks(draw):
         n_min = max(n_min, int(-kind.b) + 1)  # keeps n + b > 0
     n_from = draw(st.integers(n_min, 400))
     n_to = draw(st.integers(n_from, 400))
-    return kind, n_from, n_to, draw(st.integers(64, 256))
+    subset = sorted(draw(st.sets(st.integers(n_from, n_to), max_size=12)))
+    return kind, n_from, n_to, draw(st.integers(64, 256)), subset
+
+
+def _fraction_tail_interval(kind, n, q):
+    """The interval of a sqrt(6) variant as the Fraction tail built it,
+    kept as the oracle for the one integer tail of the walk."""
+    s_lo, s_hi = sqrt_interval(6, q + 8)
+    if isinstance(kind, UPlus):
+        a_lo, a_hi = 6 + 2 * s_lo, 6 + 2 * s_hi
+        b_lo, b_hi = -1 / s_lo, -1 / s_hi
+    else:
+        a_lo, a_hi = 6 - 2 * s_hi, 6 - 2 * s_lo
+        b_lo, b_hi = 1 / s_hi, 1 / s_lo
+    lo = 1 / (a_hi * n) - ln_interval(n + b_hi, q)[1]
+    hi = 1 / (a_lo * n) - ln_interval(n + b_lo, q)[0]
+    h_lo, h_hi = harmonic_fixed(n - 1, q)
+    return (h_lo + (lo.numerator << q) // lo.denominator,
+            h_hi - ((-hi.numerator << q) // hi.denominator))
 
 
 @settings(max_examples=40, deadline=None)
 @given(walk=walks())
 def test_walk_agrees_with_single_index_and_oracles(walk):
-    kind, n_from, n_to, q = walk
+    kind, n_from, n_to, q, subset = walk
     mp.mp.prec = 2 * q
     slack = F(1, 2 ** (2 * q - 16))  # the oracle's own rounding
     width_cap = F(n_to + q * n_to.bit_length(), 2**q)
-    got = list(intervals(kind, n_from, n_to, q))
+    got = list(intervals(kind, range(n_from, n_to + 1), q))
     assert len(got) == n_to - n_from + 1
+    # a walk over any increasing subset visits the same intervals
+    assert list(intervals(kind, subset, q)) == [got[n - n_from] for n in subset]
     for n, (lo, hi) in zip(range(n_from, n_to + 1), got):
         assert isinstance(lo, int) and isinstance(hi, int)
         lo, hi = F(lo, 2**q), F(hi, 2**q)
         assert (lo, hi) == evaluate_interval(kind, n, q)
+        if isinstance(kind, (UPlus, UMinus)):
+            assert got[n - n_from] == _fraction_tail_interval(kind, n, q)
         oracle = mpf_to_fraction(_mp_value(kind, n))
         assert lo - slack <= oracle <= hi + slack
         assert 0 <= hi - lo <= width_cap
@@ -216,6 +239,8 @@ def test_domain_errors():
         MuFamily(F(0), F(1))
     with pytest.raises(DomainError):
         split_eval(MuFamily(F(1), F(-5)), 3)  # log argument not positive
+    with pytest.raises(DomainError):
+        list(intervals(GammaN(), [5, 3], 64))  # the walk cannot step back
 
 
 def test_exactly_zero_value_rounds_to_zero():
