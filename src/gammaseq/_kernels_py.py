@@ -2,9 +2,11 @@
 
 All kernels speak one protocol: a real value x is carried at integer
 scale q as X ~ x * 2**q, and each kernel returns a pair of integers
-(lo, hi) with lo <= x * 2**q <= hi.  Rounding is always directed
-outward, so kernel outputs compose into rigorous enclosures no matter
-how they are combined downstream.
+(lo, hi) with lo <= x * 2**q <= hi.  A kernel runs one floor chain for
+lo, widened once by a counted bound for hi (`gamma_series_fixed`, whose
+signs alternate, keeps a floor and a ceiling chain), so kernel outputs
+compose into rigorous enclosures no matter how they are combined
+downstream.
 """
 
 
@@ -14,28 +16,31 @@ def _cdiv(a, b):
 
 
 def harmonic_fixed(n, q, m=0):
-    """Enclosure of (1/(m+1) + 1/(m+2) + ... + 1/n) * 2**q, H_n for m = 0.
+    """Enclosure of (1/(m+1) + 1/(m+2) + ... + 1/n) * 2**q for 0 <= m <= n,
+    H_n for m = 0.
 
-    Each term contributes at most one ulp of slack, so hi - lo <= n - m;
-    the pair for 1..m plus the pair for m+1..n is the pair for 1..n.
+    lo sums the floors of 2**q / k; each is low by less than one ulp, so
+    hi = lo + n - m.  The pair for 1..m plus the pair for m+1..n is the
+    pair for 1..n.
     """
-    lo = 0
-    hi = 0
     one = 1 << q
+    lo = 0
     for k in range(m + 1, n + 1):
-        d, r = divmod(one, k)
-        lo += d
-        hi += d + (1 if r else 0)
-    return lo, hi
+        lo += one // k
+    return lo, lo + n - m
 
 
 def atanh_fixed(u, w, q):
     """Enclosure of atanh(u/w) * 2**q for integers 0 <= 2*u <= w.
 
-    Sums t + t^3/3 + t^5/5 + ... with t = u/w, keeping the running
-    power of t as a directed-rounded pair.  On exit the geometric tail
-    is below 2 ulps (t <= 1/2 gives 1/(1 - t^2) <= 4/3), which is what
-    the final widening accounts for.
+    Sums floor(p / d) over odd d, where p is t^d 2**q (t = u/w) carried
+    as one floored chain, and stops at the first odd d >= 3 with p < d.
+    As t^2 <= 1/4, each p is low by less than 1 + 1/4 + ... = 4/3 ulps,
+    each summed term by less than 4/(3d) + (d-1)/d < 2, and the tail
+    from d on is below (4/3)(d + 1/3)/d < 2.  So the (d - 1)/2 terms
+    and the tail lose less than d + 1 ulps: hi = lo + d + 1.  For odd
+    d >= q, p <= 2**(q-d) < d, so d <= max(3, q + 1) and
+    hi - lo <= q + 3 for q >= 1.
     """
     if u == 0:
         return 0, 0
@@ -43,20 +48,14 @@ def atanh_fixed(u, w, q):
         raise ValueError("atanh_fixed requires u/w <= 1/2")
     u2 = u * u
     w2 = w * w
-    p_lo, r = divmod(u << q, w)
-    p_hi = p_lo + (1 if r else 0)
-    s_lo = p_lo
-    s_hi = p_hi
+    p = (u << q) // w
+    s = p
     d = 3
     while True:
-        p_lo = (p_lo * u2) // w2
-        p_hi = _cdiv(p_hi * u2, w2)
-        if p_hi < d:
-            # tail <= (p_hi / d) * (4/3) * 2**-q < 2 ulps
-            s_hi += 2
-            return s_lo, s_hi
-        s_lo += p_lo // d
-        s_hi += _cdiv(p_hi, d)
+        p = (p * u2) // w2
+        if p < d:
+            return s, s + d + 1
+        s += p // d
         d += 2
 
 

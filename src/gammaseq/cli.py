@@ -72,6 +72,23 @@ def _decimal_digits(precision: int) -> int:
     return max(4, precision * 3 // 10)
 
 
+def _width_str(x: Fraction) -> str:
+    """x > 0 as d.ddde[+-]XX rounded to nearest from its exact value: the bytes
+    of f"{float(x):.3e}" wherever that float is normal, without its underflow."""
+    num, den = x.numerator, x.denominator
+    e = (num.bit_length() - den.bit_length() - 1) * 30103 // 100000 - 1  # <= log10(x)
+
+    def scaled(rounding):  # x * 10**(3 - e) rounded to an integer
+        return numerics._round(num * 10**max(3 - e, 0), den * 10**max(e - 3, 0), rounding)[1]
+
+    while scaled("floor") >= 10000:
+        e += 1
+    mant = scaled("nearest")
+    if mant == 10000:
+        mant, e = 1000, e + 1
+    return f"{mant // 1000}.{mant % 1000:03d}e{e:+03d}"
+
+
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -305,15 +322,15 @@ def cmd_enclose(args) -> int:
         enclosure = numerics.gamma_reference(args.precision)
         params = {"precision": args.precision}
     digits = _decimal_digits(args.precision) + 4
-    width = enclosure.width
+    width = _width_str(enclosure.width)
     rows = [{
         "lo": enclosure.lo.decimal_str(digits, "floor"),
         "hi": enclosure.hi.decimal_str(digits, "ceiling"),
-        "width": f"{float(width):.3e}",
+        "width": width,
     }]
     _emit(_envelope("enclose", params, rows,
                     {"precision_bits": args.precision,
-                     "enclosure_width": f"{float(width):.3e}",
+                     "enclosure_width": width,
                      "decimal_digits": digits}),
           args.format, ["lo", "hi", "width"])
     return EXIT_OK

@@ -5,17 +5,19 @@ inequality bounds, sequence corrections); exact harmonic numbers only
 feed printed rational parts.  Dyadic quantities are integers at an
 explicit scale, the kernels' protocol: a pair (lo, hi) at scale 2**-q
 brackets the true value.  `ln_fixed` is that integer core for
-logarithms; `ln_interval`, `sqrt_interval` and `harmonic_interval` give
-such brackets as dyadic Fractions.  `BigReal` and `Enclosure` are the
-user-facing rounded types: a `BigReal` is a dyadic float with an
-explicit precision in bits, an `Enclosure` is a pair of them with
-outward rounding.  `BigReal` and `decimal_text` share one rounding routine.
+logarithms, at a scale of its own; `ln_ends`, the one routine that
+combines it with an exact rational c, gives the floor and ceiling of
+(c - ln x) * 2**q to the sequence walk and the constant's enclosure.
+`ln_interval` and `sqrt_interval` give brackets as dyadic Fractions.
+`BigReal` and `Enclosure` are the user-facing rounded types: a
+`BigReal` is a dyadic float with an explicit precision in bits, an
+`Enclosure` is a pair of them with outward rounding.  `BigReal` and
+`decimal_text` share one rounding routine.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,9 +29,9 @@ __all__ = [
     "Enclosure",
     "decimal_text",
     "harmonic_exact",
-    "harmonic_interval",
     "harmonic_float",
     "ln_fixed",
+    "ln_ends",
     "ln_interval",
     "ln_real",
     "sqrt_interval",
@@ -307,14 +309,6 @@ def harmonic_exact(n: int) -> Fraction:
     return Fraction(*_hsum(1, n))
 
 
-def harmonic_interval(n: int, q: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure of H_n at scale 2**-q (width <= n ulps)."""
-    _check_n(n)
-    lo, hi = kernels.harmonic_fixed(n, q)
-    scale = 1 << q
-    return Fraction(lo, scale), Fraction(hi, scale)
-
-
 def harmonic_float(n: int, p: int) -> BigReal:
     """H_n rounded to p bits; |result - H_n| <= H_n * 2**(1-p).
 
@@ -332,19 +326,7 @@ def harmonic_float(n: int, p: int) -> BigReal:
 # logarithms
 
 
-_LN2_LOCK = threading.Lock()
-_LN2_CACHE: list = [0, 0, 0]  # scale, lo, hi
-
-
-def _ln2_bounds(q: int) -> tuple[int, int]:
-    with _LN2_LOCK:
-        cq, clo, chi = _LN2_CACHE
-        if cq < q:
-            cq = q + 64
-            clo, chi = kernels.ln2_fixed(cq)
-            _LN2_CACHE[:] = [cq, clo, chi]
-    d = cq - q
-    return clo >> d, -((-chi) >> d)
+_ln2_fixed = lru_cache(maxsize=64)(kernels.ln2_fixed)
 
 
 def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
@@ -376,10 +358,21 @@ def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
     lo = 2 * at_lo
     hi = 2 * at_hi
     if e:
-        l2lo, l2hi = _ln2_bounds(q_eff)
-        lo += e * l2lo
-        hi += e * l2hi
+        # ln 2 at the multiple of 64 that is 65..128 bits above q_eff, so
+        # it depends on q_eff alone, rounded outward to q_eff
+        cq = (q_eff | 63) + 65
+        l2_lo, l2_hi = _ln2_fixed(cq)
+        lo += e * (l2_lo >> (cq - q_eff))
+        hi -= e * ((-l2_hi) >> (cq - q_eff))
     return lo, hi, q_eff
+
+
+def ln_ends(c: Fraction, x: Fraction | int, q: int) -> tuple[int, int]:
+    """Floor and ceiling of (c - ln x) * 2**q for exact rationals c and x > 0."""
+    ln_lo, ln_hi, q_ln = ln_fixed(x.numerator, x.denominator, q)
+    # c - ln at scale 2**-q_ln over one common denominator
+    num, den = c.numerator << q_ln, c.denominator << (q_ln - q)
+    return (num - c.denominator * ln_hi) // den, -((c.denominator * ln_lo - num) // den)
 
 
 def ln_interval(x, q: int) -> tuple[Fraction, Fraction]:
@@ -426,12 +419,9 @@ _BOOTSTRAP_MAX_N = 1 << 17
 _LOG2_E_FLOOR = (14426, 10000)
 
 
-def _bootstrap_bounds(n: int, q: int) -> tuple[Fraction, Fraction]:
-    h_lo, h_hi = harmonic_interval(n - 2, q)
-    ln_lo, ln_hi = ln_interval(n, q)
-    rest = Fraction(13, 12 * (n - 1)) + Fraction(5, 12 * n) - Fraction(1, 12 * n**3)
-    return (h_lo + rest - ln_hi - Fraction(13, 120 * n**4),
-            h_hi + rest - ln_lo - Fraction(11, 120 * n**4))
+def _gamma_enclosure(lo: int, hi: int, q: int) -> Enclosure:
+    # gamma < 1, so q-bit mantissas at exponent -q hold the ends exactly
+    return Enclosure(BigReal(lo, -q, q), BigReal(hi, -q, q))
 
 
 def gamma_bootstrap(n: int, p: int) -> Enclosure:
@@ -444,8 +434,10 @@ def gamma_bootstrap(n: int, p: int) -> Enclosure:
         raise DomainError(f"bootstrap enclosure requires n >= 9, got {n!r}")
     _check_precision(p)
     q = p + GUARD_BITS + n.bit_length()
-    lo, hi = _bootstrap_bounds(n, q)
-    return Enclosure.from_fractions(lo, hi, q)
+    h_lo, h_hi = kernels.harmonic_fixed(n - 2, q)
+    rest = Fraction(13, 12 * (n - 1)) + Fraction(5, 12 * n) - Fraction(1, 12 * n**3)
+    return _gamma_enclosure(h_lo + ln_ends(rest - Fraction(13, 120 * n**4), n, q)[0],
+                            h_hi + ln_ends(rest - Fraction(11, 120 * n**4), n, q)[1], q)
 
 
 def _bootstrap_n_for(p: int) -> int:
@@ -468,9 +460,7 @@ def gamma_reference(p: int) -> Enclosure:
     _check_precision(p)
     n = _bootstrap_n_for(p)
     if n <= _BOOTSTRAP_MAX_N:
-        q = p + GUARD_BITS + n.bit_length()
-        lo, hi = _bootstrap_bounds(max(n, 16), q)
-        return Enclosure.from_fractions(lo, hi, q)
+        return gamma_bootstrap(n, p)  # n >= 128 for every p >= 32
     c_num, c_den = _LOG2_E_FLOOR
     x = (p + 3) * c_den // c_num + 2
     shift = x * c_num // c_den  # exp(-x) <= 2**-shift, shift >= p+3
@@ -479,9 +469,6 @@ def gamma_reference(p: int) -> Enclosure:
     # same factor; run the kernel with that much extra headroom
     q_series = q + x * 14428 // 10000 + 32
     s_lo, s_hi = kernels.gamma_series_fixed(x, q_series)
-    ln_lo, ln_hi = ln_interval(x, q)
-    scale = 1 << q_series
     tail = Fraction(1, x << shift)  # upper bound on E1(x)
-    lo = Fraction(s_lo, scale) - ln_hi - tail
-    hi = Fraction(s_hi, scale) - ln_lo
-    return Enclosure.from_fractions(lo, hi, q)
+    return _gamma_enclosure(ln_ends(Fraction(s_lo, 1 << q_series) - tail, x, q)[0],
+                            ln_ends(Fraction(s_hi, 1 << q_series), x, q)[1], q)

@@ -5,8 +5,8 @@ m = n - 1 or n - 2, and `split_eval` returns those small exact pieces.
 Certified values come from one walk over any nondecreasing indices,
 `intervals`, which yields integer pairs at scale 2**-q: H_m is the
 kernel's pair, carried across the gaps by `harmonic_fixed`, plus the
-tail, whose ends are floor and ceiling of (c - ln x) * 2**q for exact
-rationals c and x and the matching end of `ln_fixed`.  The variants with
+tail, whose ends are `numerics.ln_ends`: floor and ceiling of
+(c - ln x) * 2**q for exact rationals c and x.  The variants with
 irrational parameters (UPlus / UMinus) have no exact split; their c and
 x at each end are exact rational ends built from an enclosure of sqrt(6).
 """
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import _kernels_py as kernels, numerics
 from .errors import DomainError
-from .numerics import BigReal, harmonic_exact, sqrt_interval
+from .numerics import BigReal, harmonic_exact, ln_ends, sqrt_interval
 
 __all__ = [
     "SequenceKind",
@@ -165,20 +165,12 @@ def split_eval(kind: SequenceKind, n: int) -> SplitValue:
     raise DomainError(f"unknown sequence kind {kind!r}")
 
 
-def _ln_ends(c: Fraction, x: Fraction, q: int) -> tuple[int, int]:
-    """Floor and ceiling of (c - ln x) * 2**q for exact rationals c and x > 0."""
-    ln_lo, ln_hi, q_ln = numerics.ln_fixed(x.numerator, x.denominator, q)
-    # c - ln at scale 2**-q_ln over one common denominator
-    num, den = c.numerator << q_ln, c.denominator << (q_ln - q)
-    return (num - c.denominator * ln_hi) // den, -((c.denominator * ln_lo - num) // den)
-
-
 def _tails(kind: SequenceKind, q: int):
     """n -> (m, lo, hi) with [lo, hi] * 2**-q enclosing correction - ln(argument)."""
     if not isinstance(kind, (UPlus, UMinus)):
         def tail(n):
             split = split_eval(kind, n)
-            return (split.m, *_ln_ends(split.correction, split.log_argument, q))
+            return (split.m, *ln_ends(split.correction, split.log_argument, q))
 
         return tail
     s_lo, s_hi = sqrt_interval(6, q + 8)
@@ -192,8 +184,8 @@ def _tails(kind: SequenceKind, q: int):
     def tail(n):
         # 1/(a n) - ln(n + b) decreases in a and in b: lo takes a_hi and b_hi
         _check_domain(kind, n)
-        return (n - 1, _ln_ends(1 / (a_hi * n), n + b_hi, q)[0],
-                _ln_ends(1 / (a_lo * n), n + b_lo, q)[1])
+        return (n - 1, ln_ends(1 / (a_hi * n), n + b_hi, q)[0],
+                ln_ends(1 / (a_lo * n), n + b_lo, q)[1])
 
     return tail
 
@@ -231,8 +223,9 @@ def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
     ns = range(n_from, n_to + 1)
     for n, (lo, hi) in zip(ns, intervals(kind, ns, q)):
         q_n = q
-        # twice the midpoint, lo + hi, against the width at scale 2**-q_n
-        while lo + hi and (hi - lo) << (p + 1) > abs(lo + hi):
+        # twice the midpoint, lo + hi, against the width at scale 2**-q_n:
+        # an exact pair passes at once, a wider one straddling 0 never does
+        while (hi - lo) << (p + 1) > abs(lo + hi):
             if lo <= 0 <= hi and not isinstance(kind, (UPlus, UMinus)):
                 split = split_eval(kind, n)  # exactly 0 needs ln(argument) = 0
                 if split.log_argument == 1 and split.rational_part == 0:

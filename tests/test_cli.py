@@ -11,7 +11,7 @@ import pytest
 
 from gammaseq import bounds, cli
 from gammaseq.bounds import BoundEntry
-from gammaseq.numerics import harmonic_exact
+from gammaseq.numerics import gamma_reference, harmonic_exact
 from gammaseq.sequences import GammaN, SOptimal, VernescuV, VFamily, split_eval
 
 F = Fraction
@@ -149,6 +149,17 @@ def test_enclose_default_and_bootstrap(capsys):
     assert code == 0
     lo, hi = data["rows"][0]["lo"], data["rows"][0]["hi"]
     assert lo < "0.57721566490153286" < hi
+
+
+def test_enclose_width_is_printed_from_the_exact_value(capsys):
+    # the width at 4096 bits is far below the smallest double, which
+    # printed it as 0.000e+00; where the float is normal the bytes match
+    code, data = run_json(capsys, "enclose", "--precision", "4096")
+    assert code == 0
+    assert data["rows"][0]["width"] == data["metadata"]["enclosure_width"] == "1.052e-1238"
+    for p in [*range(32, 1049, 37), 1048]:
+        width = gamma_reference(p).width
+        assert cli._width_str(width) == f"{float(width):.3e}"
 
 
 def test_usage_errors_exit_two(capsys):

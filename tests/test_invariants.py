@@ -3,7 +3,7 @@
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from gammaseq import numerics
+from gammaseq import _kernels_py as kernels, numerics
 from gammaseq.numerics import gamma_reference, harmonic_exact
 from gammaseq.sequences import SOptimal, VFamily, evaluate_interval, split_eval
 
@@ -14,14 +14,15 @@ def test_harmonic_interval_brackets_every_n_to_10000():
     # harmonic_float is a deterministic rounding of the kernel interval
     # (checked on samples in test_numerics); bracketing the exact value
     # at every n therefore gives the agreement bound for all n <= 10^4.
+    # The kernel pair is advanced one term at a time, as the walk does.
     q = 64 + 32 + 14  # the working scale harmonic_float uses at p = 64
     one = 1 << q
     lo = hi = 0
     num, den = 0, 1  # running exact harmonic number, reduced lazily
     for n in range(1, 10001):
-        d, r = divmod(one, n)
-        lo += d
-        hi += d + (1 if r else 0)
+        d_lo, d_hi = kernels.harmonic_fixed(n, q, n - 1)
+        lo += d_lo
+        hi += d_hi
         num = num * n + den
         den *= n
         if n % 512 == 0 or n <= 64:
@@ -56,8 +57,8 @@ def test_v_family_at_gamma_parameters_splits_to_2000():
 
 def test_concurrent_use_is_consistent():
     # pure functions plus two caches (gamma_reference's lru_cache and the
-    # locked ln 2 cache behind ln_interval): hammer them and the exact
-    # harmonic sum from several threads and compare against fresh
+    # lru_cache of ln 2 per 64-bit scale behind ln_interval): hammer them
+    # and the exact harmonic sum from several threads and compare against fresh
     # sequential values
     def work(seed):
         n = 37 + 13 * seed

@@ -18,7 +18,6 @@ from gammaseq.numerics import (
     gamma_reference,
     harmonic_exact,
     harmonic_float,
-    harmonic_interval,
     ln_interval,
     ln_real,
     sqrt_interval,
@@ -166,12 +165,6 @@ def test_harmonic_float_large_n_against_split_sum():
     got = harmonic_float(n_large, 256).to_fraction()
     slack = oracle_hi * Fraction(2) ** (1 - 256)
     assert oracle_lo - slack <= got <= oracle_hi + slack
-
-
-def test_harmonic_interval_brackets_exact():
-    lo, hi = harmonic_interval(100, 128)
-    h = harmonic_exact(100)
-    assert lo <= h <= hi
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction
+from gammaseq import sequences
 from gammaseq._kernels_py import harmonic_fixed
 from gammaseq.errors import DomainError
 from gammaseq.numerics import gamma_reference, harmonic_exact, ln_interval, sqrt_interval
@@ -249,6 +250,35 @@ def test_exactly_zero_value_rounds_to_zero():
     kind = MuFamily(F(-10, 137), F(-5))
     assert evaluate(kind, 6, 64).to_fraction() == 0
     assert [v.to_fraction() == 0 for v in values(kind, 6, 8, 64)] == [True, False, False]
+
+
+def test_pair_symmetric_about_zero_retries(monkeypatch):
+    # twice the midpoint of a first walk pair (-k, k) is 0, yet the value
+    # is not: a tighter retry must decide it
+    real = sequences.intervals
+    scales = []
+
+    def stub(kind, ns, q):
+        scales.append(q)
+        return iter([(-5, 5)]) if len(scales) == 1 else real(kind, ns, q)
+
+    monkeypatch.setattr(sequences, "intervals", stub)
+    got = evaluate(GammaN(), 10, 64).to_fraction()
+    assert scales == [64 + 32 + 4, 2 * (64 + 32 + 4)]
+    mp.mp.prec = 200
+    oracle = mpf_to_fraction(mp.harmonic(10) - mp.log(10))
+    assert abs(got - oracle) <= abs(oracle) * F(2) ** (1 - 64)
+
+
+def test_value_near_zero_keeps_relative_accuracy():
+    # 7/3 - ln(1 + b) is about 8.4e-20; its first walk pair at 32 bits
+    # straddles 0, and the value must not round to 0
+    b = F(8782218930, 943081523)
+    got = evaluate(MuFamily(F(3, 7), b), 1, 32).to_fraction()
+    mp.mp.prec = 300
+    oracle = mpf_to_fraction(mp.mpf(7) / 3 - mp.log(1 + mp.mpf(b.numerator) / b.denominator))
+    assert oracle > 0
+    assert abs(got - oracle) <= oracle * F(2) ** (1 - 32)
 
 
 def test_u_variants_have_no_split_but_evaluate():
