@@ -264,6 +264,16 @@ def test_integer_string_limit_exits_two(capsys, monkeypatch):
         cli.main(["optimize"])
 
 
+def test_enclose_past_the_string_limit_exits_two(capsys):
+    # the enclosure is computed, but its printed digits exceed str()'s limit
+    code = cli.main(["enclose", "--precision", "16384"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_reader_closing_stdout_exits_141_without_traceback():
     # the CSV rows fill the pipe long before the command ends, so a write fails
     src = Path(cli.__file__).resolve().parents[1]

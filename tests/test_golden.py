@@ -8,7 +8,9 @@ interval arithmetic on bound sides that end-point evaluation in the
 constant replaced, the young and tims-tyrrell ties with Fraction rows
 that integer rows at one scale replaced, and the chen span, the uminus
 range and the uplus rate with the per-row restarts and the Fraction tail
-of the sqrt(6) variants that one walk over any indices replaced.
+of the sqrt(6) variants that one walk over any indices replaced, and
+the enclosures of the constant with the two-chain series kernel that the
+exact binary-splitting sum replaced.
 Verdicts, exit codes and printed digits must not depend on how the
 certified values are computed.
 """
@@ -48,6 +50,11 @@ GOLDEN = [
     ("eval_uminus.json", "eval --seq uminus --n 1 --to 40 --precision 256"),
     ("rate_r.json", "rate --seq r --grid-start 16 --grid-stop 1024 --precision 256"),
     ("rate_uplus.json", "rate --seq uplus --grid-start 16 --grid-stop 4096 --precision 64"),
+    # the exponential-integral route at the enclose-ladder precisions, and s_n
+    ("enclose_1024.json", "enclose --precision 1024"),
+    ("enclose_4096.json", "enclose --precision 4096"),
+    ("enclose_12288.json", "enclose --precision 12288"),
+    ("enclose_n1000000.json", "enclose --n 1000000 --precision 160"),
 ]
 
 

@@ -239,17 +239,17 @@ def test_sqrt_interval_brackets_oracle():
 # the reference enclosure
 
 
-def euler_fraction():
-    mp.mp.prec = 700
+def euler_fraction(prec=700):
+    mp.mp.prec = prec
     return mpf_to_fraction(mp.euler)
 
 
-@pytest.mark.parametrize("p", [32, 64, 74, 75, 128, 192, 256])
+@pytest.mark.parametrize("p", [32, 64, 74, 75, 128, 192, 256, 1024, 4096])
 def test_gamma_reference_contract(p):
     enc = gamma_reference(p)
     assert enc.width <= Fraction(2) ** (2 - p)
     assert enc.lo < enc.hi
-    assert enc.contains(euler_fraction())
+    assert enc.contains(euler_fraction(max(700, 2 * p)))
 
 
 def test_gamma_reference_is_deterministic():
