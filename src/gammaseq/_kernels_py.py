@@ -2,11 +2,11 @@
 
 All kernels speak one protocol: a real value x is carried at integer
 scale q as X ~ x * 2**q, and each kernel returns a pair of integers
-(lo, hi) with lo <= x * 2**q <= hi.  A kernel runs one floor chain for
-lo, widened once by a counted bound for hi (`gamma_series_fixed`, whose
-signs alternate, keeps a floor and a ceiling chain), so kernel outputs
-compose into rigorous enclosures no matter how they are combined
-downstream.
+(lo, hi) with lo <= x * 2**q <= hi.  A kernel computes one value and
+widens it once by a proven bound: `harmonic_fixed` and `atanh_fixed` run
+one floor chain, and `gamma_series_fixed` sums its alternating series
+exactly by binary splitting and divides once.  So kernel outputs compose
+into rigorous enclosures no matter how they are combined downstream.
 """
 
 
@@ -65,32 +65,70 @@ def ln2_fixed(q):
     return 2 * lo, 2 * hi
 
 
+def _series_split(a, b, x):
+    """(P, Q, T) for the terms a <= k < b of S(x), 1 <= a < b.
+
+    P = (-x)**(b - a), Q = a (a + 1) ... (b - 1) and T is the integer with
+    T / Q**2 = sum_{a <= k < b} (-x)**(k - a + 1) / ((a ... k) k).  Halves
+    [a, m) and [m, b) combine as P = P1 P2, Q = Q1 Q2 and
+    T = T1 Q2**2 + P1 Q1 T2.  For a = 1 the sum is -S_(b-1)(x), where
+    S_K(x) is the sum of the first K terms of S(x).
+    """
+    if b - a == 1:
+        return -x, a, -x
+    m = (a + b) // 2
+    p1, q1, t1 = _series_split(a, m, x)
+    p2, q2, t2 = _series_split(m, b, x)
+    return p1 * p2, q1 * q2, t1 * (q2 * q2) + p1 * q1 * t2
+
+
+def _series_terms(x, q):
+    """The first K >= x at which a bound on the first omitted term of S(x),
+    x**(K+1) 2**q / ((K+1) (K+1)!), is below 1.
+
+    m 2**e bounds x**k 2**q / k! from above, in integers: each step rounds
+    m * x / k up and keeps m at 64 bits by rounding up again, so the bound
+    exceeds the term by a factor below 1 + k 2**-61 and K is the smallest
+    K >= x with x**(K+1) 2**q < (K+1) (K+1)! unless that term is within
+    this factor of 1.
+    """
+    m, e, k = 1 << 63, q - 63, 0
+    while True:
+        k += 1
+        m = -(-m * x // k)
+        s = m.bit_length() - 64
+        m = -(-m >> s) if s >= 0 else m << -s
+        e += s
+        # m * x >= 2**63, so the test can only hold once e < 0
+        if k >= x and e < 0 and m * x < (k + 1) ** 2 << -e:
+            return k
+
+
 def gamma_series_fixed(x, q):
     """Enclosure of S(x) * 2**q where S(x) = sum_{k>=1} (-1)^(k+1) x^k / (k k!).
 
-    Requires integer x >= 1.  Terms are generated by the recurrence
-    t_k = t_{k-1} * x / k and decrease monotonically once k >= x, so
-    the alternating tail after stopping is below the first omitted
-    term; the stopping test makes that term smaller than one ulp and
-    the final widening of 2 ulps covers it together with its own
-    rounding.
+    Requires integer x >= 1.  Sums the first K terms exactly by binary
+    splitting, S_K(x) = N / D with N = -T and D = Q**2 from
+    `_series_split(1, K + 1, x)`, K from `_series_terms`, then divides
+    once.  Two errors remain, each below one ulp:
+
+    - Truncation.  With s = max(0, bitlen(D) - q - 64), N' = N >> s and
+      D' = D >> s (floors), N = (N' + v) 2**s and D = (D' + d) 2**s with
+      0 <= v, d < 1, so |S_K - N'/D'| = |v D' - d N'| / (D' (D' + d))
+      <= (1 + |N'|/D') / D'.  If s > 0, D' >= 2**(q+63) and
+      |N'|/D' < |S_K| + 1 < ln x + 3, far below 2**62, so the error is
+      below 2**-q; if s = 0 it is 0.  f = floor(N' 2**q / D') then puts
+      S_K * 2**q in (f - 1, f + 2).
+    - Tail.  For k >= x, t_(k+1) / t_k = x k / (k+1)**2 < 1, where
+      t_k = x^k / (k k!), so from K + 1 > x on the terms decrease to 0
+      and alternate: |S(x) - S_K(x)| < t_(K+1) < 2**-q by the choice of K.
+
+    So S(x) * 2**q is in (f - 2, f + 3), and hi - lo = 5.
     """
     if x < 1:
         raise ValueError("gamma_series_fixed requires x >= 1")
-    t_lo = 1 << q
-    t_hi = t_lo
-    s_lo = 0
-    s_hi = 0
-    k = 1
-    while True:
-        t_lo = (t_lo * x) // k
-        t_hi = _cdiv(t_hi * x, k)
-        if k & 1:
-            s_lo += t_lo // k
-            s_hi += _cdiv(t_hi, k)
-        else:
-            s_lo -= _cdiv(t_hi, k)
-            s_hi -= t_lo // k
-        if k >= x and t_hi * x < (k + 1) * (k + 1):
-            return s_lo - 2, s_hi + 2
-        k += 1
+    _, den, t = _series_split(1, _series_terms(x, q) + 1, x)
+    den *= den
+    s = max(0, den.bit_length() - q - 64)
+    f = ((-t >> s) << q) // (den >> s)
+    return f - 2, f + 3

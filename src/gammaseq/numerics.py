@@ -367,12 +367,17 @@ def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
     return lo, hi, q_eff
 
 
-def ln_ends(c: Fraction, x: Fraction | int, q: int) -> tuple[int, int]:
-    """Floor and ceiling of (c - ln x) * 2**q for exact rationals c and x > 0."""
+def ln_ends(c_lo: Fraction, c_hi: Fraction, x: Fraction | int, q: int) -> tuple[int, int]:
+    """Floor of (c_lo - ln x) * 2**q and ceiling of (c_hi - ln x) * 2**q for
+    exact rationals c_lo, c_hi and x > 0, from one ln x."""
     ln_lo, ln_hi, q_ln = ln_fixed(x.numerator, x.denominator, q)
-    # c - ln at scale 2**-q_ln over one common denominator
-    num, den = c.numerator << q_ln, c.denominator << (q_ln - q)
-    return (num - c.denominator * ln_hi) // den, -((c.denominator * ln_lo - num) // den)
+    # c - ln at scale 2**-q_ln over c's denominator
+    shift = q_ln - q
+    lo = (((c_lo.numerator << q_ln) - c_lo.denominator * ln_hi)
+          // (c_lo.denominator << shift))
+    hi = -((c_hi.denominator * ln_lo - (c_hi.numerator << q_ln))
+           // (c_hi.denominator << shift))
+    return lo, hi
 
 
 def ln_interval(x, q: int) -> tuple[Fraction, Fraction]:
@@ -436,8 +441,8 @@ def gamma_bootstrap(n: int, p: int) -> Enclosure:
     q = p + GUARD_BITS + n.bit_length()
     h_lo, h_hi = kernels.harmonic_fixed(n - 2, q)
     rest = Fraction(13, 12 * (n - 1)) + Fraction(5, 12 * n) - Fraction(1, 12 * n**3)
-    return _gamma_enclosure(h_lo + ln_ends(rest - Fraction(13, 120 * n**4), n, q)[0],
-                            h_hi + ln_ends(rest - Fraction(11, 120 * n**4), n, q)[1], q)
+    lo, hi = ln_ends(rest - Fraction(13, 120 * n**4), rest - Fraction(11, 120 * n**4), n, q)
+    return _gamma_enclosure(h_lo + lo, h_hi + hi, q)
 
 
 def _bootstrap_n_for(p: int) -> int:
@@ -465,10 +470,10 @@ def gamma_reference(p: int) -> Enclosure:
     x = (p + 3) * c_den // c_num + 2
     shift = x * c_num // c_den  # exp(-x) <= 2**-shift, shift >= p+3
     q = p + GUARD_BITS + 16
-    # the series terms peak near exp(x), amplifying rounding ulps by the
-    # same factor; run the kernel with that much extra headroom
-    q_series = q + x * 14428 // 10000 + 32
+    # the kernel sums the series exactly and is 5 ulps wide at q_series;
+    # 32 bits more than q keep those ulps from reaching the q-bit ends
+    q_series = q + 32
     s_lo, s_hi = kernels.gamma_series_fixed(x, q_series)
     tail = Fraction(1, x << shift)  # upper bound on E1(x)
-    return _gamma_enclosure(ln_ends(Fraction(s_lo, 1 << q_series) - tail, x, q)[0],
-                            ln_ends(Fraction(s_hi, 1 << q_series), x, q)[1], q)
+    return _gamma_enclosure(*ln_ends(Fraction(s_lo, 1 << q_series) - tail,
+                                     Fraction(s_hi, 1 << q_series), x, q), q)

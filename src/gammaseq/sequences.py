@@ -170,7 +170,8 @@ def _tails(kind: SequenceKind, q: int):
     if not isinstance(kind, (UPlus, UMinus)):
         def tail(n):
             split = split_eval(kind, n)
-            return (split.m, *ln_ends(split.correction, split.log_argument, q))
+            c = split.correction
+            return (split.m, *ln_ends(c, c, split.log_argument, q))
 
         return tail
     s_lo, s_hi = sqrt_interval(6, q + 8)
@@ -184,8 +185,9 @@ def _tails(kind: SequenceKind, q: int):
     def tail(n):
         # 1/(a n) - ln(n + b) decreases in a and in b: lo takes a_hi and b_hi
         _check_domain(kind, n)
-        return (n - 1, ln_ends(1 / (a_hi * n), n + b_hi, q)[0],
-                ln_ends(1 / (a_lo * n), n + b_lo, q)[1])
+        c_lo, c_hi = 1 / (a_hi * n), 1 / (a_lo * n)
+        return (n - 1, ln_ends(c_lo, c_lo, n + b_hi, q)[0],
+                ln_ends(c_hi, c_hi, n + b_lo, q)[1])
 
     return tail
 

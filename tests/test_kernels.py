@@ -1,5 +1,6 @@
 """Kernel contracts: every (lo, hi) pair brackets the true value."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -93,13 +94,15 @@ def test_ln2_fixed_brackets_oracle(kernels):
 
 
 def test_gamma_series_fixed_brackets_oracle(kernels):
-    # the alternating sum equals euler + ln x + E1(x)
+    # the alternating sum equals euler + ln x + E1(x); 500 and 2843 are far
+    # past the old q + 2x headroom, 2843 is the x of gamma_reference(4096)
     mp.mp.prec = 700
-    for x in (1, 5, 40, 92):
-        q = 400 + 2 * x  # headroom for the exp(x)-sized terms
+    q = 400
+    for x in (1, 5, 40, 92, 500, 2843):
         lo, hi = kernels.gamma_series_fixed(x, q)
         oracle = mpf_to_fraction(mp.euler + mp.ln(x) + mp.e1(x)) * 2**q
         assert lo <= oracle <= hi
+        assert hi - lo == 5  # the width gamma_series_fixed's docstring proves
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,6 +112,33 @@ def test_gamma_series_fixed_brackets_oracle_property(kernels, x, q):
     lo, hi = kernels.gamma_series_fixed(x, q)
     oracle = mpf_to_fraction(mp.euler + mp.ln(x) + mp.e1(x)) * 2**q
     assert lo <= oracle <= hi
+    assert hi - lo == 5
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("a,b", [(1, 2), (1, 9), (3, 11), (1, 30)])
+def test_series_split_is_the_exact_partial_sum(kernels, x, a, b):
+    p, q, t = kernels._series_split(a, b, x)
+    assert p == (-x) ** (b - a)
+    assert q == math.prod(range(a, b))
+    assert Fraction(t, q * q) == sum(
+        Fraction((-x) ** (k - a + 1), math.prod(range(a, k + 1)) * k) for k in range(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(1, 40), q=st.integers(0, 200))
+@example(x=1, q=2)  # x^(K+1) 2^q = (K+1)(K+1)! at K = 1, so K = 2
+def test_gamma_series_fixed_encloses_the_exact_partial_sum(kernels, x, q):
+    # K is the first K >= x with x^(K+1) 2^q < (K+1)(K+1)!, and the docstring
+    # puts S_K(x) 2^q strictly inside (lo + 1, hi - 1)
+    k = x
+    while x ** (k + 1) << q >= (k + 1) * math.factorial(k + 1):
+        k += 1
+    assert kernels._series_terms(x, q) == k
+    partial = sum(Fraction((-1) ** (j + 1) * x**j, j * math.factorial(j))
+                  for j in range(1, k + 1))
+    lo, hi = kernels.gamma_series_fixed(x, q)
+    assert lo + 1 < partial * 2**q < hi - 1
 
 
 def test_gamma_series_fixed_rejects_nonpositive(kernels):

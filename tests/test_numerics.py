@@ -252,6 +252,15 @@ def test_gamma_reference_contract(p):
     assert enc.contains(euler_fraction(max(700, 2 * p)))
 
 
+@pytest.mark.parametrize("p", [64, 1024])  # the s_n route and the E1 route
+def test_gamma_reference_computes_one_logarithm(monkeypatch, p):
+    calls = []
+    ln_fixed = numerics.ln_fixed
+    monkeypatch.setattr(numerics, "ln_fixed", lambda *args: calls.append(args) or ln_fixed(*args))
+    gamma_reference.__wrapped__(p)
+    assert len(calls) == 1
+
+
 def test_gamma_reference_is_deterministic():
     a = gamma_reference.__wrapped__(128)
     b = gamma_reference.__wrapped__(128)
