@@ -333,7 +333,9 @@ def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
     """Enclosure (lo, hi, q_eff) of ln(num/den) * 2**q_eff for coprime
     num, den > 0, at a scale q_eff >= q.
 
-    The working scale is raised automatically when num/den is close to 1,
+    q_eff is at least q + bitlen(q) + 2: the atanh pair is up to
+    q_eff + 3 ulps wide, so at scale 2**-q the pair is about one ulp wide.
+    The working scale is raised further when num/den is close to 1,
     so the result is accurate relative to |ln x|, not just absolutely.
     """
     if num <= 0:
@@ -350,7 +352,7 @@ def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
     shifted = den << e
     u = num - shifted
     w = num + shifted
-    q_eff = q
+    q_eff = q + q.bit_length() + 2
     if e == 0 and u:
         # keep relative accuracy when ln x ~ 2u/w is tiny
         q_eff += max(0, w.bit_length() - u.bit_length())

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction
@@ -167,6 +167,10 @@ def _fraction_tail_interval(kind, n, q):
 
 @settings(max_examples=40, deadline=None)
 @given(walk=walks())
+# at n = 1 the width cap is 1 + q ulps; ln's pair was up to ~1.3q ulps wide
+@example(walk=(MuFamily(F(1), F(8, 3)), 1, 1, 64, [1]))
+@example(walk=(MuFamily(F(1), F(8, 3)), 1, 1, 128, [1]))
+@example(walk=(MuFamily(F(1), F(5, 2)), 1, 1, 64, []))
 def test_walk_agrees_with_single_index_and_oracles(walk):
     kind, n_from, n_to, q, subset = walk
     mp.mp.prec = 2 * q
