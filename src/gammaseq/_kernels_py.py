@@ -10,11 +10,6 @@ into rigorous enclosures no matter how they are combined downstream.
 """
 
 
-def _cdiv(a, b):
-    # ceiling division for b > 0
-    return -((-a) // b)
-
-
 def harmonic_fixed(n, q, m=0):
     """Enclosure of (1/(m+1) + 1/(m+2) + ... + 1/n) * 2**q for 0 <= m <= n,
     H_n for m = 0.
