@@ -18,8 +18,6 @@ from .numerics import (
     gamma_bootstrap,
     gamma_reference,
     harmonic_exact,
-    harmonic_float,
-    ln_real,
 )
 from .sequences import (
     DeTempleR,
@@ -65,8 +63,6 @@ __all__ = [
     "gamma_bootstrap",
     "gamma_reference",
     "harmonic_exact",
-    "harmonic_float",
-    "ln_real",
     "SequenceKind",
     "GammaN",
     "DeTempleR",

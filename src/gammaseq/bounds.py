@@ -142,10 +142,6 @@ class SweepReport:
             out[row.verdict] += 1
         return out
 
-    @property
-    def all_certified_true(self) -> bool:
-        return all(row.verdict == CERTIFIED_TRUE for row in self.rows)
-
     def _least(self) -> SweepRow | None:
         """The first certified-true row of least margin, across scales."""
         least = None

@@ -9,10 +9,10 @@ logarithms, at a scale of its own; `ln_ends`, the one routine that
 combines it with an exact rational c, gives the floor and ceiling of
 (c - ln x) * 2**q to the sequence walk and the constant's enclosure.
 `ln_interval` and `sqrt_interval` give brackets as dyadic Fractions.
-`BigReal` and `Enclosure` are the user-facing rounded types: a
-`BigReal` is a dyadic float with an explicit precision in bits, an
-`Enclosure` is a pair of them with outward rounding.  `BigReal` and
-`decimal_text` share one rounding routine.
+`BigReal` and `Enclosure` are the printed results: a `BigReal` is a
+value rounded once to an explicit number of bits, an `Enclosure` a
+pair of them rounded outward.  They carry no arithmetic; `BigReal`
+and `decimal_text` share the one rounding routine, `_round`.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ __all__ = [
     "Enclosure",
     "decimal_text",
     "harmonic_exact",
-    "harmonic_float",
     "ln_fixed",
     "ln_ends",
     "ln_interval",
-    "ln_real",
     "sqrt_interval",
     "gamma_reference",
     "gamma_bootstrap",
@@ -45,12 +43,6 @@ MIN_PRECISION = 32
 # composite evaluation; one rounding at the end then cannot disturb the
 # promised bound.
 GUARD_BITS = 32
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, BigReal):
-        return x.to_fraction()
-    return Fraction(x)
 
 
 def _check_precision(p: int) -> None:
@@ -94,12 +86,12 @@ def decimal_text(num: int, den: int, places: int, rounding: str = "nearest") -> 
 
 
 class BigReal:
-    """Arbitrary-precision dyadic real: mant * 2**exp with |mant| < 2**prec.
+    """A value rounded once to `prec` bits: mant * 2**exp with |mant| < 2**prec.
 
-    Construction from a Fraction rounds once, in the requested
-    direction; all arithmetic goes through exact Fractions and rounds
-    the final value, so every operation has relative error <= 2**(1-p).
-    Instances are immutable and safe to share between threads.
+    `from_fraction` rounds an exact value in the requested direction;
+    `to_fraction` and `decimal_str` read it back.  There is no
+    arithmetic: compute exactly, then round once.  Instances are
+    immutable and safe to share between threads.
     """
 
     __slots__ = ("mant", "exp", "prec")
@@ -116,10 +108,6 @@ class BigReal:
 
     def __setattr__(self, name, value):
         raise AttributeError("BigReal is immutable")
-
-    @classmethod
-    def zero(cls, prec: int = 64) -> "BigReal":
-        return cls(0, 0, prec)
 
     @classmethod
     def from_fraction(cls, value, prec: int, rounding: str = "nearest") -> "BigReal":
@@ -149,74 +137,6 @@ class BigReal:
             return Fraction(self.mant << self.exp)
         return Fraction(self.mant, 1 << -self.exp)
 
-    # arithmetic: exact, then one rounding at the wider precision
-
-    def _binop(self, other, op):
-        prec = max(self.prec, other.prec) if isinstance(other, BigReal) else self.prec
-        return BigReal.from_fraction(op(self.to_fraction(), _as_fraction(other)), prec)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return BigReal(-self.mant, self.exp, self.prec)
-
-    def __abs__(self):
-        return BigReal(abs(self.mant), self.exp, self.prec)
-
-    def _cmp_key(self, other):
-        return self.to_fraction(), _as_fraction(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, (BigReal, int, Fraction)):
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a == b
-
-    def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._cmp_key(other)
-        return a >= b
-
-    def __hash__(self):
-        return hash(self.to_fraction())
-
-    def __bool__(self):
-        return self.mant != 0
-
-    def __float__(self):
-        return float(self.to_fraction())
-
     def decimal_str(self, places: int, rounding: str = "nearest") -> str:
         """Fixed-point decimal string with `places` digits after the point."""
         if self.exp >= 0:
@@ -230,8 +150,8 @@ class BigReal:
 class Enclosure:
     """Certified interval [lo, hi]: the target is guaranteed inside.
 
-    Endpoints are BigReal values produced with outward rounding at
-    construction time only; everything in between is exact.
+    Endpoints are BigReal values rounded outward once, when they are
+    made; `bounds()` reads them back as exact Fractions.
     """
 
     __slots__ = ("lo", "hi")
@@ -245,32 +165,12 @@ class Enclosure:
     def __setattr__(self, name, value):
         raise AttributeError("Enclosure is immutable")
 
-    @classmethod
-    def from_fractions(cls, lo, hi, prec: int) -> "Enclosure":
-        return cls(
-            BigReal.from_fraction(lo, prec, "floor"),
-            BigReal.from_fraction(hi, prec, "ceiling"),
-        )
-
     def bounds(self) -> tuple[Fraction, Fraction]:
         return self.lo.to_fraction(), self.hi.to_fraction()
 
     @property
     def width(self) -> Fraction:
         return self.hi.to_fraction() - self.lo.to_fraction()
-
-    def midpoint(self, prec: int | None = None) -> BigReal:
-        prec = prec if prec is not None else max(self.lo.prec, self.hi.prec)
-        return BigReal.from_fraction(
-            (self.lo.to_fraction() + self.hi.to_fraction()) / 2, prec
-        )
-
-    def contains(self, value) -> bool:
-        v = _as_fraction(value)
-        return self.lo.to_fraction() <= v <= self.hi.to_fraction()
-
-    def __contains__(self, value) -> bool:
-        return self.contains(value)
 
     def __repr__(self):
         places = max(1, self.lo.prec * 3 // 10)
@@ -307,19 +207,6 @@ def harmonic_exact(n: int) -> Fraction:
     (certified paths carry H_n as kernel intervals, see `sequences.intervals`)."""
     _check_n(n)
     return Fraction(*_hsum(1, n))
-
-
-def harmonic_float(n: int, p: int) -> BigReal:
-    """H_n rounded to p bits; |result - H_n| <= H_n * 2**(1-p).
-
-    Runs at p + GUARD_BITS + log2(n) working bits so the n summation
-    ulps cannot reach the rounded result.
-    """
-    _check_n(n)
-    _check_precision(p)
-    q = p + GUARD_BITS + n.bit_length()
-    lo, hi = kernels.harmonic_fixed(n, q)
-    return BigReal.from_fraction(Fraction(lo + hi, 2 << q), p)
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +271,14 @@ def ln_ends(c_lo: Fraction, c_hi: Fraction, x: Fraction | int, q: int) -> tuple[
 
 def ln_interval(x, q: int) -> tuple[Fraction, Fraction]:
     """Dyadic enclosure of ln(x) for exact rational x > 0: `ln_fixed` as Fractions."""
-    x = _as_fraction(x)
+    x = Fraction(x)
     lo, hi, q_eff = ln_fixed(x.numerator, x.denominator, q)
     return Fraction(lo, 1 << q_eff), Fraction(hi, 1 << q_eff)
 
 
-def ln_real(x, p: int) -> BigReal:
-    """ln(x) rounded to p bits with relative error <= 2**(1-p)."""
-    _check_precision(p)
-    lo, hi = ln_interval(x, p + GUARD_BITS)
-    return BigReal.from_fraction((lo + hi) / 2, p)
-
-
 def sqrt_interval(x, q: int) -> tuple[Fraction, Fraction]:
     """Dyadic enclosure of sqrt(x) for exact rational x >= 0, one ulp wide."""
-    x = _as_fraction(x)
+    x = Fraction(x)
     if x < 0:
         raise DomainError(f"sqrt requires a nonnegative argument, got {x}")
     if x == 0:

@@ -170,6 +170,9 @@ class Polynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # degree <= 0 equals its scalar, so it hashes like one
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __str__(self):
@@ -296,6 +299,9 @@ class RationalFunction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
+        # with denominator 1 it equals its numerator
+        if self.den.coeffs == (1,):
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):

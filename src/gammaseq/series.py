@@ -177,6 +177,9 @@ class ParamPoly:
         return self._terms == o._terms
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes like one
+        if self.is_constant:
+            return hash(self.as_fraction())
         return hash(frozenset(self._terms.items()))
 
     def __str__(self):
@@ -244,10 +247,6 @@ class AsymptoticSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("AsymptoticSeries is immutable")
-
-    @classmethod
-    def zero(cls, order: int) -> "AsymptoticSeries":
-        return cls({}, order)
 
     @property
     def ring(self) -> str:

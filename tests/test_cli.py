@@ -291,6 +291,20 @@ def test_reader_closing_stdout_exits_141_without_traceback():
     assert b"Traceback" not in err
 
 
+def test_benchmark_tracer_finds_every_layer(tmp_path):
+    # perfbench/tracer.py wraps package functions by name; a name it cannot
+    # find lands in "missing", and its per-layer metrics would read 0
+    root = Path(__file__).resolve().parents[1]
+    trace = tmp_path / "t.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/tracer.py", str(trace), "enclose", "--precision", "64"],
+        cwd=root, capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(trace.read_text(encoding="utf-8"))["missing"] == []
+
+
 def test_version_flag(capsys):
     import gammaseq
 

@@ -3,19 +3,21 @@
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import pytest
+
 from gammaseq import _kernels_py as kernels, numerics
 from gammaseq.numerics import gamma_reference, harmonic_exact
+from gammaseq.polycert import Polynomial, RationalFunction
 from gammaseq.sequences import SOptimal, VFamily, evaluate_interval, split_eval
+from gammaseq.series import AsymptoticSeries, ParamPoly
 
 F = Fraction
 
 
 def test_harmonic_interval_brackets_every_n_to_10000():
-    # harmonic_float is a deterministic rounding of the kernel interval
-    # (checked on samples in test_numerics); bracketing the exact value
-    # at every n therefore gives the agreement bound for all n <= 10^4.
-    # The kernel pair is advanced one term at a time, as the walk does.
-    q = 64 + 32 + 14  # the working scale harmonic_float uses at p = 64
+    # the kernel pair, advanced one term at a time as the walk does,
+    # brackets the exact harmonic number at every n <= 10^4
+    q = 64 + 32 + 14  # p = 64 plus the guard bits and bitlen(10^4)
     one = 1 << q
     lo = hi = 0
     num, den = 0, 1  # running exact harmonic number, reduced lazily
@@ -37,7 +39,7 @@ def test_optimal_sequence_bracket_midpoints_to_2000():
     # n^3 (s_n - gamma) stays inside (1/12 + 11/(120 n), 1/12 + 13/(120 n));
     # widths are forced far below the bracket gap before trusting midpoints
     enc = gamma_reference(192)
-    gamma_mid = enc.midpoint().to_fraction()
+    gamma_mid = sum(enc.bounds()) / 2
     for n in range(9, 2001):
         lo, hi = evaluate_interval(SOptimal(), n, 240)
         gap = F(1, 60 * n**4)
@@ -76,3 +78,18 @@ def test_concurrent_use_is_consistent():
         assert h == fresh
         assert g == gamma_reference(64 + 8 * (seed % 3)).bounds()
         assert ln == numerics.ln_interval(F(n), 96)
+
+
+@pytest.mark.parametrize("a, b", [
+    (ParamPoly.const(F(1, 2)), F(1, 2)),
+    (Polynomial((3,)), 3),
+    (Polynomial(()), 0),
+    (RationalFunction(Polynomial.x() + 1, 1), Polynomial((1, 1))),
+    (RationalFunction(Polynomial((3,)), 1), F(3)),
+    (AsymptoticSeries({1: ParamPoly.const(1)}, 3), AsymptoticSeries({1: F(1)}, 3)),
+], ids=["parampoly-const", "polynomial-const", "polynomial-zero", "ratfunc-den-1",
+        "ratfunc-const", "series-rings"])
+def test_equal_values_hash_equal(a, b):
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

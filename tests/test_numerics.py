@@ -1,25 +1,26 @@
 """Core numerics: rounding, harmonic numbers, certified logs, the enclosure."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction
-from gammaseq import numerics
+from gammaseq import _kernels_py as kernels, numerics
 from gammaseq.errors import DomainError
 from gammaseq.numerics import (
+    GUARD_BITS,
     BigReal,
     Enclosure,
     gamma_bootstrap,
     gamma_reference,
     harmonic_exact,
-    harmonic_float,
+    ln_fixed,
     ln_interval,
-    ln_real,
     sqrt_interval,
 )
 
@@ -28,6 +29,55 @@ GAMMA_DIGITS = Fraction("0.57721566490153286")
 
 def random_fraction(rng, max_num=10**6):
     return Fraction(rng.randrange(1, max_num), rng.randrange(1, max_num))
+
+
+def inside(enc, x):
+    lo, hi = enc.bounds()
+    return lo <= x <= hi
+
+
+# ---------------------------------------------------------------------------
+# the one rounding routine
+
+ROUNDINGS = ("nearest", "floor", "ceiling", "half-up")
+
+
+@pytest.mark.parametrize("rounding", ROUNDINGS)
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-10**30, 10**30), den=st.integers(1, 10**12))
+@example(num=10, den=4)  # unreduced ties: 5/2, -5/2, 3/2
+@example(num=-10, den=4)
+@example(num=6, den=4)
+@example(num=-2, den=4)  # -1/2: the magnitude of a tie rounds 0 or 1
+@example(num=-1, den=4)  # a negative magnitude that rounds to 0
+def test_round_matches_integer_oracles(rounding, num, den):
+    negative, q = numerics._round(num, den, rounding)
+    if rounding == "half-up":
+        # sign * floor(|x| + 1/2), the sign kept when the magnitude is 0
+        assert (negative, q) == (num < 0, math.floor(abs(Fraction(num, den)) + Fraction(1, 2)))
+        return
+    expected = {
+        "floor": num // den,
+        "ceiling": -(-num // den),
+        "nearest": round(Fraction(num, den)),  # ties to even
+    }[rounding]
+    assert (negative, q) == (expected < 0, abs(expected))
+
+
+@pytest.mark.parametrize("rounding", ROUNDINGS)
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-10**30, 10**30), den=st.integers(1, 10**12),
+       places=st.integers(0, 30))
+def test_decimal_text_reads_back_within_one_unit(rounding, num, den, places):
+    got = Fraction(numerics.decimal_text(num, den, places, rounding))
+    x = Fraction(num, den)
+    unit = Fraction(1, 10**places)
+    if rounding == "floor":
+        assert x - unit < got <= x
+    elif rounding == "ceiling":
+        assert x <= got < x + unit
+    else:
+        assert abs(got - x) <= unit / 2
 
 
 # ---------------------------------------------------------------------------
@@ -56,33 +106,6 @@ def test_bigreal_exact_values_round_trip():
         assert BigReal.from_fraction(v, 64).to_fraction() == Fraction(v)
 
 
-def test_bigreal_arithmetic_relative_error():
-    rng = random.Random(3)
-    p = 96
-    bound = Fraction(2) ** (1 - p)
-    for _ in range(40):
-        a = random_fraction(rng)
-        b = random_fraction(rng)
-        xa = BigReal.from_fraction(a, p)
-        xb = BigReal.from_fraction(b, p)
-        for got, exact in (
-            (xa + xb, a + b),
-            (xa - xb, a - b),
-            (xa * xb, a * b),
-            (xa / xb, a / b),
-        ):
-            err = abs(got.to_fraction() - exact)
-            # operands were already rounded once, hence the factor 3
-            assert err <= 3 * abs(exact) * bound + bound
-
-
-def test_bigreal_comparisons_and_float():
-    a = BigReal.from_fraction(Fraction(1, 2), 64)
-    b = BigReal.from_fraction(Fraction(3, 4), 64)
-    assert a < b and b > a and a <= a and a == Fraction(1, 2)
-    assert float(a) == 0.5
-
-
 def test_bigreal_decimal_str():
     x = BigReal.from_fraction(Fraction(1, 4), 64)
     assert x.decimal_str(3) == "0.250"
@@ -95,6 +118,17 @@ def test_bigreal_decimal_str():
 def test_bigreal_rejects_tiny_precision():
     with pytest.raises(DomainError):
         BigReal.from_fraction(Fraction(1, 3), 16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.fractions(), p=st.integers(32, 256))
+def test_bigreal_floor_and_ceiling_round_outward(x, p):
+    lo = BigReal.from_fraction(x, p, "floor").to_fraction()
+    hi = BigReal.from_fraction(x, p, "ceiling").to_fraction()
+    assert lo <= x <= hi
+    # one rounding each: less than one ulp, at most 2**(1-p) relative
+    assert x - lo <= abs(x) / 2 ** (p - 1)
+    assert hi - x <= abs(x) / 2 ** (p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +150,6 @@ def test_harmonic_exact_small_values():
 
 
 def test_harmonic_exact_difference_property():
-    # also crosses the internal anchor boundary at multiples of 256
     for n in [1, 2, 50, 254, 255, 256, 257, 511, 512, 1000]:
         assert harmonic_exact(n + 1) - harmonic_exact(n) == Fraction(1, n + 1)
 
@@ -124,7 +157,7 @@ def test_harmonic_exact_difference_property():
 def test_harmonic_exact_random_access_matches_oracle():
     rng = random.Random(11)
     ns = [rng.randrange(1, 400) for _ in range(12)]
-    for n in ns:  # cache-order independence
+    for n in ns:
         assert harmonic_exact(n) == brute_harmonic(n)
 
 
@@ -133,10 +166,23 @@ def test_harmonic_exact_rejects_nonpositive():
         harmonic_exact(0)
 
 
+# H_n at float precision p is the kernel pair at p + GUARD_BITS + bitlen(n)
+# bits, the scale the sequence walk uses; these tests pin that pair
+
+
+def harmonic_pair(n, p):
+    """The kernel pair for H_n as fractions, n ulps wide."""
+    q = p + GUARD_BITS + n.bit_length()
+    lo, hi = kernels.harmonic_fixed(n, q)
+    assert hi - lo == n
+    return Fraction(lo, 1 << q), Fraction(hi, 1 << q)
+
+
 def test_harmonic_float_trivial_values():
-    assert harmonic_float(1, 64).to_fraction() == 1
-    err = abs(harmonic_float(3, 128).to_fraction() - Fraction(11, 6))
-    assert err <= Fraction(1, 2**120)
+    lo, hi = harmonic_pair(1, 64)
+    assert lo == 1 and hi - lo == Fraction(1, 2**97)
+    lo, hi = harmonic_pair(3, 128)
+    assert lo <= Fraction(11, 6) <= hi and hi - lo <= Fraction(1, 2**120)
 
 
 @pytest.mark.parametrize("p", [64, 128, 256])
@@ -147,12 +193,16 @@ def test_harmonic_float_agrees_with_exact(p):
     for n in range(1, 10001):
         exact += Fraction(1, n)
         if n in check_at:
-            assert abs(harmonic_float(n, p).to_fraction() - exact) <= exact * bound
+            lo, hi = harmonic_pair(n, p)
+            assert lo <= exact <= hi and hi - lo <= exact * bound
 
 
 def test_harmonic_float_large_n_against_split_sum():
-    # independent oracle: exact H at 10^4 plus a directed-rounded range sum
-    n_small, n_large, q = 10**4, 10**6, 288
+    # independent oracle: exact H at 10^4 plus a directed-rounded range sum,
+    # 32 bits finer than the kernel pair, so it must fall inside that pair
+    n_small, n_large = 10**4, 10**6
+    got_lo, got_hi = harmonic_pair(n_large, 256)
+    q = 256 + GUARD_BITS + n_large.bit_length() + 32
     lo = hi = 0
     one = 1 << q
     for k in range(n_small + 1, n_large + 1):
@@ -160,11 +210,7 @@ def test_harmonic_float_large_n_against_split_sum():
         lo += d
         hi += d + (1 if r else 0)
     base = harmonic_exact(n_small)
-    oracle_lo = base + Fraction(lo, one)
-    oracle_hi = base + Fraction(hi, one)
-    got = harmonic_float(n_large, 256).to_fraction()
-    slack = oracle_hi * Fraction(2) ** (1 - 256)
-    assert oracle_lo - slack <= got <= oracle_hi + slack
+    assert got_lo <= base + Fraction(lo, one) and base + Fraction(hi, one) <= got_hi
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +218,21 @@ def test_harmonic_float_large_n_against_split_sum():
 
 
 def test_ln_one_is_exactly_zero():
-    assert ln_real(1, 64).to_fraction() == 0
+    assert ln_fixed(1, 1, 64) == (0, 0, 64)
+    assert ln_interval(1, 64) == (0, 0)
 
 
 @pytest.mark.parametrize("x", [2, Fraction(3, 2), 10, Fraction(1, 7)])
 def test_ln_real_matches_oracle(x):
     p = 128
-    mp.mp.prec = p + 80
-    oracle = mpf_to_fraction(mp.ln(mp.mpf(x.numerator if isinstance(x, Fraction) else x)
-                                   / (x.denominator if isinstance(x, Fraction) else 1)))
-    got = ln_real(x, p).to_fraction()
-    assert abs(got - oracle) <= abs(oracle) * Fraction(2) ** (4 - p)
+    x = Fraction(x)
+    mp.mp.prec = p + 120
+    oracle = mpf_to_fraction(mp.ln(mp.mpf(x.numerator) / x.denominator))
+    lo, hi = ln_interval(x, p)
+    # mpmath is correct to ~2^-240 here, far below the width
+    slack = Fraction(1, 2 ** (p + 100))
+    assert lo - slack <= oracle <= hi + slack
+    assert hi - lo <= abs(oracle) * Fraction(2) ** (4 - p)
 
 
 def test_ln_interval_contains_oracle_random():
@@ -206,22 +256,24 @@ def test_ln_interval_near_one_keeps_relative_accuracy():
 
 
 def test_ln_product_property():
-    # |ln(xy) - ln x - ln y| <= 3 * 2^(1-p) * |ln(xy)|
+    # ln(xy) and ln x + ln y are both enclosed, so the enclosures meet
     rng = random.Random(17)
     p = 96
     for _ in range(25):
         x = random_fraction(rng)
         y = random_fraction(rng)
-        if x * y == 1:
-            continue
-        lxy = ln_real(x * y, p).to_fraction()
-        resid = abs(lxy - ln_real(x, p).to_fraction() - ln_real(y, p).to_fraction())
-        assert resid <= 3 * abs(lxy) * Fraction(2) ** (1 - p)
+        xy_lo, xy_hi = ln_interval(x * y, p)
+        x_lo, x_hi = ln_interval(x, p)
+        y_lo, y_hi = ln_interval(y, p)
+        assert xy_lo <= x_hi + y_hi and x_lo + y_lo <= xy_hi
+        assert max(xy_hi - xy_lo, x_hi - x_lo, y_hi - y_lo) <= Fraction(2) ** (1 - p)
 
 
 def test_ln_rejects_nonpositive():
     with pytest.raises(DomainError):
-        ln_real(0, 64)
+        ln_interval(0, 64)
+    with pytest.raises(DomainError):
+        ln_fixed(-3, 2, 64)
     with pytest.raises(DomainError):
         ln_interval(Fraction(-2), 64)
 
@@ -248,8 +300,8 @@ def euler_fraction(prec=700):
 def test_gamma_reference_contract(p):
     enc = gamma_reference(p)
     assert enc.width <= Fraction(2) ** (2 - p)
-    assert enc.lo < enc.hi
-    assert enc.contains(euler_fraction(max(700, 2 * p)))
+    assert enc.lo.to_fraction() < enc.hi.to_fraction()
+    assert inside(enc, euler_fraction(max(700, 2 * p)))
 
 
 @pytest.mark.parametrize("p", [64, 1024])  # the s_n route and the E1 route
@@ -271,7 +323,7 @@ def test_gamma_reference_nested_midpoints():
     pairs = [(32, 48), (48, 64), (64, 96), (64, 128), (96, 192), (128, 256)]
     for p1, p2 in pairs:
         outer = gamma_reference(p1)
-        mid = gamma_reference(p2).midpoint().to_fraction()
+        mid = sum(gamma_reference(p2).bounds()) / 2
         assert outer.lo.to_fraction() <= mid <= outer.hi.to_fraction()
 
 
@@ -283,8 +335,8 @@ def test_gamma_reference_leading_digits_at_64():
 
 def test_gamma_bootstrap_small_n():
     enc = gamma_bootstrap(10, 128)
-    assert enc.contains(GAMMA_DIGITS)
-    assert enc.contains(euler_fraction())
+    assert inside(enc, GAMMA_DIGITS)
+    assert inside(enc, euler_fraction())
     # width 1/(60 n^4) plus slack
     assert enc.width <= Fraction(1, 60 * 10**4) + Fraction(1, 2**100)
 
@@ -303,20 +355,9 @@ def test_enclosure_invariants():
     lo = BigReal.from_fraction(Fraction(1, 3), 64, "floor")
     hi = BigReal.from_fraction(Fraction(1, 3), 64, "ceiling")
     enc = Enclosure(lo, hi)
-    assert enc.contains(Fraction(1, 3))
+    assert inside(enc, Fraction(1, 3))
     with pytest.raises(ValueError):
-        Enclosure(hi + 1, lo)
-
-
-@settings(max_examples=150, deadline=None)
-@given(a=st.fractions(), b=st.fractions(), p=st.integers(32, 256))
-def test_enclosure_from_fractions_rounds_outward(a, b, p):
-    lo, hi = min(a, b), max(a, b)
-    enc_lo, enc_hi = Enclosure.from_fractions(lo, hi, p).bounds()
-    assert enc_lo <= lo and hi <= enc_hi
-    # one rounding each: less than one ulp, at most 2**(1-p) relative
-    assert lo - enc_lo <= abs(lo) / 2 ** (p - 1)
-    assert enc_hi - hi <= abs(hi) / 2 ** (p - 1)
+        Enclosure(BigReal.from_fraction(hi.to_fraction() + 1, 64), lo)
 
 
 def test_bootstrap_rule_matches_reference_for_small_p():
@@ -324,4 +365,4 @@ def test_bootstrap_rule_matches_reference_for_small_p():
     assert numerics._bootstrap_n_for(64) == 2**15
     direct = gamma_bootstrap(2**15, 64 + numerics.GUARD_BITS)
     ref = gamma_reference(64)
-    assert direct.contains(euler_fraction()) and ref.contains(euler_fraction())
+    assert inside(direct, euler_fraction()) and inside(ref, euler_fraction())

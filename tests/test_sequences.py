@@ -197,7 +197,7 @@ def test_walk_agrees_with_single_index_and_oracles(walk):
 
 
 def test_monotone_error_decay_for_s_optimal():
-    gamma_mid = gamma_reference(128).midpoint().to_fraction()
+    gamma_mid = sum(gamma_reference(128).bounds()) / 2
     previous = None
     for n in range(9, 513):
         lo, hi = evaluate_interval(SOptimal(), n, 170)
