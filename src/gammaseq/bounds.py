@@ -5,7 +5,7 @@ sequence from the Euler-Mascheroni constant, exactly as printed in the
 source literature (including one knowingly weak tail term, see the
 Karatsuba entry note).  Every bound side is an exact rational function
 of n and of at most one real constant c, monotone in c.  c is enclosed
-once per walk at the working precision, and a side that reads it is
+once per working precision, and a side that reads it is
 evaluated exactly at both ends of that enclosure, which brackets the
 side.  The sides are the only Fractions in a row: a sweep walks the
 sequence's certified values once as integer pairs, then re-walks only
@@ -13,7 +13,9 @@ its undecided rows at each doubled precision, and the deviations from
 gamma and the margins are integers at one explicit scale per walk.
 It reports certified-true only under strict separation, decided
 exactly; check is the one-row sweep.  Equality can therefore never be
-certified; sides that are sharp at n = 1 start at n = 2.
+certified; sides that are sharp at n = 1 start at n = 2.  sweep_rows
+yields the rows a chunk of indices at a time, with every walk resumed
+from chunk to chunk, so a sweep holds one chunk of rows at most.
 """
 
 from __future__ import annotations
@@ -25,17 +27,19 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .numerics import GUARD_BITS, BigReal, gamma_reference, ln_interval, sqrt_interval
-from .sequences import DeTempleR, GammaN, SequenceKind, SOptimal, intervals
+from .sequences import DeTempleR, GammaN, SequenceKind, SOptimal, Walk
 
 __all__ = [
     "BoundEntry",
     "Verdict",
     "SweepRow",
     "SweepReport",
+    "Tally",
     "catalog",
     "get_entry",
     "check",
     "sweep",
+    "sweep_rows",
 ]
 
 Interval = tuple[Fraction, Fraction]
@@ -45,6 +49,7 @@ CERTIFIED_FALSE = "certified-false"
 UNDECIDED = "undecided"
 
 DEFAULT_CAP_FACTOR = 8
+CHUNK = 256  # indices walked, escalated and yielded together by sweep_rows
 
 
 def _gamma(p: int) -> Interval:
@@ -128,6 +133,24 @@ class SweepRow:
     scale: int
 
 
+class Tally:
+    """Verdict counts and the first certified-true row of least margin,
+    margins compared across scales, over rows added one at a time."""
+
+    def __init__(self, rows=()):
+        self.counts = {CERTIFIED_TRUE: 0, CERTIFIED_FALSE: 0, UNDECIDED: 0}
+        self.least: SweepRow | None = None
+        for row in rows:
+            self.add(row)
+
+    def add(self, row: SweepRow) -> None:
+        self.counts[row.verdict] += 1
+        least = self.least  # m / 2**s < m' / 2**s' compared as m 2**s' < m' 2**s
+        if row.verdict == CERTIFIED_TRUE and (
+                least is None or row.margin << least.scale < least.margin << row.scale):
+            self.least = row
+
+
 @dataclass(frozen=True)
 class SweepReport:
     entry_id: str
@@ -137,28 +160,16 @@ class SweepReport:
 
     @property
     def counts(self) -> dict:
-        out = {CERTIFIED_TRUE: 0, CERTIFIED_FALSE: 0, UNDECIDED: 0}
-        for row in self.rows:
-            out[row.verdict] += 1
-        return out
-
-    def _least(self) -> SweepRow | None:
-        """The first certified-true row of least margin, across scales."""
-        least = None
-        for row in self.rows:  # m / 2**s < m' / 2**s' compared as m 2**s' < m' 2**s
-            if row.verdict == CERTIFIED_TRUE and (
-                    least is None or row.margin << least.scale < least.margin << row.scale):
-                least = row
-        return least
+        return Tally(self.rows).counts
 
     @property
     def min_margin(self) -> Fraction | None:
-        row = self._least()
+        row = Tally(self.rows).least
         return None if row is None else Fraction(row.margin, 1 << row.scale)
 
     @property
     def min_margin_n(self) -> int | None:
-        row = self._least()
+        row = Tally(self.rows).least
         return None if row is None else row.n
 
 
@@ -355,54 +366,68 @@ def _on_scale(x: Fraction, scale: int) -> tuple[int, int]:
     return below, below + (rest > 0)
 
 
-def _rows(entry: BoundEntry, ns, p: int):
-    """SweepRows at precision p for the increasing indices ns, from one walk."""
-    gamma = gamma_reference(p)
-    c = entry.constant(p) if entry.reads_c else None
-    lower = entry.lower if entry.n_min_lower is not None else None
-    upper = entry.upper if entry.n_min_upper is not None else None
-    # one bit_length covers the walk's harmonic pair (<= n ulps wide), one is spare
-    q = p + GUARD_BITS + 2 * ns[-1].bit_length()
-    # the row scale holds the walk's pairs and gamma's ends exactly
-    scale = max(q, -gamma.lo.exp, -gamma.hi.exp)
-    g_lo = gamma.lo.mant << (scale + gamma.lo.exp)
-    g_hi = gamma.hi.mant << (scale + gamma.hi.exp)
-    shift = scale - q
-    for n, (v_lo, v_hi) in zip(ns, intervals(entry.target, ns, q)):
-        dev_lo, dev_hi = (v_lo << shift) - g_hi, (v_hi << shift) - g_lo
-        margins = []
-        lower_sup = upper_inf = margin_lower = margin_upper = None
-        separated, falsified = True, False
-        # an integer d > x exactly when d > floor(x), and d < x when d < ceil(x)
-        if lower is not None and n >= entry.n_min_lower:
-            lower_inf, lower_sup = _bracket(lower, "lower" in entry.reads_c, n, c)
-            below, above = _on_scale(lower_sup, scale)
-            margin_lower = dev_lo - above
-            margins.append(margin_lower)
-            separated = dev_lo > below
-            falsified = dev_hi <= _on_scale(lower_inf, scale)[0]
-        if upper is not None and n >= entry.n_min_upper:
-            upper_inf, upper_sup = _bracket(upper, "upper" in entry.reads_c, n, c)
-            below, above = _on_scale(upper_inf, scale)
-            margin_upper = below - dev_hi
-            margins.append(margin_upper)
-            separated = separated and dev_hi < above
-            falsified = falsified or dev_lo >= _on_scale(upper_sup, scale)[1]
-        if not margins:
-            raise DomainError(f"no side of {entry.entry_id!r} applies at n = {n}")
-        if falsified:
-            verdict = CERTIFIED_FALSE
-        elif separated:
-            verdict = CERTIFIED_TRUE
-        else:
-            verdict = UNDECIDED
-        yield SweepRow(
-            n=n, verdict=verdict, margin=min(margins),
-            margin_lower=margin_lower, margin_upper=margin_upper,
-            lower=lower_sup, upper=upper_inf,
-            value_lo=dev_lo, value_hi=dev_hi,
-            precision=p, scale=scale,
-        )
+class _RowWalk:
+    """SweepRows of one entry at precision p from one resumable walk at
+    scale 2**-q, for increasing indices passed in any number of batches.
+    c is the entry's constant enclosed at p, or None."""
+
+    def __init__(self, entry: BoundEntry, p: int, c, q: int):
+        gamma = gamma_reference(p)
+        self.entry, self.p, self.c = entry, p, c
+        self.lower = entry.lower if entry.n_min_lower is not None else None
+        self.upper = entry.upper if entry.n_min_upper is not None else None
+        # the row scale holds the walk's pairs and gamma's ends exactly
+        self.scale = scale = max(q, -gamma.lo.exp, -gamma.hi.exp)
+        self.g_lo = gamma.lo.mant << (scale + gamma.lo.exp)
+        self.g_hi = gamma.hi.mant << (scale + gamma.hi.exp)
+        self.shift = scale - q
+        self.walk = Walk(entry.target, q)
+
+    def rows(self, ns):
+        entry, c, scale, shift = self.entry, self.c, self.scale, self.shift
+        lower, upper, g_lo, g_hi = self.lower, self.upper, self.g_lo, self.g_hi
+        for n in ns:
+            v_lo, v_hi = self.walk(n)
+            dev_lo, dev_hi = (v_lo << shift) - g_hi, (v_hi << shift) - g_lo
+            margins = []
+            lower_sup = upper_inf = margin_lower = margin_upper = None
+            separated, falsified = True, False
+            # an integer d > x exactly when d > floor(x), and d < x when d < ceil(x)
+            if lower is not None and n >= entry.n_min_lower:
+                lower_inf, lower_sup = _bracket(lower, "lower" in entry.reads_c, n, c)
+                below, above = _on_scale(lower_sup, scale)
+                margin_lower = dev_lo - above
+                margins.append(margin_lower)
+                separated = dev_lo > below
+                falsified = dev_hi <= _on_scale(lower_inf, scale)[0]
+            if upper is not None and n >= entry.n_min_upper:
+                upper_inf, upper_sup = _bracket(upper, "upper" in entry.reads_c, n, c)
+                below, above = _on_scale(upper_inf, scale)
+                margin_upper = below - dev_hi
+                margins.append(margin_upper)
+                separated = separated and dev_hi < above
+                falsified = falsified or dev_lo >= _on_scale(upper_sup, scale)[1]
+            if not margins:
+                raise DomainError(f"no side of {entry.entry_id!r} applies at n = {n}")
+            if falsified:
+                verdict = CERTIFIED_FALSE
+            elif separated:
+                verdict = CERTIFIED_TRUE
+            else:
+                verdict = UNDECIDED
+            yield SweepRow(
+                n=n, verdict=verdict, margin=min(margins),
+                margin_lower=margin_lower, margin_upper=margin_upper,
+                lower=lower_sup, upper=upper_inf,
+                value_lo=dev_lo, value_hi=dev_hi,
+                precision=self.p, scale=scale,
+            )
+
+
+def _walk_scale(p: int, bits: int) -> int:
+    """The walk scale for indices of at most `bits` bits: one bit_length
+    covers the walk's harmonic pair (<= n ulps wide), one is spare."""
+    return p + GUARD_BITS + 2 * bits
 
 
 def check(entry: BoundEntry, n: int, p: int) -> Verdict:
@@ -416,15 +441,19 @@ def check(entry: BoundEntry, n: int, p: int) -> Verdict:
     )
 
 
-def sweep(entry: BoundEntry, n_from: int, n_to: int, p: int,
-          precision_cap: int | None = None) -> SweepReport:
-    """Check an entry across a range, escalating precision on undecided rows.
+def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
+               precision_cap: int | None = None):
+    """(cap, rows): the precision cap in force and an iterator over the
+    final rows of the sweep, in order, made a chunk of CHUNK indices at a time.
 
-    The range is walked once at p; precision then doubles (up to the cap)
-    and each doubling re-walks only the rows still undecided, one walk per
-    bit length of n, which gives every row the scale of a sweep of n alone.
-    Rows undecided at the cap are reported as such, never as true.  A cap
-    below p is a DomainError.
+    The arguments are checked before this returns: a cap below p, a start
+    below the entry's n_min or an empty range is a DomainError.  Each
+    chunk is walked at p; precision then doubles (up to the cap) and each
+    doubling re-walks only the chunk's rows still undecided.  There is one
+    resumable walk per precision and bit length of n, carried from chunk
+    to chunk, which gives every row the scale of a sweep of n alone and
+    keeps the work linear in the range.  Rows undecided at the cap are
+    reported as such, never as true.
     """
     cap = precision_cap if precision_cap is not None else DEFAULT_CAP_FACTOR * p
     if cap < p:
@@ -434,15 +463,42 @@ def sweep(entry: BoundEntry, n_from: int, n_to: int, p: int,
             f"{entry.entry_id!r} is stated for n >= {entry.n_min}, got {n_from!r}"
         )
     if n_to < n_from:
-        raise DomainError("empty sweep range")
-    rows = list(_rows(entry, range(n_from, n_to + 1), p))
-    precision = p
-    while precision < cap:
-        precision = min(2 * precision, cap)
-        undecided = [row.n for row in rows if row.verdict == UNDECIDED]
-        for _, ns in itertools.groupby(undecided, int.bit_length):
-            for row in _rows(entry, list(ns), precision):
-                rows[row.n - n_from] = row
+        raise DomainError(f"empty sweep range {n_from}..{n_to}")
+    return cap, _chunked_rows(entry, n_from, n_to, p, cap)
+
+
+def _chunked_rows(entry: BoundEntry, n_from: int, n_to: int, p: int, cap: int):
+    constants = {}  # precision -> the entry's constant, enclosed once
+    escalated = {}  # (precision, bit length of n) -> _RowWalk
+
+    def walk(precision: int, q: int) -> _RowWalk:
+        if precision not in constants:
+            constants[precision] = entry.constant(precision) if entry.reads_c else None
+        return _RowWalk(entry, precision, constants[precision], q)
+
+    main = walk(p, _walk_scale(p, n_to.bit_length()))
+    for start in range(n_from, n_to + 1, CHUNK):
+        rows = list(main.rows(range(start, min(start + CHUNK, n_to + 1))))
+        precision = p
+        while precision < cap:
+            undecided = [row.n for row in rows if row.verdict == UNDECIDED]
+            if not undecided:
+                break
+            precision = min(2 * precision, cap)
+            for bits, ns in itertools.groupby(undecided, int.bit_length):
+                key = (precision, bits)
+                if key not in escalated:
+                    escalated[key] = walk(precision, _walk_scale(precision, bits))
+                for row in escalated[key].rows(ns):
+                    rows[row.n - start] = row
+        yield from rows
+
+
+def sweep(entry: BoundEntry, n_from: int, n_to: int, p: int,
+          precision_cap: int | None = None) -> SweepReport:
+    """Check an entry across a range, escalating precision on undecided
+    rows: every row of sweep_rows, kept in one report."""
+    cap, rows = sweep_rows(entry, n_from, n_to, p, precision_cap)
     return SweepReport(
         entry_id=entry.entry_id,
         rows=tuple(rows),

@@ -6,6 +6,14 @@ enclosure width, version).  Exact quantities are serialized as fraction
 strings "p/q", inexact ones as decimal strings with an explicit digit
 count, so identical inputs give byte-identical output.
 
+Rows are streamed: `sweep-bounds` and `eval` make one row at a time and
+hold none of the earlier ones, so memory stays flat in the range (peak
+RSS about 17.5 MB for a `theorem22` sweep of 10^4 rows and of 5 * 10^4
+rows alike).  CSV writes each row as it is made, so a failure partway
+through a range leaves the earlier rows on stdout; the command still
+exits with its code and one line on stderr.  JSON spools the formatted
+rows to a temporary file and prints the whole envelope at the end.
+
 Exit codes: 0 success, 1 a sweep found a certified-false row, 2 usage
 error, or a result would print an integer longer than Python's
 integer-string limit (4300 digits by default), 3 undecided rows remained
@@ -22,6 +30,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, bounds, numerics, polycert, rates, sequences, series
 from .errors import DomainError, PrecisionError
@@ -93,28 +102,68 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _envelope(command: str, parameters: dict, rows: list, metadata: dict) -> dict:
-    meta = {"version": __version__}
-    meta.update(metadata)
-    return {
-        "command": command,
-        "parameters": parameters,
-        "rows": rows,
-        "metadata": meta,
-    }
+def _json_text(value, indent: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) nested at `indent`; strings
+    go to the C encoder and ints to int.__repr__, as json writes them."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_quote(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
-def _emit(envelope: dict, fmt: str, csv_columns: list | None = None) -> None:
-    if fmt == "json":
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+def _emit(fmt: str, command: str, parameters: dict, rows, metadata, columns: list) -> None:
+    """Write the envelope of `rows`, any iterable of dicts, to stdout.
+
+    CSV prints the header `columns` with the first row and then each
+    row as it is made.
+    JSON prints json.dumps(envelope, indent=2, sort_keys=True) and a
+    newline: "metadata" sorts before "rows", so the formatted rows are
+    spooled to a temporary file, and `metadata`, a function returning
+    the metadata dict, is called after the last row.
+    """
+    out = sys.stdout
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        rows = iter(rows)
+        row = next(rows, None)  # made first, so that an error in it prints no header
+        writer.writerow(columns)
+        while row is not None:
+            writer.writerow([row.get(col, "") for col in columns])
+            row = next(rows, None)
         return
-    columns = csv_columns or sorted(
-        {key for row in envelope["rows"] for key in row}
-    )
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    for row in envelope["rows"]:
-        writer.writerow([row.get(col, "") for col in columns])
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryFile("w+", encoding="ascii") as spool:
+        separator = "\n    "
+        for row in rows:
+            spool.write(separator + _json_text(row, "    "))
+            separator = ",\n    "
+        out.write("{\n")
+        for key, value in (("command", command),  # the envelope's keys in sorted order
+                           ("metadata", {"version": __version__, **metadata()}),
+                           ("parameters", parameters)):
+            out.write(f'  "{key}": {_json_text(value, "  ")},\n')
+        if separator == "\n    ":
+            out.write('  "rows": []\n}\n')
+        else:
+            out.write('  "rows": [')
+            spool.seek(0)
+            shutil.copyfileobj(spool, out)
+            out.write("\n  ]\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -127,29 +176,31 @@ def cmd_eval(args) -> int:
     if n_last < args.n:
         raise DomainError("--to must not be smaller than --n")
     digits = _decimal_digits(args.precision)
-    rows = []
-    harmonic = None  # exact H_m of the printed rational part, summed along the range
-    values = sequences.values(kind, args.n, n_last, args.precision)
-    for n, value in zip(range(args.n, n_last + 1), values):
-        row = {"n": n, "value": value.decimal_str(digits)}
-        try:
-            split = sequences.split_eval(kind, n)
-        except DomainError:
-            pass  # irrational-parameter variants have no exact split
-        else:
-            harmonic = (split.rational_part - split.correction if harmonic is None
-                        else harmonic + Fraction(1, split.m))
-            row["rational_part"] = _frac_str(harmonic + split.correction)
-            row["log_argument"] = _frac_str(split.log_argument)
-        rows.append(row)
+
+    def rows():
+        harmonic = None  # exact H_m of the printed rational part, summed along the range
+        values = sequences.values(kind, args.n, n_last, args.precision)
+        for n, value in zip(range(args.n, n_last + 1), values):
+            row = {"n": n, "value": value.decimal_str(digits)}
+            try:
+                split = sequences.split_eval(kind, n)
+            except DomainError:
+                pass  # irrational-parameter variants have no exact split
+            else:
+                harmonic = (split.rational_part - split.correction if harmonic is None
+                            else harmonic + Fraction(1, split.m))
+                row["rational_part"] = _frac_str(harmonic + split.correction)
+                row["log_argument"] = _frac_str(split.log_argument)
+            yield row
+
     params = {"seq": args.seq, "n": args.n, "to": n_last,
               "precision": args.precision}
     if args.a is not None:
         params["a"] = _frac_str(args.a)
         params["b"] = _frac_str(args.b)
-    _emit(_envelope("eval", params, rows,
-                    {"precision_bits": args.precision, "decimal_digits": digits}),
-          args.format, ["n", "value", "rational_part", "log_argument"])
+    _emit(args.format, "eval", params, rows(),
+          lambda: {"precision_bits": args.precision, "decimal_digits": digits},
+          ["n", "value", "rational_part", "log_argument"])
     return EXIT_OK
 
 
@@ -174,8 +225,8 @@ def cmd_expand(args) -> int:
     if not symbolic:
         params["a"] = _frac_str(args.a)
         params["b"] = _frac_str(args.b)
-    _emit(_envelope("expand", params, rows, {"remainder": f"O(n^-{args.order + 1})"}),
-          args.format, ["k", "coefficient"])
+    _emit(args.format, "expand", params, rows,
+          lambda: {"remainder": f"O(n^-{args.order + 1})"}, ["k", "coefficient"])
     return EXIT_OK
 
 
@@ -189,8 +240,7 @@ def cmd_optimize(args) -> int:
         "sequence_rate": result.rate.sequence_rate,
         "sequence_limit": _frac_str(result.rate.sequence_limit),
     }]
-    _emit(_envelope("optimize", {"order": args.order}, rows, {}),
-          args.format,
+    _emit(args.format, "optimize", {"order": args.order}, rows, dict,
           ["a", "b", "surviving_index", "surviving_coeff",
            "sequence_rate", "sequence_limit"])
     return EXIT_OK
@@ -220,9 +270,8 @@ def cmd_rate(args) -> int:
     if args.a is not None:
         params["a"] = _frac_str(args.a)
         params["b"] = _frac_str(args.b)
-    _emit(_envelope("rate", params, rows,
-                    {"grid": list(report.grid), "precision_bits": args.precision}),
-          args.format,
+    _emit(args.format, "rate", params, rows,
+          lambda: {"grid": list(report.grid), "precision_bits": args.precision},
           ["difference_order", "sequence_rate", "residual", "reliable"])
     return EXIT_OK
 
@@ -231,50 +280,57 @@ def cmd_sweep_bounds(args) -> int:
     try:
         entry = bounds.get_entry(args.entry)
     except KeyError as exc:
-        raise DomainError(str(exc)) from exc
+        raise DomainError(exc.args[0]) from exc
     n_from = args.n_from if args.n_from is not None else entry.n_min
-    report = bounds.sweep(entry, n_from, args.n_to, args.precision,
-                          precision_cap=args.precision_cap)
+    if args.n_from is None and args.n_to < n_from:
+        raise DomainError(
+            f"{entry.entry_id!r} is stated for n >= {n_from}, but --to is {args.n_to}")
+    cap, swept = bounds.sweep_rows(entry, n_from, args.n_to, args.precision,
+                                   precision_cap=args.precision_cap)
     digits = _decimal_digits(args.precision)
+    tally = bounds.Tally()
 
     def decimal(num: int, den: int) -> str:
         return numerics.decimal_text(num, den, digits, "half-up")
 
-    rows = []
-    for r in report.rows:
-        unit = 1 << r.scale
-        rows.append({
-            "n": r.n,
-            "lower": decimal(*r.lower.as_integer_ratio()) if r.lower is not None else "",
-            "value_lo": decimal(r.value_lo, unit),
-            "value_hi": decimal(r.value_hi, unit),
-            "upper": decimal(*r.upper.as_integer_ratio()) if r.upper is not None else "",
-            "verdict": r.verdict,
-            "margin": decimal(r.margin, unit),
-        })
-    counts = report.counts
-    meta = {
-        "precision_bits": args.precision,
-        "precision_cap": report.precision_cap,
-        "counts": counts,
-        "decimal_digits": digits,
-        "citation": entry.citation,
-    }
-    least_n = report.min_margin_n
-    if least_n is not None:
-        meta["min_margin"] = rows[least_n - n_from]["margin"]
-        meta["min_margin_n"] = least_n
-    if entry.note:
-        meta["note"] = entry.note
-    _emit(_envelope("sweep-bounds",
-                    {"entry": args.entry, "from": n_from, "to": args.n_to,
-                     "precision": args.precision},
-                    rows, meta),
-          args.format,
+    def rows():
+        for r in swept:
+            tally.add(r)
+            unit = 1 << r.scale
+            yield {
+                "n": r.n,
+                "lower": decimal(*r.lower.as_integer_ratio()) if r.lower is not None else "",
+                "value_lo": decimal(r.value_lo, unit),
+                "value_hi": decimal(r.value_hi, unit),
+                "upper": decimal(*r.upper.as_integer_ratio()) if r.upper is not None else "",
+                "verdict": r.verdict,
+                "margin": decimal(r.margin, unit),
+            }
+
+    def metadata():
+        meta = {
+            "precision_bits": args.precision,
+            "precision_cap": cap,
+            "counts": tally.counts,
+            "decimal_digits": digits,
+            "citation": entry.citation,
+        }
+        least = tally.least
+        if least is not None:
+            meta["min_margin"] = decimal(least.margin, 1 << least.scale)
+            meta["min_margin_n"] = least.n
+        if entry.note:
+            meta["note"] = entry.note
+        return meta
+
+    _emit(args.format, "sweep-bounds",
+          {"entry": args.entry, "from": n_from, "to": args.n_to,
+           "precision": args.precision},
+          rows(), metadata,
           ["n", "lower", "value_lo", "value_hi", "upper", "verdict", "margin"])
-    if counts[bounds.CERTIFIED_FALSE]:
+    if tally.counts[bounds.CERTIFIED_FALSE]:
         return EXIT_FALSIFIED
-    if counts[bounds.UNDECIDED]:
+    if tally.counts[bounds.UNDECIDED]:
         return EXIT_UNDECIDED
     return EXIT_OK
 
@@ -287,6 +343,7 @@ def cmd_certify(args) -> int:
         center = 1 if variant == "f" else 9
         cert = polycert.positivity_certificate(poly, center)
         ok = isinstance(cert, polycert.PositivityCertificate)
+        columns = ["center", "certificate", "shifted_coefficients", "target"]
         rows = [{
             "target": target,
             "center": center,
@@ -295,6 +352,9 @@ def cmd_certify(args) -> int:
         }]
     else:
         verdict = polycert.tail_sign_verdict(target)
+        columns = ["conclusion", "derivative_sign", "function_sign", "identity",
+                   "identity_checked", "numerator_shifted_coefficients", "shift_center",
+                   "target", "vanishes_at_infinity"]
         rows = [{
             "target": target,
             "identity": "numerator/(60 x^5 (x-1)^2 (x+1)^5)"
@@ -310,7 +370,7 @@ def cmd_certify(args) -> int:
             "function_sign": verdict.function_sign,
             "conclusion": verdict.conclusion,
         }]
-    _emit(_envelope("certify", {"target": target}, rows, {}), args.format)
+    _emit(args.format, "certify", {"target": target}, rows, dict, columns)
     return EXIT_OK
 
 
@@ -328,11 +388,10 @@ def cmd_enclose(args) -> int:
         "hi": enclosure.hi.decimal_str(digits, "ceiling"),
         "width": width,
     }]
-    _emit(_envelope("enclose", params, rows,
-                    {"precision_bits": args.precision,
-                     "enclosure_width": width,
-                     "decimal_digits": digits}),
-          args.format, ["lo", "hi", "width"])
+    _emit(args.format, "enclose", params, rows,
+          lambda: {"precision_bits": args.precision, "enclosure_width": width,
+                   "decimal_digits": digits},
+          ["lo", "hi", "width"])
     return EXIT_OK
 
 

@@ -2,8 +2,8 @@
 
 Every sequence here has the shape H_m + correction - ln(argument) with
 m = n - 1 or n - 2, and `split_eval` returns those small exact pieces.
-Certified values come from one walk over any nondecreasing indices,
-`intervals`, which yields integer pairs at scale 2**-q: H_m is the
+Certified values come from one resumable walk over any nondecreasing
+indices, `Walk`, which gives integer pairs at scale 2**-q: H_m is the
 kernel's pair, carried across the gaps by `harmonic_fixed`, plus the
 tail, whose ends are `numerics.ln_ends`: floor and ceiling of
 (c - ln x) * 2**q for exact rationals c and x.  The variants with
@@ -32,6 +32,7 @@ __all__ = [
     "UMinus",
     "SplitValue",
     "split_eval",
+    "Walk",
     "intervals",
     "evaluate_interval",
     "values",
@@ -192,23 +193,34 @@ def _tails(kind: SequenceKind, q: int):
     return tail
 
 
-def intervals(kind: SequenceKind, ns, q: int):
-    """Certified integer bounds (lo, hi) on 2**q times the value at each
-    of the nondecreasing indices ns, rounded outward onto scale 2**-q.
+class Walk:
+    """Certified integer bounds (lo, hi) on 2**q times the value at
+    nondecreasing indices passed one at a time, rounded outward onto
+    scale 2**-q.
 
     H_m is carried across the gaps as the kernel's exact integer pair and
-    the tail is computed only at ns, so the interval at n does not depend
-    on the other indices: it is evaluate_interval(kind, n, q).
+    the tail is computed only at the indices asked for, so the pair at n
+    does not depend on the other indices: it is evaluate_interval(kind,
+    n, q).  A walk may be paused and resumed at any larger index.
     """
-    tail = _tails(kind, q)
-    h_lo = h_hi = m_prev = 0
-    for n in ns:
-        m, t_lo, t_hi = tail(n)
-        if m < m_prev:
+
+    def __init__(self, kind: SequenceKind, q: int):
+        self._tail = _tails(kind, q)
+        self._q = q
+        self._h_lo = self._h_hi = self._m = 0
+
+    def __call__(self, n: int) -> tuple[int, int]:
+        m, t_lo, t_hi = self._tail(n)
+        if m < self._m:
             raise DomainError(f"walk indices must not decrease, got {n} after a larger one")
-        d_lo, d_hi = kernels.harmonic_fixed(m, q, m_prev)
-        h_lo, h_hi, m_prev = h_lo + d_lo, h_hi + d_hi, m
-        yield h_lo + t_lo, h_hi + t_hi
+        d_lo, d_hi = kernels.harmonic_fixed(m, self._q, self._m)
+        self._h_lo, self._h_hi, self._m = self._h_lo + d_lo, self._h_hi + d_hi, m
+        return self._h_lo + t_lo, self._h_hi + t_hi
+
+
+def intervals(kind: SequenceKind, ns, q: int):
+    """The pairs of one Walk(kind, q) at each of the nondecreasing indices ns."""
+    yield from map(Walk(kind, q), ns)
 
 
 def evaluate_interval(kind: SequenceKind, n: int, q: int) -> tuple[Fraction, Fraction]:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction
-from gammaseq import _kernels_py as kernels
+from gammaseq import _kernels_py as kernels, bounds
 from gammaseq.bounds import (
     CERTIFIED_FALSE,
     CERTIFIED_TRUE,
@@ -179,6 +179,32 @@ def test_escalation_sums_harmonic_terms_linear_in_the_range(monkeypatch):
     assert report.counts[CERTIFIED_TRUE] == len(report.rows)
     assert sum(r.precision == 64 for r in report.rows) > 3800
     assert sum(terms) < 20 * 4000
+
+
+@pytest.mark.parametrize("cap", [None, 48, 32])
+def test_chunk_boundaries_change_no_row(monkeypatch, cap):
+    # chen 100..600 at 32 bits escalates nearly every row; with chunks of 7
+    # indices every chunk escalates, yet each row is the one-chunk row and
+    # the escalated walks resume across chunks instead of restarting
+    e = get_entry("chen")
+    monkeypatch.setattr(bounds, "CHUNK", 10**6)
+    whole = sweep(e, 100, 600, 32, precision_cap=cap)
+    harmonic_fixed = kernels.harmonic_fixed
+    terms = []
+
+    def counting(n, q, m=0):
+        terms.append(n - m)
+        return harmonic_fixed(n, q, m)
+
+    monkeypatch.setattr(kernels, "harmonic_fixed", counting)
+    monkeypatch.setattr(bounds, "CHUNK", 7)
+    chunked = sweep(e, 100, 600, 32, precision_cap=cap)
+    assert chunked == whole
+    # rows past 105 escalate, or stay undecided at a cap of 32
+    assert sum(r.precision > 32 or r.verdict == UNDECIDED for r in chunked.rows) > 450
+    # one main walk and one walk per escalated bit length, each <= 600 terms;
+    # restarting the escalated walks per chunk would sum about 72 * 600
+    assert sum(terms) < 6 * 600
 
 
 def test_monotone_refinement():

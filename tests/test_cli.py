@@ -1,13 +1,19 @@
 """CLI surface: envelopes, formats, determinism, exit codes."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammaseq import bounds, cli
 from gammaseq.bounds import BoundEntry
@@ -168,9 +174,26 @@ def test_usage_errors_exit_two(capsys):
     assert cli.main(["eval", "--seq", "mu", "--n", "1"]) == 2  # missing --a/--b
     capsys.readouterr()
     assert cli.main(["sweep-bounds", "--entry", "unknown", "--to", "5"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: unknown bound entry 'unknown'\n"
     assert cli.main(["eval", "--seq", "s", "--n", "2"]) == 2  # below n_min
     capsys.readouterr()
+
+
+def test_sweep_ending_below_the_entry_start_names_both(capsys):
+    # the start is the entry's n_min, 9, when --from is omitted
+    code = cli.main(["sweep-bounds", "--entry", "theorem22-upper", "--to", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: 'theorem22-upper' is stated for n >= 9, but --to is 5\n"
+
+
+def test_empty_sweep_range_names_both_ends(capsys):
+    code = cli.main(["sweep-bounds", "--entry", "theorem22", "--from", "5", "--to", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: empty sweep range 5..4\n"
 
 
 def test_falsified_entry_exits_one(capsys, monkeypatch):
@@ -264,6 +287,21 @@ def test_integer_string_limit_exits_two(capsys, monkeypatch):
         cli.main(["optimize"])
 
 
+def test_csv_failure_partway_keeps_the_earlier_rows(capsys):
+    # CSV rows are written as they are made; from some n on, the exact
+    # rational part of gamma_n passes the integer-string limit
+    code = cli.main(["eval", "--seq", "gamma", "--n", "9850", "--to", "9900",
+                     "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert lines[0] == "n,value,rational_part,log_argument"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(9850, 9850 + len(lines) - 1))
+    assert 1 < len(lines) < 52
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_enclose_past_the_string_limit_exits_two(capsys):
     # the enclosure is computed, but its printed digits exceed str()'s limit
     code = cli.main(["enclose", "--precision", "16384"])
@@ -303,6 +341,91 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(trace.read_text(encoding="utf-8"))["missing"] == []
+
+
+# text that JSON must escape: quotes, backslashes, control characters,
+# non-ASCII text and characters outside the BMP (surrogate pairs)
+_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\xe9\u2028\U0001d11e'),
+                          st.characters()), max_size=8)
+_scalars = st.one_of(_text, st.integers(), st.booleans(), st.none(),
+                     st.floats(allow_nan=False))
+_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(_text, inner, max_size=3)), max_leaves=8)
+_dicts = st.dictionaries(_text, _values, max_size=4)
+
+
+def _emitted(fmt, command, parameters, rows, metadata, columns):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(fmt, command, parameters, iter(rows), lambda: metadata, columns)
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=_text, parameters=_dicts, rows=st.lists(_dicts, max_size=4), metadata=_dicts)
+def test_json_writer_matches_json_dumps(command, parameters, rows, metadata):
+    envelope = {"command": command, "parameters": parameters, "rows": rows,
+                "metadata": {"version": cli.__version__, **metadata}}
+    expected = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    assert _emitted("json", command, parameters, rows, metadata, []) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=st.lists(_text, min_size=1, max_size=4, unique=True),
+       rows=st.lists(st.dictionaries(_text, _scalars, max_size=4), max_size=4))
+def test_csv_writer_matches_csv_module(columns, rows):
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([row.get(col, "") for col in columns])
+    assert _emitted("csv", "c", {}, rows, {}, columns) == expected.getvalue()
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    ("sweep-bounds --entry chen --from 100 --to 600 --precision 32", 0),
+    ("sweep-bounds --entry chen --from 100 --to 600 --precision 32 --precision-cap 48", 0),
+    ("sweep-bounds --entry chen --from 100 --to 600 --precision 32 --precision-cap 32", 3),
+    ("sweep-bounds --entry chen --from 100 --to 600 --precision 32 --format csv", 0),
+    ("eval --seq uplus --n 1 --to 300", 0),
+])
+def test_chunk_size_changes_no_byte(capsys, monkeypatch, argv, exit_code):
+    printed = []
+    for chunk in (10**6, 7):
+        monkeypatch.setattr(bounds, "CHUNK", chunk)
+        code = cli.main(argv.split())
+        printed.append((code, capsys.readouterr()))
+    assert printed[0] == printed[1]
+    assert printed[0][0] == exit_code
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def _traced_peak(monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) in (0, 3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv,ranges", [
+    (["sweep-bounds", "--entry", "young", "--precision", "32", "--to"], (2000, 16000)),
+    (["sweep-bounds", "--entry", "young", "--precision", "32", "--format", "csv", "--to"],
+     (2000, 16000)),
+    (["eval", "--seq", "s", "--n", "3", "--to"], (500, 4000)),
+])
+def test_memory_is_flat_in_the_range(monkeypatch, argv, ranges):
+    # rows are written as they are made, so eight times the rows must not
+    # need much more memory; the first, untraced run fills the caches
+    _traced_peak(monkeypatch, argv + ["10"])
+    small, large = (_traced_peak(monkeypatch, argv + [str(n)]) for n in ranges)
+    assert large < 1.5 * small, (small, large)
 
 
 def test_version_flag(capsys):
