@@ -6,13 +6,15 @@ enclosure width, version).  Exact quantities are serialized as fraction
 strings "p/q", inexact ones as decimal strings with an explicit digit
 count, so identical inputs give byte-identical output.
 
-Rows are streamed: `sweep-bounds` and `eval` make one row at a time and
-hold none of the earlier ones, so memory stays flat in the range (peak
-RSS about 17.5 MB for a `theorem22` sweep of 10^4 rows and of 5 * 10^4
-rows alike).  CSV writes each row as it is made, so a failure partway
-through a range leaves the earlier rows on stdout; the command still
-exits with its code and one line on stderr.  JSON spools the formatted
-rows to a temporary file and prints the whole envelope at the end.
+Rows are streamed: `sweep-bounds` makes its rows a chunk of indices at
+a time and `eval` one at a time, and neither keeps the rows it has
+written, so memory stays flat in the range (peak RSS about 17.5 MB for
+a `theorem22` sweep of 10^4 rows and of 5 * 10^4 rows alike).  CSV
+writes each row as it is made, so a failure partway through a range
+leaves the earlier rows on stdout; the command still exits with its
+code and one line on stderr (2 for the integer-string limit, 141 for a
+closed pipe).  JSON spools the formatted rows to a temporary file and
+prints the whole envelope at the end.
 
 Exit codes: 0 success, 1 a sweep found a certified-false row, 2 usage
 error, or a result would print an integer longer than Python's
