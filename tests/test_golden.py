@@ -10,7 +10,9 @@ that integer rows at one scale replaced, and the chen span, the uminus
 range and the uplus rate with the per-row restarts and the Fraction tail
 of the sqrt(6) variants that one walk over any indices replaced, and
 the enclosures of the constant with the two-chain series kernel that the
-exact binary-splitting sum replaced.
+exact binary-splitting sum replaced, and the sweeps of the seven entries
+that had none, with chen-mortici escalating from 32 bits, with the Fraction
+bound sides that integer numerator/denominator pairs replaced.
 Verdicts, exit codes and printed digits must not depend on how the
 certified values are computed.
 """
@@ -45,6 +47,13 @@ GOLDEN = [
     # 196 rows escalate to 64 bits, re-walked in bit lengths 7, 8 and 9
     ("sweep_chen_span.csv",
      "sweep-bounds --entry chen --from 100 --to 300 --precision 32 --format csv"),
+    *((f"sweep_{entry.replace('-', '_')}.csv",
+       f"sweep-bounds --entry {entry} --to 40 --precision 128 --format csv")
+      for entry in ("mortici-vernescu", "toth", "franel", "karatsuba",
+                    "mortici-refined", "detemple", "chen-mortici")),
+    # rows 9 and up escalate to 64 bits; with --precision-cap 32 the command exits 3
+    ("sweep_chen_mortici_escalated.json",
+     "sweep-bounds --entry chen-mortici --to 40 --precision 32"),
     ("eval_s.json", "eval --seq s --n 3 --to 40 --precision 256"),
     ("eval_uplus.json", "eval --seq uplus --n 1 --to 40 --precision 256"),
     ("eval_uminus.json", "eval --seq uminus --n 1 --to 40 --precision 256"),
