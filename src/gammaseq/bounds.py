@@ -3,14 +3,17 @@
 Each entry states strict lower/upper bounds on the deviation of one
 sequence from the Euler-Mascheroni constant, exactly as printed in the
 source literature (including one knowingly weak tail term, see the
-Karatsuba entry note).  Every bound side is an exact rational function
-of n and of at most one real constant c, monotone in c.  c is enclosed
-once per working precision, and a side that reads it is
-evaluated exactly at both ends of that enclosure, which brackets the
-side.  The sides are the only Fractions in a row: a sweep walks the
-sequence's certified values once as integer pairs, then re-walks only
-its undecided rows at each doubled precision, and the deviations from
-gamma and the margins are integers at one explicit scale per walk.
+Karatsuba entry note).  Every bound side is a function (n, c) ->
+(num, den): the published formula over one denominator, written in
+integer arithmetic, so that at n = `polycert.Polynomial.x()` it gives
+the side's numerator and denominator polynomials.  c is at most one
+real constant, enclosed once per working precision as two integer
+pairs; a side that reads it is monotone in c and is evaluated at both
+ends of that enclosure, which brackets the side.  A row holds no
+Fraction: a sweep walks the sequence's certified values once as
+integer pairs, then re-walks only its undecided rows at each doubled
+precision, and the deviations from gamma, the sides' floors and
+ceilings and the margins are integers at one explicit scale per walk.
 It reports certified-true only under strict separation, decided
 exactly; check is the one-row sweep.  Equality can therefore never be
 certified; sides that are sharp at n = 1 start at n = 2.  sweep_rows
@@ -21,6 +24,7 @@ from chunk to chunk, so a sweep holds one chunk of rows at most.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +46,8 @@ __all__ = [
     "sweep_rows",
 ]
 
-Interval = tuple[Fraction, Fraction]
+Pair = tuple[int, int]  # an exact rational num/den, den > 0, not necessarily reduced
+Interval = tuple[Pair, Pair]
 
 CERTIFIED_TRUE = "certified-true"
 CERTIFIED_FALSE = "certified-false"
@@ -53,21 +58,23 @@ CHUNK = 256  # indices walked, escalated and yielded together by sweep_rows
 
 
 def _gamma(p: int) -> Interval:
-    return gamma_reference(p).bounds()
+    return tuple(end.as_integer_ratio() for end in gamma_reference(p).bounds())
 
 
 @dataclass(frozen=True)
 class BoundEntry:
     """One published inequality: lower(n) < target_n - gamma < upper(n).
 
-    Sides are callables (n, c) -> Fraction, exact rational functions of
-    n and of the entry's real constant c; either side may be absent.
-    constant(p) encloses c at precision p (gamma unless the entry says
-    otherwise).  A side named in reads_c must be monotone in c on that
-    enclosure: it is evaluated at both ends and the two values bracket
-    it.  Any other side is called with c = None.  n_min is per side
-    because several sources prove the two directions on different
-    ranges.
+    Sides are callables (n, c) -> (num, den), the exact value num/den of
+    a rational function of n and of the entry's real constant c, in
+    integer arithmetic only; either side may be absent.  den must be
+    positive wherever the side applies, or the row is a DomainError.
+    constant(p) encloses c at precision p as two pairs (c_num, c_den),
+    c_den > 0 (gamma unless the entry says otherwise).  A side named in
+    reads_c must be monotone in c on that enclosure: it is called with
+    each end and the two values bracket it.  Any other side is called
+    with c = None.  n_min is per side because several sources prove the
+    two directions on different ranges.
     """
 
     entry_id: str
@@ -111,22 +118,25 @@ class Verdict:
     precision: int
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass sets each field through object.__setattr__,
+# which made building a row about four times as slow, once per index
+@dataclass(slots=True)
 class SweepRow:
     """One checked index.  value_lo, value_hi and the margins are integers
     at scale 2**-scale: value_lo * 2**-scale <= target_n - gamma <=
     value_hi * 2**-scale.  margin_lower is value_lo - ceil(lower * 2**scale),
     margin_upper is floor(upper * 2**scale) - value_hi and margin the least
     present; each lies in (e * 2**scale - 1, e * 2**scale] for its exact
-    margin e.  The sides lower and upper are exact rationals."""
+    margin e.  The sides lower and upper are exact rationals as integer
+    pairs (num, den), den > 0, not necessarily reduced."""
 
     n: int
     verdict: str
     margin: int
     margin_lower: int | None
     margin_upper: int | None
-    lower: Fraction | None  # sup of the lower bound interval (binding end)
-    upper: Fraction | None  # inf of the upper bound interval
+    lower: Pair | None  # sup of the lower bound interval (binding end)
+    upper: Pair | None  # inf of the upper bound interval
     value_lo: int
     value_hi: int
     precision: int
@@ -158,18 +168,22 @@ class SweepReport:
     precision_start: int
     precision_cap: int
 
+    @functools.cached_property
+    def _tally(self) -> Tally:
+        return Tally(self.rows)
+
     @property
     def counts(self) -> dict:
-        return Tally(self.rows).counts
+        return self._tally.counts
 
     @property
     def min_margin(self) -> Fraction | None:
-        row = Tally(self.rows).least
+        row = self._tally.least
         return None if row is None else Fraction(row.margin, 1 << row.scale)
 
     @property
     def min_margin_n(self) -> int | None:
-        row = Tally(self.rows).least
+        row = self._tally.least
         return None if row is None else row.n
 
 
@@ -177,43 +191,40 @@ class SweepReport:
 # the catalog
 
 
-def _inv_linear(slope: int, offset) -> object:
-    offset = Fraction(offset)
-    return lambda n, c: 1 / (slope * n + offset)
-
-
 def _chen_shift(p: int) -> Interval:
     """a = 1/sqrt(24 (1 - gamma - ln(3/2))) - 1, which makes chen sharp at n = 1."""
     q = p + GUARD_BITS
-    g_lo, g_hi = _gamma(p)
+    g_lo, g_hi = gamma_reference(p).bounds()
     ln_lo, ln_hi = ln_interval(Fraction(3, 2), q)
     root_lo = sqrt_interval(24 * (1 - g_hi - ln_hi), q)[0]
     root_hi = sqrt_interval(24 * (1 - g_lo - ln_lo), q)[1]
-    return 1 / root_hi - 1, 1 / root_lo - 1
+    return (1 / root_hi - 1).as_integer_ratio(), (1 / root_lo - 1).as_integer_ratio()
 
 
 def _catalog_entries() -> list[BoundEntry]:
-    f = Fraction
+    # each side is the published formula over one denominator, in integers;
+    # a side that reads c takes it as a pair (c_num, c_den) with c_den > 0
     entries = []
 
     entries.append(BoundEntry(
         "tims-tyrrell", GammaN(),
-        lambda n, c: f(1, 2 * (n + 1)),
-        lambda n, c: f(1, 2 * (n - 1)),
+        lambda n, c: (1, 2 * n + 2),  # 1/(2(n+1))
+        lambda n, c: (1, 2 * n - 2),  # 1/(2(n-1))
         1, 2,
         "S. R. Tims, J. A. Tyrrell, Math. Gaz. 55 (1971) 65-67",
     ))
     entries.append(BoundEntry(
         "young", GammaN(),
-        lambda n, c: f(1, 2 * (n + 1)),
-        lambda n, c: f(1, 2 * n),
+        lambda n, c: (1, 2 * n + 2),  # 1/(2(n+1))
+        lambda n, c: (1, 2 * n),  # 1/(2n)
         1, 1,
         "R. M. Young, Math. Gaz. 75 (1991) 187-190",
     ))
     entries.append(BoundEntry(
         "anderson", GammaN(),
-        lambda n, c: (1 - c) / n,  # c = gamma; decreasing in c
-        lambda n, c: f(1, 2 * n),
+        # (1 - c)/n with c = gamma; decreasing in c
+        lambda n, c: (c[1] - c[0], c[1] * n),
+        lambda n, c: (1, 2 * n),  # 1/(2n)
         2, 1,
         "G. D. Anderson, R. W. Barnard, K. Richards, M. K. Vamanamurthy, "
         "M. Vuorinen, Trans. Amer. Math. Soc. 347 (1995) 1713-1723",
@@ -222,23 +233,24 @@ def _catalog_entries() -> list[BoundEntry]:
     ))
     entries.append(BoundEntry(
         "mortici-vernescu", GammaN(),
-        _inv_linear(2, 1),
-        _inv_linear(2, 0),
+        lambda n, c: (1, 2 * n + 1),  # 1/(2n + 1)
+        lambda n, c: (1, 2 * n),  # 1/(2n)
         1, 1,
         "C. Mortici, A. Vernescu, Math. Balkanica (N.S.) 21 (2007) 301-308",
     ))
     entries.append(BoundEntry(
         "toth", GammaN(),
-        _inv_linear(2, f(2, 5)),
-        _inv_linear(2, f(1, 3)),
+        lambda n, c: (5, 10 * n + 2),  # 1/(2n + 2/5)
+        lambda n, c: (3, 6 * n + 1),  # 1/(2n + 1/3)
         1, 1,
         "L. Toth, Amer. Math. Monthly 98 (1991), Problem E3432",
     ))
     entries.append(BoundEntry(
         "alzer-chen-qi", GammaN(),
-        # c = gamma; (2c - 1)/(1 - c) increases for c < 1, so the side decreases
-        lambda n, c: 1 / (2 * n + (2 * c - 1) / (1 - c)),
-        _inv_linear(2, f(1, 3)),
+        # 1/(2n + (2c - 1)/(1 - c)) with c = gamma; (2c - 1)/(1 - c) increases
+        # for c < 1, so the side decreases
+        lambda n, c: (c[1] - c[0], 2 * n * (c[1] - c[0]) + 2 * c[0] - c[1]),
+        lambda n, c: (3, 6 * n + 1),  # 1/(2n + 1/3)
         2, 1,
         "H. Alzer, Abh. Math. Sem. Univ. Hamburg 68 (1998) 363-372; "
         "C.-P. Chen, F. Qi, arXiv:math/0306233",
@@ -247,8 +259,9 @@ def _catalog_entries() -> list[BoundEntry]:
     ))
     entries.append(BoundEntry(
         "qiu-vuorinen", GammaN(),
-        lambda n, c: f(1, 2 * n) - f(1, 2 * n * n),
-        lambda n, c: f(1, 2 * n) - (c - f(1, 2)) / (n * n),  # c = gamma; decreasing in c
+        lambda n, c: (n - 1, 2 * n**2),  # 1/(2n) - 1/(2n^2)
+        # 1/(2n) - (c - 1/2)/n^2 with c = gamma; decreasing in c
+        lambda n, c: ((n + 1) * c[1] - 2 * c[0], 2 * n**2 * c[1]),
         1, 2,
         "S.-L. Qiu, M. Vuorinen, Math. Comp. 74 (2005) 723-742, Cor. 2.13",
         note="the upper side is an equality at n = 1 by choice of beta",
@@ -256,16 +269,18 @@ def _catalog_entries() -> list[BoundEntry]:
     ))
     entries.append(BoundEntry(
         "franel", GammaN(),
-        lambda n, c: f(1, 2 * n) - f(1, 8 * n * n),
-        lambda n, c: f(1, 2 * n),
+        lambda n, c: (4 * n - 1, 8 * n**2),  # 1/(2n) - 1/(8n^2)
+        lambda n, c: (1, 2 * n),  # 1/(2n)
         1, 1,
         "Franel's inequality; G. Polya, G. Szego, Problems and Theorems "
         "in Analysis I, Part One, Ex. 18",
     ))
     entries.append(BoundEntry(
         "karatsuba", GammaN(),
-        lambda n, c: f(1, 2 * n) - f(1, 12 * n**2) + f(1, 120 * n**4) - f(1, 126 * n**6),
-        lambda n, c: f(1, 2 * n) - f(1, 12 * n**2) + f(1, 120 * n**4),
+        # 1/(2n) - 1/(12n^2) + 1/(120n^4) - 1/(126n^6)
+        lambda n, c: (1260 * n**5 - 210 * n**4 + 21 * n**2 - 20, 2520 * n**6),
+        # 1/(2n) - 1/(12n^2) + 1/(120n^4)
+        lambda n, c: (60 * n**3 - 10 * n**2 + 1, 120 * n**4),
         1, 1,
         "E. A. Karatsuba, Numer. Algorithms 24 (2000) 83-97",
         note="the 1/(126 n^6) tail term is kept as printed in the source; "
@@ -274,51 +289,45 @@ def _catalog_entries() -> list[BoundEntry]:
     ))
     entries.append(BoundEntry(
         "mortici-refined", GammaN(),
-        lambda n, c: 1 / (2 * n + f(1, 3) + f(1, 18 * n)),
-        lambda n, c: 1 / (2 * n + f(1, 3) + f(1, 32 * n)),
+        lambda n, c: (18 * n, 36 * n**2 + 6 * n + 1),  # 1/(2n + 1/3 + 1/(18n))
+        lambda n, c: (96 * n, 192 * n**2 + 32 * n + 3),  # 1/(2n + 1/3 + 1/(32n))
         1, 1,
         "C. Mortici, Bul. Univ. Petrol-Gaze din Ploiesti LXII(1) (2010) 109-112",
     ))
     entries.append(BoundEntry(
         "detemple", DeTempleR(),
-        lambda n, c: f(1, 24 * (n + 1) ** 2),
-        lambda n, c: f(1, 24 * n**2),
+        lambda n, c: (1, 24 * (n + 1) ** 2),  # 1/(24(n+1)^2)
+        lambda n, c: (1, 24 * n**2),  # 1/(24n^2)
         1, 1,
         "D. W. DeTemple, Amer. Math. Monthly 100 (1993) 468-470",
     ))
     entries.append(BoundEntry(
         "chen", DeTempleR(),
-        lambda n, c: 1 / (24 * (n + c) ** 2),  # c = the shift a > 0; decreasing in c
-        lambda n, c: f(1, 24 * (n + f(1, 2)) ** 2),
+        # 1/(24(n + c)^2) with c = the shift a > 0; decreasing in c
+        lambda n, c: (c[1] ** 2, 24 * (n * c[1] + c[0]) ** 2),
+        lambda n, c: (1, 6 * (2 * n + 1) ** 2),  # 1/(24(n + 1/2)^2)
         2, 1,
         "C.-P. Chen, Appl. Math. Lett. 23 (2010) 161-164",
         note="the lower side is an equality at n = 1 by choice of the shift",
         constant=_chen_shift,
         reads_c=("lower",),
     ))
-
-    def chen_mortici(terms):
-        def bound(n, c):
-            m = n + f(1, 2)
-            total = f(0)
-            for coeff, power in terms:
-                total += coeff / m**power
-            return total
-
-        return bound
-
     entries.append(BoundEntry(
         "chen-mortici", DeTempleR(),
-        chen_mortici([(f(1, 24), 2), (f(-7, 960), 4), (f(31, 8064), 6),
-                      (f(-127, 30720), 8)]),
-        chen_mortici([(f(1, 24), 2), (f(-7, 960), 4), (f(31, 8064), 6)]),
+        # 1/(24m^2) - 7/(960m^4) + 31/(8064m^6) - 127/(30720m^8) with m = n + 1/2,
+        # over 2520 (2n + 1)^8
+        lambda n, c: (420 * (2 * n + 1) ** 6 - 294 * (2 * n + 1) ** 4
+                      + 620 * (2 * n + 1) ** 2 - 2667, 2520 * (2 * n + 1) ** 8),
+        # its first three terms, over 1260 (2n + 1)^6
+        lambda n, c: (210 * (2 * n + 1) ** 4 - 147 * (2 * n + 1) ** 2 + 310,
+                      1260 * (2 * n + 1) ** 6),
         1, 1,
         "C.-P. Chen, C. Mortici, J. Sci. Arts 10(2) (2010) 271-272",
     ))
     entries.append(BoundEntry(
         "theorem22", SOptimal(),
-        lambda n, c: f(1, 12 * n**3) + f(11, 120 * n**4),
-        lambda n, c: f(1, 12 * n**3) + f(13, 120 * n**4),
+        lambda n, c: (10 * n + 11, 120 * n**4),  # 1/(12n^3) + 11/(120n^4)
+        lambda n, c: (10 * n + 13, 120 * n**4),  # 1/(12n^3) + 13/(120n^4)
         3, 9,
         "two-sided bracket on the optimal sequence; certified in-package "
         "by gammaseq.polycert",
@@ -352,17 +361,23 @@ def get_entry(entry_id: str) -> BoundEntry:
 # checking
 
 
-def _bracket(side, reads_c: bool, n: int, c: Interval) -> Interval:
-    if not reads_c:
-        v = side(n, None)
-        return v, v
-    a, b = side(n, c[0]), side(n, c[1])  # monotone in c, so the ends bracket it
-    return (a, b) if a <= b else (b, a)
+def _side_ends(side, c, n: int, name: str) -> Interval:
+    """(inf, sup) of one side at n: its value, or its values at the two
+    ends of c, ordered by cross-multiplication."""
+    if c is None:
+        inf = sup = side(n, None)
+    else:
+        inf, sup = side(n, c[0]), side(n, c[1])
+    if inf[1] <= 0 or sup[1] <= 0:
+        raise DomainError(f"the {name} has a non-positive denominator at n = {n}")
+    if inf is not sup and inf[0] * sup[1] > sup[0] * inf[1]:
+        inf, sup = sup, inf  # monotone in c, so the ends bracket it in one order or the other
+    return inf, sup
 
 
-def _on_scale(x: Fraction, scale: int) -> tuple[int, int]:
+def _on_scale(x: Pair, scale: int) -> tuple[int, int]:
     """Floor and ceiling of x * 2**scale."""
-    below, rest = divmod(x.numerator << scale, x.denominator)
+    below, rest = divmod(x[0] << scale, x[1])
     return below, below + (rest > 0)
 
 
@@ -373,9 +388,11 @@ class _RowWalk:
 
     def __init__(self, entry: BoundEntry, p: int, c, q: int):
         gamma = gamma_reference(p)
-        self.entry, self.p, self.c = entry, p, c
+        self.entry, self.p = entry, p
         self.lower = entry.lower if entry.n_min_lower is not None else None
         self.upper = entry.upper if entry.n_min_upper is not None else None
+        self.c_lower = c if "lower" in entry.reads_c else None
+        self.c_upper = c if "upper" in entry.reads_c else None
         # the row scale holds the walk's pairs and gamma's ends exactly
         self.scale = scale = max(q, -gamma.lo.exp, -gamma.hi.exp)
         self.g_lo = gamma.lo.mant << (scale + gamma.lo.exp)
@@ -384,8 +401,11 @@ class _RowWalk:
         self.walk = Walk(entry.target, q)
 
     def rows(self, ns):
-        entry, c, scale, shift = self.entry, self.c, self.scale, self.shift
+        entry, scale, shift = self.entry, self.scale, self.shift
         lower, upper, g_lo, g_hi = self.lower, self.upper, self.g_lo, self.g_hi
+        c_lower, c_upper = self.c_lower, self.c_upper
+        lower_name = f"lower side of {entry.entry_id!r}"
+        upper_name = f"upper side of {entry.entry_id!r}"
         for n in ns:
             v_lo, v_hi = self.walk(n)
             dev_lo, dev_hi = (v_lo << shift) - g_hi, (v_hi << shift) - g_lo
@@ -394,19 +414,23 @@ class _RowWalk:
             separated, falsified = True, False
             # an integer d > x exactly when d > floor(x), and d < x when d < ceil(x)
             if lower is not None and n >= entry.n_min_lower:
-                lower_inf, lower_sup = _bracket(lower, "lower" in entry.reads_c, n, c)
+                lower_inf, lower_sup = _side_ends(lower, c_lower, n, lower_name)
                 below, above = _on_scale(lower_sup, scale)
                 margin_lower = dev_lo - above
                 margins.append(margin_lower)
                 separated = dev_lo > below
-                falsified = dev_hi <= _on_scale(lower_inf, scale)[0]
+                if lower_inf is not lower_sup:
+                    below = _on_scale(lower_inf, scale)[0]
+                falsified = dev_hi <= below
             if upper is not None and n >= entry.n_min_upper:
-                upper_inf, upper_sup = _bracket(upper, "upper" in entry.reads_c, n, c)
+                upper_inf, upper_sup = _side_ends(upper, c_upper, n, upper_name)
                 below, above = _on_scale(upper_inf, scale)
                 margin_upper = below - dev_hi
                 margins.append(margin_upper)
                 separated = separated and dev_hi < above
-                falsified = falsified or dev_lo >= _on_scale(upper_sup, scale)[1]
+                if upper_sup is not upper_inf:
+                    above = _on_scale(upper_sup, scale)[1]
+                falsified = falsified or dev_lo >= above
             if not margins:
                 raise DomainError(f"no side of {entry.entry_id!r} applies at n = {n}")
             if falsified:

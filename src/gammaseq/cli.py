@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -126,6 +127,24 @@ def _json_text(value, indent: str) -> str:
     return json.dumps(value)
 
 
+def _json_rows(rows, indent: str):
+    """_json_text(row, indent) of each row dict, with the sorted keys and
+    their quoted text made once for each set of keys, not once per row."""
+    inner = indent + "  "
+    layouts = {}
+    for row in rows:
+        keys = tuple(row)
+        layout = layouts.get(keys)
+        if layout is None:
+            layout = layouts[keys] = [(key, inner + _quote(key) + ": ") for key in sorted(keys)]
+        if not layout:
+            yield "{}"
+            continue
+        items = [head + (_quote(value) if type(value := row[key]) is str
+                         else _json_text(value, inner)) for key, head in layout]
+        yield "{\n" + ",\n".join(items) + "\n" + indent + "}"
+
+
 def _emit(fmt: str, command: str, parameters: dict, rows, metadata, columns: list) -> None:
     """Write the envelope of `rows`, any iterable of dicts, to stdout.
 
@@ -151,8 +170,8 @@ def _emit(fmt: str, command: str, parameters: dict, rows, metadata, columns: lis
 
     with tempfile.TemporaryFile("w+", encoding="ascii") as spool:
         separator = "\n    "
-        for row in rows:
-            spool.write(separator + _json_text(row, "    "))
+        for text in _json_rows(rows, "    "):
+            spool.write(separator + text)
             separator = ",\n    "
         out.write("{\n")
         for key, value in (("command", command),  # the envelope's keys in sorted order
@@ -292,8 +311,8 @@ def cmd_sweep_bounds(args) -> int:
     digits = _decimal_digits(args.precision)
     tally = bounds.Tally()
 
-    def decimal(num: int, den: int) -> str:
-        return numerics.decimal_text(num, den, digits, "half-up")
+    # decimal(num, den), with no Python frame of its own: five per row
+    decimal = functools.partial(numerics.decimal_text, places=digits, rounding="half-up")
 
     def rows():
         for r in swept:
@@ -301,10 +320,10 @@ def cmd_sweep_bounds(args) -> int:
             unit = 1 << r.scale
             yield {
                 "n": r.n,
-                "lower": decimal(*r.lower.as_integer_ratio()) if r.lower is not None else "",
+                "lower": decimal(*r.lower) if r.lower is not None else "",
                 "value_lo": decimal(r.value_lo, unit),
                 "value_hi": decimal(r.value_hi, unit),
-                "upper": decimal(*r.upper.as_integer_ratio()) if r.upper is not None else "",
+                "upper": decimal(*r.upper) if r.upper is not None else "",
                 "verdict": r.verdict,
                 "margin": decimal(r.margin, unit),
             }

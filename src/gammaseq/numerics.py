@@ -1,13 +1,14 @@
 """Exact and certified numerics.
 
-``Fraction`` values hold exact rationals only (series coefficients,
-inequality bounds, sequence corrections); exact harmonic numbers only
-feed printed rational parts.  Dyadic quantities are integers at an
-explicit scale, the kernels' protocol: a pair (lo, hi) at scale 2**-q
-brackets the true value.  `ln_fixed` is that integer core for
-logarithms, at a scale of its own; `ln_ends`, the one routine that
-combines it with an exact rational c, gives the floor and ceiling of
-(c - ln x) * 2**q to the sequence walk and the constant's enclosure.
+``Fraction`` values hold exact rationals only (series coefficients and
+the printed rational parts of `eval`, the one use of exact harmonic
+numbers).  Dyadic quantities are integers at an explicit scale,
+the kernels' protocol: a pair (lo, hi) at scale 2**-q brackets the true
+value.  `ln_fixed` is that integer core for logarithms, at a scale of
+its own; `ln_ends`, the one routine that combines it with an exact
+rational c, gives the floor and ceiling of (c - ln x) * 2**q to the
+sequence walk and the constant's enclosure, with c and x as integer
+pairs (num, den).
 `ln_interval` and `sqrt_interval` give brackets as dyadic Fractions.
 `BigReal` and `Enclosure` are the printed results: a `BigReal` is a
 value rounded once to an explicit number of bits, an `Enclosure` a
@@ -256,16 +257,18 @@ def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
     return lo, hi, q_eff
 
 
-def ln_ends(c_lo: Fraction, c_hi: Fraction, x: Fraction | int, q: int) -> tuple[int, int]:
-    """Floor of (c_lo - ln x) * 2**q and ceiling of (c_hi - ln x) * 2**q for
-    exact rationals c_lo, c_hi and x > 0, from one ln x."""
-    ln_lo, ln_hi, q_ln = ln_fixed(x.numerator, x.denominator, q)
+def ln_ends(c_lo: tuple[int, int], c_hi: tuple[int, int], x: tuple[int, int],
+            q: int) -> tuple[int, int]:
+    """Floor of (c_lo - ln x) * 2**q and ceiling of (c_hi - ln x) * 2**q, from
+    one ln x.  Each argument is an exact rational as an integer pair
+    (num, den) with den > 0; c_lo and c_hi need not be reduced, x must be,
+    as `ln_fixed` reads its bit lengths."""
+    (lo_num, lo_den), (hi_num, hi_den) = c_lo, c_hi
+    ln_lo, ln_hi, q_ln = ln_fixed(*x, q)
     # c - ln at scale 2**-q_ln over c's denominator
     shift = q_ln - q
-    lo = (((c_lo.numerator << q_ln) - c_lo.denominator * ln_hi)
-          // (c_lo.denominator << shift))
-    hi = -((c_hi.denominator * ln_lo - (c_hi.numerator << q_ln))
-           // (c_hi.denominator << shift))
+    lo = ((lo_num << q_ln) - lo_den * ln_hi) // (lo_den << shift)
+    hi = -((hi_den * ln_lo - (hi_num << q_ln)) // (hi_den << shift))
     return lo, hi
 
 
@@ -322,8 +325,10 @@ def gamma_bootstrap(n: int, p: int) -> Enclosure:
     _check_precision(p)
     q = p + GUARD_BITS + n.bit_length()
     h_lo, h_hi = kernels.harmonic_fixed(n - 2, q)
-    rest = Fraction(13, 12 * (n - 1)) + Fraction(5, 12 * n) - Fraction(1, 12 * n**3)
-    lo, hi = ln_ends(rest - Fraction(13, 120 * n**4), rest - Fraction(11, 120 * n**4), n, q)
+    # 13/(12(n-1)) + 5/(12n) - 1/(12n^3) - k/(120n^4) for k = 13, 11, over 120 n^4 (n-1)
+    rest = 10 * n * (18 * n**3 - 5 * n**2 - n + 1)
+    den = 120 * n**4 * (n - 1)
+    lo, hi = ln_ends((rest - 13 * (n - 1), den), (rest - 11 * (n - 1), den), (n, 1), q)
     return _gamma_enclosure(h_lo + lo, h_hi + hi, q)
 
 
@@ -356,6 +361,7 @@ def gamma_reference(p: int) -> Enclosure:
     # 32 bits more than q keep those ulps from reaching the q-bit ends
     q_series = q + 32
     s_lo, s_hi = kernels.gamma_series_fixed(x, q_series)
-    tail = Fraction(1, x << shift)  # upper bound on E1(x)
-    return _gamma_enclosure(*ln_ends(Fraction(s_lo, 1 << q_series) - tail,
-                                     Fraction(s_hi, 1 << q_series), x, q), q)
+    # the lower end takes off 1/(x 2**shift), an upper bound on E1(x)
+    tail_den = x << shift
+    return _gamma_enclosure(*ln_ends((s_lo * tail_den - (1 << q_series), tail_den << q_series),
+                                     (s_hi, 1 << q_series), (x, 1), q), q)

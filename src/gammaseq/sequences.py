@@ -1,24 +1,27 @@
 """Evaluators for the named sequences converging to the Euler constant.
 
-Every sequence here has the shape H_m + correction - ln(argument) with
-m = n - 1 or n - 2, and `split_eval` returns those small exact pieces.
-Certified values come from one resumable walk over any nondecreasing
-indices, `Walk`, which gives integer pairs at scale 2**-q: H_m is the
-kernel's pair, carried across the gaps by `harmonic_fixed`, plus the
-tail, whose ends are `numerics.ln_ends`: floor and ceiling of
-(c - ln x) * 2**q for exact rationals c and x.  The variants with
-irrational parameters (UPlus / UMinus) have no exact split; their c and
-x at each end are exact rational ends built from an enclosure of sqrt(6).
+Every sequence here has the shape H_m + c - ln x with m = n - 1 or
+n - 2, a correction c and a log argument x.  Each kind gives c and x at
+n as integer pairs (num, den) with den > 0, x reduced; `split_eval` is
+the Fraction view of the same pairs.  Certified values come from one
+resumable walk over any nondecreasing indices, `Walk`, which gives
+integer pairs at scale 2**-q: H_m is the kernel's pair, carried across
+the gaps by `harmonic_fixed`, plus the tail, whose ends are
+`numerics.ln_ends`: floor and ceiling of (c - ln x) * 2**q, with no
+Fraction per index.  The variants with irrational parameters (UPlus /
+UMinus) have no exact split; their c and x at each end are integer
+pairs built once per walk from an enclosure of sqrt(6).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels_py as kernels, numerics
 from .errors import DomainError
-from .numerics import BigReal, harmonic_exact, ln_ends, sqrt_interval
+from .numerics import BigReal, harmonic_exact, ln_ends
 
 __all__ = [
     "SequenceKind",
@@ -139,25 +142,40 @@ def _check_domain(kind: SequenceKind, n: int) -> None:
         )
 
 
-def split_eval(kind: SequenceKind, n: int) -> SplitValue:
-    """Harmonic index, exact correction and log argument of the sequence at n."""
-    _check_domain(kind, n)
+def _split(kind: SequenceKind):
+    """n -> (m, c, x): the sequence at n is H_m + c - ln x, with the
+    correction c and the log argument x as integer pairs (num, den),
+    den > 0; c need not be reduced, x is."""
     if isinstance(kind, (GammaN, DeTempleR)):
         # H_n = H_{n-1} + 1/n, the same split as the Mu family's
-        arg = n + Fraction(1, 2) if isinstance(kind, DeTempleR) else Fraction(n)
-        return SplitValue(n - 1, Fraction(1, n), arg, n)
+        if isinstance(kind, DeTempleR):
+            return lambda n: (n - 1, (1, n), (2 * n + 1, 2))
+        return lambda n: (n - 1, (1, n), (n, 1))
     if isinstance(kind, VernescuV):
-        return SplitValue(n - 1, Fraction(1, 2 * n), Fraction(n), n)
+        return lambda n: (n - 1, (1, 2 * n), (n, 1))
     if isinstance(kind, MuFamily):
-        arg = n + kind.b
-        if arg <= 0:
-            raise DomainError(f"log argument n + b = {arg} must be positive")
-        return SplitValue(n - 1, 1 / (kind.a * n), arg, n)
+        a_num, a_den = kind.a.as_integer_ratio()
+        if a_num < 0:  # 1/(a n) = a_den/(a_num n), its denominator made positive
+            a_num, a_den = -a_num, -a_den
+        b_num, b_den = kind.b.as_integer_ratio()
+
+        def mu(n):
+            # n + b = (n b_den + b_num)/b_den is coprime because b is
+            x_num = n * b_den + b_num
+            if x_num <= 0:
+                raise DomainError(
+                    f"log argument n + b = {Fraction(x_num, b_den)} must be positive")
+            return n - 1, (a_den, a_num * n), (x_num, b_den)
+
+        return mu
     if isinstance(kind, VFamily):
-        return SplitValue(n - 2, (kind.a * n + kind.b) / (n * (n - 1)), Fraction(n), n)
+        a_num, a_den = kind.a.as_integer_ratio()
+        b_num, b_den = kind.b.as_integer_ratio()
+        return lambda n: (n - 2, (a_num * b_den * n + b_num * a_den,
+                                  a_den * b_den * n * (n - 1)), (n, 1))
     if isinstance(kind, SOptimal):
-        correction = Fraction(13, 12 * (n - 1)) + Fraction(5, 12 * n)
-        return SplitValue(n - 2, correction, Fraction(n), n)
+        # 13/(12(n-1)) + 5/(12n) over 12 n (n-1)
+        return lambda n: (n - 2, (18 * n - 5, 12 * n * (n - 1)), (n, 1))
     if isinstance(kind, (UPlus, UMinus)):
         raise DomainError(
             f"{kind.describe()} has irrational parameters and no exact split; "
@@ -166,29 +184,44 @@ def split_eval(kind: SequenceKind, n: int) -> SplitValue:
     raise DomainError(f"unknown sequence kind {kind!r}")
 
 
+def split_eval(kind: SequenceKind, n: int) -> SplitValue:
+    """Harmonic index, exact correction and log argument of the sequence at
+    n: the pairs of the walk's split, as Fractions."""
+    _check_domain(kind, n)
+    m, c, x = _split(kind)(n)
+    return SplitValue(m, Fraction(*c), Fraction(*x), n)
+
+
 def _tails(kind: SequenceKind, q: int):
     """n -> (m, lo, hi) with [lo, hi] * 2**-q enclosing correction - ln(argument)."""
     if not isinstance(kind, (UPlus, UMinus)):
+        split = _split(kind)
+
         def tail(n):
-            split = split_eval(kind, n)
-            c = split.correction
-            return (split.m, *ln_ends(c, c, split.log_argument, q))
+            _check_domain(kind, n)
+            m, c, x = split(n)
+            return (m, *ln_ends(c, c, x, q))
 
         return tail
-    s_lo, s_hi = sqrt_interval(6, q + 8)
-    if isinstance(kind, UPlus):
-        a_lo, a_hi = 6 + 2 * s_lo, 6 + 2 * s_hi
-        b_lo, b_hi = -1 / s_lo, -1 / s_hi
-    else:
-        a_lo, a_hi = 6 - 2 * s_hi, 6 - 2 * s_lo
-        b_lo, b_hi = 1 / s_hi, 1 / s_lo
+    k = q + 8
+    one, s = 1 << k, math.isqrt(6 << 2 * k)  # sqrt(6) lies in [s, s + 1] / 2**k
+    # a and b at each end of sqrt(6)'s enclosure, as numerators over 2**k and pairs
+    if isinstance(kind, UPlus):  # a = 6 + 2 sqrt(6), b = -1/sqrt(6)
+        a_lo, a_hi = 6 * one + 2 * s, 6 * one + 2 * s + 2
+        b_lo, b_hi = (-one, s), (-one, s + 1)
+    else:  # a = 6 - 2 sqrt(6), b = 1/sqrt(6)
+        a_lo, a_hi = 6 * one - 2 * s - 2, 6 * one - 2 * s
+        b_lo, b_hi = (one, s + 1), (one, s)
+    # n + e/d = (n d + e)/d is coprime once e/d is, as gcd(n d + e, d) = gcd(e, d)
+    (e_lo, d_lo), (e_hi, d_hi) = [(e // g, d // g) for e, d in (b_lo, b_hi)
+                                  for g in [math.gcd(e, d)]]
 
     def tail(n):
         # 1/(a n) - ln(n + b) decreases in a and in b: lo takes a_hi and b_hi
         _check_domain(kind, n)
-        c_lo, c_hi = 1 / (a_hi * n), 1 / (a_lo * n)
-        return (n - 1, ln_ends(c_lo, c_lo, n + b_hi, q)[0],
-                ln_ends(c_hi, c_hi, n + b_lo, q)[1])
+        c_lo, c_hi = (one, a_hi * n), (one, a_lo * n)
+        return (n - 1, ln_ends(c_lo, c_lo, (n * d_hi + e_hi, d_hi), q)[0],
+                ln_ends(c_hi, c_hi, (n * d_lo + e_lo, d_lo), q)[1])
 
     return tail
 

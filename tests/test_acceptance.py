@@ -88,7 +88,7 @@ def test_criterion_3_cubed_deviation_bracket():
 
 
 def test_criterion_4_theorem_sweep_to_10000():
-    with budget(5.0, "criterion 4: bracket sweep n in [3, 10000] at p = 192"):
+    with budget(2.0, "criterion 4: bracket sweep n in [3, 10000] at p = 192"):
         entry = bounds.get_entry("theorem22")
         report = bounds.sweep(entry, 3, 10000, 192)
         counts = report.counts
@@ -118,7 +118,7 @@ def test_criterion_5_proof_artifacts_exact():
 
 
 def test_criterion_6_historical_catalog_to_2000():
-    with budget(15.0, "criterion 6: all catalog entries over [n_min, 2000] at p = 128"):
+    with budget(6.0, "criterion 6: all catalog entries over [n_min, 2000] at p = 128"):
         for entry in bounds.catalog():
             report = bounds.sweep(entry, entry.n_min, 2000, 128)
             assert report.counts[bounds.CERTIFIED_TRUE] == len(report.rows), (

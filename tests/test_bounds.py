@@ -23,6 +23,7 @@ from gammaseq.bounds import (
 )
 from gammaseq.errors import DomainError
 from gammaseq.numerics import GUARD_BITS, BigReal, decimal_text, gamma_reference
+from gammaseq.polycert import Polynomial
 from gammaseq.sequences import GammaN, evaluate_interval
 
 F = Fraction
@@ -45,12 +46,62 @@ PUBLISHED_CONSTANT_SIDES = {
 }
 
 
+def _inv_linear(slope, offset):
+    return lambda n, c: 1 / (slope * n + F(offset))
+
+
+def _chen_mortici(terms):
+    def bound(n, c):
+        m = n + F(1, 2)
+        return sum((coeff / m**power for coeff, power in terms), F(0))
+
+    return bound
+
+
+# every side as the Fraction formula it was written as before the integer
+# sides: the oracle of the (num, den) pairs; c is a Fraction
+PUBLISHED_SIDES = {
+    ("tims-tyrrell", "lower"): lambda n, c: F(1, 2 * (n + 1)),
+    ("tims-tyrrell", "upper"): lambda n, c: F(1, 2 * (n - 1)),
+    ("young", "lower"): lambda n, c: F(1, 2 * (n + 1)),
+    ("young", "upper"): lambda n, c: F(1, 2 * n),
+    ("anderson", "lower"): lambda n, c: (1 - c) / n,
+    ("anderson", "upper"): lambda n, c: F(1, 2 * n),
+    ("mortici-vernescu", "lower"): _inv_linear(2, 1),
+    ("mortici-vernescu", "upper"): _inv_linear(2, 0),
+    ("toth", "lower"): _inv_linear(2, F(2, 5)),
+    ("toth", "upper"): _inv_linear(2, F(1, 3)),
+    ("alzer-chen-qi", "lower"): lambda n, c: 1 / (2 * n + (2 * c - 1) / (1 - c)),
+    ("alzer-chen-qi", "upper"): _inv_linear(2, F(1, 3)),
+    ("qiu-vuorinen", "lower"): lambda n, c: F(1, 2 * n) - F(1, 2 * n * n),
+    ("qiu-vuorinen", "upper"): lambda n, c: F(1, 2 * n) - (c - F(1, 2)) / (n * n),
+    ("franel", "lower"): lambda n, c: F(1, 2 * n) - F(1, 8 * n * n),
+    ("franel", "upper"): lambda n, c: F(1, 2 * n),
+    ("karatsuba", "lower"):
+        lambda n, c: F(1, 2 * n) - F(1, 12 * n**2) + F(1, 120 * n**4) - F(1, 126 * n**6),
+    ("karatsuba", "upper"): lambda n, c: F(1, 2 * n) - F(1, 12 * n**2) + F(1, 120 * n**4),
+    ("mortici-refined", "lower"): lambda n, c: 1 / (2 * n + F(1, 3) + F(1, 18 * n)),
+    ("mortici-refined", "upper"): lambda n, c: 1 / (2 * n + F(1, 3) + F(1, 32 * n)),
+    ("detemple", "lower"): lambda n, c: F(1, 24 * (n + 1) ** 2),
+    ("detemple", "upper"): lambda n, c: F(1, 24 * n**2),
+    ("chen", "lower"): lambda n, c: 1 / (24 * (n + c) ** 2),
+    ("chen", "upper"): lambda n, c: F(1, 24 * (n + F(1, 2)) ** 2),
+    ("chen-mortici", "lower"): _chen_mortici([(F(1, 24), 2), (F(-7, 960), 4),
+                                              (F(31, 8064), 6), (F(-127, 30720), 8)]),
+    ("chen-mortici", "upper"): _chen_mortici([(F(1, 24), 2), (F(-7, 960), 4),
+                                              (F(31, 8064), 6)]),
+    ("theorem22", "lower"): lambda n, c: F(1, 12 * n**3) + F(11, 120 * n**4),
+    ("theorem22", "upper"): lambda n, c: F(1, 12 * n**3) + F(13, 120 * n**4),
+}
+
+
 def _side_values(entry, side, n, c):
-    """The side at both ends of c's enclosure, or its one value if it ignores c."""
-    fn = getattr(entry, side)
+    """The published side at both ends of c's enclosure, or its one value if
+    it ignores c, as Fractions."""
+    formula = PUBLISHED_SIDES[entry.entry_id, side]
     if side not in entry.reads_c:
-        return [fn(n, None)]
-    return [fn(n, c[0]), fn(n, c[1])]
+        return [formula(n, None)]
+    return [formula(n, F(*c[0])), formula(n, F(*c[1]))]
 
 
 def test_catalog_has_expected_entries():
@@ -59,15 +110,45 @@ def test_catalog_has_expected_entries():
     assert {e.entry_id for e in entries} == EXPECTED_IDS
 
 
+@st.composite
+def catalog_sides(draw):
+    entry = draw(st.sampled_from(catalog()))
+    side = draw(st.sampled_from(["lower", "upper"]))
+    n = draw(st.integers(getattr(entry, f"n_min_{side}"), 10**6))
+    return entry, side, n, draw(st.sampled_from([32, 64, 192]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=catalog_sides())
+@example(case=(get_entry("karatsuba"), "lower", 1, 32))
+@example(case=(get_entry("chen"), "lower", 2, 64))
+@example(case=(get_entry("qiu-vuorinen"), "upper", 2, 32))
+def test_integer_sides_are_the_published_formulas(case):
+    entry, side, n, p = case
+    assert {(e.entry_id, s) for e in catalog() for s in ("lower", "upper")} == set(
+        PUBLISHED_SIDES)
+    fn, formula = getattr(entry, side), PUBLISHED_SIDES[entry.entry_id, side]
+    # a side that reads c at both ends of its enclosure, as integer pairs
+    ends = entry.constant(p) if side in entry.reads_c else [None]
+    for c in ends:
+        num, den = fn(n, c)
+        assert type(num) is int and type(den) is int and den > 0, (entry.entry_id, side, n)
+        assert F(num, den) == formula(n, None if c is None else F(*c)), (entry.entry_id, side)
+        # the same formula at the polynomial x gives the side's polynomials
+        polys = [v if isinstance(v, Polynomial) else Polynomial.constant(v)
+                 for v in fn(Polynomial.x(), c)]
+        assert [poly.evaluate(n) for poly in polys] == [num, den], (entry.entry_id, side)
+
+
 def test_toth_bound_values():
     e = get_entry("toth")
-    assert e.lower(7, None) == F(1, 2 * 7 + F(2, 5))
-    assert e.upper(7, None) == F(1, 2 * 7 + F(1, 3))
+    assert F(*e.lower(7, None)) == F(1, 2 * 7 + F(2, 5))
+    assert F(*e.upper(7, None)) == F(1, 2 * 7 + F(1, 3))
 
 
 def test_karatsuba_keeps_printed_tail_term():
     e = get_entry("karatsuba")
-    lo = e.lower(2, None)
+    lo = F(*e.lower(2, None))
     assert lo == F(1, 4) - F(1, 48) + F(1, 1920) - F(1, 8064)
     assert "126" in e.note and "252" in e.note
 
@@ -81,11 +162,11 @@ def test_constant_sides_bracket_published_formula(p):
     for (entry_id, side), formula in PUBLISHED_CONSTANT_SIDES.items():
         e = entries[entry_id]
         fn = getattr(e, side)
-        c_lo, c_hi = e.constant(p)
+        c_lo, c_hi = (F(*end) for end in e.constant(p))
         assert c_lo < c_hi
         c_mid = (c_lo + c_hi) / 2
         for n in [*range(getattr(e, f"n_min_{side}"), 31), 500, 2000]:
-            at_lo, at_mid, at_hi = fn(n, c_lo), fn(n, c_mid), fn(n, c_hi)
+            at_lo, at_mid, at_hi = (F(*fn(n, c.as_integer_ratio())) for c in (c_lo, c_mid, c_hi))
             assert at_lo > at_mid > at_hi or at_lo < at_mid < at_hi, (entry_id, p, n)
             oracle = mpf_to_fraction(formula(n))
             slack = abs(oracle) / 2 ** (2 * p - 16)  # the oracle's own rounding
@@ -94,9 +175,9 @@ def test_constant_sides_bracket_published_formula(p):
             # a sweep row compares against the end that is binding for the side
             row = sweep(e.restricted(side), n, n, p, precision_cap=p).rows[0]
             if side == "lower":
-                assert row.lower == max(at_lo, at_hi), (entry_id, p, n)
+                assert F(*row.lower) == max(at_lo, at_hi), (entry_id, p, n)
             else:
-                assert row.upper == min(at_lo, at_hi), (entry_id, p, n)
+                assert F(*row.upper) == min(at_lo, at_hi), (entry_id, p, n)
 
 
 def test_theorem22_per_side_ranges():
@@ -245,7 +326,7 @@ def test_falsified_entry_certified_false():
     impossible = BoundEntry(
         entry_id="young-falsified",
         target=GammaN(),
-        lower=lambda n, c: F(1, n),  # above the true deviation
+        lower=lambda n, c: (1, n),  # above the true deviation
         upper=e.upper,
         n_min_lower=1,
         n_min_upper=1,
@@ -253,6 +334,21 @@ def test_falsified_entry_certified_false():
     )
     verdict = check(impossible, 10, 128)
     assert verdict.holds == CERTIFIED_FALSE
+
+
+@pytest.mark.parametrize("reads_c", [False, True])
+@pytest.mark.parametrize("den", [0, -1])
+def test_non_positive_side_denominator_is_a_domain_error(den, reads_c):
+    young = get_entry("young")
+    fixture = BoundEntry(
+        entry_id="signed-fixture", target=GammaN(),
+        # with c, only the end at c's upper bound has the bad denominator
+        lower=lambda n, c: (1, den * n if c is None or c == young.constant(64)[1] else n),
+        upper=young.upper, n_min_lower=1, n_min_upper=1,
+        citation="synthetic test fixture", reads_c=("lower",) if reads_c else (),
+    )
+    with pytest.raises(DomainError, match="lower side of 'signed-fixture' has a non-positive"):
+        sweep(fixture, 1, 3, 64)
 
 
 def test_undecided_when_bound_sits_inside_value_interval():
@@ -267,7 +363,7 @@ def test_undecided_when_bound_sits_inside_value_interval():
     touching = BoundEntry(
         entry_id="young-touching",
         target=GammaN(),
-        lower=lambda n, c: dev_mid,
+        lower=lambda n, c: dev_mid.as_integer_ratio(),
         upper=None,
         n_min_lower=1,
         n_min_upper=None,
@@ -286,7 +382,8 @@ def test_verdicts_are_exact_within_one_unit_of_the_row_scale():
     def with_side(side, value):
         fixture = BoundEntry(
             entry_id="young-fixture", target=GammaN(),
-            lower=lambda n, c: value, upper=lambda n, c: value,
+            lower=lambda n, c: value.as_integer_ratio(),
+            upper=lambda n, c: value.as_integer_ratio(),
             n_min_lower=1 if side == "lower" else None,
             n_min_upper=1 if side == "upper" else None,
             citation="synthetic test fixture",
@@ -311,7 +408,7 @@ def test_verdicts_are_exact_within_one_unit_of_the_row_scale():
 def test_least_margin_across_scales():
     def row(n, margin, scale, verdict=CERTIFIED_TRUE):
         return SweepRow(n=n, verdict=verdict, margin=margin, margin_lower=margin,
-                        margin_upper=None, lower=F(0), upper=None, value_lo=0,
+                        margin_upper=None, lower=(0, 1), upper=None, value_lo=0,
                         value_hi=0, precision=32, scale=scale)
 
     # margins 3/4, 3/4, 5/8, 5/8, an undecided 0 and 3/4: the first least is n = 3

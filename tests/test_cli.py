@@ -200,7 +200,7 @@ def test_falsified_entry_exits_one(capsys, monkeypatch):
     falsified = BoundEntry(
         entry_id="falsified-fixture",
         target=GammaN(),
-        lower=lambda n, c: F(1, n),  # sits above the deviation
+        lower=lambda n, c: (1, n),  # sits above the deviation
         upper=None,
         n_min_lower=1,
         n_min_upper=None,
@@ -225,7 +225,7 @@ def test_undecided_rows_exit_three(capsys, monkeypatch):
     touching = BoundEntry(
         entry_id="touching-fixture",
         target=GammaN(),
-        lower=lambda n, c: dev_mid,
+        lower=lambda n, c: dev_mid.as_integer_ratio(),
         upper=None,
         n_min_lower=1,
         n_min_upper=None,

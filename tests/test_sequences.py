@@ -1,5 +1,6 @@
 """Sequence evaluators: exact splits, interval evaluation, identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -146,6 +147,35 @@ def walks(draw):
     n_to = draw(st.integers(n_from, 400))
     subset = sorted(draw(st.sets(st.integers(n_from, n_to), max_size=12)))
     return kind, n_from, n_to, draw(st.integers(64, 256)), subset
+
+
+def _published_pieces(kind, n):
+    """The correction and log argument of an exact kind, from its formula."""
+    if isinstance(kind, GammaN):
+        return F(1, n), F(n)
+    if isinstance(kind, DeTempleR):
+        return F(1, n), n + F(1, 2)
+    if isinstance(kind, VernescuV):
+        return F(1, 2 * n), F(n)
+    if isinstance(kind, SOptimal):
+        return F(13, 12 * (n - 1)) + F(5, 12 * n), F(n)
+    if isinstance(kind, MuFamily):
+        return 1 / (kind.a * n), n + kind.b
+    return (kind.a * n + kind.b) / (n * (n - 1)), F(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk=walks().filter(lambda walk: not isinstance(walk[0], (UPlus, UMinus))))
+@example(walk=(MuFamily(F(-1, 3), F(1, 2)), 1, 1, 64, []))
+@example(walk=(VFamily(F(-5, 7), F(-2, 3)), 3, 3, 64, []))
+def test_split_pairs_are_the_published_pieces(walk):
+    kind, n, _n_to, _q, _subset = walk
+    m, (c_num, c_den), (x_num, x_den) = sequences._split(kind)(n)
+    assert all(type(v) is int for v in (m, c_num, c_den, x_num, x_den))
+    assert c_den > 0 and x_den > 0 and x_num > 0
+    assert math.gcd(x_num, x_den) == 1  # ln_fixed reads the reduced bit lengths
+    assert (F(c_num, c_den), F(x_num, x_den)) == _published_pieces(kind, n)
+    assert split_eval(kind, n) == sequences.SplitValue(m, F(c_num, c_den), F(x_num, x_den), n)
 
 
 def _fraction_tail_interval(kind, n, q):
