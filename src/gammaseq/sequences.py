@@ -205,16 +205,15 @@ def _tails(kind: SequenceKind, q: int):
         return tail
     k = q + 8
     one, s = 1 << k, math.isqrt(6 << 2 * k)  # sqrt(6) lies in [s, s + 1] / 2**k
-    # a and b at each end of sqrt(6)'s enclosure, as numerators over 2**k and pairs
+    # a and b at each end of sqrt(6)'s enclosure, a as numerators over 2**k
     if isinstance(kind, UPlus):  # a = 6 + 2 sqrt(6), b = -1/sqrt(6)
         a_lo, a_hi = 6 * one + 2 * s, 6 * one + 2 * s + 2
-        b_lo, b_hi = (-one, s), (-one, s + 1)
+        b_lo, b_hi = Fraction(-one, s), Fraction(-one, s + 1)
     else:  # a = 6 - 2 sqrt(6), b = 1/sqrt(6)
         a_lo, a_hi = 6 * one - 2 * s - 2, 6 * one - 2 * s
-        b_lo, b_hi = (one, s + 1), (one, s)
-    # n + e/d = (n d + e)/d is coprime once e/d is, as gcd(n d + e, d) = gcd(e, d)
-    (e_lo, d_lo), (e_hi, d_hi) = [(e // g, d // g) for e, d in (b_lo, b_hi)
-                                  for g in [math.gcd(e, d)]]
+        b_lo, b_hi = Fraction(one, s + 1), Fraction(one, s)
+    # n + e/d = (n d + e)/d is in lowest terms with e/d, as gcd(n d + e, d) = gcd(e, d)
+    (e_lo, d_lo), (e_hi, d_hi) = b_lo.as_integer_ratio(), b_hi.as_integer_ratio()
 
     def tail(n):
         # 1/(a n) - ln(n + b) decreases in a and in b: lo takes a_hi and b_hi
