@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .numerics import (
     BigReal,
-    Enclosure,
     gamma_bootstrap,
     gamma_reference,
     harmonic_exact,
@@ -59,7 +58,6 @@ from .bounds import catalog, check, get_entry, sweep
 __all__ = [
     "__version__",
     "BigReal",
-    "Enclosure",
     "gamma_bootstrap",
     "gamma_reference",
     "harmonic_exact",

@@ -8,14 +8,16 @@ Karatsuba entry note).  Every bound side is a function (n, c) ->
 integer arithmetic, so that at n = `polycert.Polynomial.x()` it gives
 the side's numerator and denominator polynomials.  c is at most one
 real constant, enclosed once per working precision as two integer
-pairs; a side that reads it is monotone in c and is evaluated at both
-ends of that enclosure, which brackets the side.  A row holds no
-Fraction: a sweep walks the sequence's certified values once as
-integer pairs, then re-walks only its undecided rows at each doubled
-precision, and the deviations from gamma, the sides' floors and
-ceilings and the margins are integers at one explicit scale per walk.
-It reports certified-true only under strict separation, decided
-exactly; check is the one-row sweep.  Equality can therefore never be
+pairs (gamma's ends over 2**q as `gamma_reference` gives them, or
+chen's shift built from them in integers); a side that reads it is
+monotone in c and is evaluated at both ends of that enclosure, which
+brackets the side.  Neither a row nor the constant holds a Fraction:
+a sweep walks the sequence's certified values once as integer pairs,
+then re-walks only its undecided rows at each doubled precision, and
+the deviations from gamma, the sides' floors and ceilings and the
+margins are integers at one explicit scale per walk.  It reports
+certified-true only under strict separation, decided exactly; check
+returns the one-row sweep's row.  Equality can therefore never be
 certified; sides that are sharp at n = 1 start at n = 2.  sweep_rows
 yields the rows a chunk of indices at a time, with every walk resumed
 from chunk to chunk, so a sweep holds one chunk of rows at most.
@@ -26,16 +28,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .numerics import GUARD_BITS, BigReal, gamma_reference, ln_interval, sqrt_interval
+from .numerics import GUARD_BITS, gamma_reference, ln_fixed
 from .sequences import DeTempleR, GammaN, SequenceKind, SOptimal, Walk
 
 __all__ = [
     "BoundEntry",
-    "Verdict",
     "SweepRow",
     "SweepReport",
     "Tally",
@@ -58,7 +60,8 @@ CHUNK = 256  # indices walked, escalated and yielded together by sweep_rows
 
 
 def _gamma(p: int) -> Interval:
-    return tuple(end.as_integer_ratio() for end in gamma_reference(p).bounds())
+    lo, hi, q = gamma_reference(p)
+    return (lo, 1 << q), (hi, 1 << q)
 
 
 @dataclass(frozen=True)
@@ -103,19 +106,6 @@ class BoundEntry:
                 self, entry_id=f"{self.entry_id}-upper", lower=None, n_min_lower=None
             )
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one check; margins account for every interval width.
-
-    undecided means the working precision could not separate the
-    quantities, never that the inequality silently passed.
-    """
-
-    holds: str
-    margin: BigReal
-    precision: int
 
 
 # not frozen: a frozen dataclass sets each field through object.__setattr__,
@@ -192,13 +182,21 @@ class SweepReport:
 
 
 def _chen_shift(p: int) -> Interval:
-    """a = 1/sqrt(24 (1 - gamma - ln(3/2))) - 1, which makes chen sharp at n = 1."""
+    """a = 1/sqrt(24 (1 - gamma - ln(3/2))) - 1, which makes chen sharp at n = 1.
+
+    The radicand's ends are integers at one scale 2**-s; its roots r_lo and
+    r_hi (floor, and floor plus one) at scale 2**-q give a = (2**q - r) / r."""
     q = p + GUARD_BITS
-    g_lo, g_hi = gamma_reference(p).bounds()
-    ln_lo, ln_hi = ln_interval(Fraction(3, 2), q)
-    root_lo = sqrt_interval(24 * (1 - g_hi - ln_hi), q)[0]
-    root_hi = sqrt_interval(24 * (1 - g_lo - ln_lo), q)[1]
-    return (1 / root_hi - 1).as_integer_ratio(), (1 / root_lo - 1).as_integer_ratio()
+    g_lo, g_hi, q_g = gamma_reference(p)
+    ln_lo, ln_hi, q_ln = ln_fixed(3, 2, q)
+    s = max(q_g, q_ln)
+    one = 1 << s
+    rad_lo = 24 * (one - (g_hi << (s - q_g)) - (ln_hi << (s - q_ln)))
+    rad_hi = 24 * (one - (g_lo << (s - q_g)) - (ln_lo << (s - q_ln)))
+    # floor(sqrt(rad * 2**(2q - s))), as sqrt_interval rounds the radicand's value
+    r_lo = math.isqrt((rad_lo << 2 * q) >> s)
+    r_hi = math.isqrt((rad_hi << 2 * q) >> s) + 1
+    return ((1 << q) - r_hi, r_hi), ((1 << q) - r_lo, r_lo)
 
 
 def _catalog_entries() -> list[BoundEntry]:
@@ -387,16 +385,15 @@ class _RowWalk:
     c is the entry's constant enclosed at p, or None."""
 
     def __init__(self, entry: BoundEntry, p: int, c, q: int):
-        gamma = gamma_reference(p)
+        g_lo, g_hi, q_g = gamma_reference(p)
         self.entry, self.p = entry, p
         self.lower = entry.lower if entry.n_min_lower is not None else None
         self.upper = entry.upper if entry.n_min_upper is not None else None
         self.c_lower = c if "lower" in entry.reads_c else None
         self.c_upper = c if "upper" in entry.reads_c else None
         # the row scale holds the walk's pairs and gamma's ends exactly
-        self.scale = scale = max(q, -gamma.lo.exp, -gamma.hi.exp)
-        self.g_lo = gamma.lo.mant << (scale + gamma.lo.exp)
-        self.g_hi = gamma.hi.mant << (scale + gamma.hi.exp)
+        self.scale = scale = max(q, q_g)
+        self.g_lo, self.g_hi = g_lo << (scale - q_g), g_hi << (scale - q_g)
         self.shift = scale - q
         self.walk = Walk(entry.target, q)
 
@@ -454,15 +451,9 @@ def _walk_scale(p: int, bits: int) -> int:
     return p + GUARD_BITS + 2 * bits
 
 
-def check(entry: BoundEntry, n: int, p: int) -> Verdict:
-    """Certified verdict for one entry at one index: the one-row sweep at p."""
-    row = sweep(entry, n, n, p, precision_cap=p).rows[0]
-    return Verdict(
-        holds=row.verdict,
-        margin=BigReal.from_fraction(Fraction(row.margin, 1 << row.scale),
-                                     max(64, min(p, 128)), "floor"),
-        precision=p,
-    )
+def check(entry: BoundEntry, n: int, p: int) -> SweepRow:
+    """Certified row for one entry at one index: the one-row sweep at p."""
+    return sweep(entry, n, n, p, precision_cap=p).rows[0]
 
 
 def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,

@@ -84,13 +84,13 @@ def _decimal_digits(precision: int) -> int:
     return max(4, precision * 3 // 10)
 
 
-def _width_str(x: Fraction) -> str:
-    """x > 0 as d.ddde[+-]XX rounded to nearest from its exact value: the bytes
-    of f"{float(x):.3e}" wherever that float is normal, without its underflow."""
-    num, den = x.numerator, x.denominator
-    e = (num.bit_length() - den.bit_length() - 1) * 30103 // 100000 - 1  # <= log10(x)
+def _width_str(num: int, den: int) -> str:
+    """num/den > 0 as d.ddde[+-]XX rounded to nearest from its exact value: the
+    bytes of f"{float(num / den):.3e}" wherever that float is normal, without
+    its underflow."""
+    e = (num.bit_length() - den.bit_length() - 1) * 30103 // 100000 - 1  # <= log10(num/den)
 
-    def scaled(rounding):  # x * 10**(3 - e) rounded to an integer
+    def scaled(rounding):  # num/den * 10**(3 - e) rounded to an integer
         return numerics._round(num * 10**max(3 - e, 0), den * 10**max(e - 3, 0), rounding)[1]
 
     while scaled("floor") >= 10000:
@@ -106,30 +106,14 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _json_text(value, indent: str) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) nested at `indent`; strings
-    go to the C encoder and ints to int.__repr__, as json writes them."""
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [_quote(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [_json_text(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if type(value) is int:
-        return int.__repr__(value)
-    return json.dumps(value)
+    """json.dumps(value, indent=2, sort_keys=True) nested at `indent`."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def _json_rows(rows, indent: str):
     """_json_text(row, indent) of each row dict, with the sorted keys and
-    their quoted text made once for each set of keys, not once per row."""
+    their quoted text made once for each set of keys, not once per row;
+    strings go to the C quoter and ints to int.__repr__, as json writes them."""
     inner = indent + "  "
     layouts = {}
     for row in rows:
@@ -141,6 +125,7 @@ def _json_rows(rows, indent: str):
             yield "{}"
             continue
         items = [head + (_quote(value) if type(value := row[key]) is str
+                         else int.__repr__(value) if type(value) is int
                          else _json_text(value, inner)) for key, head in layout]
         yield "{\n" + ",\n".join(items) + "\n" + indent + "}"
 
@@ -397,16 +382,17 @@ def cmd_certify(args) -> int:
 
 def cmd_enclose(args) -> int:
     if args.n is not None:
-        enclosure = numerics.gamma_bootstrap(args.n, args.precision)
+        lo, hi, q = numerics.gamma_bootstrap(args.n, args.precision)
         params = {"n": args.n, "precision": args.precision}
     else:
-        enclosure = numerics.gamma_reference(args.precision)
+        lo, hi, q = numerics.gamma_reference(args.precision)
         params = {"precision": args.precision}
     digits = _decimal_digits(args.precision) + 4
-    width = _width_str(enclosure.width)
+    unit = 1 << q
+    width = _width_str(hi - lo, unit)
     rows = [{
-        "lo": enclosure.lo.decimal_str(digits, "floor"),
-        "hi": enclosure.hi.decimal_str(digits, "ceiling"),
+        "lo": numerics.decimal_text(lo, unit, digits, "floor"),
+        "hi": numerics.decimal_text(hi, unit, digits, "ceiling"),
         "width": width,
     }]
     _emit(args.format, "enclose", params, rows,

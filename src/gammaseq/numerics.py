@@ -8,12 +8,12 @@ value.  `ln_fixed` is that integer core for logarithms, at a scale of
 its own; `ln_ends`, the one routine that combines it with an exact
 rational c, gives the floor and ceiling of (c - ln x) * 2**q to the
 sequence walk and the constant's enclosure, with c and x as integer
-pairs (num, den).
+pairs (num, den).  `gamma_reference` and `gamma_bootstrap` give the
+constant in the same protocol, as (lo, hi, q).
 `ln_interval` and `sqrt_interval` give brackets as dyadic Fractions.
-`BigReal` and `Enclosure` are the printed results: a `BigReal` is a
-value rounded once to an explicit number of bits, an `Enclosure` a
-pair of them rounded outward.  They carry no arithmetic; `BigReal`
-and `decimal_text` share the one rounding routine, `_round`.
+A `BigReal` is a printed value rounded once to an explicit number of
+bits; it carries no arithmetic, and it and `decimal_text` share the
+one rounding routine, `_round`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import DomainError
 
 __all__ = [
     "BigReal",
-    "Enclosure",
     "decimal_text",
     "harmonic_exact",
     "ln_fixed",
@@ -83,7 +82,7 @@ def decimal_text(num: int, den: int, places: int, rounding: str = "nearest") -> 
 
 
 # ---------------------------------------------------------------------------
-# BigReal / Enclosure
+# BigReal
 
 
 class BigReal:
@@ -146,37 +145,6 @@ class BigReal:
 
     def __repr__(self):
         return f"BigReal({self.decimal_str(max(1, self.prec * 3 // 10))}, prec={self.prec})"
-
-
-class Enclosure:
-    """Certified interval [lo, hi]: the target is guaranteed inside.
-
-    Endpoints are BigReal values rounded outward once, when they are
-    made; `bounds()` reads them back as exact Fractions.
-    """
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: BigReal, hi: BigReal):
-        if lo.to_fraction() > hi.to_fraction():
-            raise ValueError("enclosure endpoints out of order")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Enclosure is immutable")
-
-    def bounds(self) -> tuple[Fraction, Fraction]:
-        return self.lo.to_fraction(), self.hi.to_fraction()
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi.to_fraction() - self.lo.to_fraction()
-
-    def __repr__(self):
-        places = max(1, self.lo.prec * 3 // 10)
-        return (f"Enclosure[{self.lo.decimal_str(places, 'floor')}, "
-                f"{self.hi.decimal_str(places, 'ceiling')}]")
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +277,16 @@ _BOOTSTRAP_MAX_N = 1 << 17
 _LOG2_E_FLOOR = (14426, 10000)
 
 
-def _gamma_enclosure(lo: int, hi: int, q: int) -> Enclosure:
-    # gamma < 1, so q-bit mantissas at exponent -q hold the ends exactly
-    return Enclosure(BigReal(lo, -q, q), BigReal(hi, -q, q))
+def _gamma_ends(lo: int, hi: int, q: int) -> tuple[int, int, int]:
+    # the one order check, which both routes to the constant return through
+    if lo > hi:
+        raise ValueError("enclosure endpoints out of order")
+    return lo, hi, q
 
 
-def gamma_bootstrap(n: int, p: int) -> Enclosure:
-    """Enclosure of the Euler-Mascheroni constant from s_n directly.
+def gamma_bootstrap(n: int, p: int) -> tuple[int, int, int]:
+    """Enclosure (lo, hi, q) of the Euler-Mascheroni constant from s_n
+    directly: lo <= gamma * 2**q <= hi.
 
     Width is 1/(60 n^4) plus evaluation slack; requires n >= 9 (the
     upper bracket on s_n - gamma only holds from there).
@@ -329,7 +300,7 @@ def gamma_bootstrap(n: int, p: int) -> Enclosure:
     rest = 10 * n * (18 * n**3 - 5 * n**2 - n + 1)
     den = 120 * n**4 * (n - 1)
     lo, hi = ln_ends((rest - 13 * (n - 1), den), (rest - 11 * (n - 1), den), (n, 1), q)
-    return _gamma_enclosure(h_lo + lo, h_hi + hi, q)
+    return _gamma_ends(h_lo + lo, h_hi + hi, q)
 
 
 def _bootstrap_n_for(p: int) -> int:
@@ -341,8 +312,9 @@ def _bootstrap_n_for(p: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def gamma_reference(p: int) -> Enclosure:
-    """Certified enclosure of the Euler-Mascheroni constant, width <= 2**(2-p).
+def gamma_reference(p: int) -> tuple[int, int, int]:
+    """Certified enclosure (lo, hi, q) of the Euler-Mascheroni constant,
+    lo <= gamma * 2**q <= hi, of width (hi - lo) * 2**-q <= 2**(2-p).
 
     Deterministic for a given p.  Small p uses the s_N bracket with N
     the smallest power of two satisfying 1/(60 N^4) <= 2**(1-p); large
@@ -363,5 +335,5 @@ def gamma_reference(p: int) -> Enclosure:
     s_lo, s_hi = kernels.gamma_series_fixed(x, q_series)
     # the lower end takes off 1/(x 2**shift), an upper bound on E1(x)
     tail_den = x << shift
-    return _gamma_enclosure(*ln_ends((s_lo * tail_den - (1 << q_series), tail_den << q_series),
-                                     (s_hi, 1 << q_series), (x, 1), q), q)
+    return _gamma_ends(*ln_ends((s_lo * tail_den - (1 << q_series), tail_den << q_series),
+                                (s_hi, 1 << q_series), (x, 1), q), q)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mpf_to_fraction
+from conftest import dyadic_ends, mpf_to_fraction
 from gammaseq import _kernels_py as kernels, bounds
 from gammaseq.bounds import (
     CERTIFIED_FALSE,
@@ -22,7 +22,9 @@ from gammaseq.bounds import (
     sweep,
 )
 from gammaseq.errors import DomainError
-from gammaseq.numerics import GUARD_BITS, BigReal, decimal_text, gamma_reference
+from gammaseq.numerics import (
+    GUARD_BITS, BigReal, decimal_text, gamma_reference, ln_interval, sqrt_interval,
+)
 from gammaseq.polycert import Polynomial
 from gammaseq.sequences import GammaN, evaluate_interval
 
@@ -180,6 +182,28 @@ def test_constant_sides_bracket_published_formula(p):
                 assert F(*row.upper) == min(at_lo, at_hi), (entry_id, p, n)
 
 
+def _chen_shift_oracle(p):
+    """chen's shift as the Fraction formula it was written as before the
+    integer constant, from gamma's ends, ln_interval(3/2) and sqrt_interval."""
+    q = p + GUARD_BITS
+    g_lo, g_hi = dyadic_ends(*gamma_reference(p))
+    ln_lo, ln_hi = ln_interval(F(3, 2), q)
+    root_lo = sqrt_interval(24 * (1 - g_hi - ln_hi), q)[0]
+    root_hi = sqrt_interval(24 * (1 - g_lo - ln_lo), q)[1]
+    return 1 / root_hi - 1, 1 / root_lo - 1
+
+
+@pytest.mark.parametrize("p", [32, 48, 64, 72, 75, 128, 192, 1024])
+def test_chen_shift_is_the_fraction_formula(p):
+    ends = bounds._chen_shift(p)
+    for (num, den), oracle in zip(ends, _chen_shift_oracle(p)):
+        assert type(num) is int and type(den) is int and den > 0
+        assert num * oracle.denominator == oracle.numerator * den, p
+    mp.mp.prec = 2 * p + 64
+    a = mpf_to_fraction(1 / mp.sqrt(24 * (1 - mp.euler - mp.log(mp.mpf(3) / 2))) - 1)
+    assert F(*ends[0]) < a < F(*ends[1])
+
+
 def test_theorem22_per_side_ranges():
     e = get_entry("theorem22")
     assert e.n_min_lower == 3 and e.n_min_upper == 9
@@ -196,15 +220,15 @@ def test_get_entry_side_restriction():
 
 
 def test_check_young_example():
-    verdict = check(get_entry("young"), 5, 128)
-    assert verdict.holds == CERTIFIED_TRUE
-    assert verdict.margin.to_fraction() > 0
+    row = check(get_entry("young"), 5, 128)
+    assert row.verdict == CERTIFIED_TRUE
+    assert row.margin > 0
 
 
 def test_check_theorem22_at_both_edges():
     e = get_entry("theorem22")
-    assert check(e, 9, 192).holds == CERTIFIED_TRUE
-    assert check(get_entry("theorem22-lower"), 3, 192).holds == CERTIFIED_TRUE
+    assert check(e, 9, 192).verdict == CERTIFIED_TRUE
+    assert check(get_entry("theorem22-lower"), 3, 192).verdict == CERTIFIED_TRUE
 
 
 def test_check_below_n_min_rejected():
@@ -238,7 +262,7 @@ def test_undecided_rows_escalate_alone_by_doubling():
     report = sweep(e, 100, 120, 32)
     assert report.counts[CERTIFIED_TRUE] == len(report.rows)
     assert [r.precision for r in report.rows] == [32] * 5 + [64] * 16
-    assert check(e, 105, 32).holds == UNDECIDED
+    assert check(e, 105, 32).verdict == UNDECIDED
     # an escalated row is the one-row sweep at its final precision
     assert report.rows[5] == sweep(e, 105, 105, 64, precision_cap=64).rows[0]
     capped = sweep(e, 100, 120, 32, precision_cap=48)
@@ -292,7 +316,7 @@ def test_monotone_refinement():
     # raising precision never flips certified-true to certified-false
     e = get_entry("mortici-refined")
     for n in (1, 2, 17):
-        verdicts = [check(e, n, p).holds for p in (64, 128, 256)]
+        verdicts = [check(e, n, p).verdict for p in (64, 128, 256)]
         assert CERTIFIED_TRUE in verdicts
         assert CERTIFIED_FALSE not in verdicts
         first_true = verdicts.index(CERTIFIED_TRUE)
@@ -332,8 +356,7 @@ def test_falsified_entry_certified_false():
         n_min_upper=1,
         citation="synthetic test fixture",
     )
-    verdict = check(impossible, 10, 128)
-    assert verdict.holds == CERTIFIED_FALSE
+    assert check(impossible, 10, 128).verdict == CERTIFIED_FALSE
 
 
 @pytest.mark.parametrize("reads_c", [False, True])
@@ -358,7 +381,7 @@ def test_undecided_when_bound_sits_inside_value_interval():
     from gammaseq.sequences import evaluate_interval
 
     lo, hi = evaluate_interval(GammaN(), 10, ctx_q)
-    g_lo, g_hi = gamma_reference(64).bounds()
+    g_lo, g_hi = dyadic_ends(*gamma_reference(64))
     dev_mid = ((lo - g_hi) + (hi - g_lo)) / 2
     touching = BoundEntry(
         entry_id="young-touching",
@@ -369,8 +392,7 @@ def test_undecided_when_bound_sits_inside_value_interval():
         n_min_upper=None,
         citation="synthetic test fixture",
     )
-    verdict = check(touching, 10, 64)
-    assert verdict.holds == UNDECIDED
+    assert check(touching, 10, 64).verdict == UNDECIDED
     report = sweep(touching, 10, 10, 64, precision_cap=64)
     assert report.counts[UNDECIDED] == 1
 
@@ -431,7 +453,7 @@ def test_precision_cap_below_start_rejected():
 def _exact_row(entry, n, p, q):
     """Verdict, deviations and side margins of the row at n with exact
     Fraction arithmetic on the walk's value interval at scale 2**-q."""
-    g_lo, g_hi = gamma_reference(p).bounds()
+    g_lo, g_hi = dyadic_ends(*gamma_reference(p))
     lo, hi = evaluate_interval(entry.target, n, q)
     dev_lo, dev_hi = lo - g_hi, hi - g_lo
     c = entry.constant(p) if entry.reads_c else None

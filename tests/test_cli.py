@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammaseq import bounds, cli
+from conftest import dyadic_ends
+from gammaseq import bounds, cli, numerics
 from gammaseq.bounds import BoundEntry
 from gammaseq.numerics import gamma_reference, harmonic_exact
 from gammaseq.sequences import GammaN, SOptimal, VernescuV, VFamily, split_eval
@@ -164,8 +165,31 @@ def test_enclose_width_is_printed_from_the_exact_value(capsys):
     assert code == 0
     assert data["rows"][0]["width"] == data["metadata"]["enclosure_width"] == "1.052e-1238"
     for p in [*range(32, 1049, 37), 1048]:
-        width = gamma_reference(p).width
-        assert cli._width_str(width) == f"{float(width):.3e}"
+        lo, hi, q = gamma_reference(p)
+        assert cli._width_str(hi - lo, 1 << q) == f"{float(Fraction(hi - lo, 1 << q)):.3e}"
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"sweep-bounds --entry {entry.entry_id} --to 300 --precision 32"
+      for entry in bounds.catalog()),
+    "enclose --precision 1024",
+    "enclose --n 1000 --precision 64",
+])
+def test_sweeps_and_enclose_build_no_fraction(capsys, monkeypatch, argv):
+    # the constant, the rows and the printed decimals are integers at explicit
+    # scales, from the enclosure of the constant (its cache emptied) onward
+    numerics.gamma_reference.cache_clear()
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_usage_errors_exit_two(capsys):
@@ -220,7 +244,7 @@ def test_undecided_rows_exit_three(capsys, monkeypatch):
 
     q = 64 + 32 + (10).bit_length()
     lo, hi = evaluate_interval(GammaN(), 10, q)
-    g_lo, g_hi = gamma_reference(64).bounds()
+    g_lo, g_hi = dyadic_ends(*gamma_reference(64))
     dev_mid = ((lo - g_hi) + (hi - g_lo)) / 2
     touching = BoundEntry(
         entry_id="touching-fixture",

@@ -12,7 +12,9 @@ of the sqrt(6) variants that one walk over any indices replaced, and
 the enclosures of the constant with the two-chain series kernel that the
 exact binary-splitting sum replaced, and the sweeps of the seven entries
 that had none, with chen-mortici escalating from 32 bits, with the Fraction
-bound sides that integer numerator/denominator pairs replaced.
+bound sides that integer numerator/denominator pairs replaced, and the
+enclosures from s_N at 64 bits and from s_10, with the BigReal ends that
+the constant as an integer pair at an explicit scale replaced.
 Verdicts, exit codes and printed digits must not depend on how the
 certified values are computed.
 """
@@ -64,6 +66,9 @@ GOLDEN = [
     ("enclose_4096.json", "enclose --precision 4096"),
     ("enclose_12288.json", "enclose --precision 12288"),
     ("enclose_n1000000.json", "enclose --n 1000000 --precision 160"),
+    # the s_N route of the constant at 64 bits, and s_n at an explicit small n
+    ("enclose_64.json", "enclose --precision 64"),
+    ("enclose_n10.csv", "enclose --n 10 --precision 128 --format csv"),
 ]
 
 

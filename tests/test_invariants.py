@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dyadic_ends
 from gammaseq import _kernels_py as kernels, numerics
 from gammaseq.numerics import gamma_reference, harmonic_exact
 from gammaseq.polycert import Polynomial, RationalFunction
@@ -38,12 +39,12 @@ def test_harmonic_interval_brackets_every_n_to_10000():
 def test_optimal_sequence_bracket_midpoints_to_2000():
     # n^3 (s_n - gamma) stays inside (1/12 + 11/(120 n), 1/12 + 13/(120 n));
     # widths are forced far below the bracket gap before trusting midpoints
-    enc = gamma_reference(192)
-    gamma_mid = sum(enc.bounds()) / 2
+    g_lo, g_hi = dyadic_ends(*gamma_reference(192))
+    gamma_mid = (g_lo + g_hi) / 2
     for n in range(9, 2001):
         lo, hi = evaluate_interval(SOptimal(), n, 240)
         gap = F(1, 60 * n**4)
-        assert enc.width < gap / 1000
+        assert g_hi - g_lo < gap / 1000
         assert (hi - lo) < gap / 1000
         scaled = ((lo + hi) / 2 - gamma_mid) * n**3
         assert F(1, 12) + F(11, 120 * n) < scaled < F(1, 12) + F(13, 120 * n)
@@ -66,7 +67,7 @@ def test_concurrent_use_is_consistent():
         n = 37 + 13 * seed
         return (
             harmonic_exact(n),
-            gamma_reference(64 + 8 * (seed % 3)).bounds(),
+            gamma_reference(64 + 8 * (seed % 3)),
             numerics.ln_interval(F(n), 96),
         )
 
@@ -76,7 +77,7 @@ def test_concurrent_use_is_consistent():
         n = 37 + 13 * seed
         fresh = sum((F(1, k) for k in range(1, n + 1)), F(0))
         assert h == fresh
-        assert g == gamma_reference(64 + 8 * (seed % 3)).bounds()
+        assert g == gamma_reference(64 + 8 * (seed % 3))
         assert ln == numerics.ln_interval(F(n), 96)
 
 

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mpf_to_fraction
+from conftest import dyadic_ends, mpf_to_fraction
 from gammaseq import _kernels_py as kernels, numerics
 from gammaseq.errors import DomainError
 from gammaseq.numerics import (
     GUARD_BITS,
     BigReal,
-    Enclosure,
     gamma_bootstrap,
     gamma_reference,
     harmonic_exact,
@@ -32,7 +31,7 @@ def random_fraction(rng, max_num=10**6):
 
 
 def inside(enc, x):
-    lo, hi = enc.bounds()
+    lo, hi = dyadic_ends(*enc)
     return lo <= x <= hi
 
 
@@ -299,8 +298,9 @@ def euler_fraction(prec=700):
 @pytest.mark.parametrize("p", [32, 64, 74, 75, 128, 192, 256, 1024, 4096])
 def test_gamma_reference_contract(p):
     enc = gamma_reference(p)
-    assert enc.width <= Fraction(2) ** (2 - p)
-    assert enc.lo.to_fraction() < enc.hi.to_fraction()
+    lo, hi = dyadic_ends(*enc)
+    assert hi - lo <= Fraction(2) ** (2 - p)
+    assert lo < hi
     assert inside(enc, euler_fraction(max(700, 2 * p)))
 
 
@@ -316,20 +316,18 @@ def test_gamma_reference_computes_one_logarithm(monkeypatch, p):
 def test_gamma_reference_is_deterministic():
     a = gamma_reference.__wrapped__(128)
     b = gamma_reference.__wrapped__(128)
-    assert a.bounds() == b.bounds()
+    assert a == b
 
 
 def test_gamma_reference_nested_midpoints():
     pairs = [(32, 48), (48, 64), (64, 96), (64, 128), (96, 192), (128, 256)]
     for p1, p2 in pairs:
-        outer = gamma_reference(p1)
-        mid = sum(gamma_reference(p2).bounds()) / 2
-        assert outer.lo.to_fraction() <= mid <= outer.hi.to_fraction()
+        mid = sum(dyadic_ends(*gamma_reference(p2))) / 2
+        assert inside(gamma_reference(p1), mid)
 
 
 def test_gamma_reference_leading_digits_at_64():
-    enc = gamma_reference(64)
-    lo, hi = enc.bounds()
+    lo, hi = dyadic_ends(*gamma_reference(64))
     assert GAMMA_DIGITS <= lo and hi < GAMMA_DIGITS + Fraction(1, 10**17)
 
 
@@ -338,7 +336,8 @@ def test_gamma_bootstrap_small_n():
     assert inside(enc, GAMMA_DIGITS)
     assert inside(enc, euler_fraction())
     # width 1/(60 n^4) plus slack
-    assert enc.width <= Fraction(1, 60 * 10**4) + Fraction(1, 2**100)
+    lo, hi = dyadic_ends(*enc)
+    assert hi - lo <= Fraction(1, 60 * 10**4) + Fraction(1, 2**100)
 
 
 def test_gamma_bootstrap_rejects_small_n():
@@ -351,13 +350,20 @@ def test_gamma_reference_rejects_small_precision():
         gamma_reference(16)
 
 
-def test_enclosure_invariants():
-    lo = BigReal.from_fraction(Fraction(1, 3), 64, "floor")
-    hi = BigReal.from_fraction(Fraction(1, 3), 64, "ceiling")
-    enc = Enclosure(lo, hi)
-    assert inside(enc, Fraction(1, 3))
-    with pytest.raises(ValueError):
-        Enclosure(BigReal.from_fraction(hi.to_fraction() + 1, 64), lo)
+def test_enclosure_invariants(monkeypatch):
+    # both routes to the constant return integer ends through one order check
+    assert numerics._gamma_ends(1, 2, 40) == (1, 2, 40)
+    with pytest.raises(ValueError, match="out of order"):
+        numerics._gamma_ends(3, 2, 40)
+    checked = []
+    gamma_ends = numerics._gamma_ends
+    monkeypatch.setattr(numerics, "_gamma_ends",
+                        lambda *args: checked.append(args) or gamma_ends(*args))
+    encs = [gamma_bootstrap(10, 64), gamma_reference.__wrapped__(64),
+            gamma_reference.__wrapped__(1024)]
+    assert checked == encs
+    for lo, hi, q in encs:
+        assert type(lo) is int and type(hi) is int and 0 < lo < hi < 1 << q
 
 
 def test_bootstrap_rule_matches_reference_for_small_p():

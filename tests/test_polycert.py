@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dyadic_ends
 from gammaseq.errors import DomainError
 from gammaseq.numerics import gamma_reference
 from gammaseq.polycert import (
@@ -199,8 +200,7 @@ def test_tail_sign_verdicts():
 
 def test_verdicts_corroborated_numerically():
     # the certified monotonicity shows up in the actual gap sequences
-    enc = gamma_reference(128)
-    g_lo, g_hi = enc.bounds()
+    g_lo, g_hi = dyadic_ends(*gamma_reference(128))
 
     def gaps(n, coeff):
         lo, hi = evaluate_interval(SOptimal(), n, 170)

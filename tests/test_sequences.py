@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mpf_to_fraction
+from conftest import dyadic_ends, mpf_to_fraction
 from gammaseq import sequences
 from gammaseq._kernels_py import harmonic_fixed
 from gammaseq.errors import DomainError
@@ -227,7 +227,7 @@ def test_walk_agrees_with_single_index_and_oracles(walk):
 
 
 def test_monotone_error_decay_for_s_optimal():
-    gamma_mid = sum(gamma_reference(128).bounds()) / 2
+    gamma_mid = sum(dyadic_ends(*gamma_reference(128))) / 2
     previous = None
     for n in range(9, 513):
         lo, hi = evaluate_interval(SOptimal(), n, 170)

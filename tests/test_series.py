@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dyadic_ends
 from gammaseq import sequences
 from gammaseq.errors import DomainError, ParamDegreeError, UnsupportedOrderError
 from gammaseq.series import (
@@ -254,8 +255,8 @@ def test_gamma_n_deviation_matches_sequence():
     from gammaseq.sequences import GammaN, evaluate_interval
 
     g = gamma_n_deviation(6)
-    enc = gamma_reference(160)
+    gamma_mid = sum(dyadic_ends(*gamma_reference(160))) / 2
     for n in (50, 80):
         lo, hi = evaluate_interval(GammaN(), n, 220)
-        dev_mid = (lo + hi) / 2 - sum(enc.bounds()) / 2
+        dev_mid = (lo + hi) / 2 - gamma_mid
         assert abs(dev_mid - g.evaluate(n)) <= F(1, 200 * n**7)
