@@ -8,7 +8,7 @@ count, so identical inputs give byte-identical output.
 
 Rows are streamed: `sweep-bounds` makes its rows a chunk of indices at
 a time and `eval` one at a time, and neither keeps the rows it has
-written, so memory stays flat in the range (peak RSS about 17.5 MB for
+written, so memory stays flat in the range (peak RSS about 17 MB for
 a `theorem22` sweep of 10^4 rows and of 5 * 10^4 rows alike).  CSV
 writes each row as it is made, so a failure partway through a range
 leaves the earlier rows on stdout; the command still exits with its
@@ -35,11 +35,14 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import __version__, bounds, numerics, polycert, rates, sequences, series
+from . import __version__
 from .errors import DomainError, PrecisionError
 
+# Each command imports the modules it runs in its own body, so a start
+# loads and compiles only those: `enclose` needs numerics alone, and
+# `--help` none of the library.
+
 DEFAULT_PRECISION = 128
-DEFAULT_ORDER = series.DEFAULT_ORDER
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -57,7 +60,10 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _resolve_kind(args) -> sequences.SequenceKind:
+def _resolve_kind(args):
+    """The sequences.SequenceKind that --seq, --a and --b name."""
+    from . import sequences
+
     name = args.seq
     needs_params = name in ("mu", "vfam")
     if needs_params and (args.a is None or args.b is None):
@@ -88,6 +94,8 @@ def _width_str(num: int, den: int) -> str:
     """num/den > 0 as d.ddde[+-]XX rounded to nearest from its exact value: the
     bytes of f"{float(num / den):.3e}" wherever that float is normal, without
     its underflow."""
+    from . import numerics
+
     e = (num.bit_length() - den.bit_length() - 1) * 30103 // 100000 - 1  # <= log10(num/den)
 
     def scaled(rounding):  # num/den * 10**(3 - e) rounded to an integer
@@ -177,6 +185,8 @@ def _emit(fmt: str, command: str, parameters: dict, rows, metadata, columns: lis
 
 
 def cmd_eval(args) -> int:
+    from . import sequences
+
     kind = _resolve_kind(args)
     n_last = args.to if args.to is not None else args.n
     if n_last < args.n:
@@ -211,13 +221,18 @@ def cmd_eval(args) -> int:
 
 
 def _coeff_str(value) -> str:
+    from . import series
+
     if isinstance(value, series.ParamPoly):
         return str(value)
     return _frac_str(value)
 
 
 def cmd_expand(args) -> int:
-    expansion = series.v_family_difference(args.order)
+    from . import series
+
+    order = args.order if args.order is not None else series.DEFAULT_ORDER
+    expansion = series.v_family_difference(order)
     symbolic = args.a is None and args.b is None
     if not symbolic:
         if args.a is None or args.b is None:
@@ -227,16 +242,18 @@ def cmd_expand(args) -> int:
         {"k": k, "coefficient": _coeff_str(c)}
         for k, c in sorted(expansion.coefficients().items())
     ]
-    params = {"order": args.order, "symbolic": symbolic}
+    params = {"order": order, "symbolic": symbolic}
     if not symbolic:
         params["a"] = _frac_str(args.a)
         params["b"] = _frac_str(args.b)
     _emit(args.format, "expand", params, rows,
-          lambda: {"remainder": f"O(n^-{args.order + 1})"}, ["k", "coefficient"])
+          lambda: {"remainder": f"O(n^-{order + 1})"}, ["k", "coefficient"])
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
+    from . import rates
+
     result = rates.optimize_parameters(args.order)
     rows = [{
         "a": _frac_str(result.a),
@@ -253,6 +270,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    from . import rates
+
     kind = _resolve_kind(args)
     if args.grid_start < 1:
         raise DomainError("--grid-start must be at least 1")
@@ -283,6 +302,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_sweep_bounds(args) -> int:
+    from . import bounds, numerics
+
     try:
         entry = bounds.get_entry(args.entry)
     except KeyError as exc:
@@ -342,6 +363,8 @@ def cmd_sweep_bounds(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import polycert
+
     target = args.target
     if target in ("P", "Q"):
         variant = "f" if target == "P" else "g"
@@ -381,6 +404,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_enclose(args) -> int:
+    from . import numerics
+
     if args.n is not None:
         lo, hi, q = numerics.gamma_bootstrap(args.n, args.precision)
         params = {"n": args.n, "precision": args.precision}
@@ -435,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = commands.add_parser(
         "expand", help="difference expansion of the two-parameter family")
-    p_expand.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p_expand.add_argument("--order", type=int, default=None)  # series.DEFAULT_ORDER
     p_expand.add_argument("--a", type=_parse_fraction, default=None)
     p_expand.add_argument("--b", type=_parse_fraction, default=None)
     p_expand.add_argument("--format", choices=("json", "csv"), default="json")

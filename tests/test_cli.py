@@ -97,6 +97,16 @@ def test_expand_round_trip_is_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_expand_defaults_to_the_series_order(capsys):
+    from gammaseq import series
+
+    _, default = run(capsys, "expand")
+    assert json.loads(default)["parameters"]["order"] == series.DEFAULT_ORDER == 8
+    assert '"order": 8,' in default
+    _, explicit = run(capsys, "expand", "--order", "8")
+    assert default == explicit
+
+
 def test_rate_command(capsys):
     code, data = run_json(capsys, "rate", "--seq", "s", "--grid-start", "16",
                           "--grid-stop", "256", "--precision", "256")
@@ -458,3 +468,48 @@ def test_version_flag(capsys):
     code, out = run(capsys, "--version")
     assert code == 0
     assert gammaseq.__version__ in out
+
+
+# a fresh interpreter runs cli.main(argv) and reports the gammaseq modules it loaded
+_PROBE = """
+import sys
+from gammaseq import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(" ".join(sorted(m for m in sys.modules if m.startswith("gammaseq."))), file=sys.stderr)
+sys.exit(code)
+"""
+_HELP = json.loads((Path(__file__).resolve().parent / "data" / "help.json").read_text("utf-8"))
+_NUMERICS = {"numerics", "_kernels_py"}
+_RATES = {"rates", "series", "sequences", *_NUMERICS}
+_IMPORTS = [
+    *((argv, set()) for argv in _HELP),  # --version and every --help
+    ("", set()),
+    ("bogus", set()),
+    ("eval --seq nope --n 1", set()),
+    ("enclose --precision 64", _NUMERICS),
+    ("sweep-bounds --entry young --to 10 --format csv", {"bounds", "sequences", *_NUMERICS}),
+    ("eval --seq s --n 3 --to 5", {"sequences", *_NUMERICS}),
+    ("rate --seq s --grid-stop 128", _RATES),
+    ("optimize", _RATES),
+    ("certify --target P", {"polycert", *_NUMERICS}),
+    ("expand", {"series"}),
+]
+
+
+@pytest.mark.parametrize("argv,loads", _IMPORTS,
+                         ids=[argv or "no-command" for argv, _ in _IMPORTS])
+def test_each_command_imports_only_what_it_runs(argv, loads):
+    # every start compiles the modules it imports unless bytecode caches
+    # exist, so a command pays for each library module on its import path
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv.split()], capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "COLUMNS": "80"},
+    )
+    err = proc.stderr.decode().splitlines()
+    assert err[-1].split() == sorted(f"gammaseq.{m}" for m in {"cli", "errors", *loads})
+    if argv in _HELP:  # recorded when cli imported every module at start
+        assert (proc.returncode, proc.stdout.decode(), err[:-1]) == (0, _HELP[argv], [])
+    else:
+        assert proc.returncode == (2 if not loads else 0), proc.stderr
