@@ -9,12 +9,21 @@ count, so identical inputs give byte-identical output.
 Rows are streamed: `sweep-bounds` makes its rows a chunk of indices at
 a time and `eval` one at a time, and neither keeps the rows it has
 written, so memory stays flat in the range (peak RSS about 17 MB for
-a `theorem22` sweep of 10^4 rows and of 5 * 10^4 rows alike).  CSV
-writes each row as it is made, so a failure partway through a range
-leaves the earlier rows on stdout; the command still exits with its
+a `theorem22` sweep of 10^4 rows and of 5 * 10^4 rows alike).  Each of
+their rows goes from integers to one line: the command builds one line
+template per format (`_line_template`: a CSV line, or a JSON object with
+its keys in sorted order) and fills it with texts printed straight from
+the row's integers (`_printers`), with no dict, csv.writer, Fraction or
+BigReal per row.  CSV writes each row as it is made, so a failure
+partway through a range leaves the earlier rows on stdout, and an error
+in the first row prints no header; the command still exits with its
 code and one line on stderr (2 for the integer-string limit, 141 for a
 closed pipe).  JSON spools the formatted rows to a temporary file and
-prints the whole envelope at the end.
+prints the whole envelope at the end, and nothing on a failure.  The
+one-row commands build a dict per row and print it with csv.writer or
+json's quoting, since some of their fields need quoting (`certify`'s
+coefficient lists as CSV).  `csv` and `json` are imported only where
+they write.
 
 Exit codes: 0 success, 1 a sweep found a certified-false row, 2 usage
 error, or a result would print an integer longer than Python's
@@ -27,13 +36,10 @@ output ended, as `gammaseq ... | head` does; no traceback is printed.
 from __future__ import annotations
 
 import argparse
-import csv
-import functools
-import json
+import math
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .errors import DomainError, PrecisionError
@@ -109,75 +115,151 @@ def _width_str(num: int, den: int) -> str:
     return f"{mant // 1000}.{mant % 1000:03d}e{e:+03d}"
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """A reduced num/den, den > 0, as "num/den", or "num" when den is 1."""
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
 def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    return _ratio_str(x.numerator, x.denominator)
+
+
+def _printers(places: int):
+    """(half_up, ratio, nearest): the decimal texts of the streamed rows,
+    with `places` >= 1 digits after the point, made once per command.
+
+    half_up(m, s) prints m * 2**-s as ((|m| 10**places << 1) + 2**s) >>
+    (s + 1), and ratio(num, den), den > 0, with one integer division;
+    both round as decimal_text(..., "half-up"), ties away from zero, and a
+    negative value keeps its sign when it prints as zero (-0.000).
+    nearest(m, e) prints m * 2**e as decimal_text(..., "nearest"), ties to
+    even, and a value that prints as zero has no sign.
+    """
+    ten = 10**places
+    twice = ten << 1
+    width = places + 1
+
+    def text(negative: bool, q: int) -> str:
+        digits = str(q).rjust(width, "0")
+        return f"{'-' if negative else ''}{digits[:-places]}.{digits[-places:]}"
+
+    def half_up(m: int, s: int) -> str:
+        return text(m < 0, (abs(m) * twice + (1 << s)) >> (s + 1))
+
+    def ratio(num: int, den: int) -> str:
+        return text(num < 0, (abs(num) * twice + den) // (den << 1))
+
+    def nearest(m: int, e: int) -> str:
+        t = abs(m) * ten
+        if e >= 0:
+            return text(m < 0, t << e)
+        q = t >> -e
+        rest = t - (q << -e)
+        half = 1 << (-e - 1)
+        if rest > half or (rest == half and q & 1):
+            q += 1
+        return text(m < 0 and q > 0, q)
+
+    return half_up, ratio, nearest
+
+
+def _add_ratios(a_num: int, a_den: int, b_num: int, b_den: int) -> tuple[int, int]:
+    """a + b in lowest terms for a and b in lowest terms, dens > 0, with
+    gcds of the denominators' common part only, as Fraction adds."""
+    g = math.gcd(a_den, b_den)
+    if g == 1:
+        return a_num * b_den + b_num * a_den, a_den * b_den
+    s = a_den // g
+    t = a_num * (b_den // g) + b_num * s
+    g2 = math.gcd(t, g)
+    return t // g2, s * (b_den // g2)
+
+
+def _line_template(fmt: str, columns: list, keys: list) -> str:
+    """The str.format template of one streamed row, whose fields come in
+    the order of `keys`, a subset of `columns`: "n" is an integer, every
+    other field a text that needs no CSV quoting and no JSON escaping
+    (a decimal, a fraction "p/q", empty, or a hyphenated verdict word).
+
+    CSV is one line with a field per column, empty where a column is
+    not in `keys`.  JSON is the row object as json.dumps(envelope,
+    indent=2, sort_keys=True) nests it, keys sorted, after the separator
+    ",\n    " (`_write_json` drops the first row's comma).
+    """
+    slot = {key: "{%d}" % i for i, key in enumerate(keys)}
+    if fmt == "csv":
+        return ",".join(slot.get(column, "") for column in columns) + "\n"
+    items = ",\n      ".join(f'"{key}": ' + (slot[key] if key == "n" else f'"{slot[key]}"')
+                              for key in sorted(keys))
+    return ",\n    {{\n      " + items + "\n    }}"
 
 
 def _json_text(value, indent: str) -> str:
     """json.dumps(value, indent=2, sort_keys=True) nested at `indent`."""
+    import json
+
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-def _json_rows(rows, indent: str):
-    """_json_text(row, indent) of each row dict, with the sorted keys and
-    their quoted text made once for each set of keys, not once per row;
-    strings go to the C quoter and ints to int.__repr__, as json writes them."""
-    inner = indent + "  "
-    layouts = {}
-    for row in rows:
-        keys = tuple(row)
-        layout = layouts.get(keys)
-        if layout is None:
-            layout = layouts[keys] = [(key, inner + _quote(key) + ": ") for key in sorted(keys)]
-        if not layout:
-            yield "{}"
-            continue
-        items = [head + (_quote(value) if type(value := row[key]) is str
-                         else int.__repr__(value) if type(value) is int
-                         else _json_text(value, inner)) for key, head in layout]
-        yield "{\n" + ",\n".join(items) + "\n" + indent + "}"
+def _write_json(command: str, parameters: dict, rows, metadata) -> None:
+    """Print json.dumps(envelope, indent=2, sort_keys=True) and a newline.
 
-
-def _emit(fmt: str, command: str, parameters: dict, rows, metadata, columns: list) -> None:
-    """Write the envelope of `rows`, any iterable of dicts, to stdout.
-
-    CSV prints the header `columns` with the first row and then each
-    row as it is made.
-    JSON prints json.dumps(envelope, indent=2, sort_keys=True) and a
-    newline: "metadata" sorts before "rows", so the formatted rows are
-    spooled to a temporary file, and `metadata`, a function returning
-    the metadata dict, is called after the last row.
+    `rows` are the texts of the row objects, each after the separator
+    ",\n    ".  "metadata" sorts before "rows", so the rows are spooled to
+    a temporary file, and `metadata`, a function returning the metadata
+    dict, is called after the last row; a failure prints nothing.
     """
-    out = sys.stdout
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        rows = iter(rows)
-        row = next(rows, None)  # made first, so that an error in it prints no header
-        writer.writerow(columns)
-        while row is not None:
-            writer.writerow([row.get(col, "") for col in columns])
-            row = next(rows, None)
-        return
     import shutil
     import tempfile
 
+    out = sys.stdout
     with tempfile.TemporaryFile("w+", encoding="ascii") as spool:
-        separator = "\n    "
-        for text in _json_rows(rows, "    "):
-            spool.write(separator + text)
-            separator = ",\n    "
+        spool.writelines(rows)
         out.write("{\n")
         for key, value in (("command", command),  # the envelope's keys in sorted order
                            ("metadata", {"version": __version__, **metadata()}),
                            ("parameters", parameters)):
             out.write(f'  "{key}": {_json_text(value, "  ")},\n')
-        if separator == "\n    ":
+        if not spool.tell():
             out.write('  "rows": []\n}\n')
         else:
             out.write('  "rows": [')
             spool.seek(0)
+            spool.read(1)  # the first row's comma
             shutil.copyfileobj(spool, out)
             out.write("\n  ]\n}\n")
+
+
+def _emit(fmt: str, command: str, parameters: dict, rows, metadata, columns: list) -> None:
+    """Write the envelope of `rows`, an iterable of dicts, to stdout: CSV
+    as csv.writer writes the header `columns` and each row, JSON as
+    `_write_json`.  The one-row commands print through here, since some
+    of their fields need quoting (`certify`'s coefficient lists)."""
+    if fmt == "csv":
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row.get(column, "") for column in columns] for row in rows)
+        return
+    _write_json(command, parameters, (",\n    " + _json_text(row, "    ") for row in rows),
+                metadata)
+
+
+def _stream(fmt: str, command: str, parameters: dict, lines, metadata, columns: list) -> None:
+    """Write the envelope of a streamed command, whose rows come as lines
+    filled into its `_line_template`.  CSV writes each line as it is made,
+    and the header `columns` only once the first row is made, so that an
+    error in it prints no header; JSON as `_write_json`."""
+    if fmt == "csv":
+        out = sys.stdout
+        first = next(lines, None)
+        out.write(",".join(columns) + "\n")
+        if first is not None:
+            out.write(first)
+            out.writelines(lines)
+        return
+    _write_json(command, parameters, lines, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -186,37 +268,46 @@ def _emit(fmt: str, command: str, parameters: dict, rows, metadata, columns: lis
 
 def cmd_eval(args) -> int:
     from . import sequences
+    from .numerics import harmonic_exact
 
     kind = _resolve_kind(args)
     n_last = args.to if args.to is not None else args.n
     if n_last < args.n:
         raise DomainError("--to must not be smaller than --n")
     digits = _decimal_digits(args.precision)
+    nearest = _printers(digits)[2]
+    columns = ["n", "value", "rational_part", "log_argument"]
+    try:
+        split = sequences._split(kind)
+    except DomainError:
+        split = None  # irrational-parameter variants have no exact split
+    fill = _line_template(args.format, columns, columns if split else columns[:2]).format
 
-    def rows():
-        harmonic = None  # exact H_m of the printed rational part, summed along the range
+    def lines():
+        ns = range(args.n, n_last + 1)
         values = sequences.values(kind, args.n, n_last, args.precision)
-        for n, value in zip(range(args.n, n_last + 1), values):
-            row = {"n": n, "value": value.decimal_str(digits)}
-            try:
-                split = sequences.split_eval(kind, n)
-            except DomainError:
-                pass  # irrational-parameter variants have no exact split
+        if split is None:
+            for n, (m, e) in zip(ns, values):
+                yield fill(n, nearest(m, e))
+            return
+        harmonic = None  # exact H_j of the printed rational part, summed along the range
+        for n, (m, e) in zip(ns, values):
+            j, (c_num, c_den), x = split(n)
+            if harmonic is None:
+                harmonic = harmonic_exact(j).as_integer_ratio() if j else (0, 1)
             else:
-                harmonic = (split.rational_part - split.correction if harmonic is None
-                            else harmonic + Fraction(1, split.m))
-                row["rational_part"] = _frac_str(harmonic + split.correction)
-                row["log_argument"] = _frac_str(split.log_argument)
-            yield row
+                harmonic = _add_ratios(*harmonic, 1, j)
+            g = math.gcd(c_num, c_den)
+            rational = _add_ratios(*harmonic, c_num // g, c_den // g)
+            yield fill(n, nearest(m, e), _ratio_str(*rational), _ratio_str(*x))
 
     params = {"seq": args.seq, "n": args.n, "to": n_last,
               "precision": args.precision}
     if args.a is not None:
         params["a"] = _frac_str(args.a)
         params["b"] = _frac_str(args.b)
-    _emit(args.format, "eval", params, rows(),
-          lambda: {"precision_bits": args.precision, "decimal_digits": digits},
-          ["n", "value", "rational_part", "log_argument"])
+    _stream(args.format, "eval", params, lines(),
+            lambda: {"precision_bits": args.precision, "decimal_digits": digits}, columns)
     return EXIT_OK
 
 
@@ -302,7 +393,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_sweep_bounds(args) -> int:
-    from . import bounds, numerics
+    from . import bounds
 
     try:
         entry = bounds.get_entry(args.entry)
@@ -315,24 +406,19 @@ def cmd_sweep_bounds(args) -> int:
     cap, swept = bounds.sweep_rows(entry, n_from, args.n_to, args.precision,
                                    precision_cap=args.precision_cap)
     digits = _decimal_digits(args.precision)
+    half_up, ratio, _ = _printers(digits)
+    columns = ["n", "lower", "value_lo", "value_hi", "upper", "verdict", "margin"]
+    fill = _line_template(args.format, columns, columns).format
     tally = bounds.Tally()
 
-    # decimal(num, den), with no Python frame of its own: five per row
-    decimal = functools.partial(numerics.decimal_text, places=digits, rounding="half-up")
-
-    def rows():
+    def lines():
         for r in swept:
             tally.add(r)
-            unit = 1 << r.scale
-            yield {
-                "n": r.n,
-                "lower": decimal(*r.lower) if r.lower is not None else "",
-                "value_lo": decimal(r.value_lo, unit),
-                "value_hi": decimal(r.value_hi, unit),
-                "upper": decimal(*r.upper) if r.upper is not None else "",
-                "verdict": r.verdict,
-                "margin": decimal(r.margin, unit),
-            }
+            s, lower, upper = r.scale, r.lower, r.upper
+            yield fill(r.n, ratio(*lower) if lower is not None else "",
+                       half_up(r.value_lo, s), half_up(r.value_hi, s),
+                       ratio(*upper) if upper is not None else "",
+                       r.verdict, half_up(r.margin, s))
 
     def metadata():
         meta = {
@@ -344,17 +430,16 @@ def cmd_sweep_bounds(args) -> int:
         }
         least = tally.least
         if least is not None:
-            meta["min_margin"] = decimal(least.margin, 1 << least.scale)
+            meta["min_margin"] = half_up(least.margin, least.scale)
             meta["min_margin_n"] = least.n
         if entry.note:
             meta["note"] = entry.note
         return meta
 
-    _emit(args.format, "sweep-bounds",
-          {"entry": args.entry, "from": n_from, "to": args.n_to,
-           "precision": args.precision},
-          rows(), metadata,
-          ["n", "lower", "value_lo", "value_hi", "upper", "verdict", "margin"])
+    _stream(args.format, "sweep-bounds",
+            {"entry": args.entry, "from": n_from, "to": args.n_to,
+             "precision": args.precision},
+            lines(), metadata, columns)
     if tally.counts[bounds.CERTIFIED_FALSE]:
         return EXIT_FALSIFIED
     if tally.counts[bounds.UNDECIDED]:

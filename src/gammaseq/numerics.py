@@ -11,9 +11,13 @@ sequence walk and the constant's enclosure, with c and x as integer
 pairs (num, den).  `gamma_reference` and `gamma_bootstrap` give the
 constant in the same protocol, as (lo, hi, q).
 `ln_interval` and `sqrt_interval` give brackets as dyadic Fractions.
-A `BigReal` is a printed value rounded once to an explicit number of
-bits; it carries no arithmetic, and it and `decimal_text` share the
-one rounding routine, `_round`.
+`round_bits` rounds an integer at a scale to an explicit number of bits
+(the first of `eval`'s two roundings, see `sequences.values`), and
+`decimal_text` prints num/den in any of the rounding modes of `_round`;
+the row templates of `cli` print their integers with the same rules.
+A `BigReal` is a value rounded once to an explicit number of bits, in
+`_round`'s modes; no command uses it any more, and it stays as the
+reference that `round_bits` and the row templates are tested against.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import DomainError
 __all__ = [
     "BigReal",
     "decimal_text",
+    "round_bits",
     "harmonic_exact",
     "ln_fixed",
     "ln_ends",
@@ -79,6 +84,28 @@ def decimal_text(num: int, den: int, places: int, rounding: str = "nearest") -> 
     digits = str(q).rjust(places + 1, "0")
     sign = "-" if negative else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+
+
+def round_bits(x: int, s: int, p: int) -> tuple[int, int]:
+    """x * 2**-s rounded to p bits, nearest with ties to even, as (m, e)
+    with |m| < 2**p and the value m * 2**e; (0, 0) for x = 0.  The value
+    of BigReal.from_fraction(Fraction(x, 2**s), p), in integers."""
+    if not x:
+        return 0, 0
+    drop = abs(x).bit_length() - p
+    if drop <= 0:
+        return x, -s  # exact in p bits
+    negative = x < 0
+    a = -x if negative else x
+    m = a >> drop
+    rest = a & ((1 << drop) - 1)
+    half = 1 << (drop - 1)
+    if rest > half or (rest == half and m & 1):
+        m += 1
+        if m >> p:  # rounded up to 2**p
+            m >>= 1
+            drop += 1
+    return -m if negative else m, drop - s
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ the gaps by `harmonic_fixed`, plus the tail, whose ends are
 `numerics.ln_ends`: floor and ceiling of (c - ln x) * 2**q, with no
 Fraction per index.  The variants with irrational parameters (UPlus /
 UMinus) have no exact split; their c and x at each end are integer
-pairs built once per walk from an enclosure of sqrt(6).
+pairs built once per walk from an enclosure of sqrt(6).  `values` rounds
+the walk's pairs to p bits in integers, as (m, e) with the value m * 2**e.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import _kernels_py as kernels, numerics
 from .errors import DomainError
-from .numerics import BigReal, harmonic_exact, ln_ends
+from .numerics import harmonic_exact, ln_ends, round_bits
 
 __all__ = [
     "SequenceKind",
@@ -263,7 +264,9 @@ def evaluate_interval(kind: SequenceKind, n: int, q: int) -> tuple[Fraction, Fra
 
 def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
     """Sequence values at n = n_from..n_to rounded to p bits, relative
-    error <= 2**(1-p) each, from one walk of `intervals`."""
+    error <= 2**(1-p) each, from one walk of `intervals`: the midpoint of
+    each pair rounded by `numerics.round_bits`, as (m, e) with the value
+    m * 2**e."""
     numerics._check_precision(p)
     q = p + numerics.GUARD_BITS + n_to.bit_length()
     ns = range(n_from, n_to + 1)
@@ -279,11 +282,12 @@ def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
                     break
             q_n *= 2  # value is unusually close to zero; retry tighter
             lo, hi = next(intervals(kind, [n], q_n))
-        yield BigReal.from_fraction(Fraction(lo + hi, 2 << q_n), p)
+        yield round_bits(lo + hi, q_n + 1, p)
 
 
-def evaluate(kind: SequenceKind, n: int, p: int) -> BigReal:
-    """Sequence value rounded to p bits, relative error <= 2**(1-p)."""
+def evaluate(kind: SequenceKind, n: int, p: int) -> tuple[int, int]:
+    """Sequence value rounded to p bits, relative error <= 2**(1-p), as
+    (m, e) with the value m * 2**e."""
     return next(values(kind, n, n, p))
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dyadic_ends, mpf_to_fraction
-from gammaseq import _kernels_py as kernels, bounds
+from gammaseq import _kernels_py as kernels, bounds, cli
 from gammaseq.bounds import (
     CERTIFIED_FALSE,
     CERTIFIED_TRUE,
@@ -555,11 +555,34 @@ def ratios(draw):
     return num * common, den * common, places
 
 
+@st.composite
+def dyadics(draw):
+    """m and 2**s, s up to 2000, with up to 600 places: often zero, a value
+    that prints as 0, or a decimal tie, o / 2**(places + 1) for odd o."""
+    places = draw(st.integers(1, 600))
+    shape = draw(st.sampled_from(["any", "tie", "tiny", "zero"]))
+    if shape == "tie":
+        shift = draw(st.integers(0, 2000 - places - 1))
+        m, s = (2 * draw(st.integers(-10**9, 10**9)) + 1) << shift, places + 1 + shift
+    elif shape == "tiny":  # |m| * 2**-s <= 2**-k < 10**-places / 2
+        places = min(places, 590)
+        k = 10 * places // 3 + 2
+        s = draw(st.integers(k, 2000))
+        m = draw(st.integers(-(1 << (s - k)), 1 << (s - k)))
+    else:
+        s = draw(st.integers(0, 2000))
+        m = 0 if shape == "zero" else draw(st.integers(-(1 << (s + 64)), 1 << (s + 64)))
+    return m, 1 << s, places
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=ratios())
+@given(case=st.one_of(ratios(), dyadics()))
 @example(case=(-1, 10**10, 9))  # half-up keeps the sign: -0.000000000
 @example(case=(5120, 5120**2, 9))  # 1/5120 = 0.0001953125, a tie at 9 places
 @example(case=(-6, 12, 0))  # -1/2, a tie at 0 places
+@example(case=(-1, 1 << 2000, 600))  # prints as -0.000...0 half-up, 0.000...0 nearest
+@example(case=(-5, 8, 2))  # -0.625: half-up -0.63, nearest -0.62
+@example(case=(3, 1, 600))  # s = 0
 def test_formatter_matches_parent_formatters(case):
     num, den, places = case
     value = F(num, den)
@@ -573,3 +596,12 @@ def test_formatter_matches_parent_formatters(case):
     if places:
         expected = _parent_sweep_decimal(value, places)
         assert decimal_text(num, den, places, "half-up") == expected
+        # the row templates' printers: the shift formula on dyadic values,
+        # one division on sides, and eval's nearest on m * 2**e
+        half_up, ratio, nearest = cli._printers(places)
+        assert ratio(num, den) == expected
+        if den & (den - 1) == 0:
+            s = den.bit_length() - 1
+            assert half_up(num, s) == expected
+            assert nearest(num, -s) == _parent_decimal_str(value, places, "nearest")
+            assert nearest(num, s) == _parent_decimal_str(F(num << s), places, "nearest")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dyadic_ends
@@ -416,6 +416,75 @@ def test_csv_writer_matches_csv_module(columns, rows):
     assert _emitted("csv", "c", {}, rows, {}, columns) == expected.getvalue()
 
 
+@st.composite
+def walk_pairs(draw):
+    """A walk pair (lo, hi) at scale 2**-q, a precision p and a digit count:
+    often a tie of the p-bit rounding, or a value o / 2**(d + 1), odd o,
+    that is a decimal tie at d places."""
+    p = draw(st.integers(32, 300))
+    d = draw(st.sampled_from([cli._decimal_digits(p), draw(st.integers(1, 120))]))
+    shape = draw(st.sampled_from(["any", "bit-tie", "decimal-tie"]))
+    if shape == "decimal-tie":  # (lo + hi) / 2**(q + 1) = o / 2**(d + 1)
+        q = d
+        total = 2 * draw(st.integers(-(1 << (p - 2)), (1 << (p - 2)) - 1)) + 1
+    else:
+        q = draw(st.integers(0, 600))
+        total = draw(st.integers(-(1 << (q + 4)), 1 << (q + 4)))
+        if shape == "bit-tie" and abs(total).bit_length() > p:
+            drop = abs(total).bit_length() - p  # one half below the kept bits
+            total = (total >> drop << drop) | (1 << (drop - 1))
+    lo = draw(st.integers(-(1 << (q + 4)), 1 << (q + 4)))
+    return lo, total - lo, q, p, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_pairs())
+@example(case=(1, 0, 4, 32, 4))  # 1/32 = 0.03125, a decimal tie at 4 places
+@example(case=(-3, 0, 4, 32, 4))  # -3/32 = -0.09375, kept odd by nearest-even
+@example(case=(0, 0, 10, 64, 19))  # zero
+@example(case=((1 << 40) + 1, 0, 0, 32, 4))  # 2**40 + 1 to 32 bits, e >= 0
+@example(case=((1 << 32) + 1, 0, 31, 32, 12))  # a 32-bit tie, kept at the even 2**31
+def test_eval_rounds_twice_in_integers_as_bigreal(case):
+    # eval prints the midpoint of each walk pair rounded to p bits, nearest
+    # even, and that rounded value to d places, nearest even; BigReal is the
+    # parent's two roundings
+    lo, hi, q, p, d = case
+    expected = numerics.BigReal.from_fraction(Fraction(lo + hi, 2 << q), p).decimal_str(d)
+    assert cli._printers(d)[2](*numerics.round_bits(lo + hi, q + 1, p)) == expected
+
+
+# every catalog entry at 32 bits, capped so that rows stay undecided, and
+# eval of every kind: the line templates against csv.writer and json.dumps
+_STREAMED = [
+    *(f"sweep-bounds --entry {entry.entry_id} --to 120 --precision 32 --precision-cap 32"
+      for entry in bounds.catalog()),
+    *(f"eval --seq {seq} --n 3 --to 40 --precision 64" for seq in ("gamma", "r", "v", "s",
+                                                                 "uplus", "uminus")),
+    "eval --seq mu --a 3/2 --b=-5/12 --n 1 --to 40 --precision 64",
+    "eval --seq vfam --a=-7/3 --b 2/5 --n 3 --to 40 --precision 64",
+]
+
+
+@pytest.mark.parametrize("argv", _STREAMED)
+def test_line_templates_write_what_csv_and_json_write(capsys, argv):
+    code, out = run(capsys, *argv.split(), "--format", "csv")
+    assert code in (0, 3)
+    lines = out.splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    for line in lines:
+        fields = next(csv.reader([line]))
+        assert len(fields) == len(header)
+        written = io.StringIO()
+        csv.writer(written, lineterminator="\n").writerow(fields)
+        assert written.getvalue() == line
+    code, out = run(capsys, *argv.split())
+    assert code in (0, 3)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    rows = json.loads(out)["rows"]
+    assert [[str(row.get(key, "")) for key in header] for row in rows] == [
+        next(csv.reader([line])) for line in lines[1:]]
+
+
 @pytest.mark.parametrize("argv,exit_code", [
     ("sweep-bounds --entry chen --from 100 --to 600 --precision 32", 0),
     ("sweep-bounds --entry chen --from 100 --to 600 --precision 32 --precision-cap 48", 0),
@@ -470,16 +539,19 @@ def test_version_flag(capsys):
     assert gammaseq.__version__ in out
 
 
-# a fresh interpreter runs cli.main(argv) and reports the gammaseq modules it loaded
+# a fresh interpreter runs cli.main(argv) and reports the gammaseq modules
+# and the standard library's csv and json if it loaded them
 _PROBE = """
 import sys
 from gammaseq import cli
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
-print(" ".join(sorted(m for m in sys.modules if m.startswith("gammaseq."))), file=sys.stderr)
+print(" ".join(sorted(m for m in sys.modules
+                      if m.startswith("gammaseq.") or m in ("csv", "json"))), file=sys.stderr)
 sys.exit(code)
 """
 _HELP = json.loads((Path(__file__).resolve().parent / "data" / "help.json").read_text("utf-8"))
+_STDLIB = {"csv", "json"}
 _NUMERICS = {"numerics", "_kernels_py"}
 _RATES = {"rates", "series", "sequences", *_NUMERICS}
 _IMPORTS = [
@@ -487,13 +559,16 @@ _IMPORTS = [
     ("", set()),
     ("bogus", set()),
     ("eval --seq nope --n 1", set()),
-    ("enclose --precision 64", _NUMERICS),
+    ("enclose --precision 64", {*_NUMERICS, "json"}),
     ("sweep-bounds --entry young --to 10 --format csv", {"bounds", "sequences", *_NUMERICS}),
-    ("eval --seq s --n 3 --to 5", {"sequences", *_NUMERICS}),
-    ("rate --seq s --grid-stop 128", _RATES),
-    ("optimize", _RATES),
-    ("certify --target P", {"polycert", *_NUMERICS}),
-    ("expand", {"series"}),
+    ("sweep-bounds --entry young --to 10", {"bounds", "sequences", *_NUMERICS, "json"}),
+    ("eval --seq s --n 3 --to 5", {"sequences", *_NUMERICS, "json"}),
+    ("eval --seq s --n 3 --to 5 --format csv", {"sequences", *_NUMERICS}),
+    ("rate --seq s --grid-stop 128", {*_RATES, "json"}),
+    ("optimize", {*_RATES, "json"}),
+    ("certify --target P", {"polycert", *_NUMERICS, "json"}),
+    ("certify --target P --format csv", {"polycert", *_NUMERICS, "csv"}),
+    ("expand", {"series", "json"}),
 ]
 
 
@@ -501,14 +576,16 @@ _IMPORTS = [
                          ids=[argv or "no-command" for argv, _ in _IMPORTS])
 def test_each_command_imports_only_what_it_runs(argv, loads):
     # every start compiles the modules it imports unless bytecode caches
-    # exist, so a command pays for each library module on its import path
+    # exist, so a command pays for each library module on its import path;
+    # the streamed commands write CSV without csv, and only JSON loads json
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv.split()], capture_output=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(root / "src"), "COLUMNS": "80"},
     )
     err = proc.stderr.decode().splitlines()
-    assert err[-1].split() == sorted(f"gammaseq.{m}" for m in {"cli", "errors", *loads})
+    assert err[-1].split() == sorted(m if m in _STDLIB else f"gammaseq.{m}"
+                                     for m in {"cli", "errors", *loads})
     if argv in _HELP:  # recorded when cli imported every module at start
         assert (proc.returncode, proc.stdout.decode(), err[:-1]) == (0, _HELP[argv], [])
     else:

@@ -14,9 +14,13 @@ exact binary-splitting sum replaced, and the sweeps of the seven entries
 that had none, with chen-mortici escalating from 32 bits, with the Fraction
 bound sides that integer numerator/denominator pairs replaced, and the
 enclosures from s_N at 64 bits and from s_10, with the BigReal ends that
-the constant as an integer pair at an explicit scale replaced.
-Verdicts, exit codes and printed digits must not depend on how the
-certified values are computed.
+the constant as an integer pair at an explicit scale replaced, and the
+capped chen-mortici sweeps (undecided rows, margins printed as
+-0.000000000, exit 3) and the eval ranges as CSV, with the per-row dicts,
+csv.writer and BigReal values that integer line templates replaced.
+Each golden states the exit code its command returns.  Verdicts, exit
+codes and printed digits must not depend on how the certified values are
+computed.
 """
 
 from pathlib import Path
@@ -27,53 +31,63 @@ from gammaseq import cli
 
 DATA = Path(__file__).resolve().parent / "data"
 
-GOLDEN = [
+GOLDEN = [  # (file, command, exit code)
     ("sweep_theorem22.json",
-     "sweep-bounds --entry theorem22 --from 3 --to 40 --precision 192"),
-    ("sweep_chen.csv", "sweep-bounds --entry chen --to 40 --precision 128 --format csv"),
+     "sweep-bounds --entry theorem22 --from 3 --to 40 --precision 192", 0),
+    ("sweep_chen.csv", "sweep-bounds --entry chen --to 40 --precision 128 --format csv", 0),
     # rows 105 and up escalate from 32 to 64 bits through chen's constant side
     ("sweep_chen_escalated.json",
-     "sweep-bounds --entry chen --from 100 --to 120 --precision 32"),
+     "sweep-bounds --entry chen --from 100 --to 120 --precision 32", 0),
     ("sweep_anderson.csv",
-     "sweep-bounds --entry anderson --to 40 --precision 128 --format csv"),
+     "sweep-bounds --entry anderson --to 40 --precision 128 --format csv", 0),
     ("sweep_alzer_chen_qi.csv",
-     "sweep-bounds --entry alzer-chen-qi --to 40 --precision 128 --format csv"),
+     "sweep-bounds --entry alzer-chen-qi --to 40 --precision 128 --format csv", 0),
     ("sweep_qiu_vuorinen.csv",
-     "sweep-bounds --entry qiu-vuorinen --to 40 --precision 128 --format csv"),
+     "sweep-bounds --entry qiu-vuorinen --to 40 --precision 128 --format csv", 0),
     # exact sides that are decimal ties at 9 digits, 1/5120 = 0.0001953125: young's
     # upper side at n = 2560, tims-tyrrell's lower at 2559 and upper at 2561
     ("sweep_young_tie.csv",
-     "sweep-bounds --entry young --from 2555 --to 2565 --precision 32 --format csv"),
+     "sweep-bounds --entry young --from 2555 --to 2565 --precision 32 --format csv", 0),
     ("sweep_tims_tyrrell_tie.csv",
-     "sweep-bounds --entry tims-tyrrell --from 2555 --to 2565 --precision 32 --format csv"),
+     "sweep-bounds --entry tims-tyrrell --from 2555 --to 2565 --precision 32 --format csv", 0),
     # 196 rows escalate to 64 bits, re-walked in bit lengths 7, 8 and 9
     ("sweep_chen_span.csv",
-     "sweep-bounds --entry chen --from 100 --to 300 --precision 32 --format csv"),
+     "sweep-bounds --entry chen --from 100 --to 300 --precision 32 --format csv", 0),
     *((f"sweep_{entry.replace('-', '_')}.csv",
-       f"sweep-bounds --entry {entry} --to 40 --precision 128 --format csv")
+       f"sweep-bounds --entry {entry} --to 40 --precision 128 --format csv", 0)
       for entry in ("mortici-vernescu", "toth", "franel", "karatsuba",
                     "mortici-refined", "detemple", "chen-mortici")),
-    # rows 9 and up escalate to 64 bits; with --precision-cap 32 the command exits 3
+    # rows 9 and up escalate to 64 bits
     ("sweep_chen_mortici_escalated.json",
-     "sweep-bounds --entry chen-mortici --to 40 --precision 32"),
-    ("eval_s.json", "eval --seq s --n 3 --to 40 --precision 256"),
-    ("eval_uplus.json", "eval --seq uplus --n 1 --to 40 --precision 256"),
-    ("eval_uminus.json", "eval --seq uminus --n 1 --to 40 --precision 256"),
-    ("rate_r.json", "rate --seq r --grid-start 16 --grid-stop 1024 --precision 256"),
-    ("rate_uplus.json", "rate --seq uplus --grid-start 16 --grid-stop 4096 --precision 64"),
+     "sweep-bounds --entry chen-mortici --to 40 --precision 32", 0),
+    # capped at 32 bits, rows 9 and up stay undecided with margins of -0.000000000
+    ("sweep_chen_mortici_capped.csv",
+     "sweep-bounds --entry chen-mortici --to 40 --precision 32 --precision-cap 32"
+     " --format csv", 3),
+    ("sweep_chen_mortici_capped.json",
+     "sweep-bounds --entry chen-mortici --to 40 --precision 32 --precision-cap 32", 3),
+    ("eval_s.json", "eval --seq s --n 3 --to 40 --precision 256", 0),
+    ("eval_uplus.json", "eval --seq uplus --n 1 --to 40 --precision 256", 0),
+    ("eval_uminus.json", "eval --seq uminus --n 1 --to 40 --precision 256", 0),
+    ("eval_s.csv", "eval --seq s --n 3 --to 40 --precision 256 --format csv", 0),
+    # no exact split: the rational_part and log_argument fields are empty
+    ("eval_uplus.csv", "eval --seq uplus --n 1 --to 12 --precision 64 --format csv", 0),
+    ("rate_r.json", "rate --seq r --grid-start 16 --grid-stop 1024 --precision 256", 0),
+    ("rate_uplus.json",
+     "rate --seq uplus --grid-start 16 --grid-stop 4096 --precision 64", 0),
     # the exponential-integral route at the enclose-ladder precisions, and s_n
-    ("enclose_1024.json", "enclose --precision 1024"),
-    ("enclose_4096.json", "enclose --precision 4096"),
-    ("enclose_12288.json", "enclose --precision 12288"),
-    ("enclose_n1000000.json", "enclose --n 1000000 --precision 160"),
+    ("enclose_1024.json", "enclose --precision 1024", 0),
+    ("enclose_4096.json", "enclose --precision 4096", 0),
+    ("enclose_12288.json", "enclose --precision 12288", 0),
+    ("enclose_n1000000.json", "enclose --n 1000000 --precision 160", 0),
     # the s_N route of the constant at 64 bits, and s_n at an explicit small n
-    ("enclose_64.json", "enclose --precision 64"),
-    ("enclose_n10.csv", "enclose --n 10 --precision 128 --format csv"),
+    ("enclose_64.json", "enclose --precision 64", 0),
+    ("enclose_n10.csv", "enclose --n 10 --precision 128 --format csv", 0),
 ]
 
 
-@pytest.mark.parametrize("name,command", GOLDEN, ids=[name for name, _ in GOLDEN])
-def test_default_output_is_byte_identical(capsys, name, command):
-    code = cli.main(command.split())
-    assert code == 0
+@pytest.mark.parametrize("name,command,exit_code", GOLDEN,
+                         ids=[name for name, _, _ in GOLDEN])
+def test_default_output_is_byte_identical(capsys, name, command, exit_code):
+    assert cli.main(command.split()) == exit_code
     assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")

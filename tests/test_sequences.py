@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_ends, mpf_to_fraction
+from conftest import dyadic_ends, dyadic_value, mpf_to_fraction
 from gammaseq import sequences
 from gammaseq._kernels_py import harmonic_fixed
 from gammaseq.errors import DomainError
@@ -67,17 +67,17 @@ def test_detemple_and_vernescu_are_mu_members():
 
 
 def test_evaluate_trivial_and_equalities():
-    assert evaluate(GammaN(), 1, 64).to_fraction() == 1
+    assert dyadic_value(*evaluate(GammaN(), 1, 64)) == 1
     for n in (3, 10, 25):
         lhs = evaluate(VFamily(F(2), F(-1)), n, 128)
         rhs = evaluate(GammaN(), n, 128)
-        assert lhs.to_fraction() == rhs.to_fraction()
+        assert dyadic_value(*lhs) == dyadic_value(*rhs)
 
 
 def test_detemple_at_one_matches_oracle():
     mp.mp.prec = 300
     oracle = mpf_to_fraction(1 - mp.ln(mp.mpf(3) / 2))
-    got = evaluate(DeTempleR(), 1, 128).to_fraction()
+    got = dyadic_value(*evaluate(DeTempleR(), 1, 128))
     assert abs(got - oracle) <= F(1, 2**120)
 
 
@@ -282,8 +282,8 @@ def test_exactly_zero_value_rounds_to_zero():
     # H_5 + 1/(6 a) = 0 at a = -10/137 and ln(6 - 5) = 0: the value vanishes
     # exactly while the walk's interval for H_5 keeps a nonzero width
     kind = MuFamily(F(-10, 137), F(-5))
-    assert evaluate(kind, 6, 64).to_fraction() == 0
-    assert [v.to_fraction() == 0 for v in values(kind, 6, 8, 64)] == [True, False, False]
+    assert dyadic_value(*evaluate(kind, 6, 64)) == 0
+    assert [dyadic_value(*v) == 0 for v in values(kind, 6, 8, 64)] == [True, False, False]
 
 
 def test_pair_symmetric_about_zero_retries(monkeypatch):
@@ -297,7 +297,7 @@ def test_pair_symmetric_about_zero_retries(monkeypatch):
         return iter([(-5, 5)]) if len(scales) == 1 else real(kind, ns, q)
 
     monkeypatch.setattr(sequences, "intervals", stub)
-    got = evaluate(GammaN(), 10, 64).to_fraction()
+    got = dyadic_value(*evaluate(GammaN(), 10, 64))
     assert scales == [64 + 32 + 4, 2 * (64 + 32 + 4)]
     mp.mp.prec = 200
     oracle = mpf_to_fraction(mp.harmonic(10) - mp.log(10))
@@ -308,7 +308,7 @@ def test_value_near_zero_keeps_relative_accuracy():
     # 7/3 - ln(1 + b) is about 8.4e-20; its first walk pair at 32 bits
     # straddles 0, and the value must not round to 0
     b = F(8782218930, 943081523)
-    got = evaluate(MuFamily(F(3, 7), b), 1, 32).to_fraction()
+    got = dyadic_value(*evaluate(MuFamily(F(3, 7), b), 1, 32))
     mp.mp.prec = 300
     oracle = mpf_to_fraction(mp.mpf(7) / 3 - mp.log(1 + mp.mpf(b.numerator) / b.denominator))
     assert oracle > 0
@@ -317,4 +317,4 @@ def test_value_near_zero_keeps_relative_accuracy():
 
 def test_u_variants_have_no_split_but_evaluate():
     value = evaluate(UPlus(), 12, 128)
-    assert F(1, 2) < value.to_fraction() < 1
+    assert F(1, 2) < dyadic_value(*value) < 1
