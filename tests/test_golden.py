@@ -17,7 +17,10 @@ enclosures from s_N at 64 bits and from s_10, with the BigReal ends that
 the constant as an integer pair at an explicit scale replaced, and the
 capped chen-mortici sweeps (undecided rows, margins printed as
 -0.000000000, exit 3) and the eval ranges as CSV, with the per-row dicts,
-csv.writer and BigReal values that integer line templates replaced.
+csv.writer and BigReal values that integer line templates replaced, and
+the one-row commands that no golden pinned (certify, optimize, expand and
+a rate of s), with the Fraction-valued interval helpers and the series
+and polynomial algebra that no command reached still in the package.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -83,6 +86,13 @@ GOLDEN = [  # (file, command, exit code)
     # the s_N route of the constant at 64 bits, and s_n at an explicit small n
     ("enclose_64.json", "enclose --precision 64", 0),
     ("enclose_n10.csv", "enclose --n 10 --precision 128 --format csv", 0),
+    # the positivity certificates of P and Q and the sign verdicts of f and g
+    *((f"certify_{target}.json", f"certify --target {target}", 0) for target in "PQfg"),
+    ("optimize_5.json", "optimize --order 5", 0),
+    ("expand.json", "expand", 0),
+    # the optimal family member: the n^-2 and n^-3 coefficients vanish
+    ("expand_a_b.json", "expand --a 3/2 --b=-5/12", 0),
+    ("rate_s.json", "rate --seq s --grid-start 16 --grid-stop 4096 --precision 256", 0),
 ]
 
 
