@@ -1,13 +1,13 @@
 """Certified arithmetic for sequences converging to the Euler-Mascheroni constant.
 
 The package splits into a certified numeric core (exact rationals,
-dyadic big reals, interval logarithms, a reference enclosure of the
-constant), exact asymptotic machinery (difference expansions with
-parametric coefficients, rate extraction, the family optimizer),
-polynomial positivity certificates for the two-sided bracket on the
-optimal sequence, and a catalog of published inequalities that can be
-swept with certified verdicts.  The hot integer loops are pure Python
-in ``gammaseq._kernels_py``.
+integer intervals at an explicit scale, integer logarithms, a reference
+enclosure of the constant), exact asymptotic machinery (difference
+expansions with parametric coefficients, rate extraction, the family
+optimizer), polynomial positivity certificates for the two-sided
+bracket on the optimal sequence, and a catalog of published
+inequalities that can be swept with certified verdicts.  The hot
+integer loops are pure Python in ``gammaseq._kernels_py``.
 
 The exported names are loaded on first access (PEP 562), so importing
 the package, or ``gammaseq.cli`` for one command, compiles and runs
@@ -22,10 +22,9 @@ __version__ = "0.1.0"
 _HOMES = {name: module for module, names in (
     ("numerics", "BigReal gamma_bootstrap gamma_reference harmonic_exact"),
     ("sequences", "SequenceKind GammaN DeTempleR VernescuV MuFamily VFamily SOptimal"
-                  " UPlus UMinus SplitValue split_eval evaluate error_fraction"
-                  " verify_error_identity"),
+                  " UPlus UMinus"),
     ("series", "AsymptoticSeries ParamPoly expand_reciprocal_shift expand_log_ratio"
-               " shift_index v_family_difference digamma_tail gamma_n_deviation"),
+               " v_family_difference"),
     ("rates", "rate_from_series empirical_rate optimize_parameters"),
     ("polycert", "Polynomial RationalFunction taylor_shift positivity_certificate"
                  " derivative_of_f tail_sign_verdict"),

@@ -193,7 +193,7 @@ def _chen_shift(p: int) -> Interval:
     one = 1 << s
     rad_lo = 24 * (one - (g_hi << (s - q_g)) - (ln_hi << (s - q_ln)))
     rad_hi = 24 * (one - (g_lo << (s - q_g)) - (ln_lo << (s - q_ln)))
-    # floor(sqrt(rad * 2**(2q - s))), as sqrt_interval rounds the radicand's value
+    # floor(sqrt(rad * 2**(2q - s))): the root of the radicand's value, floored at 2**-q
     r_lo = math.isqrt((rad_lo << 2 * q) >> s)
     r_hi = math.isqrt((rad_hi << 2 * q) >> s) + 1
     return ((1 << q) - r_hi, r_hi), ((1 << q) - r_lo, r_lo)

@@ -1,28 +1,27 @@
 """Exact and certified numerics.
 
-``Fraction`` values hold exact rationals only (series coefficients and
-the printed rational parts of `eval`, the one use of exact harmonic
-numbers).  Dyadic quantities are integers at an explicit scale,
-the kernels' protocol: a pair (lo, hi) at scale 2**-q brackets the true
-value.  `ln_fixed` is that integer core for logarithms, at a scale of
-its own; `ln_ends`, the one routine that combines it with an exact
+The certified path has one interval representation: integers at an
+explicit scale, the kernels' protocol, where a pair (lo, hi) at scale
+2**-q brackets the true value.  ``Fraction`` values hold exact
+rationals only: series coefficients and exact harmonic numbers, which
+`eval` prints as rational parts and `sequences.values` reads to tell an
+exact zero.  `ln_fixed` is the integer core for logarithms, at a scale
+of its own; `ln_ends`, the one routine that combines it with an exact
 rational c, gives the floor and ceiling of (c - ln x) * 2**q to the
 sequence walk and the constant's enclosure, with c and x as integer
 pairs (num, den).  `gamma_reference` and `gamma_bootstrap` give the
-constant in the same protocol, as (lo, hi, q).
-`ln_interval` and `sqrt_interval` give brackets as dyadic Fractions.
-`round_bits` rounds an integer at a scale to an explicit number of bits
-(the first of `eval`'s two roundings, see `sequences.values`), and
-`decimal_text` prints num/den in any of the rounding modes of `_round`;
-the row templates of `cli` print their integers with the same rules.
-A `BigReal` is a value rounded once to an explicit number of bits, in
-`_round`'s modes; no command uses it any more, and it stays as the
-reference that `round_bits` and the row templates are tested against.
+constant in the same protocol, as (lo, hi, q).  `round_bits` rounds an
+integer at a scale to an explicit number of bits (the first of `eval`'s
+two roundings, see `sequences.values`), and `decimal_text` prints
+num/den in any of the rounding modes of `_round`; the row templates of
+`cli` print their integers with the same rules.  A `BigReal` is a value
+rounded once to an explicit number of bits, in `_round`'s modes; no
+command uses it any more, and it stays as the reference that
+`round_bits` and the row templates are tested against.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,8 +35,6 @@ __all__ = [
     "harmonic_exact",
     "ln_fixed",
     "ln_ends",
-    "ln_interval",
-    "sqrt_interval",
     "gamma_reference",
     "gamma_bootstrap",
 ]
@@ -200,7 +197,7 @@ def _hsum(a: int, b: int) -> tuple[int, int]:
 
 def harmonic_exact(n: int) -> Fraction:
     """Exact harmonic number 1 + 1/2 + ... + 1/n, summed afresh on each call
-    (certified paths carry H_n as kernel intervals, see `sequences.intervals`)."""
+    (certified paths carry H_n as kernel intervals, see `sequences.Walk`)."""
     _check_n(n)
     return Fraction(*_hsum(1, n))
 
@@ -265,25 +262,6 @@ def ln_ends(c_lo: tuple[int, int], c_hi: tuple[int, int], x: tuple[int, int],
     lo = ((lo_num << q_ln) - lo_den * ln_hi) // (lo_den << shift)
     hi = -((hi_den * ln_lo - (hi_num << q_ln)) // (hi_den << shift))
     return lo, hi
-
-
-def ln_interval(x, q: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure of ln(x) for exact rational x > 0: `ln_fixed` as Fractions."""
-    x = Fraction(x)
-    lo, hi, q_eff = ln_fixed(x.numerator, x.denominator, q)
-    return Fraction(lo, 1 << q_eff), Fraction(hi, 1 << q_eff)
-
-
-def sqrt_interval(x, q: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure of sqrt(x) for exact rational x >= 0, one ulp wide."""
-    x = Fraction(x)
-    if x < 0:
-        raise DomainError(f"sqrt requires a nonnegative argument, got {x}")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    s = math.isqrt((x.numerator << (2 * q)) // x.denominator)
-    scale = 1 << q
-    return Fraction(s, scale), Fraction(s + 1, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError, DomainError
-from .numerics import ln_interval
 
 __all__ = [
     "Polynomial",
@@ -147,9 +146,6 @@ class Polynomial:
                 rem.pop()
         return Polynomial(q), Polynomial(rem)
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k)
-
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
         total = Fraction(0)
@@ -253,44 +249,6 @@ class RationalFunction:
         )
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def evaluate(self, x) -> Fraction:
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise DomainError(f"pole at x = {x}")
-        return self.num.evaluate(x) / d
 
     def __eq__(self, other):
         other = _as_ratfunc(other)
@@ -398,16 +356,6 @@ class StepFunction:
         term vanishes because ln(1 + 1/x) -> ln 1 = 0.
         """
         return all(t.power >= 1 for t in self.terms)
-
-    def value_interval(self, x, q: int) -> tuple[Fraction, Fraction]:
-        x = Fraction(x)
-        rational = Fraction(0)
-        for t in self.terms:
-            rational += t.coeff / (x - t.center) ** t.power
-        ln_lo, ln_hi = ln_interval(1 + 1 / x, q)
-        if self.log_coeff >= 0:
-            return rational + self.log_coeff * ln_lo, rational + self.log_coeff * ln_hi
-        return rational + self.log_coeff * ln_hi, rational + self.log_coeff * ln_lo
 
 
 def _bracket_terms(quartic_coeff: Fraction) -> tuple:

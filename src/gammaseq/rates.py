@@ -13,10 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NoOptimumError, PrecisionError, RateInconclusiveError
-from .sequences import SequenceKind, intervals
 from .series import AsymptoticSeries, ParamPoly, v_family_difference
+
+if TYPE_CHECKING:  # an annotation only: `optimize` loads neither the walk nor the kernels
+    from .sequences import SequenceKind
 
 __all__ = [
     "RateReport",
@@ -101,8 +104,12 @@ def empirical_rate(kind: SequenceKind, n_grid, p: int) -> EmpiricalRate:
     Differences are certified intervals from one walk over the grid
     points and their successors; if any of them has fewer than 16
     significant bits at precision p the fit would be numerical noise, so
-    a PrecisionError asks the caller to raise p.
+    a PrecisionError asks the caller to raise p.  The precision follows
+    the package's rule, an integer p >= numerics.MIN_PRECISION.
     """
+    from . import numerics, sequences
+
+    numerics._check_precision(p)
     grid = list(n_grid)
     if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing with at least 4 points")
@@ -110,8 +117,9 @@ def empirical_rate(kind: SequenceKind, n_grid, p: int) -> EmpiricalRate:
     q = p + 28 + (grid[-1] + 1).bit_length()
     xs = []
     ys = []
-    walk = intervals(kind, [k for n in grid for k in (n, n + 1)], q)
-    for n, (lo1, hi1), (lo2, hi2) in zip(grid, walk, walk):
+    walk = sequences.Walk(kind, q)
+    for n in grid:
+        (lo1, hi1), (lo2, hi2) = walk(n), walk(n + 1)
         d_lo, d_hi = lo1 - hi2, hi1 - lo2
         width, twice_mid = d_hi - d_lo, d_lo + d_hi  # both at scale 2**-q
         if twice_mid == 0 or abs(twice_mid) < width << (SIGNIFICANT_BITS_REQUIRED + 1):

@@ -2,16 +2,16 @@
 
 Every sequence here has the shape H_m + c - ln x with m = n - 1 or
 n - 2, a correction c and a log argument x.  Each kind gives c and x at
-n as integer pairs (num, den) with den > 0, x reduced; `split_eval` is
-the Fraction view of the same pairs.  Certified values come from one
-resumable walk over any nondecreasing indices, `Walk`, which gives
-integer pairs at scale 2**-q: H_m is the kernel's pair, carried across
-the gaps by `harmonic_fixed`, plus the tail, whose ends are
-`numerics.ln_ends`: floor and ceiling of (c - ln x) * 2**q, with no
-Fraction per index.  The variants with irrational parameters (UPlus /
-UMinus) have no exact split; their c and x at each end are integer
-pairs built once per walk from an enclosure of sqrt(6).  `values` rounds
-the walk's pairs to p bits in integers, as (m, e) with the value m * 2**e.
+n as integer pairs (num, den) with den > 0, x reduced (`_split`).
+Certified values come from one resumable walk over any nondecreasing
+indices, `Walk`, which gives integer pairs at scale 2**-q: H_m is the
+kernel's pair, carried across the gaps by `harmonic_fixed`, plus the
+tail, whose ends are `numerics.ln_ends`: floor and ceiling of
+(c - ln x) * 2**q, with no Fraction per index.  The variants with
+irrational parameters (UPlus / UMinus) have no exact split; their c and
+x at each end are integer pairs built once per walk from an enclosure
+of sqrt(6).  `values` rounds the walk's pairs to p bits in integers, as
+(m, e) with the value m * 2**e.
 """
 
 from __future__ import annotations
@@ -34,15 +34,8 @@ __all__ = [
     "SOptimal",
     "UPlus",
     "UMinus",
-    "SplitValue",
-    "split_eval",
     "Walk",
-    "intervals",
-    "evaluate_interval",
     "values",
-    "evaluate",
-    "error_fraction",
-    "verify_error_identity",
 ]
 
 
@@ -118,21 +111,6 @@ class UMinus(SequenceKind):
     """MuFamily at a = 6 - 2 sqrt(6), b = 1/sqrt(6)."""
 
 
-@dataclass(frozen=True)
-class SplitValue:
-    """Exact decomposition value = H_m + correction - ln(log_argument)."""
-
-    m: int
-    correction: Fraction
-    log_argument: Fraction
-    n: int
-
-    @property
-    def rational_part(self) -> Fraction:
-        """H_m + correction, exactly (H_0 = 0)."""
-        return (harmonic_exact(self.m) if self.m else 0) + self.correction
-
-
 def _check_domain(kind: SequenceKind, n: int) -> None:
     if not isinstance(n, int):
         raise DomainError(f"n must be an integer, got {n!r}")
@@ -180,17 +158,9 @@ def _split(kind: SequenceKind):
     if isinstance(kind, (UPlus, UMinus)):
         raise DomainError(
             f"{kind.describe()} has irrational parameters and no exact split; "
-            "use evaluate() or evaluate_interval()"
+            "evaluate it with Walk or values"
         )
     raise DomainError(f"unknown sequence kind {kind!r}")
-
-
-def split_eval(kind: SequenceKind, n: int) -> SplitValue:
-    """Harmonic index, exact correction and log argument of the sequence at
-    n: the pairs of the walk's split, as Fractions."""
-    _check_domain(kind, n)
-    m, c, x = _split(kind)(n)
-    return SplitValue(m, Fraction(*c), Fraction(*x), n)
 
 
 def _tails(kind: SequenceKind, q: int):
@@ -233,8 +203,8 @@ class Walk:
 
     H_m is carried across the gaps as the kernel's exact integer pair and
     the tail is computed only at the indices asked for, so the pair at n
-    does not depend on the other indices: it is evaluate_interval(kind,
-    n, q).  A walk may be paused and resumed at any larger index.
+    does not depend on the other indices: it is Walk(kind, q)(n).  A walk
+    may be paused and resumed at any larger index.
     """
 
     def __init__(self, kind: SequenceKind, q: int):
@@ -251,80 +221,25 @@ class Walk:
         return self._h_lo + t_lo, self._h_hi + t_hi
 
 
-def intervals(kind: SequenceKind, ns, q: int):
-    """The pairs of one Walk(kind, q) at each of the nondecreasing indices ns."""
-    yield from map(Walk(kind, q), ns)
-
-
-def evaluate_interval(kind: SequenceKind, n: int, q: int) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds on the sequence value at n, scale 2**-q."""
-    lo, hi = next(intervals(kind, [n], q))
-    return Fraction(lo, 1 << q), Fraction(hi, 1 << q)
-
-
 def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
     """Sequence values at n = n_from..n_to rounded to p bits, relative
-    error <= 2**(1-p) each, from one walk of `intervals`: the midpoint of
-    each pair rounded by `numerics.round_bits`, as (m, e) with the value
-    m * 2**e."""
+    error <= 2**(1-p) each, from one `Walk`: the midpoint of each pair
+    rounded by `numerics.round_bits`, as (m, e) with the value m * 2**e."""
     numerics._check_precision(p)
     q = p + numerics.GUARD_BITS + n_to.bit_length()
-    ns = range(n_from, n_to + 1)
-    for n, (lo, hi) in zip(ns, intervals(kind, ns, q)):
+    walk = Walk(kind, q)
+    for n in range(n_from, n_to + 1):
+        lo, hi = walk(n)
         q_n = q
         # twice the midpoint, lo + hi, against the width at scale 2**-q_n:
         # an exact pair passes at once, a wider one straddling 0 never does
         while (hi - lo) << (p + 1) > abs(lo + hi):
             if lo <= 0 <= hi and not isinstance(kind, (UPlus, UMinus)):
-                split = split_eval(kind, n)  # exactly 0 needs ln(argument) = 0
-                if split.log_argument == 1 and split.rational_part == 0:
+                m, (c_num, c_den), x = _split(kind)(n)  # exactly 0 needs ln x = 0
+                if x == (1, 1) and (harmonic_exact(m) if m else 0) * c_den + c_num == 0:
                     lo = hi = 0
                     break
             q_n *= 2  # value is unusually close to zero; retry tighter
-            lo, hi = next(intervals(kind, [n], q_n))
+            lo, hi = Walk(kind, q_n)(n)
         yield round_bits(lo + hi, q_n + 1, p)
 
-
-def evaluate(kind: SequenceKind, n: int, p: int) -> tuple[int, int]:
-    """Sequence value rounded to p bits, relative error <= 2**(1-p), as
-    (m, e) with the value m * 2**e."""
-    return next(values(kind, n, n, p))
-
-
-def error_fraction(a, b, n: int) -> Fraction:
-    """The rational deviation core of VFamily:
-
-        ((a - 3/2) n^2 + (b + 5/12) n + 1/12) / (n^2 (n - 1)).
-
-    Subtracting it (plus the 1/(120 n^4) digamma tail) from the value
-    leaves exactly gamma; see verify_error_identity.
-    """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"error_fraction requires integer n >= 2, got {n!r}")
-    a = Fraction(a)
-    b = Fraction(b)
-    num = (a - Fraction(3, 2)) * n * n + (b + Fraction(5, 12)) * n + Fraction(1, 12)
-    return num / Fraction(n * n * (n - 1))
-
-
-def verify_error_identity(a, b, n: int) -> bool:
-    """Exact check of the partial-fraction identity behind error_fraction:
-
-        (an+b)/(n(n-1)) - 1/(n-1) - 1/n + 1/(2n) - 1/(12 n^2)
-            == error_fraction(a, b, n).
-
-    The identity is polynomial in a and b, so it holds for every
-    rational choice; this evaluates both sides exactly and compares.
-    """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"identity check requires integer n >= 2, got {n!r}")
-    a = Fraction(a)
-    b = Fraction(b)
-    lhs = (
-        (a * n + b) / Fraction(n * (n - 1))
-        - Fraction(1, n - 1)
-        - Fraction(1, n)
-        + Fraction(1, 2 * n)
-        - Fraction(1, 12 * n * n)
-    )
-    return lhs == error_fraction(a, b, n)

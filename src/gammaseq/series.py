@@ -11,7 +11,6 @@ when it is actually certified by the inputs.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DomainError, ParamDegreeError, RingMismatchError, UnsupportedOrderError
@@ -22,10 +21,7 @@ __all__ = [
     "inverse_power",
     "expand_reciprocal_shift",
     "expand_log_ratio",
-    "shift_index",
     "v_family_difference",
-    "digamma_tail",
-    "gamma_n_deviation",
 ]
 
 DEFAULT_ORDER = 8
@@ -263,10 +259,6 @@ class AsymptoticSeries:
         """Index of the first stored coefficient, or None for the zero series."""
         return min(self._coeffs) if self._coeffs else None
 
-    def _k_min_eff(self) -> int:
-        # for order bookkeeping a zero series acts like O(n^-(order+1))
-        return self.k_min if self._coeffs else self.order + 1
-
     def coefficients(self):
         return dict(self._coeffs)
 
@@ -303,30 +295,6 @@ class AsymptoticSeries:
             {k: factor * v for k, v in self._coeffs.items()}, self.order
         )
 
-    def __mul__(self, other):
-        if not isinstance(other, AsymptoticSeries):
-            raise RingMismatchError("can only multiply by another AsymptoticSeries")
-        # the O-tail of one factor meets the leading term of the other,
-        # so the certified order is min(K1 + kmin2, K2 + kmin1)
-        order = min(
-            self.order + other._k_min_eff(),
-            other.order + self._k_min_eff(),
-        )
-        out: dict = {}
-        for k1, v1 in self._coeffs.items():
-            for k2, v2 in other._coeffs.items():
-                k = k1 + k2
-                if k <= order:
-                    out[k] = out.get(k, 0) + v1 * v2
-        return AsymptoticSeries(out, order)
-
-    def truncate(self, order: int) -> "AsymptoticSeries":
-        if order > self.order:
-            raise UnsupportedOrderError(
-                f"cannot extend order {self.order} to {order}"
-            )
-        return AsymptoticSeries(self._coeffs, order)
-
     def substitute(self, a=None, b=None) -> "AsymptoticSeries":
         out = {}
         for k, v in self._coeffs.items():
@@ -336,16 +304,6 @@ class AsymptoticSeries:
                     v = v.as_fraction()
             out[k] = v
         return AsymptoticSeries(out, self.order)
-
-    def evaluate(self, n) -> Fraction:
-        """Exact value of the truncated sum at n (rational ring only)."""
-        n = Fraction(n)
-        total = Fraction(0)
-        for k, v in sorted(self._coeffs.items()):
-            if isinstance(v, ParamPoly):
-                v = v.as_fraction()
-            total += v / n**k
-        return total
 
     def __eq__(self, other):
         if not isinstance(other, AsymptoticSeries):
@@ -407,25 +365,6 @@ def expand_log_ratio(c, order: int) -> AsymptoticSeries:
     return AsymptoticSeries(coeffs, order)
 
 
-def shift_index(series: AsymptoticSeries, order: int) -> AsymptoticSeries:
-    """Re-expand n |-> series(n + 1) as a series in 1/n.
-
-    Uses (n+1)^(-k) = sum_j (-1)^j C(k+j-1, j) n^(-k-j); the result is
-    truncated at min(order, series.order) because the input's own tail
-    is O(n^(-(series.order+1))).
-    """
-    out_order = min(order, series.order)
-    out: dict = {}
-    for k, v in series.coefficients().items():
-        if k == 0:
-            out[0] = out.get(0, 0) + v
-            continue
-        for j in range(0, out_order - k + 1):
-            c = Fraction((-1) ** j * math.comb(k + j - 1, j))
-            out[k + j] = out.get(k + j, 0) + v * c
-    return AsymptoticSeries(out, out_order)
-
-
 def v_family_difference(order: int = DEFAULT_ORDER) -> AsymptoticSeries:
     """Forward difference v_n(a, b) - v_{n+1}(a, b) as a parametric series.
 
@@ -447,39 +386,3 @@ def v_family_difference(order: int = DEFAULT_ORDER) -> AsymptoticSeries:
     correction_n1 = inv_n.scale(a_plus_b) - recip_plus.scale(PARAM_B)
     log_step = expand_log_ratio(Fraction(1), order)  # ln((n+1)/n)
     return correction_n - recip_minus - correction_n1 + log_step
-
-
-# Non-logarithmic digamma tail coefficients as printed in standard
-# references (Abramowitz & Stegun 6.3.18) through z^-6; higher orders
-# are deliberately not guessed.
-_DIGAMMA_TAIL = {
-    1: Fraction(-1, 2),
-    2: Fraction(-1, 12),
-    4: Fraction(1, 120),
-    6: Fraction(-1, 252),
-}
-_DIGAMMA_MAX_ORDER = 6
-
-
-def digamma_tail(order: int) -> AsymptoticSeries:
-    """psi(z) - ln z as a series in 1/z, available through order 6."""
-    if order > _DIGAMMA_MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"digamma tail coefficients are only stored through order {_DIGAMMA_MAX_ORDER}"
-        )
-    return AsymptoticSeries(
-        {k: v for k, v in _DIGAMMA_TAIL.items() if k <= order}, order
-    )
-
-
-def gamma_n_deviation(order: int) -> AsymptoticSeries:
-    """Deviation (H_n - ln n) - gamma as a series in 1/n, through order 6.
-
-    Combines H_n = gamma + 1/n + psi(n) with the digamma tail; the
-    constant gamma itself is excluded, so the leading term is 1/(2n).
-    """
-    if order > _DIGAMMA_MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"expansion coefficients are only stored through order {_DIGAMMA_MAX_ORDER}"
-        )
-    return inverse_power(1, order) + digamma_tail(order)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 
@@ -15,3 +16,37 @@ def dyadic_ends(lo: int, hi: int, q: int) -> tuple[Fraction, Fraction]:
 def dyadic_value(m: int, e: int) -> Fraction:
     """The value m * 2**e of a pair (m, e), as `sequences.values` gives it, as an exact Fraction."""
     return Fraction(m) * Fraction(2) ** e
+
+
+def walk_ends(kind, n: int, q: int) -> tuple[Fraction, Fraction]:
+    """The certified ends of the sequence `kind` at n from one `sequences.Walk` at
+    scale 2**-q, as exact Fractions."""
+    from gammaseq.sequences import Walk
+
+    return dyadic_ends(*Walk(kind, q)(n), q)
+
+
+def split_at(kind, n: int) -> tuple[int, Fraction, Fraction]:
+    """(m, c, x) with the sequence `kind` at n equal to H_m + c - ln x: the integer
+    pairs of `sequences._split`, with c and x as Fractions."""
+    from gammaseq.sequences import _split
+
+    m, c, x = _split(kind)(n)
+    return m, Fraction(*c), Fraction(*x)
+
+
+def ln_bracket(x, q: int) -> tuple[Fraction, Fraction]:
+    """ln x for an exact rational x > 0, enclosed by `numerics.ln_fixed`, as exact
+    Fractions."""
+    from gammaseq.numerics import ln_fixed
+
+    x = Fraction(x)
+    return dyadic_ends(*ln_fixed(x.numerator, x.denominator, q))
+
+
+def sqrt_bracket(x, q: int) -> tuple[Fraction, Fraction]:
+    """sqrt x for an exact rational x >= 0 between s/2**q and (s + 1)/2**q, with s
+    the floor of sqrt(x) * 2**q from math.isqrt."""
+    x = Fraction(x)
+    s = math.isqrt((x.numerator << 2 * q) // x.denominator)
+    return Fraction(s, 1 << q), Fraction(s + 1, 1 << q)

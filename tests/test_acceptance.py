@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import dyadic_ends
+from conftest import dyadic_ends, split_at, walk_ends
 from gammaseq import bounds
 from gammaseq.numerics import gamma_reference
 from gammaseq.rates import empirical_rate, optimize_parameters
@@ -24,15 +24,7 @@ from gammaseq.polycert import (
     derivative_of_f,
     positivity_certificate,
 )
-from gammaseq.sequences import (
-    DeTempleR,
-    GammaN,
-    SOptimal,
-    VFamily,
-    evaluate_interval,
-    split_eval,
-    verify_error_identity,
-)
+from gammaseq.sequences import DeTempleR, GammaN, SOptimal, VFamily
 from gammaseq.series import PARAM_A, PARAM_B, v_family_difference
 
 F = Fraction
@@ -80,7 +72,7 @@ def test_criterion_3_cubed_deviation_bracket():
     with budget(10.0, "criterion 3: n^3 (s_n - gamma) bracket at n = 100, 1000"):
         g_lo, g_hi = dyadic_ends(*gamma_reference(192))
         for n in (100, 1000):
-            lo, hi = evaluate_interval(SOptimal(), n, 240)
+            lo, hi = walk_ends(SOptimal(), n, 240)
             dev = (lo - g_hi, hi - g_lo)
             scaled = (dev[0] * n**3 - F(1, 12), dev[1] * n**3 - F(1, 12))
             assert F(11, 120 * n) < scaled[0]
@@ -150,7 +142,11 @@ def test_criterion_9_identity_suite():
             a = F(rng.randrange(-1000, 1000), rng.randrange(1, 100))
             b = F(rng.randrange(-1000, 1000), rng.randrange(1, 100))
             n = rng.randrange(2, 101)
-            assert verify_error_identity(a, b, n)
+            # the partial-fraction identity behind VFamily's deviation from gamma
+            lhs = (F(a * n + b, n * (n - 1)) - F(1, n - 1) - F(1, n) + F(1, 2 * n)
+                   - F(1, 12 * n * n))
+            assert lhs == ((a - F(3, 2)) * n * n + (b + F(5, 12)) * n + F(1, 12)) / (
+                n * n * (n - 1))
         optimal = VFamily(F(3, 2), F(-5, 12))
         for n in range(3, 2001):
-            assert split_eval(SOptimal(), n) == split_eval(optimal, n)
+            assert split_at(SOptimal(), n) == split_at(optimal, n)

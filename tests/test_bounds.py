@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_ends, mpf_to_fraction
+from conftest import dyadic_ends, ln_bracket, mpf_to_fraction, sqrt_bracket, walk_ends
 from gammaseq import _kernels_py as kernels, bounds, cli
 from gammaseq.bounds import (
     CERTIFIED_FALSE,
@@ -22,11 +22,9 @@ from gammaseq.bounds import (
     sweep,
 )
 from gammaseq.errors import DomainError
-from gammaseq.numerics import (
-    GUARD_BITS, BigReal, decimal_text, gamma_reference, ln_interval, sqrt_interval,
-)
+from gammaseq.numerics import GUARD_BITS, BigReal, decimal_text, gamma_reference
 from gammaseq.polycert import Polynomial
-from gammaseq.sequences import GammaN, evaluate_interval
+from gammaseq.sequences import GammaN
 
 F = Fraction
 
@@ -184,12 +182,13 @@ def test_constant_sides_bracket_published_formula(p):
 
 def _chen_shift_oracle(p):
     """chen's shift as the Fraction formula it was written as before the
-    integer constant, from gamma's ends, ln_interval(3/2) and sqrt_interval."""
+    integer constant, from gamma's ends, ln(3/2) from ln_fixed and the
+    radicands' roots from math.isqrt."""
     q = p + GUARD_BITS
     g_lo, g_hi = dyadic_ends(*gamma_reference(p))
-    ln_lo, ln_hi = ln_interval(F(3, 2), q)
-    root_lo = sqrt_interval(24 * (1 - g_hi - ln_hi), q)[0]
-    root_hi = sqrt_interval(24 * (1 - g_lo - ln_lo), q)[1]
+    ln_lo, ln_hi = ln_bracket(F(3, 2), q)
+    root_lo = sqrt_bracket(24 * (1 - g_hi - ln_hi), q)[0]
+    root_hi = sqrt_bracket(24 * (1 - g_lo - ln_lo), q)[1]
     return 1 / root_hi - 1, 1 / root_lo - 1
 
 
@@ -377,10 +376,7 @@ def test_non_positive_side_denominator_is_a_domain_error(den, reads_c):
 def test_undecided_when_bound_sits_inside_value_interval():
     e = get_entry("young")
     ctx_q = 64 + 32 + (10).bit_length()
-    from gammaseq.numerics import gamma_reference
-    from gammaseq.sequences import evaluate_interval
-
-    lo, hi = evaluate_interval(GammaN(), 10, ctx_q)
+    lo, hi = walk_ends(GammaN(), 10, ctx_q)
     g_lo, g_hi = dyadic_ends(*gamma_reference(64))
     dev_mid = ((lo - g_hi) + (hi - g_lo)) / 2
     touching = BoundEntry(
@@ -454,7 +450,7 @@ def _exact_row(entry, n, p, q):
     """Verdict, deviations and side margins of the row at n with exact
     Fraction arithmetic on the walk's value interval at scale 2**-q."""
     g_lo, g_hi = dyadic_ends(*gamma_reference(p))
-    lo, hi = evaluate_interval(entry.target, n, q)
+    lo, hi = walk_ends(entry.target, n, q)
     dev_lo, dev_hi = lo - g_hi, hi - g_lo
     c = entry.constant(p) if entry.reads_c else None
     margins = {}

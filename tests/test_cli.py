@@ -15,11 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_ends
+from conftest import dyadic_ends, split_at, walk_ends
 from gammaseq import bounds, cli, numerics
 from gammaseq.bounds import BoundEntry
 from gammaseq.numerics import gamma_reference, harmonic_exact
-from gammaseq.sequences import GammaN, SOptimal, VernescuV, VFamily, split_eval
+from gammaseq.sequences import GammaN, SOptimal, VernescuV, VFamily
 
 F = Fraction
 
@@ -73,8 +73,8 @@ def test_eval_running_rational_part(capsys, argv, kind):
     code, data = run_json(capsys, "eval", *argv)
     assert code == 0
     for row in data["rows"]:
-        split = split_eval(kind, row["n"])
-        assert F(row["rational_part"]) == harmonic_exact(split.m) + split.correction
+        m, c, _x = split_at(kind, row["n"])
+        assert F(row["rational_part"]) == harmonic_exact(m) + c
 
 
 def test_expand_symbolic_and_numeric(capsys):
@@ -249,11 +249,8 @@ def test_falsified_entry_exits_one(capsys, monkeypatch):
 
 
 def test_undecided_rows_exit_three(capsys, monkeypatch):
-    from gammaseq.numerics import gamma_reference
-    from gammaseq.sequences import evaluate_interval
-
     q = 64 + 32 + (10).bit_length()
-    lo, hi = evaluate_interval(GammaN(), 10, q)
+    lo, hi = walk_ends(GammaN(), 10, q)
     g_lo, g_hi = dyadic_ends(*gamma_reference(64))
     dev_mid = ((lo - g_hi) + (hi - g_lo)) / 2
     touching = BoundEntry(
@@ -282,6 +279,16 @@ def test_precision_error_exits_three(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("precision", ["-100", "-40", "0", "31"])
+def test_rate_rejects_precision_below_the_minimum(capsys, precision):
+    # every command takes p >= 32; a negative p used to end in a traceback
+    code = cli.main(["rate", "--seq", "s", f"--precision={precision}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: precision must be an integer >= 32, got {precision}\n"
 
 
 @pytest.mark.parametrize("start", ["0", "-3"])
@@ -363,6 +370,12 @@ def test_reader_closing_stdout_exits_141_without_traceback():
     assert b"Traceback" not in err
 
 
+# the functions perfbench/tracer.py wraps that the package no longer has: no
+# command called them, so their per-layer metrics read 0 with them or without
+_DELETED_LAYERS = ["numerics.ln_interval", "sequences.evaluate_interval",
+                   "sequences.split_eval", "sequences.evaluate"]
+
+
 def test_benchmark_tracer_finds_every_layer(tmp_path):
     # perfbench/tracer.py wraps package functions by name; a name it cannot
     # find lands in "missing", and its per-layer metrics would read 0
@@ -374,7 +387,33 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(trace.read_text(encoding="utf-8"))["missing"] == []
+    assert json.loads(trace.read_text(encoding="utf-8"))["missing"] == _DELETED_LAYERS
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep-bounds --entry chen --to 60 --precision 128 --format csv",
+    "eval --seq s --n 3 --to 40 --precision 256",
+    "certify --target g",
+    "enclose --precision 1024",
+])
+def test_benchmark_tracer_runs_the_command_unchanged(tmp_path, argv):
+    # each command prints through the tracer what it prints alone, and the
+    # trace holds its spans: a package change that breaks a name the
+    # tracer reads by attribute fails here, not in the benchmark
+    root = Path(__file__).resolve().parents[1]
+    trace = tmp_path / "t.json"
+
+    def run(*command):
+        return subprocess.run([sys.executable, *command, *argv.split()], cwd=root,
+                              capture_output=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")})
+
+    plain = run("-m", "gammaseq.cli")
+    traced = run("perfbench/tracer.py", str(trace))
+    assert plain.returncode == traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
+    assert spans and all(span["calls"] > 0 for span in spans)
 
 
 # text that JSON must escape: quotes, backslashes, control characters,
@@ -553,7 +592,7 @@ sys.exit(code)
 _HELP = json.loads((Path(__file__).resolve().parent / "data" / "help.json").read_text("utf-8"))
 _STDLIB = {"csv", "json"}
 _NUMERICS = {"numerics", "_kernels_py"}
-_RATES = {"rates", "series", "sequences", *_NUMERICS}
+_RATES = {"rates", "series"}  # optimize; rate adds the walk
 _IMPORTS = [
     *((argv, set()) for argv in _HELP),  # --version and every --help
     ("", set()),
@@ -564,10 +603,10 @@ _IMPORTS = [
     ("sweep-bounds --entry young --to 10", {"bounds", "sequences", *_NUMERICS, "json"}),
     ("eval --seq s --n 3 --to 5", {"sequences", *_NUMERICS, "json"}),
     ("eval --seq s --n 3 --to 5 --format csv", {"sequences", *_NUMERICS}),
-    ("rate --seq s --grid-stop 128", {*_RATES, "json"}),
+    ("rate --seq s --grid-stop 128", {*_RATES, "sequences", *_NUMERICS, "json"}),
     ("optimize", {*_RATES, "json"}),
-    ("certify --target P", {"polycert", *_NUMERICS, "json"}),
-    ("certify --target P --format csv", {"polycert", *_NUMERICS, "csv"}),
+    ("certify --target P", {"polycert", "json"}),
+    ("certify --target P --format csv", {"polycert", "csv"}),
     ("expand", {"series", "json"}),
 ]
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dyadic_ends
+from conftest import dyadic_ends, split_at, walk_ends
 from gammaseq import _kernels_py as kernels, numerics
 from gammaseq.numerics import gamma_reference, harmonic_exact
 from gammaseq.polycert import Polynomial, RationalFunction
-from gammaseq.sequences import SOptimal, VFamily, evaluate_interval, split_eval
+from gammaseq.sequences import SOptimal, VFamily
 from gammaseq.series import AsymptoticSeries, ParamPoly
 
 F = Fraction
@@ -42,7 +42,7 @@ def test_optimal_sequence_bracket_midpoints_to_2000():
     g_lo, g_hi = dyadic_ends(*gamma_reference(192))
     gamma_mid = (g_lo + g_hi) / 2
     for n in range(9, 2001):
-        lo, hi = evaluate_interval(SOptimal(), n, 240)
+        lo, hi = walk_ends(SOptimal(), n, 240)
         gap = F(1, 60 * n**4)
         assert g_hi - g_lo < gap / 1000
         assert (hi - lo) < gap / 1000
@@ -53,14 +53,14 @@ def test_optimal_sequence_bracket_midpoints_to_2000():
 def test_v_family_at_gamma_parameters_splits_to_2000():
     kind = VFamily(F(2), F(-1))
     for n in range(3, 2001):
-        sv = split_eval(kind, n)
-        assert sv.rational_part == harmonic_exact(n)
-        assert sv.log_argument == n
+        m, c, x = split_at(kind, n)
+        assert harmonic_exact(m) + c == harmonic_exact(n)
+        assert x == n
 
 
 def test_concurrent_use_is_consistent():
     # pure functions plus two caches (gamma_reference's lru_cache and the
-    # lru_cache of ln 2 per 64-bit scale behind ln_interval): hammer them
+    # lru_cache of ln 2 per 64-bit scale behind ln_fixed): hammer them
     # and the exact harmonic sum from several threads and compare against fresh
     # sequential values
     def work(seed):
@@ -68,7 +68,7 @@ def test_concurrent_use_is_consistent():
         return (
             harmonic_exact(n),
             gamma_reference(64 + 8 * (seed % 3)),
-            numerics.ln_interval(F(n), 96),
+            numerics.ln_fixed(n, 1, 96),
         )
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -78,7 +78,7 @@ def test_concurrent_use_is_consistent():
         fresh = sum((F(1, k) for k in range(1, n + 1)), F(0))
         assert h == fresh
         assert g == gamma_reference(64 + 8 * (seed % 3))
-        assert ln == numerics.ln_interval(F(n), 96)
+        assert ln == numerics.ln_fixed(n, 1, 96)
 
 
 @pytest.mark.parametrize("a, b", [

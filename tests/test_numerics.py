@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_ends, mpf_to_fraction
+from conftest import dyadic_ends, ln_bracket, mpf_to_fraction, sqrt_bracket
 from gammaseq import _kernels_py as kernels, numerics
 from gammaseq.errors import DomainError
 from gammaseq.numerics import (
@@ -19,8 +19,6 @@ from gammaseq.numerics import (
     gamma_reference,
     harmonic_exact,
     ln_fixed,
-    ln_interval,
-    sqrt_interval,
 )
 
 GAMMA_DIGITS = Fraction("0.57721566490153286")
@@ -218,7 +216,6 @@ def test_harmonic_float_large_n_against_split_sum():
 
 def test_ln_one_is_exactly_zero():
     assert ln_fixed(1, 1, 64) == (0, 0, 64)
-    assert ln_interval(1, 64) == (0, 0)
 
 
 @pytest.mark.parametrize("x", [2, Fraction(3, 2), 10, Fraction(1, 7)])
@@ -227,7 +224,7 @@ def test_ln_real_matches_oracle(x):
     x = Fraction(x)
     mp.mp.prec = p + 120
     oracle = mpf_to_fraction(mp.ln(mp.mpf(x.numerator) / x.denominator))
-    lo, hi = ln_interval(x, p)
+    lo, hi = ln_bracket(x, p)
     # mpmath is correct to ~2^-240 here, far below the width
     slack = Fraction(1, 2 ** (p + 100))
     assert lo - slack <= oracle <= hi + slack
@@ -239,7 +236,7 @@ def test_ln_interval_contains_oracle_random():
     mp.mp.prec = 300
     for _ in range(30):
         x = random_fraction(rng)
-        lo, hi = ln_interval(x, 160)
+        lo, hi = ln_bracket(x, 160)
         oracle = mpf_to_fraction(mp.ln(mp.mpf(x.numerator) / x.denominator))
         # mpmath is correct to ~2^-295 here, far below our width
         assert lo - Fraction(1, 2**250) <= oracle <= hi + Fraction(1, 2**250)
@@ -247,7 +244,7 @@ def test_ln_interval_contains_oracle_random():
 
 def test_ln_interval_near_one_keeps_relative_accuracy():
     x = 1 + Fraction(1, 10**9)
-    lo, hi = ln_interval(x, 96)
+    lo, hi = ln_bracket(x, 96)
     mp.mp.prec = 400
     oracle = mpf_to_fraction(mp.ln(mp.mpf(1) + mp.mpf(10) ** -9))
     assert lo <= oracle <= hi
@@ -261,26 +258,28 @@ def test_ln_product_property():
     for _ in range(25):
         x = random_fraction(rng)
         y = random_fraction(rng)
-        xy_lo, xy_hi = ln_interval(x * y, p)
-        x_lo, x_hi = ln_interval(x, p)
-        y_lo, y_hi = ln_interval(y, p)
+        xy_lo, xy_hi = ln_bracket(x * y, p)
+        x_lo, x_hi = ln_bracket(x, p)
+        y_lo, y_hi = ln_bracket(y, p)
         assert xy_lo <= x_hi + y_hi and x_lo + y_lo <= xy_hi
         assert max(xy_hi - xy_lo, x_hi - x_lo, y_hi - y_lo) <= Fraction(2) ** (1 - p)
 
 
 def test_ln_rejects_nonpositive():
     with pytest.raises(DomainError):
-        ln_interval(0, 64)
+        ln_fixed(0, 1, 64)
     with pytest.raises(DomainError):
         ln_fixed(-3, 2, 64)
     with pytest.raises(DomainError):
-        ln_interval(Fraction(-2), 64)
+        ln_fixed(-2, 1, 64)
 
 
 def test_sqrt_interval_brackets_oracle():
+    # the isqrt bracket that the oracles of chen's shift and of the sqrt(6)
+    # variants are built from
     mp.mp.prec = 300
     for x in (2, 6, Fraction(24, 7)):
-        lo, hi = sqrt_interval(x, 128)
+        lo, hi = sqrt_bracket(x, 128)
         oracle = mpf_to_fraction(mp.sqrt(mp.mpf(Fraction(x).numerator) / Fraction(x).denominator))
         assert lo <= oracle <= hi
         assert hi - lo == Fraction(1, 2**128)

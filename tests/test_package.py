@@ -1,5 +1,6 @@
 """The package surface: names loaded on first access (PEP 562)."""
 
+import importlib
 import os
 import pkgutil
 import subprocess
@@ -55,3 +56,12 @@ def test_any_submodule_imports_first(module):
                   "for name in gammaseq.__all__:\n"
                   "    getattr(gammaseq, name)\n", module)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(gammaseq.__path__)))
+def test_every_name_in_a_submodules_all_resolves(module):
+    # a stale __all__ entry, naming something the module no longer defines,
+    # would break `from gammaseq.<module> import *`
+    home = importlib.import_module(f"gammaseq.{module}")
+    missing = [name for name in getattr(home, "__all__", ()) if not hasattr(home, name)]
+    assert missing == []

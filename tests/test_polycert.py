@@ -3,9 +3,10 @@
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from conftest import dyadic_ends
+from conftest import dyadic_ends, walk_ends
 from gammaseq.errors import DomainError
 from gammaseq.numerics import gamma_reference
 from gammaseq.polycert import (
@@ -24,7 +25,7 @@ from gammaseq.polycert import (
     tail_sign_verdict,
     taylor_shift,
 )
-from gammaseq.sequences import SOptimal, evaluate_interval
+from gammaseq.sequences import SOptimal
 
 F = Fraction
 X = Polynomial.x()
@@ -41,7 +42,6 @@ def random_poly(rng, degree):
 
 
 def test_poly_basics():
-    assert (X**2).derivative() == 2 * X
     assert (X - 1) * (X + 1) == X**2 - 1
     assert Polynomial((1, 2, 1)).evaluate(F(1, 2)) == F(9, 4)
     assert Polynomial().degree == float("-inf")
@@ -53,20 +53,6 @@ def test_poly_divmod():
     q, r = divmod(p, X + 2)
     assert q * (X + 2) + r == p
     assert r.degree < 1
-
-
-def test_poly_derivative_matches_central_difference():
-    rng = random.Random(47)
-    h = F(1, 2**12)
-    for _ in range(10):
-        p = random_poly(rng, 6)
-        x = F(rng.randrange(-8, 9), rng.randrange(1, 5))
-        diff = (p.evaluate(x + h) - p.evaluate(x - h)) / (2 * h)
-        exact = p.derivative().evaluate(x)
-        # central difference error is h^2/6 * |p'''| near x
-        p3 = p.derivative().derivative().derivative()
-        bound = h * h * sum(abs(c) for c in p3.coeffs) * max(1, abs(x) + 1) ** 6
-        assert abs(diff - exact) <= bound
 
 
 def test_taylor_shift_hand_value():
@@ -101,13 +87,6 @@ def test_rational_function_canonical_form():
     r = RationalFunction(X**2 - 1, X - 1)
     assert r == RationalFunction(X + 1, Polynomial((1,)))
     assert r.den == Polynomial((1,))
-
-
-def test_rational_function_derivative_quotient_rule():
-    r = RationalFunction(X**2 + 1, X - 2)
-    d = r.derivative()
-    manual = RationalFunction((2 * X) * (X - 2) - (X**2 + 1), (X - 2) ** 2)
-    assert d == manual
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +155,19 @@ def test_step_derivative_matches_finite_difference():
     fd = derivative_of_f("f")
     h = F(1, 2**16)
     x = F(2)
-    up = fn.value_interval(x + h, 200)
-    down = fn.value_interval(x - h, 200)
-    diff = ((up[0] + up[1]) - (down[0] + down[1])) / (4 * h)
-    assert abs(diff - fd.evaluate(x)) <= F(1, 10**8)
+
+    def mpq(v):
+        return mp.mpf(v.numerator) / v.denominator
+
+    def value(x):  # the step function in mpmath, to about 2^-200
+        x = mpq(x)
+        return sum(mpq(t.coeff) / (x - mpq(t.center)) ** t.power for t in fn.terms) + (
+            mpq(fn.log_coeff) * mp.log(1 + 1 / x))
+
+    with mp.workprec(256):
+        diff = (value(x + h) - value(x - h)) / (2 * mpq(h))
+        exact = mpq(fd.num.evaluate(x) / fd.den.evaluate(x))
+        assert abs(diff - exact) <= mp.mpf(10) ** -8
 
 
 def test_step_functions_vanish_at_infinity_structurally():
@@ -203,7 +191,7 @@ def test_verdicts_corroborated_numerically():
     g_lo, g_hi = dyadic_ends(*gamma_reference(128))
 
     def gaps(n, coeff):
-        lo, hi = evaluate_interval(SOptimal(), n, 170)
+        lo, hi = walk_ends(SOptimal(), n, 170)
         bracket = F(1, 12 * n**3) + coeff * F(1, n**4)
         return lo - g_hi - bracket, hi - g_lo - bracket
 

@@ -1,4 +1,4 @@
-"""Sequence evaluators: exact splits, interval evaluation, identities."""
+"""Sequence evaluators: exact splits, the walk, rounded values."""
 
 import math
 import random
@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_ends, dyadic_value, mpf_to_fraction
+from conftest import (
+    dyadic_ends, dyadic_value, ln_bracket, mpf_to_fraction, split_at, sqrt_bracket, walk_ends,
+)
 from gammaseq import sequences
 from gammaseq._kernels_py import harmonic_fixed
 from gammaseq.errors import DomainError
-from gammaseq.numerics import gamma_reference, harmonic_exact, ln_interval, sqrt_interval
+from gammaseq.numerics import gamma_reference, harmonic_exact
 from gammaseq.sequences import (
     DeTempleR,
     GammaN,
@@ -23,62 +25,99 @@ from gammaseq.sequences import (
     UPlus,
     VernescuV,
     VFamily,
-    error_fraction,
-    evaluate,
-    evaluate_interval,
-    intervals,
-    split_eval,
+    Walk,
     values,
-    verify_error_identity,
 )
 
 F = Fraction
 
 
+def value_at(kind, n, p):
+    """The sequence at n rounded to p bits by `values`, as an exact Fraction."""
+    return dyadic_value(*next(values(kind, n, n, p)))
+
+
+def rational_part(m, c):
+    """H_m + c, exactly (H_0 = 0)."""
+    return (harmonic_exact(m) if m else 0) + c
+
+
 def test_split_gamma_n_at_one():
-    sv = split_eval(GammaN(), 1)
-    assert sv.rational_part == 1 and sv.log_argument == 1
+    m, c, x = split_at(GammaN(), 1)
+    assert rational_part(m, c) == 1 and x == 1
 
 
 def test_split_s_optimal_formula():
-    sv = split_eval(SOptimal(), 10)
-    assert sv.rational_part == harmonic_exact(8) + F(13, 12 * 9) + F(5, 120)
-    assert sv.log_argument == 10
+    m, c, x = split_at(SOptimal(), 10)
+    assert rational_part(m, c) == harmonic_exact(8) + F(13, 12 * 9) + F(5, 120)
+    assert x == 10
 
 
 def test_s_optimal_equals_v_family_at_optimum():
     kind = VFamily(F(3, 2), F(-5, 12))
     for n in range(3, 300):
-        assert split_eval(SOptimal(), n) == split_eval(kind, n)
+        assert split_at(SOptimal(), n) == split_at(kind, n)
 
 
 def test_v_family_at_2_minus_1_is_gamma_n():
     kind = VFamily(F(2), F(-1))
     for n in range(3, 300):
-        sv = split_eval(kind, n)
-        assert sv.rational_part == harmonic_exact(n)
-        assert sv.log_argument == n
+        m, c, x = split_at(kind, n)
+        assert rational_part(m, c) == harmonic_exact(n)
+        assert x == n
 
 
 def test_detemple_and_vernescu_are_mu_members():
     for n in (1, 2, 7, 40):
-        assert split_eval(DeTempleR(), n) == split_eval(MuFamily(F(1), F(1, 2)), n)
-        assert split_eval(VernescuV(), n) == split_eval(MuFamily(F(2), F(0)), n)
+        assert split_at(DeTempleR(), n) == split_at(MuFamily(F(1), F(1, 2)), n)
+        assert split_at(VernescuV(), n) == split_at(MuFamily(F(2), F(0)), n)
 
 
 def test_evaluate_trivial_and_equalities():
-    assert dyadic_value(*evaluate(GammaN(), 1, 64)) == 1
+    assert value_at(GammaN(), 1, 64) == 1
     for n in (3, 10, 25):
-        lhs = evaluate(VFamily(F(2), F(-1)), n, 128)
-        rhs = evaluate(GammaN(), n, 128)
-        assert dyadic_value(*lhs) == dyadic_value(*rhs)
+        assert value_at(VFamily(F(2), F(-1)), n, 128) == value_at(GammaN(), n, 128)
 
 
 def test_detemple_at_one_matches_oracle():
     mp.mp.prec = 300
     oracle = mpf_to_fraction(1 - mp.ln(mp.mpf(3) / 2))
-    got = dyadic_value(*evaluate(DeTempleR(), 1, 128))
+    got = value_at(DeTempleR(), 1, 128)
     assert abs(got - oracle) <= F(1, 2**120)
+
+
+def _error_fraction(a, b, n):
+    """((a - 3/2) n^2 + (b + 5/12) n + 1/12) / (n^2 (n - 1)), the rational core of
+    VFamily's deviation from gamma (with the 1/(120 n^4) digamma tail)."""
+    return ((a - F(3, 2)) * n * n + (b + F(5, 12)) * n + F(1, 12)) / (n * n * (n - 1))
+
+
+def _deviation_core(a, b, n):
+    """VFamily's correction c at n, as the walk's split gives it, less the
+    steps 1/(n-1) + 1/n from H_{n-2} to H_n, plus the terms 1/(2n) - 1/(12 n^2)
+    of H_n - ln n - gamma: by the partial-fraction identity, the error
+    fraction."""
+    _m, c, _x = split_at(VFamily(a, b), n)
+    return c - F(1, n - 1) - F(1, n) + F(1, 2 * n) - F(1, 12 * n * n)
+
+
+def test_error_fraction_hand_values():
+    assert _deviation_core(F(3, 2), F(-5, 12), 10) == F(1, 10800)
+    assert _deviation_core(F(2), F(-1), 4) == F(23, 192)
+
+
+def test_verify_error_identity_examples():
+    for a, b, n in ((F(3, 2), F(-5, 12), 7), (F(2), F(-1), 5), (F(0), F(0), 3)):
+        assert _deviation_core(a, b, n) == _error_fraction(a, b, n)
+
+
+def test_verify_error_identity_random():
+    rng = random.Random(41)
+    for _ in range(100):
+        a = F(rng.randrange(-100, 100), rng.randrange(1, 40))
+        b = F(rng.randrange(-100, 100), rng.randrange(1, 40))
+        n = rng.randrange(3, 101)
+        assert _deviation_core(a, b, n) == _error_fraction(a, b, n)
 
 
 @pytest.mark.parametrize("kind,expr", [
@@ -97,7 +136,7 @@ def test_detemple_at_one_matches_oracle():
 def test_interval_contains_oracle(kind, expr):
     mp.mp.prec = 400
     for n in (5, 23, 160):
-        lo, hi = evaluate_interval(kind, n, 200)
+        lo, hi = walk_ends(kind, n, 200)
         oracle = mpf_to_fraction(expr(n))
         slack = F(1, 2**300)  # oracle's own rounding, far below our width
         assert lo - slack <= oracle <= hi + slack
@@ -108,7 +147,7 @@ def _mp_frac(x):
 
 
 def _mp_value(kind, n):
-    # the published formulas, independent of split_eval's H_m + correction form
+    # the published formulas, independent of the split's H_m + correction form
     h = mp.harmonic
     if isinstance(kind, GammaN):
         return h(n) - mp.ln(n)
@@ -175,21 +214,20 @@ def test_split_pairs_are_the_published_pieces(walk):
     assert c_den > 0 and x_den > 0 and x_num > 0
     assert math.gcd(x_num, x_den) == 1  # ln_fixed reads the reduced bit lengths
     assert (F(c_num, c_den), F(x_num, x_den)) == _published_pieces(kind, n)
-    assert split_eval(kind, n) == sequences.SplitValue(m, F(c_num, c_den), F(x_num, x_den), n)
 
 
 def _fraction_tail_interval(kind, n, q):
     """The interval of a sqrt(6) variant as the Fraction tail built it,
     kept as the oracle for the one integer tail of the walk."""
-    s_lo, s_hi = sqrt_interval(6, q + 8)
+    s_lo, s_hi = sqrt_bracket(6, q + 8)
     if isinstance(kind, UPlus):
         a_lo, a_hi = 6 + 2 * s_lo, 6 + 2 * s_hi
         b_lo, b_hi = -1 / s_lo, -1 / s_hi
     else:
         a_lo, a_hi = 6 - 2 * s_hi, 6 - 2 * s_lo
         b_lo, b_hi = 1 / s_hi, 1 / s_lo
-    lo = 1 / (a_hi * n) - ln_interval(n + b_hi, q)[1]
-    hi = 1 / (a_lo * n) - ln_interval(n + b_lo, q)[0]
+    lo = 1 / (a_hi * n) - ln_bracket(n + b_hi, q)[1]
+    hi = 1 / (a_lo * n) - ln_bracket(n + b_lo, q)[0]
     h_lo, h_hi = harmonic_fixed(n - 1, q)
     return (h_lo + (lo.numerator << q) // lo.denominator,
             h_hi - ((-hi.numerator << q) // hi.denominator))
@@ -206,23 +244,23 @@ def test_walk_agrees_with_single_index_and_oracles(walk):
     mp.mp.prec = 2 * q
     slack = F(1, 2 ** (2 * q - 16))  # the oracle's own rounding
     width_cap = F(n_to + q * n_to.bit_length(), 2**q)
-    got = list(intervals(kind, range(n_from, n_to + 1), q))
+    got = list(map(Walk(kind, q), range(n_from, n_to + 1)))
     assert len(got) == n_to - n_from + 1
     # a walk over any increasing subset visits the same intervals
-    assert list(intervals(kind, subset, q)) == [got[n - n_from] for n in subset]
+    assert list(map(Walk(kind, q), subset)) == [got[n - n_from] for n in subset]
     for n, (lo, hi) in zip(range(n_from, n_to + 1), got):
         assert isinstance(lo, int) and isinstance(hi, int)
+        assert (lo, hi) == Walk(kind, q)(n)
         lo, hi = F(lo, 2**q), F(hi, 2**q)
-        assert (lo, hi) == evaluate_interval(kind, n, q)
         if isinstance(kind, (UPlus, UMinus)):
             assert got[n - n_from] == _fraction_tail_interval(kind, n, q)
         oracle = mpf_to_fraction(_mp_value(kind, n))
         assert lo - slack <= oracle <= hi + slack
         assert 0 <= hi - lo <= width_cap
         if not isinstance(kind, (UPlus, UMinus)):
-            split = split_eval(kind, n)
-            ln_lo, ln_hi = ln_interval(split.log_argument, q)
-            exact_rational = split.rational_part
+            m, c, x = split_at(kind, n)
+            ln_lo, ln_hi = ln_bracket(x, q)
+            exact_rational = rational_part(m, c)
             assert lo <= exact_rational - ln_lo and exact_rational - ln_hi <= hi
 
 
@@ -230,74 +268,51 @@ def test_monotone_error_decay_for_s_optimal():
     gamma_mid = sum(dyadic_ends(*gamma_reference(128))) / 2
     previous = None
     for n in range(9, 513):
-        lo, hi = evaluate_interval(SOptimal(), n, 170)
+        lo, hi = walk_ends(SOptimal(), n, 170)
         err_n = abs((lo + hi) / 2 - gamma_mid)
-        lo2, hi2 = evaluate_interval(SOptimal(), 2 * n, 170)
+        lo2, hi2 = walk_ends(SOptimal(), 2 * n, 170)
         err_2n = abs((lo2 + hi2) / 2 - gamma_mid)
         assert err_2n < err_n
         previous = err_n
 
 
-def test_error_fraction_hand_values():
-    assert error_fraction(F(3, 2), F(-5, 12), 10) == F(1, 10800)
-    assert error_fraction(F(2), F(-1), 4) == F(23, 192)
-
-
-def test_error_fraction_domain():
-    with pytest.raises(DomainError):
-        error_fraction(F(1), F(1), 1)
-
-
-def test_verify_error_identity_examples():
-    assert verify_error_identity(F(3, 2), F(-5, 12), 7)
-    assert verify_error_identity(F(2), F(-1), 5)
-    assert verify_error_identity(F(0), F(0), 3)
-
-
-def test_verify_error_identity_random():
-    rng = random.Random(41)
-    for _ in range(100):
-        a = F(rng.randrange(-100, 100), rng.randrange(1, 40))
-        b = F(rng.randrange(-100, 100), rng.randrange(1, 40))
-        n = rng.randrange(2, 101)
-        assert verify_error_identity(a, b, n)
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
-        split_eval(SOptimal(), 2)
+        Walk(SOptimal(), 64)(2)
     with pytest.raises(DomainError):
-        split_eval(VFamily(F(1), F(1)), 0)
+        Walk(VFamily(F(1), F(1)), 64)(0)
     with pytest.raises(DomainError):
-        split_eval(UPlus(), 5)  # no exact split for irrational parameters
+        sequences._split(UPlus())  # no exact split for irrational parameters
     with pytest.raises(DomainError):
         MuFamily(F(0), F(1))
     with pytest.raises(DomainError):
-        split_eval(MuFamily(F(1), F(-5)), 3)  # log argument not positive
+        Walk(MuFamily(F(1), F(-5)), 64)(3)  # log argument not positive
+    walk = Walk(GammaN(), 64)
+    walk(5)
     with pytest.raises(DomainError):
-        list(intervals(GammaN(), [5, 3], 64))  # the walk cannot step back
+        walk(3)  # the walk cannot step back
 
 
 def test_exactly_zero_value_rounds_to_zero():
     # H_5 + 1/(6 a) = 0 at a = -10/137 and ln(6 - 5) = 0: the value vanishes
     # exactly while the walk's interval for H_5 keeps a nonzero width
     kind = MuFamily(F(-10, 137), F(-5))
-    assert dyadic_value(*evaluate(kind, 6, 64)) == 0
+    assert value_at(kind, 6, 64) == 0
     assert [dyadic_value(*v) == 0 for v in values(kind, 6, 8, 64)] == [True, False, False]
 
 
 def test_pair_symmetric_about_zero_retries(monkeypatch):
     # twice the midpoint of a first walk pair (-k, k) is 0, yet the value
     # is not: a tighter retry must decide it
-    real = sequences.intervals
+    real = sequences.Walk
     scales = []
 
-    def stub(kind, ns, q):
+    def stub(kind, q):
         scales.append(q)
-        return iter([(-5, 5)]) if len(scales) == 1 else real(kind, ns, q)
+        return (lambda n: (-5, 5)) if len(scales) == 1 else real(kind, q)
 
-    monkeypatch.setattr(sequences, "intervals", stub)
-    got = dyadic_value(*evaluate(GammaN(), 10, 64))
+    monkeypatch.setattr(sequences, "Walk", stub)
+    got = value_at(GammaN(), 10, 64)
     assert scales == [64 + 32 + 4, 2 * (64 + 32 + 4)]
     mp.mp.prec = 200
     oracle = mpf_to_fraction(mp.harmonic(10) - mp.log(10))
@@ -308,7 +323,7 @@ def test_value_near_zero_keeps_relative_accuracy():
     # 7/3 - ln(1 + b) is about 8.4e-20; its first walk pair at 32 bits
     # straddles 0, and the value must not round to 0
     b = F(8782218930, 943081523)
-    got = dyadic_value(*evaluate(MuFamily(F(3, 7), b), 1, 32))
+    got = value_at(MuFamily(F(3, 7), b), 1, 32)
     mp.mp.prec = 300
     oracle = mpf_to_fraction(mp.mpf(7) / 3 - mp.log(1 + mp.mpf(b.numerator) / b.denominator))
     assert oracle > 0
@@ -316,5 +331,4 @@ def test_value_near_zero_keeps_relative_accuracy():
 
 
 def test_u_variants_have_no_split_but_evaluate():
-    value = evaluate(UPlus(), 12, 128)
-    assert F(1, 2) < dyadic_value(*value) < 1
+    assert F(1, 2) < value_at(UPlus(), 12, 128) < 1
