@@ -9,8 +9,10 @@ exact zero.  `ln_fixed` is the integer core for logarithms, at a scale
 of its own; `ln_ends`, the one routine that combines it with an exact
 rational c, gives the floor and ceiling of (c - ln x) * 2**q to the
 sequence walk and the constant's enclosure, with c and x as integer
-pairs (num, den).  `gamma_reference` and `gamma_bootstrap` give the
-constant in the same protocol, as (lo, hi, q).  `round_bits` rounds an
+pairs (num, den).  `gamma_reference` gives the constant at any
+precision through one route, the exponential-integral identity, and
+`gamma_bootstrap` gives it from s_n at an explicit n for `enclose --n`
+only; both in the same protocol, as (lo, hi, q).  `round_bits` rounds an
 integer at a scale to an explicit number of bits (the first of `eval`'s
 two roundings, see `sequences.values`), and `decimal_text` prints
 num/den in any of the rounding modes of `_round`; the row templates of
@@ -267,34 +269,30 @@ def ln_ends(c_lo: tuple[int, int], c_hi: tuple[int, int], x: tuple[int, int],
 # ---------------------------------------------------------------------------
 # the reference enclosure for the Euler-Mascheroni constant
 
-# s_n = H_{n-2} + 13/(12(n-1)) + 5/(12n) - ln n satisfies, for n >= 9,
-#   1/(12n^3) + 11/(120n^4) < s_n - gamma < 1/(12n^3) + 13/(120n^4),
-# so s_n minus those brackets encloses gamma with width 1/(60 n^4).
-# That route costs O(n) work, which is fine up to the cap below (about
-# 75 output bits).  Beyond it, gamma_reference switches to the
-# exponential-integral identity
+# gamma_reference uses the exponential-integral identity
 #   gamma = sum_{k>=1} (-1)^(k+1) x^k/(k k!) - ln x - E1(x),
 # whose remainder satisfies 0 < E1(x) < exp(-x)/x, giving any precision
 # in O(p) cheap terms.
-_BOOTSTRAP_MAX_N = 1 << 17
 
 # 14426/10000 < log2(e), so exp(-x) <= 2**-(x*14426//10000)
 _LOG2_E_FLOOR = (14426, 10000)
 
 
 def _gamma_ends(lo: int, hi: int, q: int) -> tuple[int, int, int]:
-    # the one order check, which both routes to the constant return through
+    # the one order check, which gamma_reference and gamma_bootstrap return through
     if lo > hi:
         raise ValueError("enclosure endpoints out of order")
     return lo, hi, q
 
 
 def gamma_bootstrap(n: int, p: int) -> tuple[int, int, int]:
-    """Enclosure (lo, hi, q) of the Euler-Mascheroni constant from s_n
-    directly: lo <= gamma * 2**q <= hi.
+    """Enclosure (lo, hi, q) of the Euler-Mascheroni constant from s_n at
+    an explicit n, lo <= gamma * 2**q <= hi, for `enclose --n`.
 
-    Width is 1/(60 n^4) plus evaluation slack; requires n >= 9 (the
-    upper bracket on s_n - gamma only holds from there).
+    s_n = H_{n-2} + 13/(12(n-1)) + 5/(12n) - ln n satisfies, for n >= 9,
+    1/(12n^3) + 11/(120n^4) < s_n - gamma < 1/(12n^3) + 13/(120n^4), so
+    the width is 1/(60 n^4) plus evaluation slack, at O(n) work; n < 9
+    is rejected, as the upper bracket only holds from there.
     """
     if not isinstance(n, int) or n < 9:
         raise DomainError(f"bootstrap enclosure requires n >= 9, got {n!r}")
@@ -308,28 +306,18 @@ def gamma_bootstrap(n: int, p: int) -> tuple[int, int, int]:
     return _gamma_ends(h_lo + lo, h_hi + hi, q)
 
 
-def _bootstrap_n_for(p: int) -> int:
-    # smallest power of two with 1/(60 N^4) <= 2**(1-p)
-    j = 0
-    while 60 << (4 * j) < (1 << (p - 1)):
-        j += 1
-    return 1 << j
-
-
 @lru_cache(maxsize=64)
 def gamma_reference(p: int) -> tuple[int, int, int]:
     """Certified enclosure (lo, hi, q) of the Euler-Mascheroni constant,
     lo <= gamma * 2**q <= hi, of width (hi - lo) * 2**-q <= 2**(2-p).
 
-    Deterministic for a given p.  Small p uses the s_N bracket with N
-    the smallest power of two satisfying 1/(60 N^4) <= 2**(1-p); large
-    p uses the exponential-integral route, since the bracket's O(N)
-    summation grows like 2**(p/4).
+    Deterministic for a given p.  Every p takes the exponential-integral
+    route, with x chosen so that exp(-x)/x <= 2**-(p+3).  The series
+    minus ln x is gamma + E1(x), the upper end; the lower end subtracts
+    exp(-x)/x from it.  So gamma lies near the lower end, about E1(x)
+    below the upper one.
     """
     _check_precision(p)
-    n = _bootstrap_n_for(p)
-    if n <= _BOOTSTRAP_MAX_N:
-        return gamma_bootstrap(n, p)  # n >= 128 for every p >= 32
     c_num, c_den = _LOG2_E_FLOOR
     x = (p + 3) * c_den // c_num + 2
     shift = x * c_num // c_den  # exp(-x) <= 2**-shift, shift >= p+3

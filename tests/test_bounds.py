@@ -258,18 +258,18 @@ def test_sweep_small_ranges_all_true():
 
 def test_undecided_rows_escalate_alone_by_doubling():
     e = get_entry("chen")
-    report = sweep(e, 100, 120, 32)
+    report = sweep(e, 528, 548, 32)
     assert report.counts[CERTIFIED_TRUE] == len(report.rows)
     assert [r.precision for r in report.rows] == [32] * 5 + [64] * 16
-    assert check(e, 105, 32).verdict == UNDECIDED
+    assert check(e, 533, 32).verdict == UNDECIDED
     # an escalated row is the one-row sweep at its final precision
-    assert report.rows[5] == sweep(e, 105, 105, 64, precision_cap=64).rows[0]
-    capped = sweep(e, 100, 120, 32, precision_cap=48)
+    assert report.rows[5] == sweep(e, 533, 533, 64, precision_cap=64).rows[0]
+    capped = sweep(e, 528, 548, 32, precision_cap=48)
     assert [r.precision for r in capped.rows] == [32] * 5 + [48] * 16
 
 
 def test_escalation_sums_harmonic_terms_linear_in_the_range(monkeypatch):
-    # nearly every chen row from 105 on escalates to 64 bits; re-running each
+    # every chen row from 533 on escalates to 64 bits; re-running each
     # row alone would sum H_n from 1 again, about n_to**2 / 2 terms in all
     harmonic_fixed = kernels.harmonic_fixed
     terms = []
@@ -279,20 +279,20 @@ def test_escalation_sums_harmonic_terms_linear_in_the_range(monkeypatch):
         return harmonic_fixed(n, q, m)
 
     monkeypatch.setattr(kernels, "harmonic_fixed", counting)
-    report = sweep(get_entry("chen"), 100, 4000, 32)
+    report = sweep(get_entry("chen"), 528, 4000, 32)
     assert report.counts[CERTIFIED_TRUE] == len(report.rows)
-    assert sum(r.precision == 64 for r in report.rows) > 3800
+    assert sum(r.precision == 64 for r in report.rows) > 3400
     assert sum(terms) < 20 * 4000
 
 
 @pytest.mark.parametrize("cap", [None, 48, 32])
 def test_chunk_boundaries_change_no_row(monkeypatch, cap):
-    # chen 100..600 at 32 bits escalates nearly every row; with chunks of 7
+    # chen 528..1028 at 32 bits escalates nearly every row; with chunks of 7
     # indices every chunk escalates, yet each row is the one-chunk row and
     # the escalated walks resume across chunks instead of restarting
     e = get_entry("chen")
     monkeypatch.setattr(bounds, "CHUNK", 10**6)
-    whole = sweep(e, 100, 600, 32, precision_cap=cap)
+    whole = sweep(e, 528, 1028, 32, precision_cap=cap)
     harmonic_fixed = kernels.harmonic_fixed
     terms = []
 
@@ -302,13 +302,13 @@ def test_chunk_boundaries_change_no_row(monkeypatch, cap):
 
     monkeypatch.setattr(kernels, "harmonic_fixed", counting)
     monkeypatch.setattr(bounds, "CHUNK", 7)
-    chunked = sweep(e, 100, 600, 32, precision_cap=cap)
+    chunked = sweep(e, 528, 1028, 32, precision_cap=cap)
     assert chunked == whole
-    # rows past 105 escalate, or stay undecided at a cap of 32
+    # rows from 533 escalate, or stay undecided at a cap of 32
     assert sum(r.precision > 32 or r.verdict == UNDECIDED for r in chunked.rows) > 450
-    # one main walk and one walk per escalated bit length, each <= 600 terms;
-    # restarting the escalated walks per chunk would sum about 72 * 600
-    assert sum(terms) < 6 * 600
+    # one main walk and one walk per escalated bit length, each <= 1028 terms;
+    # restarting the escalated walks per chunk would sum about 72 * 1028
+    assert sum(terms) < 6 * 1028
 
 
 def test_monotone_refinement():
@@ -479,7 +479,7 @@ def sweeps(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(case=sweeps())
-@example(case=(get_entry("chen"), 100, 120, 32))  # rows 105 and up escalate to 64
+@example(case=(get_entry("chen"), 528, 548, 32))  # rows 533 and up escalate to 64
 @example(case=(get_entry("theorem22"), 3, 20, 32))
 def test_rows_match_exact_fraction_oracle(case):
     entry, n_from, n_to, p = case

@@ -294,7 +294,7 @@ def euler_fraction(prec=700):
     return mpf_to_fraction(mp.euler)
 
 
-@pytest.mark.parametrize("p", [32, 64, 74, 75, 128, 192, 256, 1024, 4096])
+@pytest.mark.parametrize("p", [*range(32, 81), 128, 192, 256, 1024, 4096])
 def test_gamma_reference_contract(p):
     enc = gamma_reference(p)
     lo, hi = dyadic_ends(*enc)
@@ -303,13 +303,24 @@ def test_gamma_reference_contract(p):
     assert inside(enc, euler_fraction(max(700, 2 * p)))
 
 
-@pytest.mark.parametrize("p", [64, 1024])  # the s_n route and the E1 route
+@pytest.mark.parametrize("p", [64, 1024])  # a low and a ladder precision, one route
 def test_gamma_reference_computes_one_logarithm(monkeypatch, p):
     calls = []
     ln_fixed = numerics.ln_fixed
     monkeypatch.setattr(numerics, "ln_fixed", lambda *args: calls.append(args) or ln_fixed(*args))
     gamma_reference.__wrapped__(p)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [32, 64, 72])
+def test_gamma_reference_sums_no_harmonic_terms(monkeypatch, p):
+    # low precisions take the exponential-integral route too, not the O(N) s_N sum
+    calls = []
+    harmonic_fixed = kernels.harmonic_fixed
+    monkeypatch.setattr(kernels, "harmonic_fixed",
+                        lambda *args: calls.append(args) or harmonic_fixed(*args))
+    gamma_reference.__wrapped__(p)
+    assert calls == []
 
 
 def test_gamma_reference_is_deterministic():
@@ -350,7 +361,7 @@ def test_gamma_reference_rejects_small_precision():
 
 
 def test_enclosure_invariants(monkeypatch):
-    # both routes to the constant return integer ends through one order check
+    # gamma_reference and gamma_bootstrap return integer ends through one order check
     assert numerics._gamma_ends(1, 2, 40) == (1, 2, 40)
     with pytest.raises(ValueError, match="out of order"):
         numerics._gamma_ends(3, 2, 40)
@@ -364,10 +375,3 @@ def test_enclosure_invariants(monkeypatch):
     for lo, hi, q in encs:
         assert type(lo) is int and type(hi) is int and 0 < lo < hi < 1 << q
 
-
-def test_bootstrap_rule_matches_reference_for_small_p():
-    # at p = 64 the rule picks N = 2^15 and the bootstrap route is used
-    assert numerics._bootstrap_n_for(64) == 2**15
-    direct = gamma_bootstrap(2**15, 64 + numerics.GUARD_BITS)
-    ref = gamma_reference(64)
-    assert inside(direct, euler_fraction()) and inside(ref, euler_fraction())
