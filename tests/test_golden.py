@@ -21,6 +21,11 @@ csv.writer and BigReal values that integer line templates replaced, and
 the one-row commands that no golden pinned (certify, optimize, expand and
 a rate of s), with the Fraction-valued interval helpers and the series
 and polynomial algebra that no command reached still in the package.
+The escalated and capped chen-mortici sweeps, the chen sweeps at 32
+bits, the young and tims-tyrrell ties and the enclosure at 64 bits were
+recorded again when the constant's s_N route for precisions up to
+about 72 bits gave way to the exponential-integral route at every
+precision.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -38,7 +43,7 @@ GOLDEN = [  # (file, command, exit code)
     ("sweep_theorem22.json",
      "sweep-bounds --entry theorem22 --from 3 --to 40 --precision 192", 0),
     ("sweep_chen.csv", "sweep-bounds --entry chen --to 40 --precision 128 --format csv", 0),
-    # rows 105 and up escalate from 32 to 64 bits through chen's constant side
+    # at 32 bits below n = 533, where chen's rows start to escalate
     ("sweep_chen_escalated.json",
      "sweep-bounds --entry chen --from 100 --to 120 --precision 32", 0),
     ("sweep_anderson.csv",
@@ -53,17 +58,17 @@ GOLDEN = [  # (file, command, exit code)
      "sweep-bounds --entry young --from 2555 --to 2565 --precision 32 --format csv", 0),
     ("sweep_tims_tyrrell_tie.csv",
      "sweep-bounds --entry tims-tyrrell --from 2555 --to 2565 --precision 32 --format csv", 0),
-    # 196 rows escalate to 64 bits, re-walked in bit lengths 7, 8 and 9
+    # one walk across bit lengths 7, 8 and 9 at 32 bits
     ("sweep_chen_span.csv",
      "sweep-bounds --entry chen --from 100 --to 300 --precision 32 --format csv", 0),
     *((f"sweep_{entry.replace('-', '_')}.csv",
        f"sweep-bounds --entry {entry} --to 40 --precision 128 --format csv", 0)
       for entry in ("mortici-vernescu", "toth", "franel", "karatsuba",
                     "mortici-refined", "detemple", "chen-mortici")),
-    # rows 9 and up escalate to 64 bits
+    # rows 11 and up escalate to 64 bits
     ("sweep_chen_mortici_escalated.json",
      "sweep-bounds --entry chen-mortici --to 40 --precision 32", 0),
-    # capped at 32 bits, rows 9 and up stay undecided with margins of -0.000000000
+    # capped at 32 bits, rows 11 and up stay undecided with margins of -0.000000000
     ("sweep_chen_mortici_capped.csv",
      "sweep-bounds --entry chen-mortici --to 40 --precision 32 --precision-cap 32"
      " --format csv", 3),
@@ -83,7 +88,8 @@ GOLDEN = [  # (file, command, exit code)
     ("enclose_4096.json", "enclose --precision 4096", 0),
     ("enclose_12288.json", "enclose --precision 12288", 0),
     ("enclose_n1000000.json", "enclose --n 1000000 --precision 160", 0),
-    # the s_N route of the constant at 64 bits, and s_n at an explicit small n
+    # the constant at 64 bits, on the same exponential-integral route as at any
+    # precision, and s_n at an explicit small n
     ("enclose_64.json", "enclose --precision 64", 0),
     ("enclose_n10.csv", "enclose --n 10 --precision 128 --format csv", 0),
     # the positivity certificates of P and Q and the sign verdicts of f and g
