@@ -374,4 +374,3 @@ def test_enclosure_invariants(monkeypatch):
     assert checked == encs
     for lo, hi, q in encs:
         assert type(lo) is int and type(hi) is int and 0 < lo < hi < 1 << q
-
