@@ -25,7 +25,9 @@ The escalated and capped chen-mortici sweeps, the chen sweeps at 32
 bits, the young and tims-tyrrell ties and the enclosure at 64 bits were
 recorded again when the constant's s_N route for precisions up to
 about 72 bits gave way to the exponential-integral route at every
-precision.
+precision.  The chen sweeps across n = 533, escalated and capped, were
+recorded with the constant's series split exactly all the way up, which
+exact blocks folded in one fixed-point pass replaced.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -46,6 +48,12 @@ GOLDEN = [  # (file, command, exit code)
     # at 32 bits below n = 533, where chen's rows start to escalate
     ("sweep_chen_escalated.json",
      "sweep-bounds --entry chen --from 100 --to 120 --precision 32", 0),
+    # rows 533 and up escalate to 64 bits; capped at 32 bits they stay undecided
+    ("sweep_chen_escalated_533.json",
+     "sweep-bounds --entry chen --from 528 --to 548 --precision 32", 0),
+    ("sweep_chen_capped_533.csv",
+     "sweep-bounds --entry chen --from 528 --to 548 --precision 32 --precision-cap 32"
+     " --format csv", 3),
     ("sweep_anderson.csv",
      "sweep-bounds --entry anderson --to 40 --precision 128 --format csv", 0),
     ("sweep_alzer_chen_qi.csv",

@@ -1,5 +1,6 @@
 """Core numerics: rounding, harmonic numbers, certified logs, the enclosure."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -321,6 +322,22 @@ def test_gamma_reference_sums_no_harmonic_terms(monkeypatch, p):
                         lambda *args: calls.append(args) or harmonic_fixed(*args))
     gamma_reference.__wrapped__(p)
     assert calls == []
+
+
+# SHA-256 of f"{lo:x},{hi:x},{q}" for gamma_reference(p), recorded with the
+# series split exactly all the way up; no golden reaches 16384, whose decimal
+# passes the 4,300-digit limit
+GAMMA_REFERENCE_DIGESTS = {
+    12288: "6cdd08a435d6ac37e34cc2a5d59c4016395b5d409744b6be0a9f61d121b305d3",
+    16384: "3ff650f7dcbec9210f202679adbb961bbd8ec0779ca64d874424bca927b0988c",
+}
+
+
+@pytest.mark.parametrize("p", sorted(GAMMA_REFERENCE_DIGESTS))
+def test_gamma_reference_at_the_ladder_top_is_pinned(p):
+    lo, hi, q = gamma_reference(p)
+    digest = hashlib.sha256(f"{lo:x},{hi:x},{q}".encode()).hexdigest()
+    assert digest == GAMMA_REFERENCE_DIGESTS[p]
 
 
 def test_gamma_reference_is_deterministic():
