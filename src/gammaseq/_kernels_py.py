@@ -102,18 +102,28 @@ def _series_terms(x, q):
 def gamma_series_fixed(x, q):
     """Enclosure of S(x) * 2**q where S(x) = sum_{k>=1} (-1)^(k+1) x^k / (k k!).
 
-    Requires integer x >= 1.  Sums the first K terms exactly by binary
-    splitting, S_K(x) = N / D with N = -T and D = Q**2 from
-    `_series_split(1, K + 1, x)`, K from `_series_terms`, then divides
-    once.  Two errors remain, each below one ulp:
+    Requires integer x >= 1.  Takes the first K terms, K from
+    `_series_terms`, in consecutive blocks [a_i, a_(i+1)) of L terms,
+    1 = a_0 < a_1 < ... < a_nb = K + 1, with L = s // (2 bitlen(K)) so
+    that each block's Q_i = a_i ... (a_(i+1) - 1) has at most s/2 bits.
+    `_series_split` gives each block's (P_i, Q_i, T_i) exactly, and its
+    combine rule at the block boundaries gives -S_K(x) = c_0, where
+    c_i = T_i / Q_i**2 + (P_i / Q_i) c_(i+1) and c_nb = 0.  One Horner
+    pass from the last block to the first carries c_i at scale 2**s and
+    rounds each step down once: A_nb = 0 and
+    A_i = floor((T_i 2**s + P_i Q_i A_(i+1)) / Q_i**2).  So no product
+    grows far past 2s bits.  Three errors remain:
 
-    - Truncation.  With s = max(0, bitlen(D) - q - 64), N' = N >> s and
-      D' = D >> s (floors), N = (N' + v) 2**s and D = (D' + d) 2**s with
-      0 <= v, d < 1, so |S_K - N'/D'| = |v D' - d N'| / (D' (D' + d))
-      <= (1 + |N'|/D') / D'.  If s > 0, D' >= 2**(q+63) and
-      |N'|/D' < |S_K| + 1 < ln x + 3, far below 2**62, so the error is
-      below 2**-q; if s = 0 it is 0.  f = floor(N' 2**q / D') then puts
-      S_K * 2**q in (f - 1, f + 2).
+    - Rounding.  E_i = A_i - c_i 2**s obeys E_i = (P_i / Q_i) E_(i+1) - d_i
+      with 0 <= d_i < 1, and P_0 ... P_(i-1) / (Q_0 ... Q_(i-1)) is
+      (-x)**(a_i - 1) / (a_i - 1)!.  So |E_0| < sum_i x**(a_i - 1) / (a_i - 1)!,
+      a sum of distinct terms of the series of e**x, and |E_0| < e**x < 2**h
+      with h = ceil(x 14427 / 10000), as 14427 / 10000 > log2(e).  These h
+      bits are the headroom for the terms near k = x, about e**x / x,
+      which cancel down to S(x), about ln x + 0.58.
+    - Scaling.  With s = q + 64 + h, f = floor(-A_0 / 2**(s - q)) is the
+      floor of S_K 2**q - E_0 2**(q - s), where |E_0 2**(q - s)| < 2**-64,
+      so S_K(x) * 2**q is in (f - 1, f + 2).
     - Tail.  For k >= x, t_(k+1) / t_k = x k / (k+1)**2 < 1, where
       t_k = x^k / (k k!), so from K + 1 > x on the terms decrease to 0
       and alternate: |S(x) - S_K(x)| < t_(K+1) < 2**-q by the choice of K.
@@ -122,8 +132,12 @@ def gamma_series_fixed(x, q):
     """
     if x < 1:
         raise ValueError("gamma_series_fixed requires x >= 1")
-    _, den, t = _series_split(1, _series_terms(x, q) + 1, x)
-    den *= den
-    s = max(0, den.bit_length() - q - 64)
-    f = ((-t >> s) << q) // (den >> s)
+    k = _series_terms(x, q)
+    s = q + 64 - (-x * 14427 // 10000)
+    step = max(1, s // (2 * k.bit_length()))
+    acc = 0
+    for a in reversed(range(1, k + 1, step)):
+        p, den, t = _series_split(a, min(a + step, k + 1), x)
+        acc = ((t << s) + p * den * acc) // (den * den)
+    f = -acc >> (s - q)
     return f - 2, f + 3

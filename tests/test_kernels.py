@@ -94,8 +94,9 @@ def test_ln2_fixed_brackets_oracle(kernels):
 
 
 def test_gamma_series_fixed_brackets_oracle(kernels):
-    # the alternating sum equals euler + ln x + E1(x); 500 and 2843 are far
-    # past the old q + 2x headroom, 2843 is the x of gamma_reference(4096)
+    # the alternating sum equals euler + ln x + E1(x); at 500 and 2843 its
+    # terms reach about 2**712 and 2**4090 and the kernel folds 31 and 46
+    # blocks, and 2843 is the x of gamma_reference(4096)
     mp.mp.prec = 700
     q = 400
     for x in (1, 5, 40, 92, 500, 2843):
@@ -139,6 +140,30 @@ def test_gamma_series_fixed_encloses_the_exact_partial_sum(kernels, x, q):
                   for j in range(1, k + 1))
     lo, hi = kernels.gamma_series_fixed(x, q)
     assert lo + 1 < partial * 2**q < hi - 1
+
+
+def assert_encloses_the_exact_split(kernels, x, q):
+    # the one-division route as the oracle: one split of all K terms gives
+    # S_K(x) = -T / Q**2 exactly, which must lie strictly inside (lo + 1, hi - 1)
+    lo, hi = kernels.gamma_series_fixed(x, q)
+    _, den, t = kernels._series_split(1, kernels._series_terms(x, q) + 1, x)
+    den *= den
+    assert (lo + 1) * den < -t << q < (hi - 1) * den
+    assert hi - lo == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(1, 400), q=st.integers(0, 1500))
+@example(x=400, q=1500)  # 20 blocks of 97 terms, terms up to about 2**568
+@example(x=1, q=0)  # one block
+def test_gamma_series_fixed_encloses_the_exact_split(kernels, x, q):
+    assert_encloses_the_exact_split(kernels, x, q)
+
+
+@pytest.mark.parametrize("x,q", [(8522, 12368), (11361, 16464)])
+def test_gamma_series_fixed_encloses_the_exact_split_at_the_ladder_top(kernels, x, q):
+    # the (x, q) that gamma_reference(12288) and gamma_reference(16384) pass
+    assert_encloses_the_exact_split(kernels, x, q)
 
 
 def test_gamma_series_fixed_rejects_nonpositive(kernels):
