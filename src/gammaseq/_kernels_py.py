@@ -4,9 +4,11 @@ All kernels speak one protocol: a real value x is carried at integer
 scale q as X ~ x * 2**q, and each kernel returns a pair of integers
 (lo, hi) with lo <= x * 2**q <= hi.  A kernel computes one value and
 widens it once by a proven bound: `harmonic_fixed` and `atanh_fixed` run
-one floor chain, and `gamma_series_fixed` sums its alternating series
-exactly by binary splitting and divides once.  So kernel outputs compose
-into rigorous enclosures no matter how they are combined downstream.
+one floor chain, and `gamma_series_fixed` sums its alternating series in
+blocks split exactly by binary splitting, then folds the blocks in one
+floored Horner pass at a scale with headroom for the cancellation.  So
+kernel outputs compose into rigorous enclosures no matter how they are
+combined downstream.
 """
 
 
@@ -111,8 +113,9 @@ def gamma_series_fixed(x, q):
     c_i = T_i / Q_i**2 + (P_i / Q_i) c_(i+1) and c_nb = 0.  One Horner
     pass from the last block to the first carries c_i at scale 2**s and
     rounds each step down once: A_nb = 0 and
-    A_i = floor((T_i 2**s + P_i Q_i A_(i+1)) / Q_i**2).  So no product
-    grows far past 2s bits.  Three errors remain:
+    A_i = floor((T_i 2**s + P_i Q_i A_(i+1)) / Q_i**2).  So every operand
+    has O(s) bits, not the 2 K log2(K) bits of Q**2 over all K terms.
+    Three errors remain:
 
     - Rounding.  E_i = A_i - c_i 2**s obeys E_i = (P_i / Q_i) E_(i+1) - d_i
       with 0 <= d_i < 1, and P_0 ... P_(i-1) / (Q_0 ... Q_(i-1)) is
@@ -133,7 +136,8 @@ def gamma_series_fixed(x, q):
     if x < 1:
         raise ValueError("gamma_series_fixed requires x >= 1")
     k = _series_terms(x, q)
-    s = q + 64 - (-x * 14427 // 10000)
+    h = -(-x * 14427 // 10000)
+    s = q + 64 + h
     step = max(1, s // (2 * k.bit_length()))
     acc = 0
     for a in reversed(range(1, k + 1, step)):

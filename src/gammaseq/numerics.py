@@ -322,8 +322,8 @@ def gamma_reference(p: int) -> tuple[int, int, int]:
     x = (p + 3) * c_den // c_num + 2
     shift = x * c_num // c_den  # exp(-x) <= 2**-shift, shift >= p+3
     q = p + GUARD_BITS + 16
-    # the kernel sums the series exactly and is 5 ulps wide at q_series;
-    # 32 bits more than q keep those ulps from reaching the q-bit ends
+    # the kernel's pair is 5 ulps wide at q_series; 32 bits more than q
+    # keep those ulps from reaching the q-bit ends
     q_series = q + 32
     s_lo, s_hi = kernels.gamma_series_fixed(x, q_series)
     # the lower end takes off 1/(x 2**shift), an upper bound on E1(x)
