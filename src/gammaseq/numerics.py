@@ -6,20 +6,22 @@ explicit scale, the kernels' protocol, where a pair (lo, hi) at scale
 rationals only: series coefficients and exact harmonic numbers, which
 `eval` prints as rational parts and `sequences.values` reads to tell an
 exact zero.  `ln_fixed` is the integer core for logarithms, at a scale
-of its own; `ln_ends`, the one routine that combines it with an exact
-rational c, gives the floor and ceiling of (c - ln x) * 2**q to the
-sequence walk and the constant's enclosure, with c and x as integer
-pairs (num, den).  `gamma_reference` gives the constant at any
-precision through one route, the exponential-integral identity, and
-`gamma_bootstrap` gives it from s_n at an explicit n for `enclose --n`
-only; both in the same protocol, as (lo, hi, q).  `round_bits` rounds an
-integer at a scale to an explicit number of bits (the first of `eval`'s
-two roundings, see `sequences.values`), and `decimal_text` prints
-num/den in any of the rounding modes of `_round`; the row templates of
-`cli` print their integers with the same rules.  A `BigReal` is a value
-rounded once to an explicit number of bits, in `_round`'s modes; no
-command uses it any more, and it stays as the reference that
-`round_bits` and the row templates are tested against.
+of its own: it divides the argument by a power of two and the nearest
+anchor j / 2**7, whose logarithm and ln 2 it caches per scale, and sums
+one short atanh series for the rest; `ln_ends`, the one routine that
+combines it with an exact rational c, gives the floor and ceiling of
+(c - ln x) * 2**q to the sequence walk and the constant's enclosure,
+with c and x as integer pairs (num, den).  `gamma_reference` gives the
+constant at any precision through one route, the exponential-integral
+identity, and `gamma_bootstrap` gives it from s_n at an explicit n for
+`enclose --n` only; both in the same protocol, as (lo, hi, q).
+`round_bits` rounds an integer at a scale to an explicit number of bits
+(the first of `eval`'s two roundings, see `sequences.values`), and
+`decimal_text` prints num/den in any of the rounding modes of `_round`;
+the row templates of `cli` print their integers with the same rules.  A
+`BigReal` is a value rounded once to an explicit number of bits, in
+`_round`'s modes; no command uses it any more, and it stays as the
+reference that `round_bits` and the row templates are tested against.
 """
 
 from __future__ import annotations
@@ -210,15 +212,49 @@ def harmonic_exact(n: int) -> Fraction:
 
 _ln2_fixed = lru_cache(maxsize=64)(kernels.ln2_fixed)
 
+# R: `ln_fixed` reduces m = x / 2**e in [1, 2) by the nearest anchor j / 2**R,
+# 2**R <= j <= 2**(R+1), so the atanh series left per call has ratio t <= 2**-(R+2)
+_ANCHOR_BITS = 7
+
+
+@lru_cache(maxsize=1024)
+def _ln_anchor(j: int, cq: int) -> tuple[int, int]:
+    """Enclosure of ln(j / 2**R) * 2**cq, as 2 atanh((j - 2**R) / (j + 2**R))."""
+    one = 1 << _ANCHOR_BITS
+    lo, hi = kernels.atanh_fixed(j - one, j + one, cq)
+    return 2 * lo, 2 * hi
+
 
 def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
     """Enclosure (lo, hi, q_eff) of ln(num/den) * 2**q_eff for coprime
     num, den > 0, at a scale q_eff >= q.
 
-    q_eff is at least q + bitlen(q) + 2: the atanh pair is up to
-    q_eff + 3 ulps wide, so at scale 2**-q the pair is about one ulp wide.
-    The working scale is raised further when num/den is close to 1,
-    so the result is accurate relative to |ln x|, not just absolutely.
+    For x = num/den > 1, m = x / 2**e lies in [1, 2) and the anchor
+    j = round(m 2**R) in [2**R, 2**(R+1)] (R = `_ANCHOR_BITS`).  Then
+
+        ln x = e ln 2 + ln(j / 2**R) + 2 atanh(u / w),
+
+    with u = num 2**R - j den 2**e and w = num 2**R + j den 2**e, and as
+    |m 2**R - j| <= 1/2 and m 2**R + j >= 2**(R+1), |u| / w <= 2**-(R+2).
+    ln 2 and ln(j / 2**R) are cached pairs at the wide scale
+    cq = (q_eff | 63) + 65, which depends on q_eff alone; the atanh pair
+    (s, s + d + 1) of `kernels.atanh_fixed` is at q_eff, negated with
+    its ends swapped for u < 0.  x < 1 is -ln(1/x).
+
+    Width.  The chain's d-th power is at most t^d 2**q_eff <= 2**(q_eff - 9d)
+    (9 = R + 2), so it stops by the first odd d >= 3 with 9d >= q_eff, and
+    d <= max(3, q_eff/9 + 2); the doubled pair is 2(d + 1) wide.
+    e ln 2 + ln(j / 2**R) at cq is the sum of e + 1 pairs, each at most
+    2(cq + 3) < 2**(cq - q_eff) wide (cq < 2**63), so its floor and
+    ceiling at q_eff are at most e + 2 ulps apart.  Hence
+
+        hi - lo <= 2(d + 1) + e + 2 <= 2 q_eff/9 + e + 8   (q_eff >= 9).
+
+    q_eff is at least q + bitlen(q) + 2, and 2**(bitlen(q) + 2) > 4q, so
+    for q >= 8 and e < 3q the pair is less than 2**-q wide.  The working
+    scale is raised further when num/den is close to 1, so the result
+    is accurate relative to |ln x|, not just absolutely; there e = 0 and
+    j = 2**R, and the atanh pair is all there is.
     """
     if num <= 0:
         raise DomainError(f"ln requires a positive argument, got {Fraction(num, den)}")
@@ -230,24 +266,30 @@ def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
     e = num.bit_length() - den.bit_length()
     if (den << e) > num:
         e -= 1
-    # m = x / 2**e in [1, 2); ln x = e ln 2 + 2 atanh((m-1)/(m+1))
     shifted = den << e
-    u = num - shifted
-    w = num + shifted
     q_eff = q + q.bit_length() + 2
-    if e == 0 and u:
-        # keep relative accuracy when ln x ~ 2u/w is tiny
-        q_eff += max(0, w.bit_length() - u.bit_length())
-    at_lo, at_hi = kernels.atanh_fixed(u, w, q_eff)
-    lo = 2 * at_lo
-    hi = 2 * at_hi
-    if e:
-        # ln 2 at the multiple of 64 that is 65..128 bits above q_eff, so
-        # it depends on q_eff alone, rounded outward to q_eff
+    if e == 0:
+        # keep relative accuracy when ln x ~ 2 (x - 1)/(x + 1) is tiny
+        q_eff += max(0, (num + den).bit_length() - (num - den).bit_length())
+    big = num << _ANCHOR_BITS
+    j = ((big << 1) // shifted + 1) >> 1
+    anchored = j * shifted
+    u = big - anchored
+    w = big + anchored
+    if u < 0:
+        at_lo, at_hi = kernels.atanh_fixed(-u, w, q_eff)
+        lo, hi = -2 * at_hi, -2 * at_lo
+    else:
+        at_lo, at_hi = kernels.atanh_fixed(u, w, q_eff)
+        lo, hi = 2 * at_lo, 2 * at_hi
+    if e or j != 1 << _ANCHOR_BITS:
+        # e ln 2 + ln(j / 2**R) at the wide scale, rounded outward to q_eff
         cq = (q_eff | 63) + 65
         l2_lo, l2_hi = _ln2_fixed(cq)
-        lo += e * (l2_lo >> (cq - q_eff))
-        hi -= e * ((-l2_hi) >> (cq - q_eff))
+        a_lo, a_hi = _ln_anchor(j, cq)
+        shift = cq - q_eff
+        lo += (e * l2_lo + a_lo) >> shift
+        hi -= (-(e * l2_hi + a_hi)) >> shift
     return lo, hi, q_eff
 
 

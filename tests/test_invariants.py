@@ -1,5 +1,6 @@
 """Cross-module invariants that tie the certified pieces together."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -59,26 +60,41 @@ def test_v_family_at_gamma_parameters_splits_to_2000():
 
 
 def test_concurrent_use_is_consistent():
-    # pure functions plus two caches (gamma_reference's lru_cache and the
-    # lru_cache of ln 2 per 64-bit scale behind ln_fixed): hammer them
-    # and the exact harmonic sum from several threads and compare against fresh
-    # sequential values
+    # pure functions plus three caches (gamma_reference's lru_cache, and the
+    # lru_caches of ln 2 and of the anchors ln(j/2**R) per 64-bit scale behind
+    # ln_fixed): hammer them and the exact harmonic sum from several threads,
+    # the ln caches empty at the start so their entries are built concurrently,
+    # and compare against fresh sequential values.  n in [1024, 2048) at two
+    # scales reaches all 2**R + 1 anchors j = round(n / 8) at each.
+    def logs(seed):
+        return [numerics.ln_fixed(n, 1, q)
+                for n in range(1024 + seed, 2048, 24) for q in (96, 320)]
+
     def work(seed):
         n = 37 + 13 * seed
         return (
             harmonic_exact(n),
             gamma_reference(64 + 8 * (seed % 3)),
-            numerics.ln_fixed(n, 1, 96),
+            logs(seed),
         )
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(work, range(24)))
+    numerics._ln_anchor.cache_clear()
+    numerics._ln2_fixed.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the cache builds too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(work, range(24), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    numerics._ln_anchor.cache_clear()
+    numerics._ln2_fixed.cache_clear()
     for seed, (h, g, ln) in enumerate(results):
         n = 37 + 13 * seed
         fresh = sum((F(1, k) for k in range(1, n + 1)), F(0))
         assert h == fresh
         assert g == gamma_reference(64 + 8 * (seed % 3))
-        assert ln == numerics.ln_fixed(n, 1, 96)
+        assert ln == logs(seed)
 
 
 @pytest.mark.parametrize("a, b", [

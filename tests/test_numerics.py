@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,6 +22,7 @@ from gammaseq.numerics import (
     harmonic_exact,
     ln_fixed,
 )
+from gammaseq.sequences import GammaN, Walk
 
 GAMMA_DIGITS = Fraction("0.57721566490153286")
 
@@ -273,6 +275,90 @@ def test_ln_rejects_nonpositive():
         ln_fixed(-3, 2, 64)
     with pytest.raises(DomainError):
         ln_fixed(-2, 1, 64)
+
+
+def ln_direct(num, den, q):
+    """The single-atanh route that `ln_fixed` took before its argument
+    reduction, kept as its oracle: m = x / 2**e in [1, 2) and
+    ln x = e ln 2 + 2 atanh((m - 1)/(m + 1)), a chain with ratio up to 1/3."""
+    if num == den:
+        return 0, 0, q
+    if num < den:
+        lo, hi, q_eff = ln_direct(den, num, q)
+        return -hi, -lo, q_eff
+    e = num.bit_length() - den.bit_length()
+    if (den << e) > num:
+        e -= 1
+    shifted = den << e
+    u = num - shifted
+    w = num + shifted
+    q_eff = q + q.bit_length() + 2
+    if e == 0 and u:
+        q_eff += max(0, w.bit_length() - u.bit_length())
+    at_lo, at_hi = kernels.atanh_fixed(u, w, q_eff)
+    lo = 2 * at_lo
+    hi = 2 * at_hi
+    if e:
+        cq = (q_eff | 63) + 65
+        l2_lo, l2_hi = kernels.ln2_fixed(cq)
+        lo += e * (l2_lo >> (cq - q_eff))
+        hi -= e * ((-l2_hi) >> (cq - q_eff))
+    return lo, hi, q_eff
+
+
+# n + b at n = 2999 for UPlus's b = -1/sqrt(6) at the lower end of sqrt(6),
+# as `sequences._tails` builds it at q = 300: (n d + e)/d with d of about q bits
+_E, _D = Fraction(-(1 << 308), math.isqrt(6 << 616)).as_integer_ratio()
+UPLUS_NUM, UPLUS_DEN = 2999 * _D + _E, _D
+R = numerics._ANCHOR_BITS
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(1, 2**400), den=st.integers(1, 2**400), q=st.integers(32, 600))
+@example(num=3, den=2, q=252)  # u = 0: the anchor 192/128 is the whole value
+@example(num=2**20 - 1, den=1, q=252)  # j = 2**(R+1), u < 0
+@example(num=1, den=7, q=128)  # x < 1
+@example(num=10**9 + 1, den=10**9, q=96)  # near 1: e = 0 and j = 2**R
+@example(num=UPLUS_NUM, den=UPLUS_DEN, q=300)  # a UPlus argument
+def test_ln_fixed_matches_mpmath_and_the_direct_route(num, den, q):
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    lo, hi, q_eff = ln_fixed(num, den, q)
+    d_lo, d_hi, d_q = ln_direct(num, den, q)
+    assert q_eff == d_q
+    assert lo <= d_hi and d_lo <= hi
+    mp.mp.prec = 2 * q_eff + 64
+    oracle = mpf_to_fraction(mp.ln(mp.mpf(num) / den)) * 2**q_eff
+    assert lo <= oracle <= hi
+    # the docstring's width: 2(d + 1) + e + 2, the chain stopping at an odd
+    # d <= max(3, q_eff/(R + 2) + 2)
+    big, small = max(num, den), min(num, den)
+    e = big.bit_length() - small.bit_length()
+    if (small << e) > big:
+        e -= 1
+    assert hi - lo <= 2 * (max(3, q_eff // (R + 2) + 2) + 1) + e + 2
+
+
+def test_walk_logarithms_sum_the_reduced_chain(monkeypatch):
+    # each logarithm of a walk sums one atanh chain of ratio <= 2**-(R+2); the
+    # other calls build the cached ln 2 and anchor entries, at most 2**R + 2
+    numerics._ln_anchor.cache_clear()
+    numerics._ln2_fixed.cache_clear()
+    calls = []
+    atanh_fixed = kernels.atanh_fixed
+
+    def counted(u, w, q):
+        calls.append((sys._getframe(1).f_code.co_name, u, w))
+        return atanh_fixed(u, w, q)
+
+    monkeypatch.setattr(kernels, "atanh_fixed", counted)
+    walk = Walk(GammaN(), 252)
+    for n in range(3, 2001):
+        walk(n)
+    per_call = [(u, w) for name, u, w in calls if name not in ("_ln_anchor", "ln2_fixed")]
+    assert len(calls) <= 2000 + 2**R + 2
+    assert len(per_call) == 1998
+    assert all(u << (R + 2) <= w for u, w in per_call)
 
 
 def test_sqrt_interval_brackets_oracle():
