@@ -276,12 +276,8 @@ def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
     anchored = j * shifted
     u = big - anchored
     w = big + anchored
-    if u < 0:
-        at_lo, at_hi = kernels.atanh_fixed(-u, w, q_eff)
-        lo, hi = -2 * at_hi, -2 * at_lo
-    else:
-        at_lo, at_hi = kernels.atanh_fixed(u, w, q_eff)
-        lo, hi = 2 * at_lo, 2 * at_hi
+    at_lo, at_hi = kernels.atanh_fixed(abs(u), w, q_eff)
+    lo, hi = (-2 * at_hi, -2 * at_lo) if u < 0 else (2 * at_lo, 2 * at_hi)
     if e or j != 1 << _ANCHOR_BITS:
         # e ln 2 + ln(j / 2**R) at the wide scale, rounded outward to q_eff
         cq = (q_eff | 63) + 65
