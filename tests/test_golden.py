@@ -27,7 +27,10 @@ recorded again when the constant's s_N route for precisions up to
 about 72 bits gave way to the exponential-integral route at every
 precision.  The chen sweeps across n = 533, escalated and capped, were
 recorded with the constant's series split exactly all the way up, which
-exact blocks folded in one fixed-point pass replaced.
+exact blocks folded in one fixed-point pass replaced.  The mu range with
+rational parts -2 and 0 and the vfam range at (-7/4, 11/6) were recorded
+with the rational parts summed as Python ints, which integer Decimals
+replaced.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -86,6 +89,9 @@ GOLDEN = [  # (file, command, exit code)
     ("eval_uplus.json", "eval --seq uplus --n 1 --to 40 --precision 256", 0),
     ("eval_uminus.json", "eval --seq uminus --n 1 --to 40 --precision 256", 0),
     ("eval_s.csv", "eval --seq s --n 3 --to 40 --precision 256 --format csv", 0),
+    # rational parts -2 at n = 1 and 0 at n = 2
+    ("eval_mu_zero.csv", "eval --seq mu --a=-1/2 --b 0 --n 1 --to 12 --format csv", 0),
+    ("eval_vfam.json", "eval --seq vfam --a=-7/4 --b 11/6 --n 3 --to 60", 0),
     # no exact split: the rational_part and log_argument fields are empty
     ("eval_uplus.csv", "eval --seq uplus --n 1 --to 12 --precision 64 --format csv", 0),
     ("rate_r.json", "rate --seq r --grid-start 16 --grid-stop 1024 --precision 256", 0),
