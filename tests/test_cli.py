@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dyadic_ends, split_at, walk_ends
-from gammaseq import bounds, cli, numerics
+from gammaseq import bounds, cli, numerics, sequences
 from gammaseq.bounds import BoundEntry
 from gammaseq.numerics import gamma_reference, harmonic_exact
-from gammaseq.sequences import GammaN, SOptimal, VernescuV, VFamily
+from gammaseq.sequences import GammaN, MuFamily, SOptimal, VernescuV, VFamily
 
 F = Fraction
 
@@ -68,13 +69,85 @@ def test_eval_range_and_params(capsys):
      VFamily(F(3, 2), F(-5, 12))),
 ])
 def test_eval_running_rational_part(capsys, argv, kind):
-    # the printed rational part is summed along the range; it must equal
-    # the exact H_m + correction on every row, also when the range starts late
+    # the printed rational part is summed along the range; it must be the
+    # text of the exact H_m + correction in lowest terms on every row, also
+    # when the range starts late
     code, data = run_json(capsys, "eval", *argv)
     assert code == 0
     for row in data["rows"]:
         m, c, _x = split_at(kind, row["n"])
-        assert F(row["rational_part"]) == harmonic_exact(m) + c
+        assert row["rational_part"] == str(harmonic_exact(m) + c)
+
+
+def _add_ratios(a_num, a_den, b_num, b_den):
+    """a + b in lowest terms for a and b in lowest terms, dens > 0, with
+    gcds of the denominators' common part only, as Fraction adds: the
+    integer route by which eval once summed its rational parts."""
+    g = math.gcd(a_den, b_den)
+    if g == 1:
+        return a_num * b_den + b_num * a_den, a_den * b_den
+    s = a_den // g
+    t = a_num * (b_den // g) + b_num * s
+    g2 = math.gcd(t, g)
+    return t // g2, s * (b_den // g2)
+
+
+def _ratio_str(num, den):
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
+def _oracle_rational_parts(kind, n_from, n_to):
+    """The rational_part texts of eval over n_from..n_to, summed along the
+    range in Python ints: H_j afresh on the first row, then + 1/j per row."""
+    split = sequences._split(kind)
+    harmonic = None
+    for n in range(n_from, n_to + 1):
+        j, (c_num, c_den), _x = split(n)
+        if harmonic is None:
+            harmonic = harmonic_exact(j).as_integer_ratio() if j else (0, 1)
+        else:
+            harmonic = _add_ratios(*harmonic, 1, j)
+        g = math.gcd(c_num, c_den)
+        yield _ratio_str(*_add_ratios(*harmonic, c_num // g, c_den // g))
+
+
+@st.composite
+def eval_ranges(draw):
+    """(argv, kind, n_from, n_to) of an eval range with an exact split: up to
+    30 rows from n <= 3000, (a, b) of mu and vfam random rationals, b above
+    -n so that mu's log argument n + b stays positive."""
+    seq = draw(st.sampled_from(["gamma", "r", "v", "mu", "vfam", "s"]))
+    n_from = draw(st.integers(3 if seq in ("vfam", "s") else 1, 3000))
+    n_to = n_from + draw(st.integers(0, 29))
+    argv = ["--seq", seq, "--n", str(n_from), "--to", str(n_to)]
+    kinds = {"gamma": GammaN, "r": sequences.DeTempleR, "v": VernescuV, "s": SOptimal}
+    if seq in kinds:
+        return argv, kinds[seq](), n_from, n_to
+    den = draw(st.sampled_from([12, 1000, 10**6, 10**20]))
+    a = draw(st.fractions(-50, 50, max_denominator=den).filter(bool))
+    b = draw(st.fractions(max(-50, 1 - n_from), 50, max_denominator=den))
+    family = MuFamily if seq == "mu" else VFamily
+    return argv + [f"--a={a}", f"--b={b}"], family(a, b), n_from, n_to
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=eval_ranges())
+@example(case=(["--seq", "mu", "--a=-1/2", "--b=0", "--n", "1", "--to", "12"],
+               MuFamily(F(-1, 2), F(0)), 1, 12))  # rational parts -2 and 0
+@example(case=(["--seq", "gamma", "--n", "1", "--to", "30"], GammaN(), 1, 30))
+def test_eval_rational_parts_match_the_integer_oracle(case):
+    # the printed rational part is the integer route's text: lowest terms,
+    # "0" and never "-0" or "0/d", and the exact H_m + correction
+    argv, kind, n_from, n_to = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["eval", *argv, "--precision", "32", "--format", "csv"]) == 0
+    printed = [line.split(",")[2] for line in out.getvalue().splitlines()[1:]]
+    assert printed == list(_oracle_rational_parts(kind, n_from, n_to))
+    for n, text in zip(range(n_from, n_to + 1), printed):
+        m, c, _x = split_at(kind, n)
+        assert text == str(harmonic_exact(m) + c if m else c)
+        assert text != "-0" and not text.startswith("0/")
 
 
 def test_expand_symbolic_and_numeric(capsys):
