@@ -17,17 +17,16 @@ the row's integers (`_printers`), with no dict, csv.writer, Fraction or
 BigReal per row.  CSV writes each row as it is made, so a failure
 partway through a range leaves the earlier rows on stdout, and an error
 in the first row prints no header; the command still exits with its
-code and one line on stderr (2 for the integer-string limit, 141 for a
-closed pipe).  JSON spools the formatted rows to a temporary file and
-prints the whole envelope at the end, and nothing on a failure.  The
-one-row commands build a dict per row and print it with csv.writer or
-json's quoting, since some of their fields need quoting (`certify`'s
-coefficient lists as CSV).  `csv` and `json` are imported only where
-they write.
+code and one line on stderr (141 for a closed pipe).  JSON spools the
+formatted rows to a temporary file and prints the whole envelope at the
+end, and nothing on a failure.  The one-row commands build a dict per
+row and print it with csv.writer or json's quoting, since some of their
+fields need quoting (`certify`'s coefficient lists as CSV).  `csv` and
+`json` are imported only where they write.
 
 Exit codes: 0 success, 1 a sweep found a certified-false row, 2 usage
-error, or a result would print an integer longer than Python's
-integer-string limit (4300 digits by default), 3 undecided rows remained
+error, or a decimal printed at more than about 14,320 bits would pass
+Python's 4300-digit integer-string limit, 3 undecided rows remained
 at the precision cap, or the requested precision could not decide the
 result, 141 (128 + SIGPIPE) the reader of stdout closed it before the
 output ended, as `gammaseq ... | head` does; no traceback is printed.
@@ -39,6 +38,7 @@ import argparse
 import math
 import os
 import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 
 from . import __version__
@@ -163,18 +163,6 @@ def _printers(places: int):
     return half_up, ratio, nearest
 
 
-def _add_ratios(a_num: int, a_den: int, b_num: int, b_den: int) -> tuple[int, int]:
-    """a + b in lowest terms for a and b in lowest terms, dens > 0, with
-    gcds of the denominators' common part only, as Fraction adds."""
-    g = math.gcd(a_den, b_den)
-    if g == 1:
-        return a_num * b_den + b_num * a_den, a_den * b_den
-    s = a_den // g
-    t = a_num * (b_den // g) + b_num * s
-    g2 = math.gcd(t, g)
-    return t // g2, s * (b_den // g2)
-
-
 def _line_template(fmt: str, columns: list, keys: list) -> str:
     """The str.format template of one streamed row, whose fields come in
     the order of `keys`, a subset of `columns`: "n" is an integer, every
@@ -290,19 +278,31 @@ def cmd_eval(args) -> int:
             for n, (m, e) in zip(ns, values):
                 yield fill(n, nearest(m, e))
             return
-        harmonic = None  # exact H_j of the printed rational part, summed along the range
+        # H_j, summed along the range, and the rational part as integer Decimals: each
+        # step is linear in their length, and str() copies their base 10**19 limbs.
+        ctx = Context(MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        ctx.traps[Inexact] = ctx.traps[Rounded] = True  # a rounding raises
+        mul, rem, div = ctx.multiply, ctx.remainder, ctx.divide_int
+
+        def add(num, den, b_num: int, b_den: int):  # both reduced, dens > 0: the sum reduced
+            g = math.gcd(int(rem(den, b_den)), b_den)  # as Fraction adds (Knuth 4.5.1)
+            s = div(den, g)
+            t = ctx.add(mul(num, b_den // g), mul(s, b_num))
+            g2 = math.gcd(int(rem(t, g)), g)
+            return div(t, g2), mul(s, b_den // g2)
+
+        harmonic = Decimal(0), Decimal(1)  # H_0
         for n, (m, e) in zip(ns, values):
             j, (c_num, c_den), x = split(n)
-            if harmonic is None:
-                harmonic = harmonic_exact(j).as_integer_ratio() if j else (0, 1)
-            else:
-                harmonic = _add_ratios(*harmonic, 1, j)
+            if n > args.n:
+                harmonic = add(*harmonic, 1, j)
+            elif j:  # the first row adds H_j, summed afresh
+                harmonic = add(*harmonic, *harmonic_exact(j).as_integer_ratio())
             g = math.gcd(c_num, c_den)
-            rational = _add_ratios(*harmonic, c_num // g, c_den // g)
+            rational = add(*harmonic, c_num // g, c_den // g)
             yield fill(n, nearest(m, e), _ratio_str(*rational), _ratio_str(*x))
 
-    params = {"seq": args.seq, "n": args.n, "to": n_last,
-              "precision": args.precision}
+    params = {"seq": args.seq, "n": args.n, "to": n_last, "precision": args.precision}
     if args.a is not None:
         params["a"] = _frac_str(args.a)
         params["b"] = _frac_str(args.b)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import decimal
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import dyadic_ends, split_at, walk_ends
 from gammaseq import bounds, cli, numerics, sequences
 from gammaseq.bounds import BoundEntry
+from gammaseq.errors import DomainError
 from gammaseq.numerics import gamma_reference, harmonic_exact
 from gammaseq.sequences import GammaN, MuFamily, SOptimal, VernescuV, VFamily
 
@@ -385,8 +387,13 @@ def test_precision_cap_below_start_exits_two(capsys):
 
 
 def test_integer_string_limit_exits_two(capsys, monkeypatch):
-    # the exact rational part H_9899 has more digits than str() may print
-    code = cli.main(["eval", "--seq", "gamma", "--n", "9900"])
+    # str() of an int longer than the limit raises ValueError, which exits 2
+    # with one line; any other ValueError is a fault and re-raises
+    def conversion_error(args):
+        return str(10**5000)
+
+    monkeypatch.setattr(cli, "cmd_optimize", conversion_error)
+    code = cli.main(["optimize"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -401,19 +408,55 @@ def test_integer_string_limit_exits_two(capsys, monkeypatch):
         cli.main(["optimize"])
 
 
-def test_csv_failure_partway_keeps_the_earlier_rows(capsys):
-    # CSV rows are written as they are made; from some n on, the exact
-    # rational part of gamma_n passes the integer-string limit
+def test_eval_prints_past_the_integer_string_limit(capsys):
+    # from n = 9871 on, the exact rational part of gamma_n has more than the
+    # 4300 digits that str() of an int may print; eval prints every row, and
+    # each is read back through Decimal, with no str() of an int
+    limit = sys.get_int_max_str_digits()
+    context = decimal.getcontext().copy()
     code = cli.main(["eval", "--seq", "gamma", "--n", "9850", "--to", "9900",
                      "--format", "csv"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    assert repr(decimal.getcontext()) == repr(context)
+    lines = captured.out.splitlines()
+    assert lines[0] == "n,value,rational_part,log_argument"
+    assert len(lines) == 52
+    for n, line in zip(range(9850, 9901), lines[1:]):
+        fields = line.split(",")
+        assert fields[0] == fields[3] == f"{n}"
+        m, c, _x = split_at(GammaN(), n)
+        exact = harmonic_exact(m) + c
+        num, den = fields[2].split("/")
+        assert int(decimal.Decimal(num)) == exact.numerator
+        assert int(decimal.Decimal(den)) == exact.denominator
+    assert len(num) > limit
+
+
+def test_csv_failure_partway_keeps_the_earlier_rows(capsys, monkeypatch):
+    # CSV rows are written as they are made; a failure at n = 30 leaves rows
+    # 3..29 on stdout and exits with its code and one line on stderr
+    split = sequences._split
+
+    def failing_at_30(kind):
+        inner = split(kind)
+
+        def at(n):
+            if n == 30:
+                raise DomainError("no split at n = 30")
+            return inner(n)
+
+        return at
+
+    monkeypatch.setattr(sequences, "_split", failing_at_30)
+    code = cli.main(["eval", "--seq", "s", "--n", "3", "--to", "40", "--format", "csv"])
     captured = capsys.readouterr()
     assert code == 2
     lines = captured.out.splitlines()
     assert lines[0] == "n,value,rational_part,log_argument"
-    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(9850, 9850 + len(lines) - 1))
-    assert 1 < len(lines) < 52
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(3, 30))
+    assert captured.err == "error: no split at n = 30\n"
 
 
 def test_enclose_past_the_string_limit_exits_two(capsys):
