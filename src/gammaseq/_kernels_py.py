@@ -11,6 +11,8 @@ kernel outputs compose into rigorous enclosures no matter how they are
 combined downstream.
 """
 
+import math
+
 
 def harmonic_fixed(n, q, m=0):
     """Enclosure of (1/(m+1) + 1/(m+2) + ... + 1/n) * 2**q for 0 <= m <= n,
@@ -79,26 +81,55 @@ def _series_split(a, b, x):
     return p1 * p2, q1 * q2, t1 * (q2 * q2) + p1 * q1 * t2
 
 
-def _series_terms(x, q):
-    """The first K >= x at which a bound on the first omitted term of S(x),
-    x**(K+1) 2**q / ((K+1) (K+1)!), is below 1.
+_LN2 = math.log(2)
+_LN_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
-    m 2**e bounds x**k 2**q / k! from above, in integers: each step rounds
-    m * x / k up and keeps m at 64 bits by rounding up again, so the bound
-    exceeds the term by a factor below 1 + k 2**-61 and K is the smallest
-    K >= x with x**(K+1) 2**q < (K+1) (K+1)! unless that term is within
-    this factor of 1.
+
+def _series_terms(x, q):
+    """The least K >= x with x**(K+1) 2**q < (K+1) (K+1)!, so that the
+    first omitted term of S(x), x**(K+1) / ((K+1) (K+1)!), is below 2**-q.
+    The terms decrease from k = x on, so the test holds from K on.
+
+    With j = K + 1, Stirling's bounds j! = sqrt(2 pi j) (j/e)**j e**theta,
+    0 < theta < 1/(12 j), give ln(x**j 2**q / (j j!)) = G(j) - theta with
+
+        G(j) = j (ln(x/j) + 1) + q ln 2 - 1.5 ln j - ln sqrt(2 pi).
+
+    For j > x + 1, G is concave (G'' = -1/j + 1.5/j**2) and decreasing
+    (G' = ln(x/j) - 1.5/j), and G(e**2 x + q) < -(e**2 x + q) + q ln 2 < 0,
+    so Newton's method from there stays at or above the root of G.  Its
+    estimate of K is then confirmed, or moved by single steps, with the
+    test itself: G in floats, with libm's log within an ulp, errs by far
+    less than slack = 2**-30 (j (2 ln j + 1) + q + 8), so G(j) < -slack
+    says the term is below 1 and G(j) - 1/(12 j) > slack that it is not;
+    in between, rarely, the exact integers decide.
     """
-    m, e, k = 1 << 63, q - 63, 0
-    while True:
+
+    def g(j):
+        return j * (math.log(x / j) + 1) + q * _LN2 - 1.5 * math.log(j) - _LN_SQRT_2PI
+
+    def passes(k):  # x**(k+1) 2**q < (k+1) (k+1)!
+        j = k + 1
+        g_j = g(j)
+        slack = (j * (2 * math.log(j) + 1) + q + 8) * 2.0**-30
+        if g_j < -slack:
+            return True
+        if g_j - 1 / (12 * j) > slack:
+            return False
+        return x**j << q < j * math.factorial(j)
+
+    j = math.e**2 * x + q
+    while j > x + 1:
+        step = g(j) / (math.log(x / j) - 1.5 / j)  # > 0 right of the root
+        j -= step
+        if step < 1:
+            break
+    k = max(x, math.ceil(j) - 1)
+    while k > x and passes(k - 1):
+        k -= 1
+    while not passes(k):
         k += 1
-        m = -(-m * x // k)
-        s = m.bit_length() - 64
-        m = -(-m >> s) if s >= 0 else m << -s
-        e += s
-        # m * x >= 2**63, so the test can only hold once e < 0
-        if k >= x and e < 0 and m * x < (k + 1) ** 2 << -e:
-            return k
+    return k
 
 
 def gamma_series_fixed(x, q):

@@ -142,6 +142,42 @@ def test_gamma_series_fixed_encloses_the_exact_partial_sum(kernels, x, q):
     assert lo + 1 < partial * 2**q < hi - 1
 
 
+def _stepped_terms(x, q):
+    """K as the kernel once found it, kept as an oracle: an upper bound
+    m 2**e on x**k 2**q / k!, rounded up to 64 bits at each k = 1, 2, ...,
+    until k >= x and m 2**e x < (k + 1)**2."""
+    m, e, k = 1 << 63, q - 63, 0
+    while True:
+        k += 1
+        m = -(-m * x // k)
+        s = m.bit_length() - 64
+        m = -(-m >> s) if s >= 0 else m << -s
+        e += s
+        if k >= x and e < 0 and m * x < (k + 1) ** 2 << -e:
+            return k
+
+
+# a spread of the precisions gamma_reference was checked at (32..1199, then
+# 1200..5999 in steps of 37, and the ladder's 8192, 12288 and 16384)
+_REFERENCE_PRECISIONS = [*range(32, 1200, 97), *range(1200, 6000, 37 * 11), 8192, 12288, 16384]
+
+
+@pytest.mark.parametrize("p", _REFERENCE_PRECISIONS)
+def test_series_terms_match_the_stepped_search(kernels, p):
+    # the (x, q) that gamma_reference(p) passes to gamma_series_fixed
+    x, q = (p + 3) * 10000 // 14426 + 2, p + 80
+    assert kernels._series_terms(x, q) == _stepped_terms(x, q)
+
+
+@pytest.mark.parametrize("x,q", [(2843, 4176), (11361, 16464)])
+def test_series_terms_is_the_least_k_at_large_x(kernels, x, q):
+    # gamma_reference(4096) and gamma_reference(16384)
+    k = kernels._series_terms(x, q)
+    below = (k + 1) * math.factorial(k + 1)
+    assert x ** (k + 1) << q < below  # the term at K is below 2**-q
+    assert x**k << q >= below // (k + 1) ** 2  # and the one before is not
+
+
 def assert_encloses_the_exact_split(kernels, x, q):
     # the one-division route as the oracle: one split of all K terms gives
     # S_K(x) = -T / Q**2 exactly, which must lie strictly inside (lo + 1, hi - 1)
