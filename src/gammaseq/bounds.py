@@ -26,11 +26,8 @@ from chunk to chunk, so a sweep holds one chunk of rows at most.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 from .numerics import GUARD_BITS, gamma_reference, ln_fixed
@@ -64,7 +61,7 @@ def _gamma(p: int) -> Interval:
     return (lo, 1 << q), (hi, 1 << q)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class BoundEntry:
     """One published inequality: lower(n) < target_n - gamma < upper(n).
 
@@ -108,9 +105,6 @@ class BoundEntry:
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
-# not frozen: a frozen dataclass sets each field through object.__setattr__,
-# which made building a row about four times as slow, once per index
-@dataclass(slots=True)
 class SweepRow:
     """One checked index.  value_lo, value_hi and the margins are integers
     at scale 2**-scale: value_lo * 2**-scale <= target_n - gamma <=
@@ -118,19 +112,26 @@ class SweepRow:
     margin_upper is floor(upper * 2**scale) - value_hi and margin the least
     present; each lies in (e * 2**scale - 1, e * 2**scale] for its exact
     margin e.  The sides lower and upper are exact rationals as integer
-    pairs (num, den), den > 0, not necessarily reduced."""
+    pairs (num, den), den > 0, not necessarily reduced: lower is the sup
+    of the lower bound interval (its binding end), upper the inf of the
+    upper one.  Rows are equal when all their fields are."""
 
-    n: int
-    verdict: str
-    margin: int
-    margin_lower: int | None
-    margin_upper: int | None
-    lower: Pair | None  # sup of the lower bound interval (binding end)
-    upper: Pair | None  # inf of the upper bound interval
-    value_lo: int
-    value_hi: int
-    precision: int
-    scale: int
+    __slots__ = ("n", "verdict", "margin", "margin_lower", "margin_upper", "lower", "upper",
+                 "value_lo", "value_hi", "precision", "scale")
+
+    def __init__(self, n: int, verdict: str, margin: int, margin_lower: int | None,
+                 margin_upper: int | None, lower: Pair | None, upper: Pair | None,
+                 value_lo: int, value_hi: int, precision: int, scale: int):
+        self.n, self.verdict, self.margin = n, verdict, margin
+        self.margin_lower, self.margin_upper = margin_lower, margin_upper
+        self.lower, self.upper = lower, upper
+        self.value_lo, self.value_hi = value_lo, value_hi
+        self.precision, self.scale = precision, scale
+
+    def __eq__(self, other):
+        if type(other) is not SweepRow:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 class Tally:
@@ -151,25 +152,37 @@ class Tally:
             self.least = row
 
 
-@dataclass(frozen=True)
 class SweepReport:
-    entry_id: str
-    rows: tuple
-    precision_start: int
-    precision_cap: int
+    """The rows of one sweep, kept, with their verdict counts and the
+    first certified-true row of least margin.  Reports are equal when
+    their entry ids, rows and precisions are."""
 
-    @functools.cached_property
-    def _tally(self) -> Tally:
-        return Tally(self.rows)
+    __slots__ = ("entry_id", "rows", "precision_start", "precision_cap", "_tally")
+
+    def __init__(self, entry_id: str, rows: tuple, precision_start: int, precision_cap: int):
+        self.entry_id, self.rows = entry_id, rows
+        self.precision_start, self.precision_cap = precision_start, precision_cap
+        self._tally = Tally(rows)
+
+    def __eq__(self, other):
+        if type(other) is not SweepReport:
+            return NotImplemented
+        return ((self.entry_id, self.rows, self.precision_start, self.precision_cap)
+                == (other.entry_id, other.rows, other.precision_start, other.precision_cap))
 
     @property
     def counts(self) -> dict:
         return self._tally.counts
 
     @property
-    def min_margin(self) -> Fraction | None:
+    def min_margin(self):
+        """The least margin as an exact Fraction, or None."""
         row = self._tally.least
-        return None if row is None else Fraction(row.margin, 1 << row.scale)
+        if row is None:
+            return None
+        from fractions import Fraction  # no command reads a report
+
+        return Fraction(row.margin, 1 << row.scale)
 
     @property
     def min_margin_n(self) -> int | None:

@@ -25,11 +25,12 @@ fields need quoting (`certify`'s coefficient lists as CSV).  `csv` and
 `json` are imported only where they write.
 
 Exit codes: 0 success, 1 a sweep found a certified-false row, 2 usage
-error, or a decimal printed at more than about 14,320 bits would pass
-Python's 4300-digit integer-string limit, 3 undecided rows remained
-at the precision cap, or the requested precision could not decide the
-result, 141 (128 + SIGPIPE) the reader of stdout closed it before the
-output ended, as `gammaseq ... | head` does; no traceback is printed.
+error, or a decimal of `enclose` printed at more than about 14,320
+bits would pass Python's 4300-digit integer-string limit, 3 undecided
+rows remained at the precision cap, or the requested precision could
+not decide the result, 141 (128 + SIGPIPE) the reader of stdout closed
+it before the output ended, as `gammaseq ... | head` does; no
+traceback is printed.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ import argparse
 import math
 import os
 import sys
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
-from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError, PrecisionError
 
 # Each command imports the modules it runs in its own body, so a start
 # loads and compiles only those: `enclose` needs numerics alone, and
-# `--help` none of the library.
+# `--help` none of the library.  Likewise `decimal` is imported only for
+# `eval`'s exact rational parts and for decimals too long for str(), and
+# `fractions` only where an --a or --b parameter or an exact rational is read.
 
 DEFAULT_PRECISION = 128
 
@@ -59,7 +60,9 @@ EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process ended by SIGPIPE
 _SEQ_NAMES = ("gamma", "r", "v", "mu", "vfam", "s", "uplus", "uminus")
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -120,8 +123,13 @@ def _ratio_str(num: int, den: int) -> str:
     return f"{num}/{den}" if den != 1 else str(num)
 
 
-def _frac_str(x: Fraction) -> str:
+def _frac_str(x) -> str:
+    """A Fraction or an int as "num/den", or "num"."""
     return _ratio_str(x.numerator, x.denominator)
+
+
+# the integer-part digits that `_printers` allows for before it converts through decimal
+_INT_PART_DIGITS = 64
 
 
 def _printers(places: int):
@@ -134,13 +142,25 @@ def _printers(places: int):
     negative value keeps its sign when it prints as zero (-0.000).
     nearest(m, e) prints m * 2**e as decimal_text(..., "nearest"), ties to
     even, and a value that prints as zero has no sign.
+
+    Their integers have `places` digits and those of the value's integer
+    part.  Where that may pass Python's limit for integer strings
+    (4,300 digits by default, at about 14,330 bits of precision), they
+    are converted through `decimal`, which has no such limit.
     """
     ten = 10**places
     twice = ten << 1
     width = places + 1
+    digits_of = str
+    limit = sys.get_int_max_str_digits()
+    if limit and places + _INT_PART_DIGITS >= limit:
+        from decimal import Decimal
+
+        def digits_of(q: int) -> str:
+            return str(Decimal(q))
 
     def text(negative: bool, q: int) -> str:
-        digits = str(q).rjust(width, "0")
+        digits = digits_of(q).rjust(width, "0")
         return f"{'-' if negative else ''}{digits[:-places]}.{digits[-places:]}"
 
     def half_up(m: int, s: int) -> str:
@@ -280,6 +300,8 @@ def cmd_eval(args) -> int:
             return
         # H_j, summed along the range, and the rational part as integer Decimals: each
         # step is linear in their length, and str() copies their base 10**19 limbs.
+        from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+
         ctx = Context(MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
         ctx.traps[Inexact] = ctx.traps[Rounded] = True  # a rounding raises
         mul, rem, div = ctx.multiply, ctx.remainder, ctx.divide_int

@@ -5,13 +5,15 @@ explicit scale, the kernels' protocol, where a pair (lo, hi) at scale
 2**-q brackets the true value.  ``Fraction`` values hold exact
 rationals only: series coefficients and exact harmonic numbers, which
 `eval` prints as rational parts and `sequences.values` reads to tell an
-exact zero.  `ln_fixed` is the integer core for logarithms, at a scale
-of its own: it divides the argument by a power of two and the nearest
-anchor j / 2**7, whose logarithm and ln 2 it caches per scale, and sums
-one short atanh series for the rest; `ln_ends`, the one routine that
-combines it with an exact rational c, gives the floor and ceiling of
-(c - ln x) * 2**q to the sequence walk and the constant's enclosure,
-with c and x as integer pairs (num, den).  `gamma_reference` gives the
+exact zero; `fractions` is imported only where one is made, so that
+neither the sweep nor the constant's enclosure loads it.  `ln_fixed` is
+the integer core for logarithms, at a scale of its own: it divides the
+argument by a power of two and the nearest anchor j / 2**7, whose
+logarithm and ln 2 it caches per scale, and sums one short atanh series
+for the rest; `ln_ends`, the one routine that combines it with an
+exact rational c, gives the floor and ceiling of (c - ln x) * 2**q to
+the sequence walk and the constant's enclosure, with c and x as integer
+pairs (num, den).  `gamma_reference` gives the
 constant at any precision through one route, the exponential-integral
 identity, and `gamma_bootstrap` gives it from s_n at an explicit n for
 `enclose --n` only; both in the same protocol, as (lo, hi, q).
@@ -26,7 +28,6 @@ reference that `round_bits` and the row templates are tested against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels_py as kernels
@@ -144,6 +145,8 @@ class BigReal:
         rounding is "nearest" (ties to even), "floor" (toward -inf),
         "ceiling" (toward +inf) or "half-up" (ties away from zero).
         """
+        from fractions import Fraction
+
         _check_precision(prec)
         value = Fraction(value)
         if value == 0:
@@ -161,6 +164,8 @@ class BigReal:
         return cls(-q if negative else q, exp, prec)
 
     def to_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if self.exp >= 0:
             return Fraction(self.mant << self.exp)
         return Fraction(self.mant, 1 << -self.exp)
@@ -202,6 +207,8 @@ def _hsum(a: int, b: int) -> tuple[int, int]:
 def harmonic_exact(n: int) -> Fraction:
     """Exact harmonic number 1 + 1/2 + ... + 1/n, summed afresh on each call
     (certified paths carry H_n as kernel intervals, see `sequences.Walk`)."""
+    from fractions import Fraction
+
     _check_n(n)
     return Fraction(*_hsum(1, n))
 
@@ -257,6 +264,8 @@ def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
     j = 2**R, and the atanh pair is all there is.
     """
     if num <= 0:
+        from fractions import Fraction
+
         raise DomainError(f"ln requires a positive argument, got {Fraction(num, den)}")
     if num == den:
         return 0, 0, q

@@ -14,7 +14,6 @@ necessary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError, DomainError
@@ -277,25 +276,26 @@ def _as_ratfunc(value):
 # positivity certificates
 
 
-@dataclass(frozen=True)
 class PositivityCertificate:
     """Proof object: all (x - center)-coefficients nonnegative, one positive,
     hence the polynomial is strictly positive on (center, inf)."""
 
-    polynomial: Polynomial
-    center: Fraction
-    shifted_coeffs: tuple
+    __slots__ = ("polynomial", "center", "shifted_coeffs")
+
+    def __init__(self, polynomial: Polynomial, center: Fraction, shifted_coeffs: tuple):
+        self.polynomial, self.center, self.shifted_coeffs = polynomial, center, shifted_coeffs
 
 
-@dataclass(frozen=True)
 class PositivityRefusal:
     """Inconclusive outcome (NOT a disproof): some shifted coefficient is
     negative, or the polynomial is zero."""
 
-    polynomial: Polynomial
-    center: Fraction
-    shifted_coeffs: tuple
-    first_negative_index: int | None
+    __slots__ = ("polynomial", "center", "shifted_coeffs", "first_negative_index")
+
+    def __init__(self, polynomial: Polynomial, center: Fraction, shifted_coeffs: tuple,
+                 first_negative_index: int | None):
+        self.polynomial, self.center, self.shifted_coeffs = polynomial, center, shifted_coeffs
+        self.first_negative_index = first_negative_index
 
 
 def positivity_certificate(p: Polynomial, c):
@@ -319,22 +319,22 @@ def positivity_certificate(p: Polynomial, c):
 # -ln(1 + 1/x), so its derivative is exactly rational.
 
 
-@dataclass(frozen=True)
 class ReciprocalTerm:
     """coeff / (x - center)**power."""
 
-    coeff: Fraction
-    center: Fraction
-    power: int
+    __slots__ = ("coeff", "center", "power")
+
+    def __init__(self, coeff: Fraction, center: Fraction, power: int):
+        self.coeff, self.center, self.power = coeff, center, power
 
 
-@dataclass(frozen=True)
 class StepFunction:
     """Sum of shifted reciprocal terms plus log_coeff * ln(1 + 1/x)."""
 
-    name: str
-    terms: tuple
-    log_coeff: Fraction
+    __slots__ = ("name", "terms", "log_coeff")
+
+    def __init__(self, name: str, terms: tuple, log_coeff: Fraction):
+        self.name, self.terms, self.log_coeff = name, terms, log_coeff
 
     def derivative(self) -> RationalFunction:
         total = RationalFunction(Polynomial(), Polynomial((1,)))
@@ -421,19 +421,25 @@ def check_derivative_identity(variant: str) -> bool:
     return derivative_of_f(variant) == RationalFunction(numer, derivative_denominator())
 
 
-@dataclass(frozen=True)
 class TailSignVerdict:
-    """Composed conclusion about one side of the bracket on s_n - gamma."""
+    """Composed conclusion about one side of the bracket on s_n - gamma:
+    derivative_sign is the sign of the step function's derivative on
+    (threshold, inf), function_sign that of the step function there."""
 
-    variant: str
-    numerator_certificate: PositivityCertificate
-    denominator_certificate: PositivityCertificate
-    identity_checked: bool
-    derivative_sign: int  # on (threshold, inf)
-    threshold: int
-    vanishes_at_infinity: bool
-    function_sign: int  # sign of the step function on (threshold, inf)
-    conclusion: str
+    __slots__ = ("variant", "numerator_certificate", "denominator_certificate",
+                 "identity_checked", "derivative_sign", "threshold", "vanishes_at_infinity",
+                 "function_sign", "conclusion")
+
+    def __init__(self, variant: str, numerator_certificate: PositivityCertificate,
+                 denominator_certificate: PositivityCertificate, identity_checked: bool,
+                 derivative_sign: int, threshold: int, vanishes_at_infinity: bool,
+                 function_sign: int, conclusion: str):
+        self.variant, self.identity_checked = variant, identity_checked
+        self.numerator_certificate = numerator_certificate
+        self.denominator_certificate = denominator_certificate
+        self.derivative_sign, self.function_sign = derivative_sign, function_sign
+        self.threshold, self.vanishes_at_infinity = threshold, vanishes_at_infinity
+        self.conclusion = conclusion
 
 
 def tail_sign_verdict(variant: str) -> TailSignVerdict:

@@ -11,7 +11,6 @@ exponent from certified numeric differences as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -36,7 +35,6 @@ RESIDUAL_LIMIT = 0.1
 SIGNIFICANT_BITS_REQUIRED = 16
 
 
-@dataclass(frozen=True)
 class RateReport:
     """Exact rate data read off a difference expansion.
 
@@ -45,10 +43,11 @@ class RateReport:
     n^(k-1) (x_n - x) -> l/(k-1).
     """
 
-    k: int
-    l: Fraction
-    sequence_rate: int
-    sequence_limit: Fraction
+    __slots__ = ("k", "l", "sequence_rate", "sequence_limit")
+
+    def __init__(self, k: int, l: Fraction, sequence_rate: int, sequence_limit: Fraction):
+        self.k, self.l = k, l
+        self.sequence_rate, self.sequence_limit = sequence_rate, sequence_limit
 
 
 def rate_from_series(series: AsymptoticSeries) -> RateReport:
@@ -73,15 +72,15 @@ def rate_from_series(series: AsymptoticSeries) -> RateReport:
     return RateReport(k=k, l=l, sequence_rate=k - 1, sequence_limit=l / (k - 1))
 
 
-@dataclass(frozen=True)
 class EmpiricalRate:
     """Least-squares slope of log|x_n - x_{n+1}| against log n, negated."""
 
-    difference_order: float
-    sequence_rate: float
-    residual: float
-    grid: tuple
-    precision: int
+    __slots__ = ("difference_order", "sequence_rate", "residual", "grid", "precision")
+
+    def __init__(self, difference_order: float, sequence_rate: float, residual: float,
+                 grid: tuple, precision: int):
+        self.difference_order, self.sequence_rate = difference_order, sequence_rate
+        self.residual, self.grid, self.precision = residual, grid, precision
 
     @property
     def reliable(self) -> bool:
@@ -149,15 +148,15 @@ def empirical_rate(kind: SequenceKind, n_grid, p: int) -> EmpiricalRate:
     )
 
 
-@dataclass(frozen=True)
 class OptimizeResult:
     """Optimal family parameters plus the first surviving coefficient."""
 
-    a: Fraction
-    b: Fraction
-    surviving_index: int
-    surviving_coeff: Fraction
-    rate: RateReport
+    __slots__ = ("a", "b", "surviving_index", "surviving_coeff", "rate")
+
+    def __init__(self, a: Fraction, b: Fraction, surviving_index: int,
+                 surviving_coeff: Fraction, rate: RateReport):
+        self.a, self.b, self.rate = a, b, rate
+        self.surviving_index, self.surviving_coeff = surviving_index, surviving_coeff
 
 
 def _solve_linear(poly: ParamPoly, known_a=None):

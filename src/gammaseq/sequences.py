@@ -8,21 +8,22 @@ indices, `Walk`, which gives integer pairs at scale 2**-q: H_m is the
 kernel's pair, carried across the gaps by `harmonic_fixed`, plus the
 tail, whose ends are `numerics.ln_ends`: floor and ceiling of
 (c - ln x) * 2**q, with no Fraction per index.  The variants with
-irrational parameters (UPlus / UMinus) have no exact split; their c and
-x at each end are integer pairs built once per walk from an enclosure
-of sqrt(6).  `values` rounds the walk's pairs to p bits in integers, as
-(m, e) with the value m * 2**e.
+irrational parameters (UPlus / UMinus) have no exact split; their tails
+take the logarithm of the integer 6n^2 - 1 and a short series in
+1/(6n^2), with one enclosure of sqrt(6) per walk (`_sqrt6_tails`).
+`values` rounds the walk's pairs to p bits in integers, as (m, e) with
+the value m * 2**e.  A kind is a small immutable `__slots__` object
+(`SequenceKind`); MuFamily and VFamily hold their parameters as
+Fractions, and only they load `fractions`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _kernels_py as kernels, numerics
 from .errors import DomainError
-from .numerics import harmonic_exact, ln_ends, round_bits
+from .numerics import harmonic_exact, ln_ends, ln_fixed, round_bits
 
 __all__ = [
     "SequenceKind",
@@ -40,75 +41,113 @@ __all__ = [
 
 
 class SequenceKind:
-    """Base tag for sequence identifiers; concrete kinds are dataclasses."""
+    """Base of the sequence identifiers.
 
+    A kind is a small immutable `__slots__` object: two kinds are equal,
+    and hash alike, when they have one type and equal parameters, and its
+    repr names the type and the parameters, as error messages print it.
+    Only MuFamily and VFamily have parameters, the rationals a and b.
+    """
+
+    __slots__ = ()
     n_min = 1
 
     def describe(self) -> str:
         return type(self).__name__
 
+    def _params(self) -> tuple:
+        return ()
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._params() == other._params()
+
+    def __hash__(self):
+        return hash(self._params())
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+
+class _RationalPair(SequenceKind):
+    """A kind with rational parameters a and b, held as Fractions."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        from fractions import Fraction  # only the families with parameters need it
+
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+
+    def _params(self) -> tuple:
+        return self.a, self.b
+
+    def __repr__(self):
+        return f"{type(self).__name__}(a={self.a!r}, b={self.b!r})"
+
+
 class GammaN(SequenceKind):
     """H_n - ln n."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class DeTempleR(SequenceKind):
     """H_n - ln(n + 1/2) (DeTemple 1993)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class VernescuV(SequenceKind):
     """H_{n-1} + 1/(2n) - ln n (Vernescu 1999)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class MuFamily(SequenceKind):
+
+class MuFamily(_RationalPair):
     """H_{n-1} + 1/(a n) - ln(n + b) (Mortici 2010), rational a != 0."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a, b):
+        super().__init__(a, b)
         if self.a == 0:
             raise DomainError("MuFamily requires a != 0")
 
 
-@dataclass(frozen=True)
-class VFamily(SequenceKind):
+class VFamily(_RationalPair):
     """H_{n-2} + (a n + b)/(n(n-1)) - ln n, defined from n = 3.
 
     Values at n = 0, 1, 2 are left as conventions (the correction term
     degenerates there), so requesting them is a domain error.
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ()
     n_min = 3
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
 
-
-@dataclass(frozen=True)
 class SOptimal(SequenceKind):
     """H_{n-2} + 13/(12(n-1)) + 5/(12n) - ln n, the fastest member of VFamily."""
 
+    __slots__ = ()
     n_min = 3
 
 
-@dataclass(frozen=True)
 class UPlus(SequenceKind):
     """MuFamily at a = 6 + 2 sqrt(6), b = -1/sqrt(6); named by the sign in a."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class UMinus(SequenceKind):
     """MuFamily at a = 6 - 2 sqrt(6), b = 1/sqrt(6)."""
+
+    __slots__ = ()
 
 
 def _check_domain(kind: SequenceKind, n: int) -> None:
@@ -142,8 +181,8 @@ def _split(kind: SequenceKind):
             # n + b = (n b_den + b_num)/b_den is coprime because b is
             x_num = n * b_den + b_num
             if x_num <= 0:
-                raise DomainError(
-                    f"log argument n + b = {Fraction(x_num, b_den)} must be positive")
+                text = f"{x_num}/{b_den}" if b_den != 1 else str(x_num)
+                raise DomainError(f"log argument n + b = {text} must be positive")
             return n - 1, (a_den, a_num * n), (x_num, b_den)
 
         return mu
@@ -165,33 +204,72 @@ def _split(kind: SequenceKind):
 
 def _tails(kind: SequenceKind, q: int):
     """n -> (m, lo, hi) with [lo, hi] * 2**-q enclosing correction - ln(argument)."""
-    if not isinstance(kind, (UPlus, UMinus)):
-        split = _split(kind)
-
-        def tail(n):
-            _check_domain(kind, n)
-            m, c, x = split(n)
-            return (m, *ln_ends(c, c, x, q))
-
-        return tail
-    k = q + 8
-    one, s = 1 << k, math.isqrt(6 << 2 * k)  # sqrt(6) lies in [s, s + 1] / 2**k
-    # a and b at each end of sqrt(6)'s enclosure, a as numerators over 2**k
-    if isinstance(kind, UPlus):  # a = 6 + 2 sqrt(6), b = -1/sqrt(6)
-        a_lo, a_hi = 6 * one + 2 * s, 6 * one + 2 * s + 2
-        b_lo, b_hi = Fraction(-one, s), Fraction(-one, s + 1)
-    else:  # a = 6 - 2 sqrt(6), b = 1/sqrt(6)
-        a_lo, a_hi = 6 * one - 2 * s - 2, 6 * one - 2 * s
-        b_lo, b_hi = Fraction(one, s + 1), Fraction(one, s)
-    # n + e/d = (n d + e)/d is in lowest terms with e/d, as gcd(n d + e, d) = gcd(e, d)
-    (e_lo, d_lo), (e_hi, d_hi) = b_lo.as_integer_ratio(), b_hi.as_integer_ratio()
+    if isinstance(kind, (UPlus, UMinus)):
+        return _sqrt6_tails(kind, q)
+    split = _split(kind)
 
     def tail(n):
-        # 1/(a n) - ln(n + b) decreases in a and in b: lo takes a_hi and b_hi
         _check_domain(kind, n)
-        c_lo, c_hi = (one, a_hi * n), (one, a_lo * n)
-        return (n - 1, ln_ends(c_lo, c_lo, (n * d_hi + e_hi, d_hi), q)[0],
-                ln_ends(c_hi, c_hi, (n * d_lo + e_lo, d_lo), q)[1])
+        m, c, x = split(n)
+        return (m, *ln_ends(c, c, x, q))
+
+    return tail
+
+
+def _sqrt6_tails(kind: SequenceKind, q: int):
+    """The tails of UPlus (sign +1) and UMinus (sign -1), through 6n^2 - 1.
+
+    With t = 1/(n sqrt 6), (n - 1/sqrt 6)(n + 1/sqrt 6) = (6n^2 - 1)/6 and
+    ln((1 - t)/(1 + t)) = -2 atanh t, and with 1/(6 +- 2 sqrt 6) =
+    (3 -+ sqrt 6)/6 and atanh t = t (1 + R), where
+
+        R = sum_{j >= 1} (6n^2)**-j / (2j + 1),
+
+    the tail 1/(a n) - ln(n + b) of either kind is
+
+        T = (ln 6 - ln(6n^2 - 1))/2 + (3 + sign sqrt(6) R)/(6n).
+
+    Enclosures, all at w = q + bitlen(q) + 2, the scale `ln_fixed` returns
+    for an argument outside [1, 2): ln 6, once per walk, and ln(6n^2 - 1)
+    per index, each less than 2**(w - q) wide for 6n^2 < 2**(3q);
+    sqrt(6) 2**w in [s, s + 1], s = isqrt(6 * 2**(2w)), once per walk; and
+    R 2**w in [r, r + J], from the exact floors p_j = floor(2**w / (6n^2)**j):
+    r sums floor(p_j / (2j + 1)), each low by less than one, over
+    j < J, the first j with p_j = 0, and the terms from J on sum to less
+    than (6/5) / (2J + 1) < 1.  T 2**q is v / (6n 2**(2w - q)) with
+
+        v = 3n (ln 6 - ln(6n^2 - 1)) 2**(2w) + 3 * 2**(2w) + sign sqrt(6) R 2**(2w),
+
+    and lo and hi are the floor and ceiling of v's ends over that
+    denominator.  Width: the logarithms add less than
+    2 * 3n 2**(2w - q) / (6n 2**(2w - q)) = 1, sqrt(6) R adds at most
+    ((s + 1)(r + J) - s r) / (6n 2**(2w - q)) < 3 J 2**w / (6 * 2**(2w - q))
+    = J / 2**(w - q + 1), where J <= w / log2(6) + 1 < q and
+    2**(w - q) > 4q, so less than 1/8, and the two roundings less than 2:
+    hi - lo <= 3.
+    """
+    sign = 1 if isinstance(kind, UPlus) else -1
+    l6_lo, l6_hi, w = ln_fixed(6, 1, q)
+    s = math.isqrt(6 << 2 * w)
+    three = 3 << 2 * w
+    den_shift = 2 * w - q
+
+    def tail(n):
+        _check_domain(kind, n)
+        six_nn = 6 * n * n
+        x_lo, x_hi, _ = ln_fixed(six_nn - 1, 1, q)
+        r, j, p = 0, 1, (1 << w) // six_nn  # p = p_j, and R 2**w is in [r, r + j] once p = 0
+        while p:
+            r += p // (2 * j + 1)
+            j += 1
+            p //= six_nn
+        root_lo, root_hi = s * r, (s + 1) * (r + j)  # sqrt(6) R 2**(2w)
+        if sign < 0:
+            root_lo, root_hi = -root_hi, -root_lo
+        den = 6 * n << den_shift
+        lo = ((3 * n * (l6_lo - x_hi) << w) + three + root_lo) // den
+        hi = -((-(3 * n * (l6_hi - x_lo) << w) - three - root_hi) // den)
+        return n - 1, lo, hi
 
     return tail
 

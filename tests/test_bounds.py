@@ -440,6 +440,20 @@ def test_least_margin_across_scales():
     assert (undecided.min_margin, undecided.min_margin_n) == (None, None)
 
 
+def test_rows_and_reports_compare_by_value():
+    e = get_entry("young")
+    report = sweep(e, 1, 4, 64)
+    assert report == sweep(e, 1, 4, 64) and check(e, 2, 64) == check(e, 2, 64)
+    assert report.rows[0] != report.rows[1]
+    assert report != sweep(e, 1, 4, 64, precision_cap=128)
+    assert report != sweep(e, 1, 3, 64)
+    row = check(e, 2, 64)
+    row.margin += 1  # rows are mutable, so they do not hash
+    assert row != check(e, 2, 64)
+    with pytest.raises(TypeError):
+        hash(row)
+
+
 def test_precision_cap_below_start_rejected():
     with pytest.raises(DomainError):
         sweep(get_entry("young"), 1, 3, 64, precision_cap=16)

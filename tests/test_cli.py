@@ -459,6 +459,33 @@ def test_csv_failure_partway_keeps_the_earlier_rows(capsys, monkeypatch):
     assert captured.err == "error: no split at n = 30\n"
 
 
+def test_eval_value_prints_past_the_integer_string_limit(capsys):
+    # at 14337 bits a value prints with 4301 places, so its integer passes
+    # the 4300 digits that str() of an int may print; `_printers` converts
+    # such integers through decimal, and the digits are those of m * 2**e
+    limit = sys.get_int_max_str_digits()
+    code = cli.main(["eval", "--seq", "s", "--n", "3", "--precision", "14337",
+                     "--format", "csv"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    header, row = captured.out.splitlines()
+    assert header == "n,value,rational_part,log_argument"
+    n, value, rational, x = row.split(",")
+    assert (n, rational, x) == ("3", "121/72", "3")
+    places = cli._decimal_digits(14337)
+    assert places == 4301 and len(value) == places + 2
+    m, e = next(sequences.values(sequences.SOptimal(), 3, 3, 14337))
+    with decimal.localcontext(decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                              Emin=decimal.MIN_EMIN)) as ctx:
+        ctx.traps[decimal.Inexact] = True
+        exact = decimal.Decimal(m * 5**-e).scaleb(e)  # m * 2**e, e < 0, exactly
+        ctx.traps[decimal.Inexact] = False
+        printed = exact.quantize(decimal.Decimal(1).scaleb(-places), decimal.ROUND_HALF_EVEN)
+    assert value == str(printed)
+    assert value.startswith("0.58194326688744586416031031863302985090806499773280610382")
+
+
 def test_enclose_past_the_string_limit_exits_two(capsys):
     # the enclosure is computed, but its printed digits exceed str()'s limit
     code = cli.main(["enclose", "--precision", "16384"])
@@ -696,34 +723,39 @@ def test_version_flag(capsys):
 
 # a fresh interpreter runs cli.main(argv) and reports the gammaseq modules
 # and the standard library's csv and json if it loaded them
-_PROBE = """
+_STDLIB = {"csv", "json", "dataclasses", "inspect", "decimal", "fractions"}
+_PROBE = f"""
 import sys
 from gammaseq import cli
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
 print(" ".join(sorted(m for m in sys.modules
-                      if m.startswith("gammaseq.") or m in ("csv", "json"))), file=sys.stderr)
+                      if m.startswith("gammaseq.") or m in {sorted(_STDLIB)!r})), file=sys.stderr)
 sys.exit(code)
 """
 _HELP = json.loads((Path(__file__).resolve().parent / "data" / "help.json").read_text("utf-8"))
-_STDLIB = {"csv", "json"}
 _NUMERICS = {"numerics", "_kernels_py"}
 _RATES = {"rates", "series"}  # optimize; rate adds the walk
+_EXACT = {"fractions", "decimal"}  # fractions imports decimal
+_SWEEP = {"bounds", "sequences", *_NUMERICS, "dataclasses", "inspect"}  # BoundEntry
 _IMPORTS = [
     *((argv, set()) for argv in _HELP),  # --version and every --help
     ("", set()),
     ("bogus", set()),
     ("eval --seq nope --n 1", set()),
     ("enclose --precision 64", {*_NUMERICS, "json"}),
-    ("sweep-bounds --entry young --to 10 --format csv", {"bounds", "sequences", *_NUMERICS}),
-    ("sweep-bounds --entry young --to 10", {"bounds", "sequences", *_NUMERICS, "json"}),
-    ("eval --seq s --n 3 --to 5", {"sequences", *_NUMERICS, "json"}),
-    ("eval --seq s --n 3 --to 5 --format csv", {"sequences", *_NUMERICS}),
-    ("rate --seq s --grid-stop 128", {*_RATES, "sequences", *_NUMERICS, "json"}),
-    ("optimize", {*_RATES, "json"}),
-    ("certify --target P", {"polycert", "json"}),
-    ("certify --target P --format csv", {"polycert", "csv"}),
-    ("expand", {"series", "json"}),
+    ("enclose --n 10 --precision 64 --format csv", {*_NUMERICS, "csv"}),
+    ("sweep-bounds --entry young --to 10 --format csv", _SWEEP),
+    ("sweep-bounds --entry young --to 10", {*_SWEEP, "json"}),
+    ("eval --seq s --n 3 --to 5", {"sequences", *_NUMERICS, *_EXACT, "json"}),
+    ("eval --seq s --n 3 --to 5 --format csv", {"sequences", *_NUMERICS, *_EXACT}),
+    ("eval --seq uplus --n 1 --to 5 --format csv", {"sequences", *_NUMERICS}),
+    ("rate --seq s --grid-stop 128", {*_RATES, "sequences", *_NUMERICS, *_EXACT, "json"}),
+    ("rate --seq uminus --grid-stop 128", {*_RATES, "sequences", *_NUMERICS, *_EXACT, "json"}),
+    ("optimize", {*_RATES, *_EXACT, "json"}),
+    ("certify --target P", {"polycert", *_EXACT, "json"}),
+    ("certify --target P --format csv", {"polycert", *_EXACT, "csv"}),
+    ("expand", {"series", *_EXACT, "json"}),
 ]
 
 
@@ -732,7 +764,9 @@ _IMPORTS = [
 def test_each_command_imports_only_what_it_runs(argv, loads):
     # every start compiles the modules it imports unless bytecode caches
     # exist, so a command pays for each library module on its import path;
-    # the streamed commands write CSV without csv, and only JSON loads json
+    # the streamed commands write CSV without csv, and only JSON loads json;
+    # only sweep-bounds loads dataclasses (and inspect), and only exact
+    # rationals load fractions and decimal
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv.split()], capture_output=True, timeout=120,

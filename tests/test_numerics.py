@@ -306,8 +306,9 @@ def ln_direct(num, den, q):
     return lo, hi, q_eff
 
 
-# n + b at n = 2999 for UPlus's b = -1/sqrt(6) at the lower end of sqrt(6),
-# as `sequences._tails` builds it at q = 300: (n d + e)/d with d of about q bits
+# n + b at n = 2999 for UPlus's b = -1/sqrt(6) at the lower end of sqrt(6)
+# enclosed at q + 8 bits, q = 300: (n d + e)/d with d of about q bits, a long
+# argument of the kind the walk's tails once took the logarithm of
 _E, _D = Fraction(-(1 << 308), math.isqrt(6 << 616)).as_integer_ratio()
 UPLUS_NUM, UPLUS_DEN = 2999 * _D + _E, _D
 R = numerics._ANCHOR_BITS

@@ -216,9 +216,10 @@ def test_split_pairs_are_the_published_pieces(walk):
     assert (F(c_num, c_den), F(x_num, x_den)) == _published_pieces(kind, n)
 
 
-def _fraction_tail_interval(kind, n, q):
-    """The interval of a sqrt(6) variant as the Fraction tail built it,
-    kept as the oracle for the one integer tail of the walk."""
+def _fraction_tail(kind, n, q):
+    """The tail pair of a sqrt(6) variant at scale 2**-q as the Fraction
+    route built it, 1/(a n) - ln(n + b) at each end of a and b from sqrt(6)
+    enclosed at q + 8 bits: the oracle of the walk's route through 6n^2 - 1."""
     s_lo, s_hi = sqrt_bracket(6, q + 8)
     if isinstance(kind, UPlus):
         a_lo, a_hi = 6 + 2 * s_lo, 6 + 2 * s_hi
@@ -228,9 +229,14 @@ def _fraction_tail_interval(kind, n, q):
         b_lo, b_hi = 1 / s_hi, 1 / s_lo
     lo = 1 / (a_hi * n) - ln_bracket(n + b_hi, q)[1]
     hi = 1 / (a_lo * n) - ln_bracket(n + b_lo, q)[0]
+    return (lo.numerator << q) // lo.denominator, -((-hi.numerator << q) // hi.denominator)
+
+
+def _fraction_tail_interval(kind, n, q):
+    """The walk's pair at n with the Fraction route's tail."""
     h_lo, h_hi = harmonic_fixed(n - 1, q)
-    return (h_lo + (lo.numerator << q) // lo.denominator,
-            h_hi - ((-hi.numerator << q) // hi.denominator))
+    t_lo, t_hi = _fraction_tail(kind, n, q)
+    return h_lo + t_lo, h_hi + t_hi
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,8 +258,9 @@ def test_walk_agrees_with_single_index_and_oracles(walk):
         assert isinstance(lo, int) and isinstance(hi, int)
         assert (lo, hi) == Walk(kind, q)(n)
         lo, hi = F(lo, 2**q), F(hi, 2**q)
-        if isinstance(kind, (UPlus, UMinus)):
-            assert got[n - n_from] == _fraction_tail_interval(kind, n, q)
+        if isinstance(kind, (UPlus, UMinus)):  # the two routes' pairs meet
+            old_lo, old_hi = _fraction_tail_interval(kind, n, q)
+            assert got[n - n_from][0] <= old_hi and old_lo <= got[n - n_from][1]
         oracle = mpf_to_fraction(_mp_value(kind, n))
         assert lo - slack <= oracle <= hi + slack
         assert 0 <= hi - lo <= width_cap
@@ -328,6 +335,55 @@ def test_value_near_zero_keeps_relative_accuracy():
     oracle = mpf_to_fraction(mp.mpf(7) / 3 - mp.log(1 + mp.mpf(b.numerator) / b.denominator))
     assert oracle > 0
     assert abs(got - oracle) <= oracle * F(2) ** (1 - 32)
+
+
+@pytest.mark.parametrize("kind", [UPlus(), UMinus()], ids=repr)
+def test_sqrt6_tails_contain_mpmath_and_meet_the_fraction_route(kind):
+    # n = 1..3000, as `eval --seq uplus --to 3000` walks them, and random n up to 10**6
+    q = 300
+    mp.mp.prec = 2 * q
+    r6 = mp.sqrt(6)
+    a, b = (6 + 2 * r6, -1 / r6) if isinstance(kind, UPlus) else (6 - 2 * r6, 1 / r6)
+    slack = F(1, 2 ** (q - 16))  # the oracle's own rounding at 2q bits, in ulps
+    tail = sequences._tails(kind, q)
+    rng = random.Random(27)
+    for n in [*range(1, 3001), *(rng.randint(3001, 10**6) for _ in range(300))]:
+        m, lo, hi = tail(n)
+        assert m == n - 1 and 0 <= hi - lo <= 3  # the docstring's width
+        oracle = mpf_to_fraction(1 / (a * n) - mp.ln(n + b)) * 2**q
+        assert lo - slack <= oracle <= hi + slack, n
+        old_lo, old_hi = _fraction_tail(kind, n, q)
+        assert lo <= old_hi and old_lo <= hi, n
+
+
+def test_kinds_are_immutable_values():
+    # callers compare and hash kinds, build the families from ints or
+    # Fractions, and print their reprs in messages and test reports
+    assert MuFamily(F(3, 2), 0) == MuFamily(F(3, 2), F(0))
+    assert hash(MuFamily(F(3, 2), 0)) == hash(MuFamily(F(3, 2), F(0)))
+    assert type(MuFamily(F(3, 2), 0).b) is F and type(VFamily(1, 2).a) is F
+    assert MuFamily(F(3, 2), 0) != MuFamily(F(3, 2), 1)
+    assert MuFamily(1, 2) != VFamily(1, 2) and GammaN() != DeTempleR()
+    assert len({GammaN(), GammaN(), UPlus(), VFamily(1, 2), VFamily(F(1), F(2))}) == 3
+    with pytest.raises(DomainError, match="MuFamily requires a != 0"):
+        MuFamily(a=0, b=1)
+    for kind, name in ((MuFamily(1, 2), "a"), (VFamily(1, 2), "b"), (GammaN(), "n_min"),
+                       (UMinus(), "extra")):
+        with pytest.raises(AttributeError):
+            setattr(kind, name, 5)
+    assert MuFamily(1, 2).a == 1 and VFamily(1, 2).n_min == 3
+    assert repr(MuFamily(F(3, 2), 0)) == "MuFamily(a=Fraction(3, 2), b=Fraction(0, 1))"
+    assert repr(VFamily(F(3, 2), F(-5, 12))) == "VFamily(a=Fraction(3, 2), b=Fraction(-5, 12))"
+    assert [repr(k) for k in (GammaN(), SOptimal(), UPlus())] == ["GammaN()", "SOptimal()",
+                                                                  "UPlus()"]
+
+    class Unlisted(sequences.SequenceKind):
+        __slots__ = ()
+
+    with pytest.raises(DomainError, match=r"^unknown sequence kind Unlisted\(\)$"):
+        sequences._split(Unlisted())
+    with pytest.raises(DomainError, match="^log argument n \\+ b = -7/3 must be positive$"):
+        Walk(MuFamily(1, F(-10, 3)), 64)(1)
 
 
 def test_u_variants_have_no_split_but_evaluate():
