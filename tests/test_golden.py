@@ -30,7 +30,10 @@ recorded with the constant's series split exactly all the way up, which
 exact blocks folded in one fixed-point pass replaced.  The mu range with
 rational parts -2 and 0 and the vfam range at (-7/4, 11/6) were recorded
 with the rational parts summed as Python ints, which integer Decimals
-replaced.
+replaced.  The symbolic expansion to order 12 as CSV, the expansion at
+(-7/4, 11/6) to order 10, the optimum at order 8 as CSV and the g
+verdict as CSV were recorded with the bivariate parameter polynomials
+of `series` and the gcd-canonical rational functions of `polycert`.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -113,6 +116,11 @@ GOLDEN = [  # (file, command, exit code)
     # the optimal family member: the n^-2 and n^-3 coefficients vanish
     ("expand_a_b.json", "expand --a 3/2 --b=-5/12", 0),
     ("rate_s.json", "rate --seq s --grid-start 16 --grid-stop 4096 --precision 256", 0),
+    # the symbolic coefficients past order 8, and a family member off the optimum
+    ("expand_12.csv", "expand --order 12 --format csv", 0),
+    ("expand_vfam_10.json", "expand --a=-7/4 --b 11/6 --order 10", 0),
+    ("optimize_8.csv", "optimize --order 8 --format csv", 0),
+    ("certify_g.csv", "certify --target g --format csv", 0),
 ]
 
 
