@@ -3,7 +3,7 @@
 The package splits into a certified numeric core (exact rationals,
 integer intervals at an explicit scale, integer logarithms, a reference
 enclosure of the constant), exact asymptotic machinery (difference
-expansions with parametric coefficients, rate extraction, the family
+expansions with rational coefficients, rate extraction, the family
 optimizer), polynomial positivity certificates for the two-sided
 bracket on the optimal sequence, and a catalog of published
 inequalities that can be swept with certified verdicts.  The hot
@@ -23,10 +23,10 @@ _HOMES = {name: module for module, names in (
     ("numerics", "BigReal gamma_bootstrap gamma_reference harmonic_exact"),
     ("sequences", "SequenceKind GammaN DeTempleR VernescuV MuFamily VFamily SOptimal"
                   " UPlus UMinus"),
-    ("series", "AsymptoticSeries ParamPoly expand_reciprocal_shift expand_log_ratio"
+    ("series", "AsymptoticSeries expand_reciprocal_shift expand_log_ratio"
                " v_family_difference"),
     ("rates", "rate_from_series empirical_rate optimize_parameters"),
-    ("polycert", "Polynomial RationalFunction taylor_shift positivity_certificate"
+    ("polycert", "Polynomial taylor_shift positivity_certificate"
                  " derivative_of_f tail_sign_verdict"),
     ("bounds", "catalog get_entry check sweep"),
 ) for name in names.split()}

@@ -13,14 +13,6 @@ class UnsupportedOrderError(ValueError):
     """Expansion order beyond the coefficients this package hard-codes."""
 
 
-class RingMismatchError(TypeError):
-    """Series coefficients come from incompatible rings."""
-
-
-class ParamDegreeError(ValueError):
-    """Parameter polynomial would exceed the supported total degree."""
-
-
 class RateInconclusiveError(ArithmeticError):
     """Difference series vanishes through its truncation order."""
 

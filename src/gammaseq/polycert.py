@@ -4,12 +4,13 @@ The certification route for the two-sided bracket on the optimal
 sequence works entirely in rational arithmetic: the step functions
 whose signs control the bracket are differentiated symbolically (their
 only non-rational piece, ln(1 + 1/x), has the rational derivative
--1/(x(x+1))), the resulting rational function is compared
-coefficient-wise against a closed-form numerator, and positivity of
-that numerator on (c, inf) is certified by expanding it in powers of
-(x - c) and checking all coefficients are nonnegative.  A failed check
-is only a refusal, never a disproof: the criterion is sufficient, not
-necessary.
+-1/(x(x+1))).  Every pole of the derivative divides the known common
+denominator D = 60 x^5 (x - 1)^2 (x + 1)^5, so the derivative times D is
+a polynomial, built term by term and compared coefficient-wise against a
+closed-form numerator.  Positivity of that numerator on (c, inf) is
+certified by expanding it in powers of (x - c) and checking all
+coefficients are nonnegative.  A failed check is only a refusal, never
+a disproof: the criterion is sufficient, not necessary.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import CertificateError, DomainError
 
 __all__ = [
     "Polynomial",
-    "RationalFunction",
     "taylor_shift",
     "positivity_certificate",
     "PositivityCertificate",
@@ -67,12 +67,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -125,38 +119,12 @@ class Polynomial:
             k >>= 1
         return result
 
-    def __divmod__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = len(other.coeffs)
-        lead = other.leading
-        while len(rem) >= d:
-            c = rem[-1] / lead
-            pos = len(rem) - d
-            q[pos] = c
-            for i, b in enumerate(other.coeffs):
-                rem[pos + i] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(q), Polynomial(rem)
-
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
         total = Fraction(0)
         for c in reversed(self.coeffs):
             total = total * x + c
         return total
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading
-        return Polynomial(c / lead for c in self.coeffs)
 
     def __eq__(self, other):
         other = _as_poly(other)
@@ -197,12 +165,6 @@ def _as_poly(value):
     return None
 
 
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    while not q.is_zero:
-        p, q = q, divmod(p, q)[1]
-    return p.monic() if not p.is_zero else p
-
-
 def taylor_shift(p: Polynomial, c) -> Polynomial:
     """Coefficients d_k with p(x) = sum d_k (x - c)^k (synthetic division)."""
     c = Fraction(c)
@@ -212,64 +174,6 @@ def taylor_shift(p: Polynomial, c) -> Polynomial:
         for j in range(n - 2, i - 1, -1):
             out[j] += c * out[j + 1]
     return Polynomial(out)
-
-
-class RationalFunction:
-    """Quotient of polynomials in canonical form (coprime, monic denominator)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if num is None or den is None:
-            raise TypeError("numerator and denominator must be polynomials")
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        g = poly_gcd(num, den)
-        if not g.is_zero and g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
-        lead = den.leading
-        num = Polynomial(c / lead for c in num.coeffs)
-        den = Polynomial(c / lead for c in den.coeffs)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    def __add__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __eq__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        # with denominator 1 it equals its numerator
-        if self.den.coeffs == (1,):
-            return hash(self.num)
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalFunction(({self.num}) / ({self.den}))"
-
-
-def _as_ratfunc(value):
-    if isinstance(value, RationalFunction):
-        return value
-    p = _as_poly(value)
-    return RationalFunction(p, Polynomial((1,))) if p is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +220,27 @@ def positivity_certificate(p: Polynomial, c):
 # s_{n+1} - s_n = 2/(3n) - 1/(12(n-1)) + 5/(12(n+1)) - ln(1 + 1/n), and the
 # step of each bracketed gap adds the telescoping difference of the bracket
 # itself.  Each step function is a sum of shifted reciprocals plus
-# -ln(1 + 1/x), so its derivative is exactly rational.
+# -ln(1 + 1/x), so its derivative is exactly rational, with every pole
+# among the roots of D = 60 x^5 (x - 1)^2 (x + 1)^5.
+
+# D's roots and their multiplicities
+_DENOMINATOR_ROOTS = {Fraction(0): 5, Fraction(1): 2, Fraction(-1): 5}
+
+
+def _denominator_over(poles: dict) -> Polynomial:
+    """D / prod (x - r)^e over the poles {r: e}, a polynomial only if D holds
+    every pole with at least its multiplicity; CertificateError otherwise."""
+    left = dict(_DENOMINATOR_ROOTS)
+    for root, e in poles.items():
+        if left.get(root, 0) < e:
+            raise CertificateError(
+                f"pole (x - {root})^{e} is not a factor of 60 x^5 (x-1)^2 (x+1)^5")
+        left[root] -= e
+    x = Polynomial.x()
+    out = Polynomial.constant(60)
+    for root, e in left.items():
+        out = out * (x - root) ** e
+    return out
 
 
 class ReciprocalTerm:
@@ -336,18 +260,14 @@ class StepFunction:
     def __init__(self, name: str, terms: tuple, log_coeff: Fraction):
         self.name, self.terms, self.log_coeff = name, terms, log_coeff
 
-    def derivative(self) -> RationalFunction:
-        total = RationalFunction(Polynomial(), Polynomial((1,)))
-        x = Polynomial.x()
+    def derivative(self) -> Polynomial:
+        """The derivative times D = 60 x^5 (x - 1)^2 (x + 1)^5, summed term by
+        term; CertificateError for a pole that D does not hold."""
+        total = Polynomial()
         for t in self.terms:
-            num = Polynomial.constant(-t.power * t.coeff)
-            den = (x - t.center) ** (t.power + 1)
-            total = total + RationalFunction(num, den)
+            total += -t.power * t.coeff * _denominator_over({t.center: t.power + 1})
         # d/dx ln(1 + 1/x) = -1/(x(x+1))
-        total = total + RationalFunction(
-            Polynomial.constant(-self.log_coeff), x * (x + 1)
-        )
-        return total
+        return total - self.log_coeff * _denominator_over({0: 1, -1: 1})
 
     def vanishes_at_infinity(self) -> bool:
         """Structural check: every additive piece tends to zero.
@@ -381,8 +301,8 @@ def step_function(variant: str) -> StepFunction:
     raise DomainError(f"variant must be 'f' or 'g', got {variant!r}")
 
 
-def derivative_of_f(variant: str) -> RationalFunction:
-    """Exact derivative of the requested step function."""
+def derivative_of_f(variant: str) -> Polynomial:
+    """Exact derivative of the requested step function times D."""
     return step_function(variant).derivative()
 
 
@@ -396,9 +316,8 @@ G_NUMERATOR_SHIFTED_COEFFS = (772064, 1725456, 802376, 164805, 17405, 930, 20)
 
 
 def derivative_denominator() -> Polynomial:
-    """60 x^5 (x - 1)^2 (x + 1)^5, the common denominator of both derivatives."""
-    x = Polynomial.x()
-    return 60 * x**5 * (x - 1) ** 2 * (x + 1) ** 5
+    """D = 60 x^5 (x - 1)^2 (x + 1)^5, the common denominator of both derivatives."""
+    return _denominator_over({})
 
 
 def derivative_numerator(variant: str) -> Polynomial:
@@ -413,12 +332,10 @@ def derivative_numerator(variant: str) -> Polynomial:
 
 
 def check_derivative_identity(variant: str) -> bool:
-    """Coefficient-wise identity between the symbolic derivative and the
-    closed form (+P/D for "f", -Q/D for "g")."""
+    """Coefficient-wise identity between the symbolic derivative times D and
+    the closed-form numerator (+P for "f", -Q for "g")."""
     numer = derivative_numerator(variant)
-    if variant == "g":
-        numer = -numer
-    return derivative_of_f(variant) == RationalFunction(numer, derivative_denominator())
+    return derivative_of_f(variant) == (numer if variant == "f" else -numer)
 
 
 class TailSignVerdict:

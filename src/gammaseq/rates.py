@@ -4,21 +4,25 @@ The exact route reads the rate off a difference expansion: when
 x_n - x_{n+1} ~ l * n^(-k) with k > 1, the sequence itself satisfies
 n^(k-1) (x_n - x) -> l/(k-1) (a Cesaro-Stolz style limit), so the
 first nonzero coefficient of the difference series gives both the
-rate and the limit exactly.  The empirical route fits the same
-exponent from certified numeric differences as a cross-check.
+rate and the limit exactly.  The optimizer reads the family's n^-2 and
+n^-3 coefficients as linear forms ca*a + cb*b + c and solves them for a,
+then b.  The empirical route fits the same exponent from certified
+numeric differences as a cross-check; it loads neither the series nor
+`fractions`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NoOptimumError, PrecisionError, RateInconclusiveError
-from .series import AsymptoticSeries, ParamPoly, v_family_difference
 
-if TYPE_CHECKING:  # an annotation only: `optimize` loads neither the walk nor the kernels
+if TYPE_CHECKING:  # annotations only: `rate` loads no series, `optimize` no walk
+    from fractions import Fraction
+
     from .sequences import SequenceKind
+    from .series import AsymptoticSeries
 
 __all__ = [
     "RateReport",
@@ -52,10 +56,6 @@ class RateReport:
 
 def rate_from_series(series: AsymptoticSeries) -> RateReport:
     """Rate and limit from the first nonzero coefficient of a difference series."""
-    if series.ring == "parametric":
-        raise DomainError(
-            "substitute numeric parameters before extracting a rate"
-        )
     k = series.k_min
     if k is None:
         raise RateInconclusiveError(
@@ -67,8 +67,6 @@ def rate_from_series(series: AsymptoticSeries) -> RateReport:
             "difference order must exceed 1 for the limit transfer to apply"
         )
     l = series.coeff(k)
-    if isinstance(l, ParamPoly):
-        l = l.as_fraction()
     return RateReport(k=k, l=l, sequence_rate=k - 1, sequence_limit=l / (k - 1))
 
 
@@ -159,21 +157,6 @@ class OptimizeResult:
         self.surviving_index, self.surviving_coeff = surviving_index, surviving_coeff
 
 
-def _solve_linear(poly: ParamPoly, known_a=None):
-    """Solve poly = 0 for one variable, given the other (or None)."""
-    ca, cb, const = poly.linear_parts()
-    if known_a is not None:
-        const += ca * known_a
-        ca = Fraction(0)
-    if ca:
-        if cb:
-            return None  # underdetermined on its own
-        return ("a", -const / ca)
-    if cb:
-        return ("b", -const / cb)
-    return None
-
-
 def optimize_parameters(order: int = 5) -> OptimizeResult:
     """Zero the two leading difference coefficients of VFamily.
 
@@ -183,20 +166,20 @@ def optimize_parameters(order: int = 5) -> OptimizeResult:
     the exact optimum together with the first surviving coefficient
     and the transferred sequence limit.
     """
+    from .series import v_family_difference
+
     if order < 4:
         raise DomainError("order must be >= 4 to expose the surviving coefficient")
-    series = v_family_difference(order)
-    c2 = series.coeff(2)
-    c3 = series.coeff(3)
-    first = _solve_linear(c2)
-    if first is None or first[0] != "a":
+    family = v_family_difference(order)
+    ca, cb, c = family.coeff(2)
+    if not ca or cb:
         raise NoOptimumError("leading coefficient does not determine a")
-    a_star = first[1]
-    second = _solve_linear(c3, known_a=a_star)
-    if second is None or second[0] != "b":
+    a_star = -c / ca
+    ca, cb, c = family.coeff(3)
+    if not cb:
         raise NoOptimumError("second coefficient does not determine b")
-    b_star = second[1]
-    optimal = series.substitute(a=a_star, b=b_star)
+    b_star = -(ca * a_star + c) / cb
+    optimal = family.substitute(a_star, b_star)
     # both zeroed coefficients must vanish after substitution
     if optimal.coeff(2) != 0 or optimal.coeff(3) != 0:
         raise NoOptimumError("substituted coefficients failed to vanish")
@@ -207,6 +190,6 @@ def optimize_parameters(order: int = 5) -> OptimizeResult:
         a=a_star,
         b=b_star,
         surviving_index=k,
-        surviving_coeff=Fraction(optimal.coeff(k)),
+        surviving_coeff=optimal.coeff(k),
         rate=rate_from_series(optimal),
     )

@@ -164,6 +164,21 @@ def test_expand_symbolic_and_numeric(capsys):
     assert coeffs == {4: "1/4", 5: "-2/15"}
 
 
+def test_expand_linear_form_text():
+    # the text of a symbolic coefficient ca*a + cb*b + c: a's term first,
+    # unit factors dropped, the sign of each later term as "+ " or "- "
+    for (ca, cb, c), text in [
+        ((1, 2, F(-2, 3)), "a + 2*b - 2/3"),
+        ((-1, F(1, 2), 0), "-a + 1/2*b"),
+        ((0, -2, 5), "-2*b + 5"),
+        ((0, 0, F(-3, 4)), "-3/4"),
+        ((F(-5, 3), -1, 1), "-5/3*a - b + 1"),
+        ((0, 1, 0), "b"),
+        ((2, 0, F(1, 7)), "2*a + 1/7"),
+    ]:
+        assert cli._linear_str(F(ca), F(cb), F(c)) == text
+
+
 def test_expand_round_trip_is_byte_identical(capsys):
     _, out1 = run(capsys, "expand", "--order", "6")
     reparsed = json.dumps(json.loads(out1), indent=2, sort_keys=True) + "\n"
@@ -537,6 +552,8 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     "sweep-bounds --entry chen --to 60 --precision 128 --format csv",
     "eval --seq s --n 3 --to 40 --precision 256",
     "certify --target g",
+    "optimize --order 5",
+    "expand",
     "enclose --precision 1024",
 ])
 def test_benchmark_tracer_runs_the_command_unchanged(tmp_path, argv):
@@ -735,7 +752,7 @@ sys.exit(code)
 """
 _HELP = json.loads((Path(__file__).resolve().parent / "data" / "help.json").read_text("utf-8"))
 _NUMERICS = {"numerics", "_kernels_py"}
-_RATES = {"rates", "series"}  # optimize; rate adds the walk
+_RATES = {"rates", "series"}  # optimize; rate loads the walk, not the series
 _EXACT = {"fractions", "decimal"}  # fractions imports decimal
 _SWEEP = {"bounds", "sequences", *_NUMERICS, "dataclasses", "inspect"}  # BoundEntry
 _IMPORTS = [
@@ -750,8 +767,8 @@ _IMPORTS = [
     ("eval --seq s --n 3 --to 5", {"sequences", *_NUMERICS, *_EXACT, "json"}),
     ("eval --seq s --n 3 --to 5 --format csv", {"sequences", *_NUMERICS, *_EXACT}),
     ("eval --seq uplus --n 1 --to 5 --format csv", {"sequences", *_NUMERICS}),
-    ("rate --seq s --grid-stop 128", {*_RATES, "sequences", *_NUMERICS, *_EXACT, "json"}),
-    ("rate --seq uminus --grid-stop 128", {*_RATES, "sequences", *_NUMERICS, *_EXACT, "json"}),
+    ("rate --seq s --grid-stop 128", {"rates", "sequences", *_NUMERICS, "json"}),
+    ("rate --seq uminus --grid-stop 128", {"rates", "sequences", *_NUMERICS, "json"}),
     ("optimize", {*_RATES, *_EXACT, "json"}),
     ("certify --target P", {"polycert", *_EXACT, "json"}),
     ("certify --target P --format csv", {"polycert", *_EXACT, "csv"}),

@@ -9,9 +9,8 @@ import pytest
 from conftest import dyadic_ends, split_at, walk_ends
 from gammaseq import _kernels_py as kernels, numerics
 from gammaseq.numerics import gamma_reference, harmonic_exact
-from gammaseq.polycert import Polynomial, RationalFunction
+from gammaseq.polycert import Polynomial
 from gammaseq.sequences import SOptimal, VFamily
-from gammaseq.series import AsymptoticSeries, ParamPoly
 
 F = Fraction
 
@@ -98,14 +97,9 @@ def test_concurrent_use_is_consistent():
 
 
 @pytest.mark.parametrize("a, b", [
-    (ParamPoly.const(F(1, 2)), F(1, 2)),
     (Polynomial((3,)), 3),
     (Polynomial(()), 0),
-    (RationalFunction(Polynomial.x() + 1, 1), Polynomial((1, 1))),
-    (RationalFunction(Polynomial((3,)), 1), F(3)),
-    (AsymptoticSeries({1: ParamPoly.const(1)}, 3), AsymptoticSeries({1: F(1)}, 3)),
-], ids=["parampoly-const", "polynomial-const", "polynomial-zero", "ratfunc-den-1",
-        "ratfunc-const", "series-rings"])
+], ids=["polynomial-const", "polynomial-zero"])
 def test_equal_values_hash_equal(a, b):
     assert a == b and b == a
     assert hash(a) == hash(b)

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from conftest import dyadic_ends, walk_ends
-from gammaseq.errors import DomainError
+from gammaseq.errors import CertificateError, DomainError
 from gammaseq.numerics import gamma_reference
 from gammaseq.polycert import (
     F_NUMERATOR_SHIFTED_COEFFS,
@@ -15,7 +15,8 @@ from gammaseq.polycert import (
     Polynomial,
     PositivityCertificate,
     PositivityRefusal,
-    RationalFunction,
+    ReciprocalTerm,
+    StepFunction,
     check_derivative_identity,
     derivative_denominator,
     derivative_numerator,
@@ -48,13 +49,6 @@ def test_poly_basics():
     assert (X**3).degree == 3
 
 
-def test_poly_divmod():
-    p = (X - 1) * (X + 2) * (X + 5) + 7
-    q, r = divmod(p, X + 2)
-    assert q * (X + 2) + r == p
-    assert r.degree < 1
-
-
 def test_taylor_shift_hand_value():
     assert taylor_shift(X**2, 1).coeffs == (1, 2, 1)
 
@@ -77,16 +71,6 @@ def test_taylor_shift_preserves_evaluation():
         assert p.evaluate(x) == sum(
             d * (x - c) ** k for k, d in enumerate(shifted.coeffs)
         )
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-
-
-def test_rational_function_canonical_form():
-    r = RationalFunction(X**2 - 1, X - 1)
-    assert r == RationalFunction(X + 1, Polynomial((1,)))
-    assert r.den == Polynomial((1,))
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +127,20 @@ def test_zero_polynomial_refused():
 def test_derivative_identity_exact():
     assert check_derivative_identity("f")
     assert check_derivative_identity("g")
-    den = derivative_denominator()
-    fd = derivative_of_f("f")
-    assert fd.num * den == derivative_numerator("f") * fd.den
-    gd = derivative_of_f("g")
-    assert gd.num * den == -derivative_numerator("g") * gd.den
+    # the derivatives times D are the closed-form numerators, +P and -Q
+    assert derivative_of_f("f") == derivative_numerator("f")
+    assert derivative_of_f("g") == -derivative_numerator("g")
+    assert derivative_of_f("f").degree == 5 and derivative_of_f("g").degree == 6
+
+
+def test_derivative_rejects_a_pole_outside_the_denominator():
+    # D = 60 x^5 (x-1)^2 (x+1)^5 lacks (x - 2), and holds x only to the 5th power
+    log_only = StepFunction("h", (), F(-1))
+    assert log_only.derivative() * X * (X + 1) == derivative_denominator()
+    for term in (ReciprocalTerm(F(1), F(2), 1), ReciprocalTerm(F(1), F(0), 5),
+                 ReciprocalTerm(F(1), F(1), 2)):
+        with pytest.raises(CertificateError):
+            StepFunction("h", (term,), F(-1)).derivative()
 
 
 def test_step_derivative_matches_finite_difference():
@@ -166,7 +159,7 @@ def test_step_derivative_matches_finite_difference():
 
     with mp.workprec(256):
         diff = (value(x + h) - value(x - h)) / (2 * mpq(h))
-        exact = mpq(fd.num.evaluate(x) / fd.den.evaluate(x))
+        exact = mpq(fd.evaluate(x) / derivative_denominator().evaluate(x))
         assert abs(diff - exact) <= mp.mpf(10) ** -8
 
 

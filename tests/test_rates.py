@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from gammaseq.errors import DomainError, PrecisionError, RateInconclusiveError
+from gammaseq import series
+from gammaseq.errors import DomainError, NoOptimumError, PrecisionError, RateInconclusiveError
 from gammaseq.rates import empirical_rate, optimize_parameters, rate_from_series
 from gammaseq.sequences import SOptimal, VFamily
-from gammaseq.series import AsymptoticSeries, v_family_difference
+from gammaseq.series import AsymptoticSeries, FamilyExpansion, v_family_difference
 
 F = Fraction
 GRID = [2**k for k in range(4, 11)]
@@ -55,8 +56,6 @@ def test_rate_case_analysis_random():
 def test_rate_errors():
     with pytest.raises(RateInconclusiveError):
         rate_from_series(AsymptoticSeries({}, 5))
-    with pytest.raises(DomainError):
-        rate_from_series(v_family_difference(5))  # still symbolic
     with pytest.raises(DomainError):
         rate_from_series(AsymptoticSeries({1: F(1)}, 4))  # k must exceed 1
 
@@ -108,3 +107,31 @@ def test_optimizer_higher_order_agrees():
 def test_optimizer_rejects_small_order():
     with pytest.raises(DomainError):
         optimize_parameters(3)
+
+
+def _family(c2, c3):
+    """A family whose n^-2 and n^-3 coefficients are the triples c2 and c3
+    (ca, cb, c), and whose n^-4 coefficient is a + b + 1."""
+    def part(i):
+        return AsymptoticSeries({2: c2[i], 3: c3[i], 4: 1}, 5)
+    return FamilyExpansion(part(0), part(1), part(2))
+
+
+def test_optimizer_solves_the_two_linear_equations(monkeypatch):
+    # 2a + 1 = 0 gives a = -1/2; a + 4b + 1 = 0 then gives b = -1/8
+    monkeypatch.setattr(series, "v_family_difference",
+                        lambda order: _family((2, 0, 1), (1, 4, 1)))
+    result = optimize_parameters(5)
+    assert (result.a, result.b) == (F(-1, 2), F(-1, 8))
+    assert (result.surviving_index, result.surviving_coeff) == (4, F(3, 8))
+
+
+@pytest.mark.parametrize("c2,c3,message", [
+    ((1, 1, 0), (1, 2, 0), "does not determine a"),  # a and b in the leading term
+    ((0, 1, 0), (1, 2, 0), "does not determine a"),  # b alone
+    ((2, 0, 1), (1, 0, 1), "does not determine b"),  # no b in the second term
+])
+def test_optimizer_refuses_coefficients_that_fix_no_optimum(monkeypatch, c2, c3, message):
+    monkeypatch.setattr(series, "v_family_difference", lambda order: _family(c2, c3))
+    with pytest.raises(NoOptimumError, match=message):
+        optimize_parameters(5)

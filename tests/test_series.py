@@ -7,12 +7,9 @@ import pytest
 
 from conftest import dyadic_ends, ln_bracket, walk_ends
 from gammaseq import sequences
-from gammaseq.errors import DomainError, ParamDegreeError, UnsupportedOrderError
+from gammaseq.errors import DomainError, UnsupportedOrderError
 from gammaseq.series import (
-    PARAM_A,
-    PARAM_B,
     AsymptoticSeries,
-    ParamPoly,
     expand_log_ratio,
     expand_reciprocal_shift,
     inverse_power,
@@ -33,31 +30,6 @@ def rational_series(rng, order, k_lo=1):
         if rng.random() < 0.7:
             coeffs[k] = F(rng.randrange(-9, 10), rng.randrange(1, 9))
     return AsymptoticSeries(coeffs, order)
-
-
-# ---------------------------------------------------------------------------
-# ParamPoly
-
-
-def test_parampoly_str_and_arithmetic():
-    p = PARAM_A + 2 * PARAM_B - F(2, 3)
-    assert str(p) == "a + 2*b - 2/3"
-    assert p.substitute(a=F(3, 2), b=F(-5, 12)).as_fraction() == 0
-    q = PARAM_A * PARAM_B
-    assert q.coefficient(1, 1) == 1
-
-
-def test_parampoly_degree_cap():
-    square = PARAM_A * PARAM_A
-    with pytest.raises(ParamDegreeError):
-        square * PARAM_A
-
-
-def test_parampoly_linear_parts():
-    ca, cb, const = (PARAM_A + 2 * PARAM_B - F(2, 3)).linear_parts()
-    assert (ca, cb, const) == (1, 2, F(-2, 3))
-    with pytest.raises(ValueError):
-        (PARAM_A * PARAM_A).linear_parts()
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +96,6 @@ def test_ring_laws_random():
         assert (a - a).is_zero
 
 
-def test_scale_lifts_ring():
-    s = inverse_power(2, 5)
-    scaled = s.scale(PARAM_A + 1)
-    assert scaled.ring == "parametric"
-    assert scaled.coeff(2) == PARAM_A + 1
-
-
 def test_coeff_beyond_order_raises():
     s = inverse_power(1, 3)
     with pytest.raises(UnsupportedOrderError):
@@ -142,23 +107,41 @@ def test_coeff_beyond_order_raises():
 
 
 def test_v_family_difference_symbolic_coefficients():
+    # each coefficient is a triple (ca, cb, c) meaning ca*a + cb*b + c
     d = v_family_difference(5)
-    assert d.coeff(2) == PARAM_A - F(3, 2)
-    assert d.coeff(3) == PARAM_A + 2 * PARAM_B - F(2, 3)
-    assert d.coeff(4) == PARAM_A - F(5, 4)
-    assert d.coeff(5) == PARAM_A + 2 * PARAM_B - F(4, 5)
-    assert d.k_min == 2  # the 1/n terms cancel exactly
+    assert d.coeff(2) == (1, 0, F(-3, 2))
+    assert d.coeff(3) == (1, 2, F(-2, 3))
+    assert d.coeff(4) == (1, 0, F(-5, 4))
+    assert d.coeff(5) == (1, 2, F(-4, 5))
+    assert d.coeff(1) == (0, 0, 0)  # the 1/n terms cancel exactly
+    for part in (d.a_part, d.b_part, d.constant):
+        assert part.order == 5
+        assert all(type(v) is F for v in part.coefficients().values())
+
+
+def test_v_family_difference_matches_its_closed_form():
+    # by hand from 1/(n-1), 1/n, 1/(n+1) and ln(1 + 1/n): the a-part is
+    # 1/(n-1) - 1/n, the b-part 1/(n-1) - 2/n + 1/(n+1), the constant
+    # ln(1 + 1/n) - 1/(n-1)
+    d = v_family_difference(40)
+    assert d.coeff(1) == (0, 0, 0)
+    for k in range(2, 41):
+        assert d.coeff(k) == (1, 1 - (-1) ** k, -1 + F((-1) ** (k + 1), k))
 
 
 def test_v_family_difference_at_a_three_halves():
-    d = v_family_difference(5).substitute(a=F(3, 2))
-    assert d.coeff(3) == 2 * PARAM_B + F(5, 6)
-    assert d.coeff(4) == F(1, 4)
-    assert d.coeff(5) == 2 * PARAM_B + F(7, 10)
+    d = v_family_difference(5)
+    assert d.coeff(3)[1:] == (2, F(-2, 3))
+    for b in (F(0), F(7, 3)):
+        sub = d.substitute(F(3, 2), b)
+        assert sub.coeff(2) == 0
+        assert sub.coeff(3) == 2 * b + F(5, 6)
+        assert sub.coeff(4) == F(1, 4)
+        assert sub.coeff(5) == 2 * b + F(7, 10)
 
 
 def test_v_family_difference_at_optimum():
-    d = v_family_difference(5).substitute(a=F(3, 2), b=F(-5, 12))
+    d = v_family_difference(5).substitute(F(3, 2), F(-5, 12))
     assert d.coefficients() == {4: F(1, 4), 5: F(-2, 15)}
 
 
@@ -168,25 +151,32 @@ def test_v_family_difference_substitution_commutes():
     for _ in range(20):
         a = F(rng.randrange(-20, 20), rng.randrange(1, 12))
         b = F(rng.randrange(-20, 20), rng.randrange(1, 12))
-        sub = sym.substitute(a=a, b=b)
+        sub = sym.substitute(a, b)
+        assert sub.order == 6
         for k in range(2, 7):
-            expected = sym.coeff(k).substitute(a=a, b=b).as_fraction()
-            got = sub.coeff(k)
-            got = got.as_fraction() if isinstance(got, ParamPoly) else got
-            assert got == expected
+            ca, cb, c = sym.coeff(k)
+            assert sub.coeff(k) == ca * a + cb * b + c
 
 
 def test_v_family_difference_numeric_consistency():
-    # the truncated expansion misses the true forward difference by at
-    # most C n^-6; the next coefficient is 1/3, so C = 1/2 has margin
-    trunc = v_family_difference(5).substitute(a=F(3, 2), b=F(-5, 12))
-    kind = sequences.VFamily(F(3, 2), F(-5, 12))
-    C = F(1, 2)
-    for n in (50, 100, 200):
-        lo1, hi1 = walk_ends(kind, n, 300)
-        lo2, hi2 = walk_ends(kind, n + 1, 300)
-        mid = ((lo1 + hi1) - (lo2 + hi2)) / 2
-        assert abs(mid - partial_sum(trunc, n)) <= C * F(1, n**6)
+    # the series converges for n > 1 and every |c_k| <= M = |a| + 2|b| + 2, so
+    # the expansion to order 5 misses the forward difference by at most
+    # (|c_6| + M/(n - 1)) n^-6, plus the width of the walked values
+    rng = random.Random(37)
+    params = [(F(3, 2), F(-5, 12))]  # the optimum, where c_6 = 1/3
+    params += [(F(rng.randrange(-20, 20), rng.randrange(1, 12)),
+                F(rng.randrange(-20, 20), rng.randrange(1, 12))) for _ in range(3)]
+    for a, b in params:
+        trunc = v_family_difference(5).substitute(a, b)
+        c6 = abs(v_family_difference(6).substitute(a, b).coeff(6))
+        M = abs(a) + 2 * abs(b) + 2
+        kind = sequences.VFamily(a, b)
+        for n in (50, 100, 200):
+            lo1, hi1 = walk_ends(kind, n, 300)
+            lo2, hi2 = walk_ends(kind, n + 1, 300)
+            mid = ((lo1 + hi1) - (lo2 + hi2)) / 2
+            bound = (c6 + M / (n - 1)) / n**6 + F(1, 2**250)
+            assert abs(mid - partial_sum(trunc, n)) <= bound
 
 
 def test_v_family_difference_rejects_tiny_order():
