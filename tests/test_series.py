@@ -10,6 +10,7 @@ from gammaseq import sequences
 from gammaseq.errors import DomainError, UnsupportedOrderError
 from gammaseq.series import (
     AsymptoticSeries,
+    FamilyExpansion,
     expand_log_ratio,
     expand_reciprocal_shift,
     inverse_power,
@@ -104,6 +105,19 @@ def test_coeff_beyond_order_raises():
 
 # ---------------------------------------------------------------------------
 # the family difference expansion
+
+
+def test_parampoly_linear_parts():
+    # the coefficient a + 2b - 2/3 at n^-3, held as its three linear parts
+    family = FamilyExpansion(inverse_power(3, 4), inverse_power(3, 4, 2),
+                             inverse_power(3, 4, F(-2, 3)))
+    ca, cb, const = family.coeff(3)
+    assert (ca, cb, const) == (1, 2, F(-2, 3))
+    assert all(type(v) is F for v in (ca, cb, const))
+    assert family.coeff(2) == (0, 0, 0)
+    assert family.substitute(F(1, 2), F(1, 3)).coeff(3) == F(1, 2)
+    with pytest.raises(UnsupportedOrderError):
+        family.coeff(5)
 
 
 def test_v_family_difference_symbolic_coefficients():
