@@ -57,7 +57,9 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process ended by SIGPIPE
 
-_SEQ_NAMES = ("gamma", "r", "v", "mu", "vfam", "s", "uplus", "uminus")
+# the --seq names and the sequences.SequenceKind each names
+_SEQ_KINDS = {"gamma": "GammaN", "r": "DeTempleR", "v": "VernescuV", "mu": "MuFamily",
+              "vfam": "VFamily", "s": "SOptimal", "uplus": "UPlus", "uminus": "UMinus"}
 
 
 def _parse_fraction(text: str):
@@ -74,24 +76,12 @@ def _resolve_kind(args):
     from . import sequences
 
     name = args.seq
-    needs_params = name in ("mu", "vfam")
-    if needs_params and (args.a is None or args.b is None):
+    cls = getattr(sequences, _SEQ_KINDS[name])
+    if cls.params and (args.a is None or args.b is None):
         raise DomainError(f"--seq {name} requires --a and --b")
-    if not needs_params and (args.a is not None or args.b is not None):
+    if not cls.params and (args.a is not None or args.b is not None):
         raise DomainError(f"--seq {name} does not take --a/--b")
-    table = {
-        "gamma": sequences.GammaN,
-        "r": sequences.DeTempleR,
-        "v": sequences.VernescuV,
-        "s": sequences.SOptimal,
-        "uplus": sequences.UPlus,
-        "uminus": sequences.UMinus,
-    }
-    if name == "mu":
-        return sequences.MuFamily(args.a, args.b)
-    if name == "vfam":
-        return sequences.VFamily(args.a, args.b)
-    return table[name]()
+    return cls(*(getattr(args, param) for param in cls.params))  # the families' a and b
 
 
 def _decimal_digits(precision: int) -> int:
@@ -285,10 +275,7 @@ def cmd_eval(args) -> int:
     digits = _decimal_digits(args.precision)
     nearest = _printers(digits)[2]
     columns = ["n", "value", "rational_part", "log_argument"]
-    try:
-        split = sequences._split(kind)
-    except DomainError:
-        split = None  # irrational-parameter variants have no exact split
+    split = sequences._split(kind) if kind.exact else None  # UPlus, UMinus have none
     fill = _line_template(args.format, columns, columns if split else columns[:2]).format
 
     def lines():
@@ -480,7 +467,8 @@ def cmd_certify(args) -> int:
     if target in ("P", "Q"):
         variant = "f" if target == "P" else "g"
         poly = polycert.derivative_numerator(variant)
-        center = 1 if variant == "f" else 9
+        center = (polycert.F_NUMERATOR_SHIFT_CENTER if variant == "f"
+                  else polycert.G_NUMERATOR_SHIFT_CENTER)
         cert = polycert.positivity_certificate(poly, center)
         ok = isinstance(cert, polycert.PositivityCertificate)
         columns = ["center", "certificate", "shifted_coefficients", "target"]
@@ -497,9 +485,8 @@ def cmd_certify(args) -> int:
                    "target", "vanishes_at_infinity"]
         rows = [{
             "target": target,
-            "identity": "numerator/(60 x^5 (x-1)^2 (x+1)^5)"
-                        if target == "f" else
-                        "-numerator/(60 x^5 (x-1)^2 (x+1)^5)",
+            "identity": ("-" if verdict.derivative_sign < 0 else "")
+                        + f"numerator/({polycert.DENOMINATOR_TEXT})",
             "identity_checked": verdict.identity_checked,
             "numerator_shifted_coefficients": [
                 _frac_str(c) for c in verdict.numerator_certificate.shifted_coeffs
@@ -543,7 +530,7 @@ def cmd_enclose(args) -> int:
 
 
 def _add_seq_options(sub, with_n: bool = True):
-    sub.add_argument("--seq", required=True, choices=_SEQ_NAMES)
+    sub.add_argument("--seq", required=True, choices=_SEQ_KINDS)
     sub.add_argument("--a", type=_parse_fraction, default=None,
                      help="rational parameter, e.g. 3/2")
     sub.add_argument("--b", type=_parse_fraction, default=None,

@@ -223,8 +223,11 @@ def positivity_certificate(p: Polynomial, c):
 # -ln(1 + 1/x), so its derivative is exactly rational, with every pole
 # among the roots of D = 60 x^5 (x - 1)^2 (x + 1)^5.
 
-# D's roots and their multiplicities
-_DENOMINATOR_ROOTS = {Fraction(0): 5, Fraction(1): 2, Fraction(-1): 5}
+# D's factor and its roots with their multiplicities, and D as text
+_DENOMINATOR_SCALE = 60
+_DENOMINATOR_ROOTS = {0: 5, 1: 2, -1: 5}
+DENOMINATOR_TEXT = " ".join([str(_DENOMINATOR_SCALE), *(
+    ("x" if r == 0 else f"(x{-r:+d})") + f"^{e}" for r, e in _DENOMINATOR_ROOTS.items())])
 
 
 def _denominator_over(poles: dict) -> Polynomial:
@@ -234,10 +237,10 @@ def _denominator_over(poles: dict) -> Polynomial:
     for root, e in poles.items():
         if left.get(root, 0) < e:
             raise CertificateError(
-                f"pole (x - {root})^{e} is not a factor of 60 x^5 (x-1)^2 (x+1)^5")
+                f"pole (x - {root})^{e} is not a factor of {DENOMINATOR_TEXT}")
         left[root] -= e
     x = Polynomial.x()
-    out = Polynomial.constant(60)
+    out = Polynomial.constant(_DENOMINATOR_SCALE)
     for root, e in left.items():
         out = out * (x - root) ** e
     return out
@@ -309,9 +312,9 @@ def derivative_of_f(variant: str) -> Polynomial:
 # Closed forms the derivatives are checked against: f' equals
 # P(x) / (60 x^5 (x-1)^2 (x+1)^5) with P expanded around x = 1, and
 # g' equals -Q(x) over the same denominator with Q expanded around x = 9.
-F_NUMERATOR_SHIFT_CENTER = Fraction(1)
+F_NUMERATOR_SHIFT_CENTER = 1
 F_NUMERATOR_SHIFTED_COEFFS = (160, 1200, 2348, 2055, 875, 150)
-G_NUMERATOR_SHIFT_CENTER = Fraction(9)
+G_NUMERATOR_SHIFT_CENTER = 9
 G_NUMERATOR_SHIFTED_COEFFS = (772064, 1725456, 802376, 164805, 17405, 930, 20)
 
 
@@ -372,7 +375,7 @@ def tail_sign_verdict(variant: str) -> TailSignVerdict:
     fn = step_function(variant)
     if not check_derivative_identity(variant):
         raise CertificateError(f"derivative of {variant} does not match its closed form")
-    threshold = 1 if variant == "f" else 9
+    threshold = F_NUMERATOR_SHIFT_CENTER if variant == "f" else G_NUMERATOR_SHIFT_CENTER
     numer_cert = positivity_certificate(derivative_numerator(variant), threshold)
     den_cert = positivity_certificate(derivative_denominator(), threshold)
     if not isinstance(numer_cert, PositivityCertificate) or not isinstance(

@@ -1,20 +1,20 @@
 """Evaluators for the named sequences converging to the Euler constant.
 
-Every sequence here has the shape H_m + c - ln x with m = n - 1 or
-n - 2, a correction c and a log argument x.  Each kind gives c and x at
-n as integer pairs (num, den) with den > 0, x reduced (`_split`).
+Every sequence here is a point (a, b) of one of two families: the mu
+family H_{n-1} + 1/(a n) - ln(n + b) and the v family
+H_{n-2} + (a n + b)/(n(n - 1)) - ln n.  gamma_n is mu at (1, 0), R_n mu
+at (1, 1/2), V_n mu at (2, 0), s_n v at (3/2, -5/12).  A rational point
+splits the value at n into H_m + c - ln x, c and x integer pairs
+(num, den) with den > 0, x reduced (`_split`, one closure per family).
 Certified values come from one resumable walk over any nondecreasing
 indices, `Walk`, which gives integer pairs at scale 2**-q: H_m is the
 kernel's pair, carried across the gaps by `harmonic_fixed`, plus the
 tail, whose ends are `numerics.ln_ends`: floor and ceiling of
-(c - ln x) * 2**q, with no Fraction per index.  The variants with
-irrational parameters (UPlus / UMinus) have no exact split; their tails
-take the logarithm of the integer 6n^2 - 1 and a short series in
-1/(6n^2), with one enclosure of sqrt(6) per walk (`_sqrt6_tails`).
-`values` rounds the walk's pairs to p bits in integers, as (m, e) with
-the value m * 2**e.  A kind is a small immutable `__slots__` object
-(`SequenceKind`); MuFamily and VFamily hold their parameters as
-Fractions, and only they load `fractions`.
+(c - ln x) * 2**q, with no Fraction per index.  UPlus and UMinus are mu
+points with irrational a and b; their tails take the logarithm of the
+integer 6n^2 - 1 and a short series in 1/(6n^2), with one enclosure of
+sqrt(6) per walk (`_sqrt6_tails`).  `values` rounds the walk's pairs to
+p bits in integers, as (m, e) with the value m * 2**e.
 """
 
 from __future__ import annotations
@@ -44,19 +44,27 @@ class SequenceKind:
     """Base of the sequence identifiers.
 
     A kind is a small immutable `__slots__` object: two kinds are equal,
-    and hash alike, when they have one type and equal parameters, and its
-    repr names the type and the parameters, as error messages print it.
-    Only MuFamily and VFamily have parameters, the rationals a and b.
+    and hash alike, when they have one type and equal parameters (named
+    in `params`), and its repr names the type and the parameters, as
+    error messages print it.  `exact` describes the kind as (family, a,
+    b), family "mu" or "v" and a, b reduced integer pairs (num, den),
+    den > 0: class data for the named kinds; MuFamily and VFamily, the
+    kinds with parameters, build it from theirs (Fractions, so only they
+    load `fractions`).  UPlus and UMinus have none; `sqrt6_sign` is the
+    sign of sqrt(6) in their a.
     """
 
     __slots__ = ()
     n_min = 1
+    params = ()
+    exact = None
+    sqrt6_sign = 0
 
     def describe(self) -> str:
         return type(self).__name__
 
     def _params(self) -> tuple:
-        return ()
+        return tuple(getattr(self, name) for name in self.params)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -67,52 +75,54 @@ class SequenceKind:
         return hash(self._params())
 
     def __repr__(self):
-        return f"{type(self).__name__}()"
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.params)
+        return f"{type(self).__name__}({args})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
 
 
 class _RationalPair(SequenceKind):
-    """A kind with rational parameters a and b, held as Fractions."""
+    """A family's point with rational parameters a and b, held as Fractions."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "exact")
+    params = ("a", "b")
 
     def __init__(self, a, b):
         from fractions import Fraction  # only the families with parameters need it
 
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
-
-    def _params(self) -> tuple:
-        return self.a, self.b
-
-    def __repr__(self):
-        return f"{type(self).__name__}(a={self.a!r}, b={self.b!r})"
+        object.__setattr__(self, "exact", (self.family, self.a.as_integer_ratio(),
+                                           self.b.as_integer_ratio()))
 
 
 class GammaN(SequenceKind):
     """H_n - ln n."""
 
     __slots__ = ()
+    exact = "mu", (1, 1), (0, 1)
 
 
 class DeTempleR(SequenceKind):
     """H_n - ln(n + 1/2) (DeTemple 1993)."""
 
     __slots__ = ()
+    exact = "mu", (1, 1), (1, 2)
 
 
 class VernescuV(SequenceKind):
     """H_{n-1} + 1/(2n) - ln n (Vernescu 1999)."""
 
     __slots__ = ()
+    exact = "mu", (2, 1), (0, 1)
 
 
 class MuFamily(_RationalPair):
     """H_{n-1} + 1/(a n) - ln(n + b) (Mortici 2010), rational a != 0."""
 
     __slots__ = ()
+    family = "mu"
 
     def __init__(self, a, b):
         super().__init__(a, b)
@@ -128,6 +138,7 @@ class VFamily(_RationalPair):
     """
 
     __slots__ = ()
+    family = "v"
     n_min = 3
 
 
@@ -136,18 +147,21 @@ class SOptimal(SequenceKind):
 
     __slots__ = ()
     n_min = 3
+    exact = "v", (3, 2), (-5, 12)
 
 
 class UPlus(SequenceKind):
     """MuFamily at a = 6 + 2 sqrt(6), b = -1/sqrt(6); named by the sign in a."""
 
     __slots__ = ()
+    sqrt6_sign = 1
 
 
 class UMinus(SequenceKind):
     """MuFamily at a = 6 - 2 sqrt(6), b = 1/sqrt(6)."""
 
     __slots__ = ()
+    sqrt6_sign = -1
 
 
 def _check_domain(kind: SequenceKind, n: int) -> None:
@@ -164,47 +178,32 @@ def _split(kind: SequenceKind):
     """n -> (m, c, x): the sequence at n is H_m + c - ln x, with the
     correction c and the log argument x as integer pairs (num, den),
     den > 0; c need not be reduced, x is."""
-    if isinstance(kind, (GammaN, DeTempleR)):
-        # H_n = H_{n-1} + 1/n, the same split as the Mu family's
-        if isinstance(kind, DeTempleR):
-            return lambda n: (n - 1, (1, n), (2 * n + 1, 2))
-        return lambda n: (n - 1, (1, n), (n, 1))
-    if isinstance(kind, VernescuV):
-        return lambda n: (n - 1, (1, 2 * n), (n, 1))
-    if isinstance(kind, MuFamily):
-        a_num, a_den = kind.a.as_integer_ratio()
-        if a_num < 0:  # 1/(a n) = a_den/(a_num n), its denominator made positive
-            a_num, a_den = -a_num, -a_den
-        b_num, b_den = kind.b.as_integer_ratio()
+    if kind.exact is None:
+        if kind.sqrt6_sign:
+            raise DomainError(f"{kind.describe()} has irrational parameters and no exact "
+                              "split; evaluate it with Walk or values")
+        raise DomainError(f"unknown sequence kind {kind!r}")
+    family, (a_num, a_den), (b_num, b_den) = kind.exact
+    if family == "v":  # (a n + b)/(n(n - 1)) over the common denominator a_den b_den
+        p, r, d = a_num * b_den, b_num * a_den, a_den * b_den
+        return lambda n: (n - 2, (p * n + r, d * n * (n - 1)), (n, 1))
+    if a_num < 0:  # 1/(a n) = a_den/(a_num n), its denominator made positive
+        a_num, a_den = -a_num, -a_den
 
-        def mu(n):
-            # n + b = (n b_den + b_num)/b_den is coprime because b is
-            x_num = n * b_den + b_num
-            if x_num <= 0:
-                text = f"{x_num}/{b_den}" if b_den != 1 else str(x_num)
-                raise DomainError(f"log argument n + b = {text} must be positive")
-            return n - 1, (a_den, a_num * n), (x_num, b_den)
+    def mu(n):
+        # n + b = (n b_den + b_num)/b_den is coprime because b is
+        x_num = n * b_den + b_num
+        if x_num <= 0:
+            text = f"{x_num}/{b_den}" if b_den != 1 else str(x_num)
+            raise DomainError(f"log argument n + b = {text} must be positive")
+        return n - 1, (a_den, a_num * n), (x_num, b_den)
 
-        return mu
-    if isinstance(kind, VFamily):
-        a_num, a_den = kind.a.as_integer_ratio()
-        b_num, b_den = kind.b.as_integer_ratio()
-        return lambda n: (n - 2, (a_num * b_den * n + b_num * a_den,
-                                  a_den * b_den * n * (n - 1)), (n, 1))
-    if isinstance(kind, SOptimal):
-        # 13/(12(n-1)) + 5/(12n) over 12 n (n-1)
-        return lambda n: (n - 2, (18 * n - 5, 12 * n * (n - 1)), (n, 1))
-    if isinstance(kind, (UPlus, UMinus)):
-        raise DomainError(
-            f"{kind.describe()} has irrational parameters and no exact split; "
-            "evaluate it with Walk or values"
-        )
-    raise DomainError(f"unknown sequence kind {kind!r}")
+    return mu
 
 
 def _tails(kind: SequenceKind, q: int):
     """n -> (m, lo, hi) with [lo, hi] * 2**-q enclosing correction - ln(argument)."""
-    if isinstance(kind, (UPlus, UMinus)):
+    if kind.sqrt6_sign:
         return _sqrt6_tails(kind, q)
     split = _split(kind)
 
@@ -217,7 +216,7 @@ def _tails(kind: SequenceKind, q: int):
 
 
 def _sqrt6_tails(kind: SequenceKind, q: int):
-    """The tails of UPlus (sign +1) and UMinus (sign -1), through 6n^2 - 1.
+    """The tails of UPlus and UMinus, whose `sqrt6_sign` is +1 and -1, through 6n^2 - 1.
 
     With t = 1/(n sqrt 6), (n - 1/sqrt 6)(n + 1/sqrt 6) = (6n^2 - 1)/6 and
     ln((1 - t)/(1 + t)) = -2 atanh t, and with 1/(6 +- 2 sqrt 6) =
@@ -248,7 +247,6 @@ def _sqrt6_tails(kind: SequenceKind, q: int):
     2**(w - q) > 4q, so less than 1/8, and the two roundings less than 2:
     hi - lo <= 3.
     """
-    sign = 1 if isinstance(kind, UPlus) else -1
     l6_lo, l6_hi, w = ln_fixed(6, 1, q)
     s = math.isqrt(6 << 2 * w)
     three = 3 << 2 * w
@@ -264,7 +262,7 @@ def _sqrt6_tails(kind: SequenceKind, q: int):
             j += 1
             p //= six_nn
         root_lo, root_hi = s * r, (s + 1) * (r + j)  # sqrt(6) R 2**(2w)
-        if sign < 0:
+        if kind.sqrt6_sign < 0:
             root_lo, root_hi = -root_hi, -root_lo
         den = 6 * n << den_shift
         lo = ((3 * n * (l6_lo - x_hi) << w) + three + root_lo) // den
@@ -312,7 +310,7 @@ def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
         # twice the midpoint, lo + hi, against the width at scale 2**-q_n:
         # an exact pair passes at once, a wider one straddling 0 never does
         while (hi - lo) << (p + 1) > abs(lo + hi):
-            if lo <= 0 <= hi and not isinstance(kind, (UPlus, UMinus)):
+            if lo <= 0 <= hi and kind.exact:
                 m, (c_num, c_den), x = _split(kind)(n)  # exactly 0 needs ln x = 0
                 if x == (1, 1) and (harmonic_exact(m) if m else 0) * c_den + c_num == 0:
                     lo = hi = 0

@@ -246,6 +246,19 @@ def test_certify_targets(capsys):
     assert data["rows"][0]["derivative_sign"] == -1
 
 
+def test_certify_prints_the_centre_polycert_owns(capsys, monkeypatch):
+    # Q is certified at polycert's centre: moving the centre moves the
+    # printed centre, and Q read about it keeps its shifted coefficients
+    from gammaseq import polycert
+
+    monkeypatch.setattr(polycert, "G_NUMERATOR_SHIFT_CENTER", 10)
+    code, data = run_json(capsys, "certify", "--target", "Q")
+    assert code == 0
+    assert data["rows"][0]["center"] == 10
+    assert data["rows"][0]["shifted_coefficients"] == [
+        str(c) for c in polycert.G_NUMERATOR_SHIFTED_COEFFS]
+
+
 def test_enclose_default_and_bootstrap(capsys):
     code, data = run_json(capsys, "enclose", "--precision", "64")
     assert code == 0
@@ -550,6 +563,8 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     "sweep-bounds --entry chen --to 60 --precision 128 --format csv",
+    "sweep-bounds --entry theorem22 --from 3 --to 60 --precision 192",
+    "rate --seq r --grid-stop 128",
     "eval --seq s --n 3 --to 40 --precision 256",
     "certify --target g",
     "optimize --order 5",
@@ -763,6 +778,7 @@ _IMPORTS = [
     ("enclose --precision 64", {*_NUMERICS, "json"}),
     ("enclose --n 10 --precision 64 --format csv", {*_NUMERICS, "csv"}),
     ("sweep-bounds --entry young --to 10 --format csv", _SWEEP),
+    ("sweep-bounds --entry detemple --to 10 --format csv", _SWEEP),  # no fractions
     ("sweep-bounds --entry young --to 10", {*_SWEEP, "json"}),
     ("eval --seq s --n 3 --to 5", {"sequences", *_NUMERICS, *_EXACT, "json"}),
     ("eval --seq s --n 3 --to 5 --format csv", {"sequences", *_NUMERICS, *_EXACT}),

@@ -53,10 +53,15 @@ def test_split_s_optimal_formula():
     assert x == 10
 
 
-def test_s_optimal_equals_v_family_at_optimum():
-    kind = VFamily(F(3, 2), F(-5, 12))
-    for n in range(3, 300):
-        assert split_at(SOptimal(), n) == split_at(kind, n)
+@pytest.mark.parametrize("kind,point", [
+    (GammaN(), MuFamily(1, 0)),
+    (DeTempleR(), MuFamily(1, F(1, 2))),
+    (VernescuV(), MuFamily(2, 0)),
+    (SOptimal(), VFamily(F(3, 2), F(-5, 12))),
+], ids=["GammaN", "DeTempleR", "VernescuV", "SOptimal"])
+def test_named_kinds_are_family_points(kind, point):
+    for n in range(kind.n_min, 2001):
+        assert split_at(kind, n) == split_at(point, n)
 
 
 def test_v_family_at_2_minus_1_is_gamma_n():
@@ -65,12 +70,6 @@ def test_v_family_at_2_minus_1_is_gamma_n():
         m, c, x = split_at(kind, n)
         assert rational_part(m, c) == harmonic_exact(n)
         assert x == n
-
-
-def test_detemple_and_vernescu_are_mu_members():
-    for n in (1, 2, 7, 40):
-        assert split_at(DeTempleR(), n) == split_at(MuFamily(F(1), F(1, 2)), n)
-        assert split_at(VernescuV(), n) == split_at(MuFamily(F(2), F(0)), n)
 
 
 def test_evaluate_trivial_and_equalities():
@@ -203,17 +202,38 @@ def _published_pieces(kind, n):
     return (kind.a * n + kind.b) / (n * (n - 1)), F(n)
 
 
+@st.composite
+def exact_points(draw):
+    """An exact kind and an index from its n_min to 10**4: for MuFamily
+    also an n with n + b <= 0, whose split must refuse it."""
+    kind = draw(st.one_of(
+        st.sampled_from([GammaN(), DeTempleR(), VernescuV(), SOptimal()]),
+        st.builds(MuFamily, _rationals.filter(bool), _rationals),
+        st.builds(VFamily, _rationals, _rationals),
+    ))
+    return kind, draw(st.integers(kind.n_min, 10**4))
+
+
 @settings(max_examples=200, deadline=None)
-@given(walk=walks().filter(lambda walk: not isinstance(walk[0], (UPlus, UMinus))))
-@example(walk=(MuFamily(F(-1, 3), F(1, 2)), 1, 1, 64, []))
-@example(walk=(VFamily(F(-5, 7), F(-2, 3)), 3, 3, 64, []))
-def test_split_pairs_are_the_published_pieces(walk):
-    kind, n, _n_to, _q, _subset = walk
+@given(point=exact_points())
+@example(point=(MuFamily(F(-1, 3), F(1, 2)), 1))
+@example(point=(MuFamily(F(-7, 5), F(-11, 4)), 3))  # a < 0, n + b = 1/4
+@example(point=(MuFamily(F(-2), F(5, 6)), 10**4))
+@example(point=(MuFamily(F(2), F(-10, 3)), 3))  # n + b = -1/3
+@example(point=(MuFamily(F(1, 2), F(-3)), 1))  # n + b = -2
+@example(point=(VFamily(F(-5, 7), F(-2, 3)), 3))
+def test_split_pairs_are_the_published_pieces(point):
+    kind, n = point
+    c, x = _published_pieces(kind, n)
+    if x <= 0:
+        with pytest.raises(DomainError, match=f"^log argument n \\+ b = {x} must be positive$"):
+            sequences._split(kind)(n)
+        return
     m, (c_num, c_den), (x_num, x_den) = sequences._split(kind)(n)
     assert all(type(v) is int for v in (m, c_num, c_den, x_num, x_den))
     assert c_den > 0 and x_den > 0 and x_num > 0
     assert math.gcd(x_num, x_den) == 1  # ln_fixed reads the reduced bit lengths
-    assert (F(c_num, c_den), F(x_num, x_den)) == _published_pieces(kind, n)
+    assert (F(c_num, c_den), F(x_num, x_den)) == (c, x)
 
 
 def _fraction_tail(kind, n, q):
