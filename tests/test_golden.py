@@ -34,6 +34,9 @@ replaced.  The symbolic expansion to order 12 as CSV, the expansion at
 (-7/4, 11/6) to order 10, the optimum at order 8 as CSV and the g
 verdict as CSV were recorded with the bivariate parameter polynomials
 of `series` and the gcd-canonical rational functions of `polycert`.
+The enclosures from s_N at N = 10**7 (128 bits) and at N = 10**6 (1024
+bits) were recorded with H_(N-2) summed term by term, which a short head
+and an Euler-Maclaurin tail replaced.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -109,6 +112,9 @@ GOLDEN = [  # (file, command, exit code)
     # precision, and s_n at an explicit small n
     ("enclose_64.json", "enclose --precision 64", 0),
     ("enclose_n10.csv", "enclose --n 10 --precision 128 --format csv", 0),
+    # s_N far into the harmonic tail, and at 1024 bits, where the head is long
+    ("enclose_n10000000_128.json", "enclose --n 10000000 --precision 128", 0),
+    ("enclose_n1000000_1024.json", "enclose --n 1000000 --precision 1024", 0),
     # the positivity certificates of P and Q and the sign verdicts of f and g
     *((f"certify_{target}.json", f"certify --target {target}", 0) for target in "PQfg"),
     ("optimize_5.json", "optimize --order 5", 0),
