@@ -59,9 +59,20 @@ def atanh_fixed(u, w, q):
 
 
 def ln2_fixed(q):
-    """Enclosure of ln(2) * 2**q, via ln 2 = 2 atanh(1/3)."""
-    lo, hi = atanh_fixed(1, 3, q)
-    return 2 * lo, 2 * hi
+    """Enclosure of ln(2) * 2**q, via the Machin-like formula
+
+        ln 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749),
+
+    three `atanh_fixed` pairs combined outward.  A chain of ratio 1/w
+    stops by the first odd d >= 3 with 2**q <= w**d, so its pair is
+    d + 1 <= q / log2(w) + 4 wide, and with log2 26 > 4.7,
+    log2 4801 > 12.2 and log2 8749 > 13 the pair here is
+    hi - lo <= 18 (q/4.7 + 4) + 2 (q/12.2 + 4) + 8 (q/13 + 4) <= 5 q + 112.
+    """
+    lo1, hi1 = atanh_fixed(1, 26, q)
+    lo2, hi2 = atanh_fixed(1, 4801, q)
+    lo3, hi3 = atanh_fixed(1, 8749, q)
+    return 18 * lo1 - 2 * hi2 + 8 * lo3, 18 * hi1 - 2 * lo2 + 8 * hi3
 
 
 def _series_split(a, b, x):

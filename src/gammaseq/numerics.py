@@ -251,9 +251,11 @@ def ln_fixed(num: int, den: int, q: int) -> tuple[int, int, int]:
     Width.  The chain's d-th power is at most t^d 2**q_eff <= 2**(q_eff - 9d)
     (9 = R + 2), so it stops by the first odd d >= 3 with 9d >= q_eff, and
     d <= max(3, q_eff/9 + 2); the doubled pair is 2(d + 1) wide.
-    e ln 2 + ln(j / 2**R) at cq is the sum of e + 1 pairs, each at most
-    2(cq + 3) < 2**(cq - q_eff) wide (cq < 2**63), so its floor and
-    ceiling at q_eff are at most e + 2 ulps apart.  Hence
+    e ln 2 + ln(j / 2**R) at cq is the sum of e + 1 pairs, e of ln 2,
+    each at most 5 cq + 112 wide, and the anchor's, at most 2(cq + 3)
+    wide; each is narrower than 2**(cq - q_eff) (cq < 2**62), so the
+    floor and ceiling of the sum at q_eff are at most e + 2 ulps apart.
+    Hence
 
         hi - lo <= 2(d + 1) + e + 2 <= 2 q_eff/9 + e + 8   (q_eff >= 9).
 

@@ -86,11 +86,13 @@ def test_atanh_fixed_rejects_large_ratio(kernels):
 
 
 def test_ln2_fixed_brackets_oracle(kernels):
-    mp.mp.prec = 500
-    oracle = mpf_to_fraction(mp.ln(2))
-    for q in (64, 128, 333):
+    # 16576 is the wide scale of ln_fixed at gamma_reference(16384)
+    for q in (0, 1, 64, 128, 333, 16576):
+        mp.mp.prec = q + 128
+        oracle = mpf_to_fraction(mp.ln(2))
         lo, hi = kernels.ln2_fixed(q)
         assert lo <= oracle * 2**q <= hi
+        assert hi - lo <= 5 * q + 112  # the bound ln2_fixed's docstring proves
 
 
 def test_gamma_series_fixed_brackets_oracle(kernels):
