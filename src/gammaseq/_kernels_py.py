@@ -4,7 +4,9 @@ All kernels speak one protocol: a real value x is carried at integer
 scale q as X ~ x * 2**q, and each kernel returns a pair of integers
 (lo, hi) with lo <= x * 2**q <= hi.  A kernel computes one value and
 widens it once by a proven bound: `harmonic_fixed` and `atanh_fixed` run
-one floor chain, and `gamma_series_fixed` sums its alternating series in
+one floor chain, `digamma_log_fixed` floors each term of the
+Euler-Maclaurin series of psi(x) - ln x and widens by its remainder,
+whose sign is known, and `gamma_series_fixed` sums its alternating series in
 blocks split exactly by binary splitting, then folds the blocks in one
 floored Horner pass at a scale with headroom for the cancellation.  So
 kernel outputs compose into rigorous enclosures no matter how they are
@@ -12,6 +14,7 @@ combined downstream.
 """
 
 import math
+from functools import lru_cache
 
 
 def harmonic_fixed(n, q, m=0):
@@ -73,6 +76,72 @@ def ln2_fixed(q):
     lo2, hi2 = atanh_fixed(1, 4801, q)
     lo3, hi3 = atanh_fixed(1, 8749, q)
     return 18 * lo1 - 2 * hi2 + 8 * lo3, 18 * hi1 - 2 * lo2 + 8 * hi3
+
+
+# the length of `bernoulli_table`, and so the most terms `digamma_log_fixed` takes
+EM_TERMS = 32
+
+
+def tangent_numbers(count):
+    """The tangent numbers T_1 .. T_count (1, 2, 16, 272, ...), with
+    tan x = sum_k T_k x**(2k-1) / (2k-1)!, by the in-place integer
+    recurrence of Brent & Harvey (2011, "Fast computation of Bernoulli,
+    Tangent and Secant numbers", Algorithm TangentNumbers)."""
+    t = [0, 1] + [0] * (count - 1)  # t[k] = T_k, t[0] unused
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+@lru_cache(maxsize=1)
+def bernoulli_table():
+    """B_2k / (2k) for k = 1 .. EM_TERMS as integer pairs (num, den),
+    den > 0: B_2k / (2k) = (-1)**(k-1) T_k / (4**k (4**k - 1)) with T_k
+    from `tangent_numbers`, so the table is built from integers alone."""
+    return tuple(((-1) ** (k - 1) * t, 4**k * (4**k - 1))
+                 for k, t in enumerate(tangent_numbers(EM_TERMS), 1))
+
+
+def digamma_log_fixed(x, q):
+    """Enclosure of (psi(x) - ln x) * 2**q for an integer x >= 1.
+
+    For real x > 0 and any K >= 1,
+
+        psi(x) - ln x = -1/(2x) - sum_{k<K} B_2k / (2k x**2k) + R_K(x),
+
+    where R_K has the sign of the first omitted term, -B_2K / (2K x**2K),
+    and a smaller magnitude (DLMF 5.11.2 and 5.11(ii)).  With t_k the
+    magnitude of the k-th term at scale 2**q, K is the first k with
+    floor(t_k) = 0, or EM_TERMS, where `bernoulli_table` ends.  2**q/(2x)
+    and each t_k for k < K are floored, each low by less than one ulp,
+    and R_K widens the pair on its own side by floor(t_K) + 1 ulps.  So
+    hi - lo = K + 1 + floor(t_K), which is K + 1 <= EM_TERMS + 1 once the
+    last term of the table is below one ulp at x.
+    """
+    if x < 1:
+        raise ValueError("digamma_log_fixed requires x >= 1")
+    half = (1 << q) // (2 * x)
+    lo, hi = -half - 1, -half
+    x2 = x * x
+    power = 1
+    for k, (num, den) in enumerate(bernoulli_table(), 1):
+        power *= x2
+        t = (abs(num) << q) // (den * power)
+        if not t or k == EM_TERMS:
+            if num > 0:  # R_K has the sign of -B_2K
+                lo -= t + 1
+            else:
+                hi += t + 1
+            return lo, hi
+        if num > 0:
+            lo -= t + 1
+            hi -= t
+        else:
+            lo += t
+            hi += t + 1
 
 
 def _series_split(a, b, x):

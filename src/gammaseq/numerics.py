@@ -29,6 +29,7 @@ reference that `round_bits` and the row templates are tested against.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, isqrt
 
 from . import _kernels_py as kernels
 from .errors import DomainError
@@ -38,6 +39,7 @@ __all__ = [
     "decimal_text",
     "round_bits",
     "harmonic_exact",
+    "harmonic_ends",
     "ln_fixed",
     "ln_ends",
     "gamma_reference",
@@ -332,6 +334,56 @@ def _gamma_ends(lo: int, hi: int, q: int) -> tuple[int, int, int]:
     if lo > hi:
         raise ValueError("enclosure endpoints out of order")
     return lo, hi, q
+
+
+# the scale of `harmonic_ends`' head and tail above the scale it returns
+EM_GUARD_BITS = 16
+
+
+def em_head(q: int) -> int:
+    """The least a for which the last term of `kernels.bernoulli_table`,
+    |B_2K| / (2K x**2K) with 2K = 64, is below 2**-q at x = a + 1.  With
+    B_2K / (2K) = num / den, that term is below 2**-q exactly when
+    x**64 > y = floor(|num| 2**q / den), so a is the floor of y**(1/64),
+    six integer square roots in turn (isqrt(isqrt(y)) = floor(y**(1/4)))."""
+    num, den = kernels.bernoulli_table()[-1]
+    a = (abs(num) << q) // den
+    for _ in range(6):
+        a = isqrt(a)
+    return a
+
+
+def harmonic_ends(m: int, q: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of H_m * 2**q for m >= 0, as a head summed term
+    by term and an Euler-Maclaurin tail, at O(a + EM_TERMS) work.
+
+    With a = `em_head`(q + EM_GUARD_BITS) and m > a, H_m - H_a =
+    psi(m + 1) - psi(a + 1), in which gamma cancels, so
+
+        H_m = H_a + ln((m + 1)/(a + 1)) + D(m + 1) - D(a + 1),
+
+    D(x) = psi(x) - ln x (`kernels.digamma_log_fixed`, DLMF 5.11.2).  All
+    four are enclosed at the guard scale q + EM_GUARD_BITS: H_a by
+    `kernels.harmonic_fixed`, a ulps wide, each D within EM_TERMS + 1
+    ulps, as the table's last term is below one ulp from x = a + 1 on,
+    and the logarithm within 2 ulps (m < 2**(3q), see `ln_fixed`); the
+    sum is rounded outward to q, so
+    hi - lo <= ((a + 2 EM_TERMS + 4) >> EM_GUARD_BITS) + 2.  For m <= a,
+    `kernels.harmonic_fixed`(m, q) sums H_m directly, m ulps wide.
+    """
+    wq = q + EM_GUARD_BITS
+    a = em_head(wq)
+    if m <= a:
+        return kernels.harmonic_fixed(m, q)
+    h_lo, h_hi = kernels.harmonic_fixed(a, wq)
+    g = gcd(m + 1, a + 1)
+    ln_lo, ln_hi, q_ln = ln_fixed((m + 1) // g, (a + 1) // g, wq)
+    d_lo, d_hi = kernels.digamma_log_fixed(m + 1, wq)
+    e_lo, e_hi = kernels.digamma_log_fixed(a + 1, wq)
+    shift = q_ln - wq
+    lo = h_lo + (ln_lo >> shift) + d_lo - e_hi
+    hi = h_hi - (-ln_hi >> shift) + d_hi - e_lo
+    return lo >> EM_GUARD_BITS, -(-hi >> EM_GUARD_BITS)
 
 
 def gamma_bootstrap(n: int, p: int) -> tuple[int, int, int]:

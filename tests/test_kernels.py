@@ -95,6 +95,53 @@ def test_ln2_fixed_brackets_oracle(kernels):
         assert hi - lo <= 5 * q + 112  # the bound ln2_fixed's docstring proves
 
 
+def bernoulli_fractions(n):
+    """B_0 .. B_n as Fractions, from sum_{j <= m} C(m + 1, j) B_j = 0 for m >= 1,
+    kept as the oracle of the tangent-number table."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def test_bernoulli_table_matches_the_recurrence_and_mpmath(kernels):
+    table = kernels.bernoulli_table()
+    assert len(table) == kernels.EM_TERMS == 32
+    assert kernels.tangent_numbers(6) == [1, 2, 16, 272, 7936, 353792]
+    b = bernoulli_fractions(2 * kernels.EM_TERMS)
+    mp.mp.prec = 600
+    for k, (num, den) in enumerate(table, 1):
+        assert den > 0
+        assert Fraction(num, den) == b[2 * k] / (2 * k)
+        # mpmath rounds B_2k to its working precision
+        assert abs(mpf_to_fraction(mp.bernoulli(2 * k)) - b[2 * k]) <= abs(b[2 * k]) / 2**598
+
+
+def digamma_log_oracle(x, q):
+    # (psi(x) - ln x) * 2**q, with 80 bits more than the scale
+    mp.mp.prec = q + x.bit_length() + 80
+    return mpf_to_fraction((mp.digamma(x) - mp.ln(x)) * mp.mpf(2) ** q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.integers(1, 300), st.integers(1, 10**15)), q=st.integers(0, 600))
+@example(x=1, q=64)  # psi(1) = -gamma, far below the series' reach
+@example(x=5, q=128)  # the table ends with a remainder of many ulps
+@example(x=44, q=228)  # the least x whose last term is below one ulp at 228 bits
+def test_digamma_log_fixed_brackets_oracle(kernels, x, q):
+    lo, hi = kernels.digamma_log_fixed(x, q)
+    assert lo <= digamma_log_oracle(x, q) <= hi
+    num, den = kernels.bernoulli_table()[-1]
+    if abs(num) << q < den * x ** (2 * kernels.EM_TERMS):
+        # the last term of the table is below one ulp at x: at most K + 1 ulps wide
+        assert hi - lo <= kernels.EM_TERMS + 1
+
+
+def test_digamma_log_fixed_rejects_nonpositive(kernels):
+    with pytest.raises(ValueError):
+        kernels.digamma_log_fixed(0, 64)
+
+
 def test_gamma_series_fixed_brackets_oracle(kernels):
     # the alternating sum equals euler + ln x + E1(x); at 500 and 2843 its
     # terms reach about 2**712 and 2**4090 and the kernel folds 31 and 46

@@ -19,6 +19,8 @@ from gammaseq.numerics import (
     BigReal,
     gamma_bootstrap,
     gamma_reference,
+    em_head,
+    harmonic_ends,
     harmonic_exact,
     ln_fixed,
 )
@@ -211,6 +213,60 @@ def test_harmonic_float_large_n_against_split_sum():
         hi += d + (1 if r else 0)
     base = harmonic_exact(n_small)
     assert got_lo <= base + Fraction(lo, one) and base + Fraction(hi, one) <= got_hi
+
+
+# H_m as a head of a terms and an Euler-Maclaurin tail
+
+
+@pytest.mark.parametrize("q", [0, 1, 64, 144, 228, 528, 1092])
+def test_em_head_is_the_least_head_whose_last_term_is_below_one_ulp(q):
+    # 228 and 1092 are the guard scales of enclose --n 1000000 at 160 and 1024 bits
+    num, den = kernels.bernoulli_table()[-1]
+    a = em_head(q)
+
+    def below(x):  # the last term of the table at x is below 2**-q
+        return abs(num) << q < den * x ** (2 * kernels.EM_TERMS)
+
+    assert below(a + 1) and (a == 0 or not below(a))
+    lo, hi = kernels.digamma_log_fixed(a + 1, q)
+    assert hi - lo <= kernels.EM_TERMS + 1
+
+
+def harmonic_oracle(m, q):
+    # H_m * 2**q, at 2q bits
+    mp.mp.prec = 2 * q
+    return mpf_to_fraction(mp.harmonic(m) * mp.mpf(2) ** q)
+
+
+def head(q):
+    return em_head(q + numerics.EM_GUARD_BITS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.one_of(st.integers(0, 3000), st.integers(0, 10**6)), q=st.integers(64, 512))
+@example(m=head(64), q=64)  # the last direct sum
+@example(m=head(64) + 1, q=64)  # the first tail
+@example(m=head(160), q=160)
+@example(m=head(160) + 1, q=160)
+@example(m=head(512) + 1, q=512)
+@example(m=10**6 - 2, q=212)  # enclose --n 1000000 --precision 160
+def test_harmonic_ends_brackets_mpmath_and_meets_the_direct_sum(m, q):
+    lo, hi = harmonic_ends(m, q)
+    assert lo <= harmonic_oracle(m, q) <= hi
+    d_lo, d_hi = kernels.harmonic_fixed(m, q)
+    assert lo <= d_hi and d_lo <= hi
+    a = head(q)
+    if m <= a:
+        assert (lo, hi) == (d_lo, d_hi)
+    else:  # the bound harmonic_ends' docstring proves
+        assert hi - lo <= ((a + 2 * kernels.EM_TERMS + 4) >> numerics.EM_GUARD_BITS) + 2
+
+
+@pytest.mark.parametrize("m,q", [(10**9, 100), (10**18, 300), (2**64 - 1, 212)])
+def test_harmonic_ends_far_past_the_direct_sum(m, q):
+    lo, hi = harmonic_ends(m, q)
+    assert lo <= harmonic_oracle(m, q) <= hi
+    assert hi - lo <= 2
 
 
 # ---------------------------------------------------------------------------
