@@ -17,6 +17,10 @@ pairs (num, den).  `gamma_reference` gives the
 constant at any precision through one route, the exponential-integral
 identity, and `gamma_bootstrap` gives it from s_n at an explicit n for
 `enclose --n` only; both in the same protocol, as (lo, hi, q).
+`harmonic_ends` gives the bootstrap its H_m as a short head summed term
+by term plus an Euler-Maclaurin tail, H_m - H_a = psi(m + 1) - psi(a + 1),
+with psi - ln by the asymptotic series of DLMF 5.11.2; gamma cancels in
+the difference, and the work is O(a + EM_TERMS) whatever m is.
 `round_bits` rounds an integer at a scale to an explicit number of bits
 (the first of `eval`'s two roundings, see `sequences.values`), and
 `decimal_text` prints num/den in any of the rounding modes of `_round`;
@@ -392,14 +396,17 @@ def gamma_bootstrap(n: int, p: int) -> tuple[int, int, int]:
 
     s_n = H_{n-2} + 13/(12(n-1)) + 5/(12n) - ln n satisfies, for n >= 9,
     1/(12n^3) + 11/(120n^4) < s_n - gamma < 1/(12n^3) + 13/(120n^4), so
-    the width is 1/(60 n^4) plus evaluation slack, at O(n) work; n < 9
-    is rejected, as the upper bracket only holds from there.
+    the width is 1/(60 n^4) plus evaluation slack; n < 9 is rejected, as
+    the upper bracket only holds from there.  H_{n-2} comes from
+    `harmonic_ends`, a head of a terms and an Euler-Maclaurin tail whose
+    identity is free of gamma, so the enclosure is derived from s_n alone
+    at O(a + EM_TERMS) work whatever n is; a grows with the scale only.
     """
     if not isinstance(n, int) or n < 9:
         raise DomainError(f"bootstrap enclosure requires n >= 9, got {n!r}")
     _check_precision(p)
     q = p + GUARD_BITS + n.bit_length()
-    h_lo, h_hi = kernels.harmonic_fixed(n - 2, q)
+    h_lo, h_hi = harmonic_ends(n - 2, q)
     # 13/(12(n-1)) + 5/(12n) - 1/(12n^3) - k/(120n^4) for k = 13, 11, over 120 n^4 (n-1)
     rest = 10 * n * (18 * n**3 - 5 * n**2 - n + 1)
     den = 120 * n**4 * (n - 1)

@@ -13,11 +13,12 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_ends, split_at, walk_ends
+from conftest import dyadic_ends, mpf_to_fraction, split_at, walk_ends
 from gammaseq import bounds, cli, numerics, sequences
 from gammaseq.bounds import BoundEntry
 from gammaseq.errors import DomainError
@@ -269,6 +270,28 @@ def test_enclose_default_and_bootstrap(capsys):
     assert code == 0
     lo, hi = data["rows"][0]["lo"], data["rows"][0]["hi"]
     assert lo < "0.57721566490153286" < hi
+
+
+def test_enclose_at_a_trillion_takes_the_tail_not_the_walk():
+    # H_(n-2) is a short head plus an Euler-Maclaurin tail, so n = 10**12 costs
+    # what n = 10**6 does; the old walk would sum 10**12 terms
+    import resource
+
+    root = Path(__file__).resolve().parents[1]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gammaseq.cli", "enclose", "--n", "1000000000000",
+         "--precision", "128"], capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 0, proc.stderr
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0
+    row = json.loads(proc.stdout)["rows"][0]
+    mp.mp.prec = 300
+    euler = mpf_to_fraction(mp.euler)
+    assert Fraction(row["lo"]) <= euler <= Fraction(row["hi"])
+    assert row["width"] == "1.667e-50"  # 1/(60 n^4) plus under an ulp at 200 bits
 
 
 def test_enclose_width_is_printed_from_the_exact_value(capsys):
@@ -777,6 +800,7 @@ _IMPORTS = [
     ("eval --seq nope --n 1", set()),
     ("enclose --precision 64", {*_NUMERICS, "json"}),
     ("enclose --n 10 --precision 64 --format csv", {*_NUMERICS, "csv"}),
+    ("enclose --n 1000000 --precision 160", {*_NUMERICS, "json"}),  # the tail
     ("sweep-bounds --entry young --to 10 --format csv", _SWEEP),
     ("sweep-bounds --entry detemple --to 10 --format csv", _SWEEP),  # no fractions
     ("sweep-bounds --entry young --to 10", {*_SWEEP, "json"}),

@@ -510,6 +510,19 @@ def test_gamma_bootstrap_small_n():
     assert hi - lo <= Fraction(1, 60 * 10**4) + Fraction(1, 2**100)
 
 
+@pytest.mark.parametrize("n,p", [(10, 64), (10**6, 160), (10**7, 128), (10**12, 128)])
+def test_gamma_bootstrap_never_calls_gamma_reference(monkeypatch, n, p):
+    # the bootstrap is derived from s_n alone: gamma cancels in the tail's identity
+    def refuse(*args):
+        raise AssertionError("gamma_bootstrap called gamma_reference")
+
+    monkeypatch.setattr(numerics, "gamma_reference", refuse)
+    enc = gamma_bootstrap(n, p)
+    assert inside(enc, euler_fraction())
+    lo, hi = dyadic_ends(*enc)
+    assert hi - lo <= Fraction(1, 60 * n**4) + Fraction(1, 2**p)
+
+
 def test_gamma_bootstrap_rejects_small_n():
     with pytest.raises(DomainError):
         gamma_bootstrap(8, 64)
