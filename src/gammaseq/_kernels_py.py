@@ -82,27 +82,21 @@ def ln2_fixed(q):
 EM_TERMS = 32
 
 
-def tangent_numbers(count):
-    """The tangent numbers T_1 .. T_count (1, 2, 16, 272, ...), with
-    tan x = sum_k T_k x**(2k-1) / (2k-1)!, by the in-place integer
-    recurrence of Brent & Harvey (2011, "Fast computation of Bernoulli,
-    Tangent and Secant numbers", Algorithm TangentNumbers)."""
-    t = [0, 1] + [0] * (count - 1)  # t[k] = T_k, t[0] unused
-    for k in range(2, count + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, count + 1):
-        for j in range(k, count + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
-
-
 @lru_cache(maxsize=1)
 def bernoulli_table():
     """B_2k / (2k) for k = 1 .. EM_TERMS as integer pairs (num, den),
-    den > 0: B_2k / (2k) = (-1)**(k-1) T_k / (4**k (4**k - 1)) with T_k
-    from `tangent_numbers`, so the table is built from integers alone."""
-    return tuple(((-1) ** (k - 1) * t, 4**k * (4**k - 1))
-                 for k, t in enumerate(tangent_numbers(EM_TERMS), 1))
+    den > 0, from integers alone: B_2k / (2k) = (-1)**(k-1) T_k / (4**k (4**k - 1)),
+    with the tangent numbers T_k (1, 2, 16, 272, ...; tan x is the sum of
+    T_k x**(2k-1) / (2k-1)!) from the in-place recurrence of Brent &
+    Harvey (2011, "Fast computation of Bernoulli, Tangent and Secant
+    numbers", Algorithm TangentNumbers)."""
+    t = [0, 1] + [0] * (EM_TERMS - 1)  # t[k] = T_k
+    for k in range(2, EM_TERMS + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, EM_TERMS + 1):
+        for j in range(k, EM_TERMS + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(((-1) ** (k - 1) * t[k], 4**k * (4**k - 1)) for k in range(1, EM_TERMS + 1))
 
 
 def digamma_log_fixed(x, q):

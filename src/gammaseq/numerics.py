@@ -346,13 +346,14 @@ EM_GUARD_BITS = 16
 
 def em_head(q: int) -> int:
     """The least a for which the last term of `kernels.bernoulli_table`,
-    |B_2K| / (2K x**2K) with 2K = 64, is below 2**-q at x = a + 1.  With
-    B_2K / (2K) = num / den, that term is below 2**-q exactly when
-    x**64 > y = floor(|num| 2**q / den), so a is the floor of y**(1/64),
-    six integer square roots in turn (isqrt(isqrt(y)) = floor(y**(1/4)))."""
+    |B_2K| / (2K x**2K) with K = EM_TERMS, is below 2**-q at x = a + 1.
+    With B_2K / (2K) = num / den, that term is below 2**-q exactly when
+    x**2K > y = floor(|num| 2**q / den), so a is the floor of y**(1/2K);
+    2K = 64 is a power of two, so that root is six integer square roots
+    in turn (isqrt(isqrt(y)) = floor(y**(1/4)))."""
     num, den = kernels.bernoulli_table()[-1]
     a = (abs(num) << q) // den
-    for _ in range(6):
+    for _ in range((2 * kernels.EM_TERMS).bit_length() - 1):
         a = isqrt(a)
     return a
 
