@@ -274,7 +274,7 @@ def test_enclose_default_and_bootstrap(capsys):
 
 def test_enclose_at_a_trillion_takes_the_tail_not_the_walk():
     # H_(n-2) is a short head plus an Euler-Maclaurin tail, so n = 10**12 costs
-    # what n = 10**6 does; the old walk would sum 10**12 terms
+    # what n = 10**6 does, where a direct sum would take 10**12 terms
     import resource
 
     root = Path(__file__).resolve().parents[1]

@@ -17,9 +17,9 @@ from gammaseq.errors import DomainError
 from gammaseq.numerics import (
     GUARD_BITS,
     BigReal,
+    em_head,
     gamma_bootstrap,
     gamma_reference,
-    em_head,
     harmonic_ends,
     harmonic_exact,
     ln_fixed,
