@@ -36,7 +36,12 @@ verdict as CSV were recorded with the bivariate parameter polynomials
 of `series` and the gcd-canonical rational functions of `polycert`.
 The enclosures from s_N at N = 10**7 (128 bits) and at N = 10**6 (1024
 bits) were recorded with H_(N-2) summed term by term, which a short head
-and an Euler-Maclaurin tail replaced.
+and an Euler-Maclaurin tail replaced.  The rate of s to a grid of
+65536 and the enclosure from s_N at N = 10**12 (1024 bits, CSV) were
+recorded with the differences read off the walk, H_m summed over the
+whole grid, and with an Euler-Maclaurin head sized for a fixed table of
+32 Bernoulli numbers (632,323 terms there), which the exact step
+-1/(m + 1) and a table sized from the scale replaced.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -127,6 +132,11 @@ GOLDEN = [  # (file, command, exit code)
     ("expand_vfam_10.json", "expand --a=-7/4 --b 11/6 --order 10", 0),
     ("optimize_8.csv", "optimize --order 8 --format csv", 0),
     ("certify_g.csv", "certify --target g --format csv", 0),
+    # the benchmark's rate command, and s_N at N = 10**12, far past any head
+    ("rate_s_65536.json",
+     "rate --seq s --grid-start 16 --grid-stop 65536 --precision 256", 0),
+    ("enclose_n1000000000000_1024.csv",
+     "enclose --n 1000000000000 --precision 1024 --format csv", 0),
 ]
 
 
