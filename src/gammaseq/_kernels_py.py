@@ -78,25 +78,21 @@ def ln2_fixed(q):
     return 18 * lo1 - 2 * hi2 + 8 * lo3, 18 * hi1 - 2 * lo2 + 8 * hi3
 
 
-# the length of `bernoulli_table`, and so the most terms `digamma_log_fixed` takes
-EM_TERMS = 32
-
-
-@lru_cache(maxsize=1)
-def bernoulli_table():
-    """B_2k / (2k) for k = 1 .. EM_TERMS as integer pairs (num, den),
-    den > 0, from integers alone: B_2k / (2k) = (-1)**(k-1) T_k / (4**k (4**k - 1)),
-    with the tangent numbers T_k (1, 2, 16, 272, ...; tan x is the sum of
-    T_k x**(2k-1) / (2k-1)!) from the in-place recurrence of Brent &
+@lru_cache(maxsize=16)
+def bernoulli_table(k):
+    """B_2j / (2j) for j = 1 .. k as integer pairs (num, den), den > 0,
+    from integers alone: B_2j / (2j) = (-1)**(j-1) T_j / (4**j (4**j - 1)),
+    with the tangent numbers T_j (1, 2, 16, 272, ...; tan x is the sum of
+    T_j x**(2j-1) / (2j-1)!) from the in-place recurrence of Brent &
     Harvey (2011, "Fast computation of Bernoulli, Tangent and Secant
     numbers", Algorithm TangentNumbers)."""
-    t = [0, 1] + [0] * (EM_TERMS - 1)  # t[k] = T_k
-    for k in range(2, EM_TERMS + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, EM_TERMS + 1):
-        for j in range(k, EM_TERMS + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return tuple(((-1) ** (k - 1) * t[k], 4**k * (4**k - 1)) for k in range(1, EM_TERMS + 1))
+    t = [0, 1] + [0] * (k - 1)  # t[j] = T_j
+    for j in range(2, k + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return tuple(((-1) ** (j - 1) * t[j], 4**j * (4**j - 1)) for j in range(1, k + 1))
 
 
 def digamma_log_fixed(x, q):
@@ -109,22 +105,28 @@ def digamma_log_fixed(x, q):
     where R_K has the sign of the first omitted term, -B_2K / (2K x**2K),
     and a smaller magnitude (DLMF 5.11.2 and 5.11(ii)).  With t_k the
     magnitude of the k-th term at scale 2**q, K is the first k with
-    floor(t_k) = 0, or EM_TERMS, where `bernoulli_table` ends.  2**q/(2x)
-    and each t_k for k < K are floored, each low by less than one ulp,
-    and R_K widens the pair on its own side by floor(t_K) + 1 ulps.  So
-    hi - lo = K + 1 + floor(t_K), which is K + 1 <= EM_TERMS + 1 once the
-    last term of the table is below one ulp at x.
+    floor(t_k) = 0, or L = q // 8 + 2, where `bernoulli_table`(L) ends.
+    2**q/(2x) and each t_k for k < K are floored, each low by less than
+    one ulp, and R_K widens the pair on its own side by floor(t_K) + 1
+    ulps.  So hi - lo = K + 1 + floor(t_K), at most L + 1 = q // 8 + 3
+    from x = q + 1 on, where t_L < 1: |B_2k| = 2 (2k)! zeta(2k) / (2 pi)**2k
+    (DLMF 25.6.2), zeta(2k) < 2 and (2k)! < (2k)**2k, so the k-th term is
+    below (2/k) (k / (pi x))**2k; for q >= 26, k = L and x >= q + 1,
+    k / (pi x) <= (q + 16) / (8 pi (q + 1)) <= 1/16 and 2k >= (q + 9)/4,
+    so it is below 2**-(q + 9).  For q <= 25 the exact terms show t_L < 1
+    at x = q + 1 (the tests check q = 1 .. 2000), and terms fall as x grows.
     """
     if x < 1:
         raise ValueError("digamma_log_fixed requires x >= 1")
+    table = bernoulli_table(q // 8 + 2)
     half = (1 << q) // (2 * x)
     lo, hi = -half - 1, -half
     x2 = x * x
     power = 1
-    for k, (num, den) in enumerate(bernoulli_table(), 1):
+    for k, (num, den) in enumerate(table, 1):
         power *= x2
         t = (abs(num) << q) // (den * power)
-        if not t or k == EM_TERMS:
+        if not t or k == len(table):
             if num > 0:  # R_K has the sign of -B_2K
                 lo -= t + 1
             else:

@@ -20,7 +20,7 @@ identity, and `gamma_bootstrap` gives it from s_n at an explicit n for
 `harmonic_ends` gives the bootstrap its H_m as a short head summed term
 by term plus an Euler-Maclaurin tail, H_m - H_a = psi(m + 1) - psi(a + 1),
 with psi - ln by the asymptotic series of DLMF 5.11.2; gamma cancels in
-the difference, and the work is O(a + EM_TERMS) whatever m is.
+the difference, and head and series both have O(q) terms whatever m is.
 `round_bits` rounds an integer at a scale to an explicit number of bits
 (the first of `eval`'s two roundings, see `sequences.values`), and
 `decimal_text` prints num/den in any of the rounding modes of `_round`;
@@ -33,7 +33,7 @@ reference that `round_bits` and the row templates are tested against.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from . import _kernels_py as kernels
 from .errors import DomainError
@@ -344,40 +344,24 @@ def _gamma_ends(lo: int, hi: int, q: int) -> tuple[int, int, int]:
 EM_GUARD_BITS = 16
 
 
-def em_head(q: int) -> int:
-    """The least a for which the last term of `kernels.bernoulli_table`,
-    |B_2K| / (2K x**2K) with K = EM_TERMS, is below 2**-q at x = a + 1.
-    With B_2K / (2K) = num / den, that term is below 2**-q exactly when
-    x**2K > y = floor(|num| 2**q / den), so a is the floor of y**(1/2K);
-    2K = 64 is a power of two, so that root is six integer square roots
-    in turn (isqrt(isqrt(y)) = floor(y**(1/4)))."""
-    num, den = kernels.bernoulli_table()[-1]
-    a = (abs(num) << q) // den
-    for _ in range((2 * kernels.EM_TERMS).bit_length() - 1):
-        a = isqrt(a)
-    return a
-
-
 def harmonic_ends(m: int, q: int) -> tuple[int, int]:
     """Enclosure (lo, hi) of H_m * 2**q for m >= 0, as a head summed term
-    by term and an Euler-Maclaurin tail, at O(a + EM_TERMS) work.
+    by term and an Euler-Maclaurin tail, at O(q) work whatever m is.
 
-    With a = `em_head`(q + EM_GUARD_BITS) and m > a, H_m - H_a =
+    With w = q + EM_GUARD_BITS, the head a = w and m > a, H_m - H_a =
     psi(m + 1) - psi(a + 1), in which gamma cancels, so
 
         H_m = H_a + ln((m + 1)/(a + 1)) + D(m + 1) - D(a + 1),
 
     D(x) = psi(x) - ln x (`kernels.digamma_log_fixed`, DLMF 5.11.2).  All
-    four are enclosed at the guard scale q + EM_GUARD_BITS: H_a by
-    `kernels.harmonic_fixed`, a ulps wide, each D within EM_TERMS + 1
-    ulps, as the table's last term is below one ulp from x = a + 1 on,
-    and the logarithm within 2 ulps (m < 2**(3q), see `ln_fixed`); the
-    sum is rounded outward to q, so
-    hi - lo <= ((a + 2 EM_TERMS + 4) >> EM_GUARD_BITS) + 2.  For m <= a,
+    four are enclosed at w: H_a by `kernels.harmonic_fixed`, a ulps wide,
+    each D within w // 8 + 3 ulps, as the kernel's table, sized from w,
+    ends below one ulp from x = w + 1 on, and the logarithm within 2 ulps
+    (m < 2**(3q), see `ln_fixed`); the sum is rounded outward to q, so
+    hi - lo <= ((w + 2 (w // 8) + 8) >> EM_GUARD_BITS) + 2.  For m <= a,
     `kernels.harmonic_fixed`(m, q) sums H_m directly, m ulps wide.
     """
-    wq = q + EM_GUARD_BITS
-    a = em_head(wq)
+    a = wq = q + EM_GUARD_BITS
     if m <= a:
         return kernels.harmonic_fixed(m, q)
     h_lo, h_hi = kernels.harmonic_fixed(a, wq)
@@ -399,9 +383,9 @@ def gamma_bootstrap(n: int, p: int) -> tuple[int, int, int]:
     1/(12n^3) + 11/(120n^4) < s_n - gamma < 1/(12n^3) + 13/(120n^4), so
     the width is 1/(60 n^4) plus evaluation slack; n < 9 is rejected, as
     the upper bracket only holds from there.  H_{n-2} comes from
-    `harmonic_ends`, a head of a terms and an Euler-Maclaurin tail whose
+    `harmonic_ends`, a head of O(q) terms and an Euler-Maclaurin tail whose
     identity is free of gamma, so the enclosure is derived from s_n alone
-    at O(a + EM_TERMS) work whatever n is; a grows with the scale only.
+    at O(q) work whatever n is.
     """
     if not isinstance(n, int) or n < 9:
         raise DomainError(f"bootstrap enclosure requires n >= 9, got {n!r}")

@@ -7,8 +7,8 @@ first nonzero coefficient of the difference series gives both the
 rate and the limit exactly.  The optimizer reads the family's n^-2 and
 n^-3 coefficients as linear forms ca*a + cb*b + c and solves them for a,
 then b.  The empirical route fits the same exponent from certified
-numeric differences as a cross-check; it loads neither the series nor
-`fractions`.
+numeric differences, which sum no harmonic terms, as a cross-check; it
+loads neither the series nor `fractions`.
 """
 
 from __future__ import annotations
@@ -95,29 +95,40 @@ def _log2_ratio(num: int, den: int) -> float:
     return shift + math.log2(scaled) - 64
 
 
+def _differences(kind: SequenceKind, q: int, grid):
+    """(n, lo, hi) for each n of grid, [lo, hi] * 2**-q enclosing x_n - x_{n+1}
+    without a harmonic sum: x_n = H_m + T(n), with m at a fixed offset below
+    n, so the difference is T(n) - T(n + 1) - 1/(m + 1), from the tails T of
+    `sequences._tails`, each at most 3 ulps wide (n < 2**(3q), see
+    `numerics.ln_fixed`), and the step's ceiling and floor at 2**q on the
+    low and high ends: at most 7 ulps wide whatever n is."""
+    from . import sequences
+
+    tail, one = sequences._tails(kind, q), 1 << q
+    for n in grid:
+        (m, lo1, hi1), (_, lo2, hi2) = tail(n), tail(n + 1)
+        yield n, lo1 - hi2 + (-one) // (m + 1), hi1 - lo2 - one // (m + 1)
+
+
 def empirical_rate(kind: SequenceKind, n_grid, p: int) -> EmpiricalRate:
     """Fit the difference order of a sequence on a grid of indices.
 
-    Differences are certified intervals from one walk over the grid
-    points and their successors; if any of them has fewer than 16
-    significant bits at precision p the fit would be numerical noise, so
-    a PrecisionError asks the caller to raise p.  The precision follows
-    the package's rule, an integer p >= numerics.MIN_PRECISION.
+    Differences are the pairs of `_differences` at q = p + 31, less than
+    2**-(p + 28) wide; if any of them has fewer than 16 significant bits
+    at precision p the fit would be numerical noise, so a PrecisionError
+    asks the caller to raise p.  The precision follows the package's
+    rule, an integer p >= numerics.MIN_PRECISION.
     """
-    from . import numerics, sequences
+    from . import numerics
 
     numerics._check_precision(p)
     grid = list(n_grid)
     if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing with at least 4 points")
-    # each difference is ~2(n + 1) ulps wide at 2**-q: <= ~2**-(p + 27) at the grid end
-    q = p + 28 + (grid[-1] + 1).bit_length()
+    q = p + 31
     xs = []
     ys = []
-    walk = sequences.Walk(kind, q)
-    for n in grid:
-        (lo1, hi1), (lo2, hi2) = walk(n), walk(n + 1)
-        d_lo, d_hi = lo1 - hi2, hi1 - lo2
+    for n, d_lo, d_hi in _differences(kind, q, grid):
         width, twice_mid = d_hi - d_lo, d_lo + d_hi  # both at scale 2**-q
         if twice_mid == 0 or abs(twice_mid) < width << (SIGNIFICANT_BITS_REQUIRED + 1):
             raise PrecisionError(

@@ -35,6 +35,41 @@ def split_at(kind, n: int) -> tuple[int, Fraction, Fraction]:
     return m, Fraction(*c), Fraction(*x)
 
 
+def _mp_frac(x):
+    import mpmath as mp
+
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def mp_value(kind, n: int):
+    """The sequence `kind` at n in mpmath at its working precision, from the
+    published formulas, independent of the split's H_m + correction form."""
+    import mpmath as mp
+
+    from gammaseq.sequences import (
+        DeTempleR, GammaN, MuFamily, SOptimal, UPlus, VernescuV, VFamily,
+    )
+
+    h = mp.harmonic
+    if isinstance(kind, GammaN):
+        return h(n) - mp.ln(n)
+    if isinstance(kind, DeTempleR):
+        return h(n) - mp.ln(n + mp.mpf(1) / 2)
+    if isinstance(kind, VernescuV):
+        return h(n - 1) + mp.mpf(1) / (2 * n) - mp.ln(n)
+    if isinstance(kind, SOptimal):
+        return h(n - 2) + mp.mpf(13) / (12 * (n - 1)) + mp.mpf(5) / (12 * n) - mp.ln(n)
+    if isinstance(kind, MuFamily):
+        return h(n - 1) + 1 / (_mp_frac(kind.a) * n) - mp.ln(n + _mp_frac(kind.b))
+    if isinstance(kind, VFamily):
+        return (h(n - 2) + (_mp_frac(kind.a) * n + _mp_frac(kind.b)) / (n * (n - 1))
+                - mp.ln(n))
+    r6 = mp.sqrt(6)
+    if isinstance(kind, UPlus):
+        return h(n - 1) + 1 / ((6 + 2 * r6) * n) - mp.ln(n - 1 / r6)
+    return h(n - 1) + 1 / ((6 - 2 * r6) * n) - mp.ln(n + 1 / r6)
+
+
 def ln_bracket(x, q: int) -> tuple[Fraction, Fraction]:
     """ln x for an exact rational x > 0, enclosed by `numerics.ln_fixed`, as exact
     Fractions."""

@@ -272,26 +272,44 @@ def test_enclose_default_and_bootstrap(capsys):
     assert lo < "0.57721566490153286" < hi
 
 
-def test_enclose_at_a_trillion_takes_the_tail_not_the_walk():
-    # H_(n-2) is a short head plus an Euler-Maclaurin tail, so n = 10**12 costs
-    # what n = 10**6 does, where a direct sum would take 10**12 terms
+def run_child(*argv):
+    """The command in a fresh interpreter, as (process, its child CPU seconds)."""
     import resource
 
     root = Path(__file__).resolve().parents[1]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
-        [sys.executable, "-m", "gammaseq.cli", "enclose", "--n", "1000000000000",
-         "--precision", "128"], capture_output=True, timeout=120,
+        [sys.executable, "-m", "gammaseq.cli", *argv], capture_output=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return proc, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+
+
+def test_enclose_at_a_trillion_takes_the_tail_not_the_walk():
+    # H_(n-2) is a head of O(q) terms plus an Euler-Maclaurin tail, so n = 10**12
+    # costs what n = 10**6 does, where a direct sum would take 10**12 terms; at
+    # 2048 bits a table of fixed length would need a head of about 4 10**10 terms
+    for precision in (128, 2048):
+        proc, cpu = run_child("enclose", "--n", "1000000000000", "--precision", str(precision))
+        assert proc.returncode == 0, proc.stderr
+        assert cpu < 1.0, precision
+        row = json.loads(proc.stdout)["rows"][0]
+        mp.mp.prec = precision + 200
+        euler = mpf_to_fraction(mp.euler)
+        assert Fraction(row["lo"]) <= euler <= Fraction(row["hi"])
+        assert row["width"] == "1.667e-50"  # 1/(60 n^4) plus under an ulp of the scale
+
+
+def test_rate_to_two_to_the_forty_takes_no_harmonic_walk():
+    # each difference is two tails and the exact step -1/(m + 1), so a grid
+    # to 2**40 costs 37 points, not 2**40 harmonic terms
+    proc, cpu = run_child("rate", "--seq", "s", "--grid-stop", str(2**40))
     assert proc.returncode == 0, proc.stderr
-    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0
+    assert cpu < 1.0
     row = json.loads(proc.stdout)["rows"][0]
-    mp.mp.prec = 300
-    euler = mpf_to_fraction(mp.euler)
-    assert Fraction(row["lo"]) <= euler <= Fraction(row["hi"])
-    assert row["width"] == "1.667e-50"  # 1/(60 n^4) plus under an ulp at 200 bits
+    assert row["reliable"] is True
+    assert abs(float(row["difference_order"]) - 4) < 0.001
 
 
 def test_enclose_width_is_printed_from_the_exact_value(capsys):

@@ -105,9 +105,10 @@ def bernoulli_fractions(n):
 
 
 def test_bernoulli_table_matches_the_recurrence_and_mpmath(kernels):
-    table = kernels.bernoulli_table()
-    assert len(table) == kernels.EM_TERMS == 32
-    b = bernoulli_fractions(2 * kernels.EM_TERMS)
+    table = kernels.bernoulli_table(64)
+    assert len(table) == 64
+    assert kernels.bernoulli_table(5) == table[:5]  # each length is a prefix of the longer
+    b = bernoulli_fractions(128)
     mp.mp.prec = 600
     for k, (num, den) in enumerate(table, 1):
         assert den > 0
@@ -126,14 +127,15 @@ def digamma_log_oracle(x, q):
 @given(x=st.one_of(st.integers(1, 300), st.integers(1, 10**15)), q=st.integers(0, 600))
 @example(x=1, q=64)  # psi(1) = -gamma, far below the series' reach
 @example(x=5, q=128)  # the table ends with a remainder of many ulps
-@example(x=44, q=228)  # the least x whose last term is below one ulp at 228 bits
+@example(x=229, q=228)  # x = q + 1, where the table's last term is below one ulp
 def test_digamma_log_fixed_brackets_oracle(kernels, x, q):
     lo, hi = kernels.digamma_log_fixed(x, q)
     assert lo <= digamma_log_oracle(x, q) <= hi
-    num, den = kernels.bernoulli_table()[-1]
-    if abs(num) << q < den * x ** (2 * kernels.EM_TERMS):
-        # the last term of the table is below one ulp at x: at most K + 1 ulps wide
-        assert hi - lo <= kernels.EM_TERMS + 1
+    length = q // 8 + 2  # the table the kernel reads at q
+    num, den = kernels.bernoulli_table(length)[-1]
+    if abs(num) << q < den * x ** (2 * length):
+        # the last term of the table is below one ulp at x: at most length + 1 ulps wide
+        assert hi - lo <= length + 1
 
 
 def test_digamma_log_fixed_rejects_nonpositive(kernels):

@@ -17,7 +17,6 @@ from gammaseq.errors import DomainError
 from gammaseq.numerics import (
     GUARD_BITS,
     BigReal,
-    em_head,
     gamma_bootstrap,
     gamma_reference,
     harmonic_ends,
@@ -218,18 +217,17 @@ def test_harmonic_float_large_n_against_split_sum():
 # H_m as a head of a terms and an Euler-Maclaurin tail
 
 
-@pytest.mark.parametrize("q", [0, 1, 64, 144, 228, 528, 1092])
-def test_em_head_is_the_least_head_whose_last_term_is_below_one_ulp(q):
-    # 228 and 1092 are the guard scales of enclose --n 1000000 at 160 and 1024 bits
-    num, den = kernels.bernoulli_table()[-1]
-    a = em_head(q)
-
-    def below(x):  # the last term of the table at x is below 2**-q
-        return abs(num) << q < den * x ** (2 * kernels.EM_TERMS)
-
-    assert below(a + 1) and (a == 0 or not below(a))
-    lo, hi = kernels.digamma_log_fixed(a + 1, q)
-    assert hi - lo <= kernels.EM_TERMS + 1
+def test_the_table_ends_below_one_ulp_from_x_q_plus_1():
+    # the k-th term |B_2k| / (2k x**2k) at k = q // 8 + 2, the table's length at q,
+    # is below 2**-q at x = q + 1, so digamma_log_fixed is at most q // 8 + 3 ulps wide
+    # there and beyond; harmonic_ends' head w = q + EM_GUARD_BITS relies on it
+    table = kernels.bernoulli_table(2000 // 8 + 2)
+    for q in range(1, 2001):
+        length = q // 8 + 2
+        num, den = table[length - 1]
+        assert abs(num) << q < den * (q + 1) ** (2 * length), q
+        lo, hi = kernels.digamma_log_fixed(q + 1, q)
+        assert hi - lo <= length + 1, q
 
 
 def harmonic_oracle(m, q):
@@ -239,7 +237,7 @@ def harmonic_oracle(m, q):
 
 
 def head(q):
-    return em_head(q + numerics.EM_GUARD_BITS)
+    return q + numerics.EM_GUARD_BITS
 
 
 @settings(max_examples=25, deadline=None)
@@ -258,8 +256,8 @@ def test_harmonic_ends_brackets_mpmath_and_meets_the_direct_sum(m, q):
     a = head(q)
     if m <= a:
         assert (lo, hi) == (d_lo, d_hi)
-    else:  # the bound harmonic_ends' docstring proves
-        assert hi - lo <= ((a + 2 * kernels.EM_TERMS + 4) >> numerics.EM_GUARD_BITS) + 2
+    else:  # the bound harmonic_ends' docstring proves, with w = a
+        assert hi - lo <= ((a + 2 * (a // 8) + 8) >> numerics.EM_GUARD_BITS) + 2
 
 
 @pytest.mark.parametrize("m,q", [(10**9, 100), (10**18, 300), (2**64 - 1, 212)])

@@ -3,12 +3,18 @@
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gammaseq import series
+from conftest import dyadic_ends, mp_value, mpf_to_fraction
+from gammaseq import rates, series
 from gammaseq.errors import DomainError, NoOptimumError, PrecisionError, RateInconclusiveError
 from gammaseq.rates import empirical_rate, optimize_parameters, rate_from_series
-from gammaseq.sequences import SOptimal, VFamily
+from gammaseq.sequences import (
+    DeTempleR, GammaN, MuFamily, SOptimal, UMinus, UPlus, VernescuV, VFamily, Walk,
+)
 from gammaseq.series import AsymptoticSeries, FamilyExpansion, v_family_difference
 
 F = Fraction
@@ -73,11 +79,49 @@ def test_empirical_rate_requires_significant_bits():
 
 
 def test_empirical_rate_headroom_covers_harmonic_width():
-    # the walk's harmonic pair is about n ulps wide; the working precision
-    # grows with the grid, so 32 bits still carry the fit up to n = 1024
+    # each difference takes the harmonic step exactly, so its pair is a few
+    # ulps wide at any n, and 32 bits still carry the fit up to n = 1024
     report = empirical_rate(SOptimal(), GRID, 32)
     assert abs(report.difference_order - 4) <= 0.05
     assert report.reliable
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=24)
+
+
+@st.composite
+def difference_points(draw):
+    """Any of the eight kinds, an index from its n_min to 10**5 and a scale."""
+    kind = draw(st.one_of(
+        st.sampled_from([GammaN(), DeTempleR(), VernescuV(), SOptimal(), UPlus(),
+                         UMinus()]),
+        st.builds(MuFamily, _rationals.filter(bool), _rationals),
+        st.builds(VFamily, _rationals, _rationals),
+    ))
+    n_min = kind.n_min
+    if isinstance(kind, MuFamily):
+        n_min = max(n_min, int(-kind.b) + 1)  # keeps n + b > 0
+    return kind, draw(st.integers(n_min, 10**5)), draw(st.integers(64, 512))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=difference_points())
+@example(point=(GammaN(), 1, 64))  # H_0 - H_1 = -1
+@example(point=(SOptimal(), 3, 256))
+@example(point=(UMinus(), 10**5, 512))
+@example(point=(MuFamily(F(-7, 5), F(-11, 4)), 3, 100))  # n + b = 1/4
+def test_walk_free_differences_contain_mpmath_and_meet_the_walk(point):
+    kind, n, q = point
+    [(_, lo, hi)] = rates._differences(kind, q, [n])
+    mp.mp.prec = 2 * q
+    oracle = mpf_to_fraction(mp_value(kind, n) - mp_value(kind, n + 1))
+    slack = F(1, 2 ** (2 * q - 8))  # the oracle's own rounding, far below an ulp at q
+    d_lo, d_hi = dyadic_ends(lo, hi, q)
+    assert d_lo - slack <= oracle <= d_hi + slack
+    assert hi - lo <= 7
+    walk = Walk(kind, q)
+    (lo1, hi1), (lo2, hi2) = walk(n), walk(n + 1)
+    assert lo <= hi1 - lo2 and lo1 - hi2 <= hi
 
 
 def test_empirical_rate_grid_validation():

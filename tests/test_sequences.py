@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    dyadic_ends, dyadic_value, ln_bracket, mpf_to_fraction, split_at, sqrt_bracket, walk_ends,
+    dyadic_ends, dyadic_value, ln_bracket, mp_value, mpf_to_fraction, split_at, sqrt_bracket,
+    walk_ends,
 )
 from gammaseq import sequences
 from gammaseq._kernels_py import harmonic_fixed
@@ -141,32 +142,6 @@ def test_interval_contains_oracle(kind, expr):
         assert lo - slack <= oracle <= hi + slack
 
 
-def _mp_frac(x):
-    return mp.mpf(x.numerator) / x.denominator
-
-
-def _mp_value(kind, n):
-    # the published formulas, independent of the split's H_m + correction form
-    h = mp.harmonic
-    if isinstance(kind, GammaN):
-        return h(n) - mp.ln(n)
-    if isinstance(kind, DeTempleR):
-        return h(n) - mp.ln(n + mp.mpf(1) / 2)
-    if isinstance(kind, VernescuV):
-        return h(n - 1) + mp.mpf(1) / (2 * n) - mp.ln(n)
-    if isinstance(kind, SOptimal):
-        return h(n - 2) + mp.mpf(13) / (12 * (n - 1)) + mp.mpf(5) / (12 * n) - mp.ln(n)
-    if isinstance(kind, MuFamily):
-        return h(n - 1) + 1 / (_mp_frac(kind.a) * n) - mp.ln(n + _mp_frac(kind.b))
-    if isinstance(kind, VFamily):
-        return (h(n - 2) + (_mp_frac(kind.a) * n + _mp_frac(kind.b)) / (n * (n - 1))
-                - mp.ln(n))
-    r6 = mp.sqrt(6)
-    if isinstance(kind, UPlus):
-        return h(n - 1) + 1 / ((6 + 2 * r6) * n) - mp.ln(n - 1 / r6)
-    return h(n - 1) + 1 / ((6 - 2 * r6) * n) - mp.ln(n + 1 / r6)
-
-
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 
 
@@ -281,7 +256,7 @@ def test_walk_agrees_with_single_index_and_oracles(walk):
         if isinstance(kind, (UPlus, UMinus)):  # the two routes' pairs meet
             old_lo, old_hi = _fraction_tail_interval(kind, n, q)
             assert got[n - n_from][0] <= old_hi and old_lo <= got[n - n_from][1]
-        oracle = mpf_to_fraction(_mp_value(kind, n))
+        oracle = mpf_to_fraction(mp_value(kind, n))
         assert lo - slack <= oracle <= hi + slack
         assert 0 <= hi - lo <= width_cap
         if not isinstance(kind, (UPlus, UMinus)):
