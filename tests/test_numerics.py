@@ -230,6 +230,26 @@ def test_the_table_ends_below_one_ulp_from_x_q_plus_1():
         assert hi - lo <= length + 1, q
 
 
+@pytest.mark.parametrize("q", [0, 1, 64, 144, 228, 528, 1092])
+def test_em_head_is_the_least_head_whose_last_term_is_below_one_ulp(q):
+    # the head harmonic_ends takes at scale q is q itself: the least head a whose
+    # table-last term is below 2**-q at x = a + 1 is at most q, and digamma_log_fixed
+    # keeps its width bound from that least head on
+    # 228 and 1092 are the guard scales of enclose --n 1000000 at 160 and 1024 bits
+    length = q // 8 + 2
+    num, den = kernels.bernoulli_table(length)[-1]
+
+    def below(x):  # the last term of the table at x is below 2**-q
+        return abs(num) << q < den * x ** (2 * length)
+
+    a = 0
+    while not below(a + 1):
+        a += 1
+    assert a <= q and below(q + 1)
+    lo, hi = kernels.digamma_log_fixed(a + 1, q)
+    assert hi - lo <= length + 1
+
+
 def harmonic_oracle(m, q):
     # H_m * 2**q, at 2q bits
     mp.mp.prec = 2 * q
