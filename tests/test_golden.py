@@ -41,7 +41,11 @@ and an Euler-Maclaurin tail replaced.  The rate of s to a grid of
 recorded with the differences read off the walk, H_m summed over the
 whole grid, and with an Euler-Maclaurin head sized for a fixed table of
 32 Bernoulli numbers (632,323 terms there), which the exact step
--1/(m + 1) and a table sized from the scale replaced.
+-1/(m + 1) and a table sized from the scale replaced.  The chen-mortici
+sweep to 300 at 32 bits, whose rows escalate to 64 and 128 bits across
+bit lengths 4 to 9 and across n = 257, and the chen sweep across n = 533
+capped at 48 bits were recorded with the rows made, escalated and
+yielded in chunks of 256 indices, which one row at a time replaced.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -137,6 +141,13 @@ GOLDEN = [  # (file, command, exit code)
      "rate --seq s --grid-start 16 --grid-stop 65536 --precision 256", 0),
     ("enclose_n1000000000000_1024.csv",
      "enclose --n 1000000000000 --precision 1024 --format csv", 0),
+    # rows escalate to 64 and 128 bits at bit lengths 4 to 9, across n = 257
+    ("sweep_chen_mortici_300.csv",
+     "sweep-bounds --entry chen-mortici --to 300 --precision 32 --format csv", 0),
+    # rows 533 and up escalate to an intermediate cap of 48 bits
+    ("sweep_chen_cap48_533.csv",
+     "sweep-bounds --entry chen --from 528 --to 548 --precision 32 --precision-cap 48"
+     " --format csv", 0),
 ]
 
 
