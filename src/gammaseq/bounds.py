@@ -19,14 +19,13 @@ margins are integers at one explicit scale per walk.  It reports
 certified-true only under strict separation, decided exactly; check
 returns the one-row sweep's row.  Equality can therefore never be
 certified; sides that are sharp at n = 1 start at n = 2.  sweep_rows
-yields the rows a chunk of indices at a time, with every walk resumed
-from chunk to chunk, so a sweep holds one chunk of rows at most.
+makes, escalates and yields one row at a time, with every walk resumed
+from row to row, so a sweep holds no row it has yielded.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 from .errors import DomainError
@@ -53,7 +52,6 @@ CERTIFIED_FALSE = "certified-false"
 UNDECIDED = "undecided"
 
 DEFAULT_CAP_FACTOR = 8
-CHUNK = 256  # indices walked, escalated and yielded together by sweep_rows
 
 
 def _gamma(p: int) -> Interval:
@@ -392,70 +390,65 @@ def _on_scale(x: Pair, scale: int) -> tuple[int, int]:
     return below, below + (rest > 0)
 
 
-class _RowWalk:
-    """SweepRows of one entry at precision p from one resumable walk at
-    scale 2**-q, for increasing indices passed in any number of batches.
-    c is the entry's constant enclosed at p, or None."""
+def _row_walk(entry: BoundEntry, p: int, c, q: int):
+    """row(n): the SweepRow of one entry at precision p, from one resumable
+    walk at scale 2**-q, for increasing n.  c is the entry's constant
+    enclosed at p, or None."""
+    g_lo, g_hi, q_g = gamma_reference(p)
+    lower = entry.lower if entry.n_min_lower is not None else None
+    upper = entry.upper if entry.n_min_upper is not None else None
+    c_lower = c if "lower" in entry.reads_c else None
+    c_upper = c if "upper" in entry.reads_c else None
+    # the row scale holds the walk's pairs and gamma's ends exactly
+    scale = max(q, q_g)
+    g_lo, g_hi = g_lo << (scale - q_g), g_hi << (scale - q_g)
+    shift = scale - q
+    walk = Walk(entry.target, q)
+    lower_name = f"lower side of {entry.entry_id!r}"
+    upper_name = f"upper side of {entry.entry_id!r}"
 
-    def __init__(self, entry: BoundEntry, p: int, c, q: int):
-        g_lo, g_hi, q_g = gamma_reference(p)
-        self.entry, self.p = entry, p
-        self.lower = entry.lower if entry.n_min_lower is not None else None
-        self.upper = entry.upper if entry.n_min_upper is not None else None
-        self.c_lower = c if "lower" in entry.reads_c else None
-        self.c_upper = c if "upper" in entry.reads_c else None
-        # the row scale holds the walk's pairs and gamma's ends exactly
-        self.scale = scale = max(q, q_g)
-        self.g_lo, self.g_hi = g_lo << (scale - q_g), g_hi << (scale - q_g)
-        self.shift = scale - q
-        self.walk = Walk(entry.target, q)
+    def row(n: int) -> SweepRow:
+        v_lo, v_hi = walk(n)
+        dev_lo, dev_hi = (v_lo << shift) - g_hi, (v_hi << shift) - g_lo
+        margins = []
+        lower_sup = upper_inf = margin_lower = margin_upper = None
+        separated, falsified = True, False
+        # an integer d > x exactly when d > floor(x), and d < x when d < ceil(x)
+        if lower is not None and n >= entry.n_min_lower:
+            lower_inf, lower_sup = _side_ends(lower, c_lower, n, lower_name)
+            below, above = _on_scale(lower_sup, scale)
+            margin_lower = dev_lo - above
+            margins.append(margin_lower)
+            separated = dev_lo > below
+            if lower_inf is not lower_sup:
+                below = _on_scale(lower_inf, scale)[0]
+            falsified = dev_hi <= below
+        if upper is not None and n >= entry.n_min_upper:
+            upper_inf, upper_sup = _side_ends(upper, c_upper, n, upper_name)
+            below, above = _on_scale(upper_inf, scale)
+            margin_upper = below - dev_hi
+            margins.append(margin_upper)
+            separated = separated and dev_hi < above
+            if upper_sup is not upper_inf:
+                above = _on_scale(upper_sup, scale)[1]
+            falsified = falsified or dev_lo >= above
+        if not margins:
+            raise DomainError(f"no side of {entry.entry_id!r} applies at n = {n}")
+        if falsified:
+            verdict = CERTIFIED_FALSE
+        elif separated:
+            verdict = CERTIFIED_TRUE
+        else:
+            verdict = UNDECIDED
+        return SweepRow(
+            n=n, verdict=verdict, margin=min(margins),
+            margin_lower=margin_lower, margin_upper=margin_upper,
+            lower=lower_sup, upper=upper_inf,
+            value_lo=dev_lo, value_hi=dev_hi,
+            precision=p, scale=scale,
+        )
 
-    def rows(self, ns):
-        entry, scale, shift = self.entry, self.scale, self.shift
-        lower, upper, g_lo, g_hi = self.lower, self.upper, self.g_lo, self.g_hi
-        c_lower, c_upper = self.c_lower, self.c_upper
-        lower_name = f"lower side of {entry.entry_id!r}"
-        upper_name = f"upper side of {entry.entry_id!r}"
-        for n in ns:
-            v_lo, v_hi = self.walk(n)
-            dev_lo, dev_hi = (v_lo << shift) - g_hi, (v_hi << shift) - g_lo
-            margins = []
-            lower_sup = upper_inf = margin_lower = margin_upper = None
-            separated, falsified = True, False
-            # an integer d > x exactly when d > floor(x), and d < x when d < ceil(x)
-            if lower is not None and n >= entry.n_min_lower:
-                lower_inf, lower_sup = _side_ends(lower, c_lower, n, lower_name)
-                below, above = _on_scale(lower_sup, scale)
-                margin_lower = dev_lo - above
-                margins.append(margin_lower)
-                separated = dev_lo > below
-                if lower_inf is not lower_sup:
-                    below = _on_scale(lower_inf, scale)[0]
-                falsified = dev_hi <= below
-            if upper is not None and n >= entry.n_min_upper:
-                upper_inf, upper_sup = _side_ends(upper, c_upper, n, upper_name)
-                below, above = _on_scale(upper_inf, scale)
-                margin_upper = below - dev_hi
-                margins.append(margin_upper)
-                separated = separated and dev_hi < above
-                if upper_sup is not upper_inf:
-                    above = _on_scale(upper_sup, scale)[1]
-                falsified = falsified or dev_lo >= above
-            if not margins:
-                raise DomainError(f"no side of {entry.entry_id!r} applies at n = {n}")
-            if falsified:
-                verdict = CERTIFIED_FALSE
-            elif separated:
-                verdict = CERTIFIED_TRUE
-            else:
-                verdict = UNDECIDED
-            yield SweepRow(
-                n=n, verdict=verdict, margin=min(margins),
-                margin_lower=margin_lower, margin_upper=margin_upper,
-                lower=lower_sup, upper=upper_inf,
-                value_lo=dev_lo, value_hi=dev_hi,
-                precision=self.p, scale=scale,
-            )
+    return row
 
 
 def _walk_scale(p: int, bits: int) -> int:
@@ -472,14 +465,14 @@ def check(entry: BoundEntry, n: int, p: int) -> SweepRow:
 def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
                precision_cap: int | None = None):
     """(cap, rows): the precision cap in force and an iterator over the
-    final rows of the sweep, in order, made a chunk of CHUNK indices at a time.
+    final rows of the sweep, in order, each made as it is asked for.
 
     The arguments are checked before this returns: a cap below p, a start
-    below the entry's n_min or an empty range is a DomainError.  Each
-    chunk is walked at p; precision then doubles (up to the cap) and each
-    doubling re-walks only the chunk's rows still undecided.  There is one
-    resumable walk per precision and bit length of n, carried from chunk
-    to chunk, which gives every row the scale of a sweep of n alone and
+    below the entry's n_min or an empty range is a DomainError.  Each row
+    is walked at p; while it is undecided, precision doubles (up to the
+    cap) and the row is walked again.  There is one resumable walk per
+    escalated precision and bit length of n, carried from row to row,
+    which gives every escalated row the scale of a sweep of n alone and
     keeps the work linear in the range.  Rows undecided at the cap are
     reported as such, never as true.
     """
@@ -492,34 +485,29 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
         )
     if n_to < n_from:
         raise DomainError(f"empty sweep range {n_from}..{n_to}")
-    return cap, _chunked_rows(entry, n_from, n_to, p, cap)
+    return cap, _rows(entry, n_from, n_to, p, cap)
 
 
-def _chunked_rows(entry: BoundEntry, n_from: int, n_to: int, p: int, cap: int):
+def _rows(entry: BoundEntry, n_from: int, n_to: int, p: int, cap: int):
     constants = {}  # precision -> the entry's constant, enclosed once
-    escalated = {}  # (precision, bit length of n) -> _RowWalk
+    escalated = {}  # (precision, bit length of n) -> row(n) of one resumable walk
 
-    def walk(precision: int, q: int) -> _RowWalk:
+    def row_walk(precision: int, q: int):
         if precision not in constants:
             constants[precision] = entry.constant(precision) if entry.reads_c else None
-        return _RowWalk(entry, precision, constants[precision], q)
+        return _row_walk(entry, precision, constants[precision], q)
 
-    main = walk(p, _walk_scale(p, n_to.bit_length()))
-    for start in range(n_from, n_to + 1, CHUNK):
-        rows = list(main.rows(range(start, min(start + CHUNK, n_to + 1))))
+    main = row_walk(p, _walk_scale(p, n_to.bit_length()))
+    for n in range(n_from, n_to + 1):
+        row = main(n)
         precision = p
-        while precision < cap:
-            undecided = [row.n for row in rows if row.verdict == UNDECIDED]
-            if not undecided:
-                break
+        while row.verdict == UNDECIDED and precision < cap:
             precision = min(2 * precision, cap)
-            for bits, ns in itertools.groupby(undecided, int.bit_length):
-                key = (precision, bits)
-                if key not in escalated:
-                    escalated[key] = walk(precision, _walk_scale(precision, bits))
-                for row in escalated[key].rows(ns):
-                    rows[row.n - start] = row
-        yield from rows
+            key = (precision, n.bit_length())
+            if key not in escalated:
+                escalated[key] = row_walk(precision, _walk_scale(precision, key[1]))
+            row = escalated[key](n)
+        yield row
 
 
 def sweep(entry: BoundEntry, n_from: int, n_to: int, p: int,

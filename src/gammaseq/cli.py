@@ -6,10 +6,10 @@ enclosure width, version).  Exact quantities are serialized as fraction
 strings "p/q", inexact ones as decimal strings with an explicit digit
 count, so identical inputs give byte-identical output.
 
-Rows are streamed: `sweep-bounds` makes its rows a chunk of indices at
-a time and `eval` one at a time, and neither keeps the rows it has
-written, so memory stays flat in the range (peak RSS about 17 MB for
-a `theorem22` sweep of 10^4 rows and of 5 * 10^4 rows alike).  Each of
+Rows are streamed: `sweep-bounds` and `eval` make their rows one at a
+time, and neither keeps the rows it has written, so memory stays flat
+in the range (peak RSS about 17 MB for a `theorem22` sweep of 10^4
+rows and of 5 * 10^4 rows alike).  Each of
 their rows goes from integers to one line: the command builds one line
 template per format (`_line_template`: a CSV line, or a JSON object with
 its keys in sorted order) and fills it with texts printed straight from

@@ -286,13 +286,11 @@ def test_escalation_sums_harmonic_terms_linear_in_the_range(monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [None, 48, 32])
-def test_chunk_boundaries_change_no_row(monkeypatch, cap):
-    # chen 528..1028 at 32 bits escalates nearly every row; with chunks of 7
-    # indices every chunk escalates, yet each row is the one-chunk row and
-    # the escalated walks resume across chunks instead of restarting
+def test_escalated_walks_resume_across_rows(monkeypatch, cap):
+    # chen 528..1028 at 32 bits escalates nearly every row; each escalated
+    # row comes from a walk resumed from row to row, yet it is the row a
+    # sweep of n alone gives at its precision
     e = get_entry("chen")
-    monkeypatch.setattr(bounds, "CHUNK", 10**6)
-    whole = sweep(e, 528, 1028, 32, precision_cap=cap)
     harmonic_fixed = kernels.harmonic_fixed
     terms = []
 
@@ -301,14 +299,18 @@ def test_chunk_boundaries_change_no_row(monkeypatch, cap):
         return harmonic_fixed(n, q, m)
 
     monkeypatch.setattr(kernels, "harmonic_fixed", counting)
-    monkeypatch.setattr(bounds, "CHUNK", 7)
-    chunked = sweep(e, 528, 1028, 32, precision_cap=cap)
-    assert chunked == whole
+    report = sweep(e, 528, 1028, 32, precision_cap=cap)
+    walked = sum(terms)
     # rows from 533 escalate, or stay undecided at a cap of 32
-    assert sum(r.precision > 32 or r.verdict == UNDECIDED for r in chunked.rows) > 450
+    assert sum(r.precision > 32 or r.verdict == UNDECIDED for r in report.rows) > 450
     # one main walk and one walk per escalated bit length, each <= 1028 terms;
-    # restarting the escalated walks per chunk would sum about 72 * 1028
-    assert sum(terms) < 6 * 1028
+    # a new walk per escalated row would sum hundreds of times as many
+    assert walked < 6 * 1028
+    for n in (533, 534, 777, 1023, 1024, 1028):
+        row = report.rows[n - 528]
+        if row.precision > 32:
+            alone = sweep(e, n, n, row.precision, precision_cap=row.precision).rows[0]
+            assert row == alone, n
 
 
 def test_monotone_refinement():
@@ -495,6 +497,8 @@ def sweeps(draw):
 @given(case=sweeps())
 @example(case=(get_entry("chen"), 528, 548, 32))  # rows 533 and up escalate to 64
 @example(case=(get_entry("theorem22"), 3, 20, 32))
+# rows of 7 and 8 bits escalate to 64 and 128 bits
+@example(case=(get_entry("chen-mortici"), 100, 130, 32))
 def test_rows_match_exact_fraction_oracle(case):
     entry, n_from, n_to, p = case
     report = sweep(entry, n_from, n_to, p)
@@ -509,6 +513,8 @@ def test_rows_match_exact_fraction_oracle(case):
         assert prec == row.precision
         verdict, dev_lo, dev_hi, margins = _exact_row(entry, n, prec, walk_q[prec])
         assert row.verdict == verdict, (entry.entry_id, n, p)
+        # a row stays undecided only at the cap
+        assert verdict != UNDECIDED or prec == report.precision_cap, (n, prec)
         unit = F(1, 2**row.scale)
         assert row.value_lo * unit == dev_lo and row.value_hi * unit == dev_hi
         for got, exact in [(row.margin_lower, margins.get("lower")),

@@ -504,28 +504,35 @@ def test_eval_prints_past_the_integer_string_limit(capsys):
 
 
 def test_csv_failure_partway_keeps_the_earlier_rows(capsys, monkeypatch):
-    # CSV rows are written as they are made; a failure at n = 30 leaves rows
-    # 3..29 on stdout and exits with its code and one line on stderr
+    # CSV rows are written as they are made; a failure at n_fail leaves rows
+    # n_from..n_fail - 1 on stdout and exits with its code and one line on
+    # stderr, in a sweep too, past where its rows were once buffered (1..256)
     split = sequences._split
+    n_fail = None
 
-    def failing_at_30(kind):
+    def failing(kind):
         inner = split(kind)
 
         def at(n):
-            if n == 30:
-                raise DomainError("no split at n = 30")
+            if n == n_fail:
+                raise DomainError(f"no split at n = {n}")
             return inner(n)
 
         return at
 
-    monkeypatch.setattr(sequences, "_split", failing_at_30)
-    code = cli.main(["eval", "--seq", "s", "--n", "3", "--to", "40", "--format", "csv"])
-    captured = capsys.readouterr()
-    assert code == 2
-    lines = captured.out.splitlines()
-    assert lines[0] == "n,value,rational_part,log_argument"
-    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(3, 30))
-    assert captured.err == "error: no split at n = 30\n"
+    monkeypatch.setattr(sequences, "_split", failing)
+    for argv, header, n_from, n_fail in [
+        ("eval --seq s --n 3 --to 40", "n,value,rational_part,log_argument", 3, 30),
+        ("sweep-bounds --entry chen --to 400",
+         "n,lower,value_lo,value_hi,upper,verdict,margin", 1, 300),
+    ]:
+        code = cli.main([*argv.split(), "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.out.splitlines()
+        assert lines[0] == header
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(n_from, n_fail))
+        assert captured.err == f"error: no split at n = {n_fail}\n"
 
 
 def test_eval_value_prints_past_the_integer_string_limit(capsys):
@@ -738,23 +745,6 @@ def test_line_templates_write_what_csv_and_json_write(capsys, argv):
     rows = json.loads(out)["rows"]
     assert [[str(row.get(key, "")) for key in header] for row in rows] == [
         next(csv.reader([line])) for line in lines[1:]]
-
-
-@pytest.mark.parametrize("argv,exit_code", [
-    ("sweep-bounds --entry chen --from 100 --to 600 --precision 32", 0),
-    ("sweep-bounds --entry chen --from 100 --to 600 --precision 32 --precision-cap 48", 0),
-    ("sweep-bounds --entry chen --from 100 --to 600 --precision 32 --precision-cap 32", 3),
-    ("sweep-bounds --entry chen --from 100 --to 600 --precision 32 --format csv", 0),
-    ("eval --seq uplus --n 1 --to 300", 0),
-])
-def test_chunk_size_changes_no_byte(capsys, monkeypatch, argv, exit_code):
-    printed = []
-    for chunk in (10**6, 7):
-        monkeypatch.setattr(bounds, "CHUNK", chunk)
-        code = cli.main(argv.split())
-        printed.append((code, capsys.readouterr()))
-    assert printed[0] == printed[1]
-    assert printed[0][0] == exit_code
 
 
 class _Discard(io.TextIOBase):
