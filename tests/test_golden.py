@@ -46,6 +46,11 @@ sweep to 300 at 32 bits, whose rows escalate to 64 and 128 bits across
 bit lengths 4 to 9 and across n = 257, and the chen sweep across n = 533
 capped at 48 bits were recorded with the rows made, escalated and
 yielded in chunks of 256 indices, which one row at a time replaced.
+The theorem22 sweep from 3 to 300 at 64 bits and the detemple sweep
+from 150 to 175 at 128 bits, whose rows lie on both sides of where the
+sweep rows could leave the harmonic walk (the detemple rows through the
+logarithm of n + 1/2), were recorded with every row walked from n = 1
+and the constant enclosed at the row's precision.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -148,6 +153,11 @@ GOLDEN = [  # (file, command, exit code)
     ("sweep_chen_cap48_533.csv",
      "sweep-bounds --entry chen --from 528 --to 548 --precision 32 --precision-cap 48"
      " --format csv", 0),
+    # rows on both sides of the working scale plus one, on the v and the mu family
+    ("sweep_theorem22_300_64.csv",
+     "sweep-bounds --entry theorem22 --from 3 --to 300 --precision 64 --format csv", 0),
+    ("sweep_detemple_150_175.csv",
+     "sweep-bounds --entry detemple --from 150 --to 175 --precision 128 --format csv", 0),
 ]
 
 
