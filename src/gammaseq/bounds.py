@@ -392,9 +392,9 @@ def _on_scale(x: Pair, scale: int) -> tuple[int, int]:
 
 def _row_walk(entry: BoundEntry, p: int, c, q: int):
     """row(n): the SweepRow of one entry at precision p, from one resumable
-    walk at scale 2**-q, for increasing n.  c is the entry's constant
-    enclosed at p, or None."""
-    g_lo, g_hi, q_g = gamma_reference(p)
+    walk at scale 2**-q less gamma enclosed at that scale, for increasing
+    n.  c is the entry's constant enclosed at p, or None."""
+    g_lo, g_hi, q_g = gamma_reference(q)
     lower = entry.lower if entry.n_min_lower is not None else None
     upper = entry.upper if entry.n_min_upper is not None else None
     c_lower = c if "lower" in entry.reads_c else None

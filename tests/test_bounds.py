@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_ends, ln_bracket, mpf_to_fraction, sqrt_bracket, walk_ends
+from conftest import (
+    dyadic_ends, ln_bracket, mp_value, mpf_to_fraction, sqrt_bracket, walk_ends,
+)
 from gammaseq import _kernels_py as kernels, bounds, cli
 from gammaseq.bounds import (
     CERTIFIED_FALSE,
@@ -256,8 +258,23 @@ def test_sweep_small_ranges_all_true():
         assert report.min_margin > 0
 
 
+def _escalating_fixture(n_from, n_to, n_escalate):
+    """A GammaN entry whose lower side sits 2**-40 below gamma_n - gamma before
+    n_escalate and 2**-88 below it from there on, with young's upper side: its
+    rows are decided at 32 bits before n_escalate and need 64 bits from it."""
+    mp.mp.prec = 400
+    gaps = {n: F(1, 2**40) if n < n_escalate else F(1, 2**88) for n in range(n_from, n_to + 1)}
+    sides = {n: (mpf_to_fraction(mp.harmonic(n) - mp.ln(n) - mp.euler) - gap).as_integer_ratio()
+             for n, gap in gaps.items()}
+    return BoundEntry(
+        entry_id="escalating-fixture", target=GammaN(),
+        lower=lambda n, c: sides[n], upper=get_entry("young").upper,
+        n_min_lower=n_from, n_min_upper=n_from, citation="synthetic test fixture",
+    )
+
+
 def test_undecided_rows_escalate_alone_by_doubling():
-    e = get_entry("chen")
+    e = _escalating_fixture(528, 548, 533)
     report = sweep(e, 528, 548, 32)
     assert report.counts[CERTIFIED_TRUE] == len(report.rows)
     assert [r.precision for r in report.rows] == [32] * 5 + [64] * 16
@@ -269,8 +286,9 @@ def test_undecided_rows_escalate_alone_by_doubling():
 
 
 def test_escalation_sums_harmonic_terms_linear_in_the_range(monkeypatch):
-    # every chen row from 533 on escalates to 64 bits; re-running each
-    # row alone would sum H_n from 1 again, about n_to**2 / 2 terms in all
+    # nearly every chen-mortici row from 100 on escalates from 32 bits;
+    # re-running each row alone would sum H_n from 1 again, about
+    # n_to**2 / 2 terms in all
     harmonic_fixed = kernels.harmonic_fixed
     terms = []
 
@@ -279,18 +297,18 @@ def test_escalation_sums_harmonic_terms_linear_in_the_range(monkeypatch):
         return harmonic_fixed(n, q, m)
 
     monkeypatch.setattr(kernels, "harmonic_fixed", counting)
-    report = sweep(get_entry("chen"), 528, 4000, 32)
+    report = sweep(get_entry("chen-mortici"), 100, 1100, 32)
     assert report.counts[CERTIFIED_TRUE] == len(report.rows)
-    assert sum(r.precision == 64 for r in report.rows) > 3400
-    assert sum(terms) < 20 * 4000
+    assert sum(r.precision > 32 for r in report.rows) > 900
+    assert sum(terms) < 20 * 1100
 
 
 @pytest.mark.parametrize("cap", [None, 48, 32])
 def test_escalated_walks_resume_across_rows(monkeypatch, cap):
-    # chen 528..1028 at 32 bits escalates nearly every row; each escalated
-    # row comes from a walk resumed from row to row, yet it is the row a
-    # sweep of n alone gives at its precision
-    e = get_entry("chen")
+    # chen-mortici 100..1100 at 32 bits escalates nearly every row; each
+    # escalated row comes from work carried from row to row, yet it is the
+    # row a sweep of n alone gives at its precision
+    e = get_entry("chen-mortici")
     harmonic_fixed = kernels.harmonic_fixed
     terms = []
 
@@ -299,15 +317,15 @@ def test_escalated_walks_resume_across_rows(monkeypatch, cap):
         return harmonic_fixed(n, q, m)
 
     monkeypatch.setattr(kernels, "harmonic_fixed", counting)
-    report = sweep(e, 528, 1028, 32, precision_cap=cap)
+    report = sweep(e, 100, 1100, 32, precision_cap=cap)
     walked = sum(terms)
-    # rows from 533 escalate, or stay undecided at a cap of 32
-    assert sum(r.precision > 32 or r.verdict == UNDECIDED for r in report.rows) > 450
-    # one main walk and one walk per escalated bit length, each <= 1028 terms;
+    # rows escalate, or stay undecided at a cap of 32
+    assert sum(r.precision > 32 or r.verdict == UNDECIDED for r in report.rows) > 900
+    # one main walk and one walk per escalated bit length, each <= 1100 terms;
     # a new walk per escalated row would sum hundreds of times as many
-    assert walked < 6 * 1028
-    for n in (533, 534, 777, 1023, 1024, 1028):
-        row = report.rows[n - 528]
+    assert walked < 6 * 1100
+    for n in (150, 255, 256, 777, 1023, 1024, 1100):
+        row = report.rows[n - 100]
         if row.precision > 32:
             alone = sweep(e, n, n, row.precision, precision_cap=row.precision).rows[0]
             assert row == alone, n
@@ -376,11 +394,8 @@ def test_non_positive_side_denominator_is_a_domain_error(den, reads_c):
 
 
 def test_undecided_when_bound_sits_inside_value_interval():
-    e = get_entry("young")
-    ctx_q = 64 + 32 + (10).bit_length()
-    lo, hi = walk_ends(GammaN(), 10, ctx_q)
-    g_lo, g_hi = dyadic_ends(*gamma_reference(64))
-    dev_mid = ((lo - g_hi) + (hi - g_lo)) / 2
+    row = check(get_entry("young"), 10, 64)
+    dev_mid = F(row.value_lo + row.value_hi, 2 ** (row.scale + 1))
     touching = BoundEntry(
         entry_id="young-touching",
         target=GammaN(),
@@ -462,13 +477,9 @@ def test_precision_cap_below_start_rejected():
     assert sweep(get_entry("young"), 1, 3, 64, precision_cap=64).precision_cap == 64
 
 
-def _exact_row(entry, n, p, q):
-    """Verdict, deviations and side margins of the row at n with exact
-    Fraction arithmetic on the walk's value interval at scale 2**-q."""
-    g_lo, g_hi = dyadic_ends(*gamma_reference(p))
-    lo, hi = walk_ends(entry.target, n, q)
-    dev_lo, dev_hi = lo - g_hi, hi - g_lo
-    c = entry.constant(p) if entry.reads_c else None
+def _exact_verdict(entry, n, dev_lo, dev_hi, c):
+    """Verdict and side margins of the exact value interval [dev_lo, dev_hi]
+    at n, by Fraction arithmetic on the published sides."""
     margins = {}
     falsified = False
     if entry.lower is not None and n >= entry.n_min_lower:
@@ -482,7 +493,23 @@ def _exact_row(entry, n, p, q):
     margin = min(margins.values())
     verdict = (CERTIFIED_FALSE if falsified else
                CERTIFIED_TRUE if margin > 0 else UNDECIDED)
-    return verdict, dev_lo, dev_hi, margins
+    return verdict, margins
+
+
+def _walked_verdict(entry, n, n_to, p, cap):
+    """The oracle: the final verdict at n of a sweep to n_to that walks H_m
+    from 1 and subtracts gamma enclosed at the row's precision, at scale
+    p + GUARD_BITS + 2 bitlen(n_to) and, escalated, 2 bitlen(n)."""
+    q, prec = p + GUARD_BITS + 2 * n_to.bit_length(), p
+    while True:
+        g_lo, g_hi = dyadic_ends(*gamma_reference(prec))
+        lo, hi = walk_ends(entry.target, n, q)
+        c = entry.constant(prec) if entry.reads_c else None
+        verdict = _exact_verdict(entry, n, lo - g_hi, hi - g_lo, c)[0]
+        if verdict != UNDECIDED or prec == cap:
+            return verdict
+        prec = min(2 * prec, cap)
+        q = prec + GUARD_BITS + 2 * n.bit_length()
 
 
 @st.composite
@@ -495,28 +522,38 @@ def sweeps(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(case=sweeps())
-@example(case=(get_entry("chen"), 528, 548, 32))  # rows 533 and up escalate to 64
+@example(case=(get_entry("chen"), 528, 548, 32))  # the oracle escalates rows 533 and up
 @example(case=(get_entry("theorem22"), 3, 20, 32))
-# rows of 7 and 8 bits escalate to 64 and 128 bits
+# rows of 7 and 8 bits escalate to 64 bits
 @example(case=(get_entry("chen-mortici"), 100, 130, 32))
 def test_rows_match_exact_fraction_oracle(case):
     entry, n_from, n_to, p = case
     report = sweep(entry, n_from, n_to, p)
+    cap = report.precision_cap
     for n, row in zip(range(n_from, n_to + 1), report.rows):
-        # the walk's scale at each precision: the whole range at p, one row after
-        walk_q = {p: p + GUARD_BITS + 2 * n_to.bit_length()}
+        # every verdict the walked oracle decides is kept
+        oracle = _walked_verdict(entry, n, n_to, p, cap)
+        assert oracle == UNDECIDED or row.verdict == oracle, (entry.entry_id, n, p)
+        # the row was undecided at each precision it doubled through
         prec = p
         while prec < row.precision:
-            assert _exact_row(entry, n, prec, walk_q[prec])[0] == UNDECIDED, (n, prec)
-            prec = min(2 * prec, report.precision_cap)
-            walk_q[prec] = prec + GUARD_BITS + 2 * n.bit_length()
+            at = sweep(entry, n, n_to if prec == p else n, prec, precision_cap=prec).rows[0]
+            assert at.verdict == UNDECIDED, (n, prec)
+            prec = min(2 * prec, cap)
         assert prec == row.precision
-        verdict, dev_lo, dev_hi, margins = _exact_row(entry, n, prec, walk_q[prec])
-        assert row.verdict == verdict, (entry.entry_id, n, p)
         # a row stays undecided only at the cap
-        assert verdict != UNDECIDED or prec == report.precision_cap, (n, prec)
+        assert row.verdict != UNDECIDED or prec == cap, (n, prec)
+        # the row's interval holds mpmath's deviation, and its verdict and
+        # margins are those of that interval against the exact sides
         unit = F(1, 2**row.scale)
-        assert row.value_lo * unit == dev_lo and row.value_hi * unit == dev_hi
+        dev_lo, dev_hi = row.value_lo * unit, row.value_hi * unit
+        mp.mp.prec = 2 * row.scale + 64
+        dev = mpf_to_fraction(mp_value(entry.target, n) - mp.euler)
+        slack = unit / 2**row.scale  # far below the oracle's own rounding
+        assert dev_lo - slack <= dev <= dev_hi + slack, (entry.entry_id, n, p)
+        c = entry.constant(prec) if entry.reads_c else None
+        verdict, margins = _exact_verdict(entry, n, dev_lo, dev_hi, c)
+        assert row.verdict == verdict, (entry.entry_id, n, p)
         for got, exact in [(row.margin_lower, margins.get("lower")),
                            (row.margin_upper, margins.get("upper")),
                            (row.margin, min(margins.values()))]:

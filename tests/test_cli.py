@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_ends, mpf_to_fraction, split_at, walk_ends
+from conftest import mpf_to_fraction, split_at
 from gammaseq import bounds, cli, numerics, sequences
 from gammaseq.bounds import BoundEntry
 from gammaseq.errors import DomainError
@@ -393,10 +393,10 @@ def test_falsified_entry_exits_one(capsys, monkeypatch):
 
 
 def test_undecided_rows_exit_three(capsys, monkeypatch):
-    q = 64 + 32 + (10).bit_length()
-    lo, hi = walk_ends(GammaN(), 10, q)
-    g_lo, g_hi = dyadic_ends(*gamma_reference(64))
-    dev_mid = ((lo - g_hi) + (hi - g_lo)) / 2
+    # a side at the middle of the row's value interval can be neither
+    # certified nor falsified
+    row = bounds.check(bounds.get_entry("young"), 10, 64)
+    dev_mid = Fraction(row.value_lo + row.value_hi, 2 ** (row.scale + 1))
     touching = BoundEntry(
         entry_id="touching-fixture",
         target=GammaN(),
