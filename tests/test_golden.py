@@ -51,6 +51,11 @@ from 150 to 175 at 128 bits, whose rows lie on both sides of where the
 sweep rows could leave the harmonic walk (the detemple rows through the
 logarithm of n + 1/2), were recorded with every row walked from n = 1
 and the constant enclosed at the row's precision.
+The escalated and capped chen sweeps across n = 533 and the capped
+chen-mortici sweeps to 40 were recorded again, and the capped
+chen-mortici sweep from 300 to 320 first, when each row's deviation
+came to subtract gamma enclosed at the walk's scale instead of at the
+row's precision, which narrowed every row.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -71,12 +76,13 @@ GOLDEN = [  # (file, command, exit code)
     # at 32 bits below n = 533, where chen's rows start to escalate
     ("sweep_chen_escalated.json",
      "sweep-bounds --entry chen --from 100 --to 120 --precision 32", 0),
-    # rows 533 and up escalate to 64 bits; capped at 32 bits they stay undecided
+    # rows 533 and up escalated to 64 bits while gamma was enclosed at the row's
+    # precision; with gamma at the walk's scale they are decided at 32 bits
     ("sweep_chen_escalated_533.json",
      "sweep-bounds --entry chen --from 528 --to 548 --precision 32", 0),
     ("sweep_chen_capped_533.csv",
      "sweep-bounds --entry chen --from 528 --to 548 --precision 32 --precision-cap 32"
-     " --format csv", 3),
+     " --format csv", 0),
     ("sweep_anderson.csv",
      "sweep-bounds --entry anderson --to 40 --precision 128 --format csv", 0),
     ("sweep_alzer_chen_qi.csv",
@@ -99,12 +105,17 @@ GOLDEN = [  # (file, command, exit code)
     # rows 11 and up escalate to 64 bits
     ("sweep_chen_mortici_escalated.json",
      "sweep-bounds --entry chen-mortici --to 40 --precision 32", 0),
-    # capped at 32 bits, rows 11 and up stay undecided with margins of -0.000000000
+    # capped at 32 bits, rows 11 and up stayed undecided while gamma was enclosed
+    # at the row's precision; with gamma at the walk's scale they are decided
     ("sweep_chen_mortici_capped.csv",
      "sweep-bounds --entry chen-mortici --to 40 --precision 32 --precision-cap 32"
-     " --format csv", 3),
+     " --format csv", 0),
     ("sweep_chen_mortici_capped.json",
-     "sweep-bounds --entry chen-mortici --to 40 --precision 32 --precision-cap 32", 3),
+     "sweep-bounds --entry chen-mortici --to 40 --precision 32 --precision-cap 32", 0),
+    # capped at 32 bits, every row stays undecided with margins of -0.000000000
+    ("sweep_chen_mortici_capped_300.csv",
+     "sweep-bounds --entry chen-mortici --from 300 --to 320 --precision 32"
+     " --precision-cap 32 --format csv", 3),
     ("eval_s.json", "eval --seq s --n 3 --to 40 --precision 256", 0),
     ("eval_uplus.json", "eval --seq uplus --n 1 --to 40 --precision 256", 0),
     ("eval_uminus.json", "eval --seq uminus --n 1 --to 40 --precision 256", 0),
