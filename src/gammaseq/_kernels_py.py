@@ -4,9 +4,10 @@ All kernels speak one protocol: a real value x is carried at integer
 scale q as X ~ x * 2**q, and each kernel returns a pair of integers
 (lo, hi) with lo <= x * 2**q <= hi.  A kernel computes one value and
 widens it once by a proven bound: `harmonic_fixed` and `atanh_fixed` run
-one floor chain, `digamma_log_fixed` floors each term of the
-Euler-Maclaurin series of psi(x) - ln x and widens by its remainder,
-whose sign is known, and `gamma_series_fixed` sums its alternating series in
+one floor chain, `digamma_log_fixed` sums the asymptotic series of
+psi(x) - ln x in one floored Horner pass over coefficients floored once
+per scale and widens by its remainder, whose sign is known, and
+`gamma_series_fixed` sums its alternating series in
 blocks split exactly by binary splitting, then folds the blocks in one
 floored Horner pass at a scale with headroom for the cancellation.  So
 kernel outputs compose into rigorous enclosures no matter how they are
@@ -95,6 +96,31 @@ def bernoulli_table(k):
     return tuple(((-1) ** (j - 1) * t[j], 4**j * (4**j - 1)) for j in range(1, k + 1))
 
 
+@lru_cache(maxsize=16)
+def _bernoulli_fixed(q):
+    """`bernoulli_table`(L), L = q // 8 + 2, with C_k = floor(B_2k / (2k) * 2**q)
+    and |C_k| + 1 for k = 1 .. L."""
+    table = bernoulli_table(q // 8 + 2)
+    c = tuple((num << q) // den for num, den in table)
+    return table, c, tuple(abs(c_k) + 1 for c_k in c)
+
+
+@lru_cache(maxsize=1024)
+def _term_range(q, bits):
+    """(k_lo, k_hi, sure) for every x of `bits` bits at scale q: no k < k_lo
+    passes the test |C_k| + 1 <= x**2k, and k_hi passes it if sure; if no k
+    is sure to, k_hi is L, the table's end.  |C_k| + 1 < 2**m exactly when
+    m >= its bit length, and 2**(2k (bits - 1)) <= x**2k < 2**(2k bits), so
+    k passes for every such x once 2k (bits - 1) reaches that bit length,
+    and for none while 2k bits does not."""
+    lengths = [m.bit_length() for m in _bernoulli_fixed(q)[2]]
+    k_lo = next((k for k, m in enumerate(lengths, 1) if m <= 2 * k * bits), len(lengths))
+    k_hi = next((k for k, m in enumerate(lengths, 1) if m <= 2 * k * (bits - 1)), None)
+    if k_hi is None:
+        return k_lo, len(lengths), False
+    return min(k_lo, k_hi), k_hi, True
+
+
 def digamma_log_fixed(x, q):
     """Enclosure of (psi(x) - ln x) * 2**q for an integer x >= 1.
 
@@ -103,41 +129,67 @@ def digamma_log_fixed(x, q):
         psi(x) - ln x = -1/(2x) - sum_{k<K} B_2k / (2k x**2k) + R_K(x),
 
     where R_K has the sign of the first omitted term, -B_2K / (2K x**2K),
-    and a smaller magnitude (DLMF 5.11.2 and 5.11(ii)).  With t_k the
-    magnitude of the k-th term at scale 2**q, K is the first k with
-    floor(t_k) = 0, or L = q // 8 + 2, where `bernoulli_table`(L) ends.
-    2**q/(2x) and each t_k for k < K are floored, each low by less than
-    one ulp, and R_K widens the pair on its own side by floor(t_K) + 1
-    ulps.  So hi - lo = K + 1 + floor(t_K), at most L + 1 = q // 8 + 3
-    from x = q + 1 on, where t_L < 1: |B_2k| = 2 (2k)! zeta(2k) / (2 pi)**2k
+    and a smaller magnitude (DLMF 5.11.2 and 5.11(ii)).  With
+    C_k = floor(B_2k / (2k) * 2**q) for k <= L = q // 8 + 2, where
+    `bernoulli_table`(L) ends, K is the least k with |C_k| + 1 <= x**2k,
+    or L if none passes: `_term_range` narrows it by bit lengths, once per
+    q and bit length of x, and the exact test decides within the range.
+    Then |B_2K / (2K)| 2**q < |C_K| + 1, so |R_K| 2**q < t with
+    t = ceil((|C_K| + 1) / x**2K), which is 1 when K passes.
+
+    The sum T = sum_{k<K} B_2k / (2k) 2**q / x**2k is one Horner pass,
+    v = floor((v + C_k) / x**2) from k = K - 1 down to 1 (v = 0 for K = 1).
+    Each C_k is low by less than one, and so is each floor; the floor at
+    step k and C_k reach T divided by x**(2k - 2) and x**2k, so for x >= 2
+    T - v < 1 + 2/(x**2 - 1) and T lies in [v, v + 2).  With
+    h = floor(2**q / (2x)), low by at most 1 - 1/(2x) since 2**q / (2x) is
+    a multiple of 1/(2x), the two losses sum to less than 2 for x >= 5
+    (4x <= x**2 - 1), so
+
+        -h - v - 2 < (psi(x) - ln x) * 2**q - R_K 2**q <= -h - v,
+
+    and R_K widens the side of its own sign by t ulps.  So for x >= 5 the
+    pair is 2 + t ulps wide: 3 wherever some k <= L passes, and at most 4
+    from x = q + 1 on, where t <= 2: there the last term of the table is
+    below one ulp, so |C_L| <= x**2L.  (|B_2k| = 2 (2k)! zeta(2k) / (2 pi)**2k
     (DLMF 25.6.2), zeta(2k) < 2 and (2k)! < (2k)**2k, so the k-th term is
     below (2/k) (k / (pi x))**2k; for q >= 26, k = L and x >= q + 1,
     k / (pi x) <= (q + 16) / (8 pi (q + 1)) <= 1/16 and 2k >= (q + 9)/4,
-    so it is below 2**-(q + 9).  For q <= 25 the exact terms show t_L < 1
-    at x = q + 1 (the tests check q = 1 .. 2000), and terms fall as x grows.
+    so it is below 2**-(q + 9); for q <= 25 the tests check the exact terms
+    at x = q + 1, and terms fall as x grows.)  Below x = 5 the K - 1 terms
+    are summed exactly, so the pair is at most 1 + t ulps wide.  The pass
+    costs O(K) divisions by x**2, one limb while x < 2**15, and K falls as
+    x grows: about q / (2 log2 x).
     """
     if x < 1:
         raise ValueError("digamma_log_fixed requires x >= 1")
-    table = bernoulli_table(q // 8 + 2)
-    half = (1 << q) // (2 * x)
-    lo, hi = -half - 1, -half
+    table, c, bound = _bernoulli_fixed(q)
     x2 = x * x
-    power = 1
-    for k, (num, den) in enumerate(table, 1):
-        power *= x2
-        t = (abs(num) << q) // (den * power)
-        if not t or k == len(table):
-            if num > 0:  # R_K has the sign of -B_2K
-                lo -= t + 1
-            else:
-                hi += t + 1
-            return lo, hi
-        if num > 0:
-            lo -= t + 1
-            hi -= t
+    k, k_hi, sure = _term_range(q, x.bit_length())
+    if k < k_hi:  # the bit lengths leave k_lo .. k_hi - 1 to the exact test
+        power = x2**k
+        while bound[k - 1] > power:
+            k += 1
+            power *= x2
+            if k == k_hi:
+                break
         else:
-            lo += t
-            hi += t + 1
+            sure = True
+    t = 1 if sure else -(-bound[k - 1] // x2**k)
+    if x >= 5:
+        v = 0
+        for c_k in c[k - 2::-1] if k > 1 else ():
+            v = (v + c_k) // x2
+        hi = -((1 << q) // (2 * x)) - v
+        lo = hi - 2
+    else:  # 1/(2x) + sum_{j<K} B_2j / (2j x**2j) = num / den exactly
+        num, den = 1, 2 * x
+        for j, (b_num, b_den) in enumerate(table[:k - 1], 1):
+            num, den = num * b_den * x2**j + b_num * den, den * b_den * x2**j
+        lo, hi = (-num << q) // den, -((num << q) // den)
+    if table[k - 1][0] > 0:  # R_K has the sign of -B_2K
+        return lo - t, hi
+    return lo, hi + t
 
 
 def _series_split(a, b, x):

@@ -12,15 +12,18 @@ pairs (gamma's ends over 2**q as `gamma_reference` gives them, or
 chen's shift built from them in integers); a side that reads it is
 monotone in c and is evaluated at both ends of that enclosure, which
 brackets the side.  Neither a row nor the constant holds a Fraction:
-a sweep walks the sequence's certified values once as integer pairs,
-then re-walks only its undecided rows at each doubled precision, and
-the deviations from gamma, the sides' floors and ceilings and the
-margins are integers at one explicit scale per walk.  It reports
+each row reads its target's deviation from gamma as an integer pair at
+one explicit scale per precision (`sequences.deviation`: the envelope
+of psi - ln plus an exact rational from a few hundred n on, with no
+harmonic sum, no logarithm of n and no gamma), and only an undecided
+row is made again, at each doubled precision; the sides' floors and
+ceilings and the margins are integers at the same scale.  It reports
 certified-true only under strict separation, decided exactly; check
 returns the one-row sweep's row.  Equality can therefore never be
 certified; sides that are sharp at n = 1 start at n = 2.  sweep_rows
-makes, escalates and yields one row at a time, with every walk resumed
-from row to row, so a sweep holds no row it has yielded.
+makes, escalates and yields one row at a time, with one deviation per
+precision carried from row to row, so a sweep holds no row it has
+yielded, and a row costs the same wherever the sweep starts.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 
 from .errors import DomainError
 from .numerics import GUARD_BITS, gamma_reference, ln_fixed
-from .sequences import DeTempleR, GammaN, SequenceKind, SOptimal, Walk
+from .sequences import DeTempleR, GammaN, SequenceKind, SOptimal, deviation, envelope_start
 
 __all__ = [
     "BoundEntry",
@@ -390,26 +393,30 @@ def _on_scale(x: Pair, scale: int) -> tuple[int, int]:
     return below, below + (rest > 0)
 
 
-def _row_walk(entry: BoundEntry, p: int, c, q: int):
-    """row(n): the SweepRow of one entry at precision p, from one resumable
-    walk at scale 2**-q less gamma enclosed at that scale, for increasing
-    n.  c is the entry's constant enclosed at p, or None."""
-    g_lo, g_hi, q_g = gamma_reference(q)
+def _scale(p: int) -> int:
+    """The row scale at precision p: GUARD_BITS over p, the bit length of the
+    index N where the rows leave the walk, as a row's pair is about n ulps
+    wide below it, and 8 spare bits for the pairs from N on, a few ulps
+    wide, and the walk's near N."""
+    q = p + GUARD_BITS
+    return q + envelope_start(q).bit_length() + 8
+
+
+def _row_walk(entry: BoundEntry, p: int, c):
+    """row(n): the SweepRow of one entry at precision p, for nondecreasing
+    n, from one `deviation` of its target at the scale `_scale`(p).  c is
+    the entry's constant enclosed at p, or None."""
     lower = entry.lower if entry.n_min_lower is not None else None
     upper = entry.upper if entry.n_min_upper is not None else None
     c_lower = c if "lower" in entry.reads_c else None
     c_upper = c if "upper" in entry.reads_c else None
-    # the row scale holds the walk's pairs and gamma's ends exactly
-    scale = max(q, q_g)
-    g_lo, g_hi = g_lo << (scale - q_g), g_hi << (scale - q_g)
-    shift = scale - q
-    walk = Walk(entry.target, q)
+    scale = _scale(p)
+    value = deviation(entry.target, scale)
     lower_name = f"lower side of {entry.entry_id!r}"
     upper_name = f"upper side of {entry.entry_id!r}"
 
     def row(n: int) -> SweepRow:
-        v_lo, v_hi = walk(n)
-        dev_lo, dev_hi = (v_lo << shift) - g_hi, (v_hi << shift) - g_lo
+        dev_lo, dev_hi = value(n)
         margins = []
         lower_sup = upper_inf = margin_lower = margin_upper = None
         separated, falsified = True, False
@@ -451,12 +458,6 @@ def _row_walk(entry: BoundEntry, p: int, c, q: int):
     return row
 
 
-def _walk_scale(p: int, bits: int) -> int:
-    """The walk scale for indices of at most `bits` bits: one bit_length
-    covers the walk's harmonic pair (<= n ulps wide), one is spare."""
-    return p + GUARD_BITS + 2 * bits
-
-
 def check(entry: BoundEntry, n: int, p: int) -> SweepRow:
     """Certified row for one entry at one index: the one-row sweep at p."""
     return sweep(entry, n, n, p, precision_cap=p).rows[0]
@@ -469,12 +470,13 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
 
     The arguments are checked before this returns: a cap below p, a start
     below the entry's n_min or an empty range is a DomainError.  Each row
-    is walked at p; while it is undecided, precision doubles (up to the
-    cap) and the row is walked again.  There is one resumable walk per
-    escalated precision and bit length of n, carried from row to row,
-    which gives every escalated row the scale of a sweep of n alone and
-    keeps the work linear in the range.  Rows undecided at the cap are
-    reported as such, never as true.
+    is made at p; while it is undecided, precision doubles (up to the
+    cap) and the row is made again.  There is one `_row_walk` per
+    precision, carried from row to row; its scale depends on the
+    precision alone, so every row is the row a sweep of n alone gives at
+    its precision, and the work is linear in the range (below N(q) the
+    deviation walks H_m once, and from there on each row is O(K) work).
+    Rows undecided at the cap are reported as such, never as true.
     """
     cap = precision_cap if precision_cap is not None else DEFAULT_CAP_FACTOR * p
     if cap < p:
@@ -489,24 +491,20 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
 
 
 def _rows(entry: BoundEntry, n_from: int, n_to: int, p: int, cap: int):
-    constants = {}  # precision -> the entry's constant, enclosed once
-    escalated = {}  # (precision, bit length of n) -> row(n) of one resumable walk
+    rows = {}  # precision -> row(n) of one deviation, carried from row to row
 
-    def row_walk(precision: int, q: int):
-        if precision not in constants:
-            constants[precision] = entry.constant(precision) if entry.reads_c else None
-        return _row_walk(entry, precision, constants[precision], q)
+    def row_at(precision: int, n: int) -> SweepRow:
+        if precision not in rows:
+            c = entry.constant(precision) if entry.reads_c else None
+            rows[precision] = _row_walk(entry, precision, c)
+        return rows[precision](n)
 
-    main = row_walk(p, _walk_scale(p, n_to.bit_length()))
     for n in range(n_from, n_to + 1):
-        row = main(n)
+        row = row_at(p, n)
         precision = p
         while row.verdict == UNDECIDED and precision < cap:
             precision = min(2 * precision, cap)
-            key = (precision, n.bit_length())
-            if key not in escalated:
-                escalated[key] = row_walk(precision, _walk_scale(precision, key[1]))
-            row = escalated[key](n)
+            row = row_at(precision, n)
         yield row
 
 

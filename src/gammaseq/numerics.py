@@ -355,10 +355,10 @@ def harmonic_ends(m: int, q: int) -> tuple[int, int]:
 
     D(x) = psi(x) - ln x (`kernels.digamma_log_fixed`, DLMF 5.11.2).  All
     four are enclosed at w: H_a by `kernels.harmonic_fixed`, a ulps wide,
-    each D within w // 8 + 3 ulps, as the kernel's table, sized from w,
-    ends below one ulp from x = w + 1 on, and the logarithm within 2 ulps
+    each D within 4 ulps, as the kernel's table, sized from w, ends below
+    one ulp from x = w + 1 on, and the logarithm within 2 ulps
     (m < 2**(3q), see `ln_fixed`); the sum is rounded outward to q, so
-    hi - lo <= ((w + 2 (w // 8) + 8) >> EM_GUARD_BITS) + 2.  For m <= a,
+    hi - lo <= ((w + 10) >> EM_GUARD_BITS) + 2.  For m <= a,
     `kernels.harmonic_fixed`(m, q) sums H_m directly, m ulps wide.
     """
     a = wq = q + EM_GUARD_BITS

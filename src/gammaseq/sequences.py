@@ -14,7 +14,13 @@ tail, whose ends are `numerics.ln_ends`: floor and ceiling of
 points with irrational a and b; their tails take the logarithm of the
 integer 6n^2 - 1 and a short series in 1/(6n^2), with one enclosure of
 sqrt(6) per walk (`_sqrt6_tails`).  `values` rounds the walk's pairs to
-p bits in integers, as (m, e) with the value m * 2**e.
+p bits in integers, as (m, e) with the value m * 2**e.  `deviation`
+gives x_n - gamma itself for the exact points, as `bounds` reads it:
+from n = N(q) (`envelope_start`) on it is psi(n) - ln n from the
+kernel's asymptotic series plus the point's exact rational (and one
+short atanh for mu with b != 0), with no harmonic sum, no logarithm of
+n and no gamma, at O(K) work whatever n is; below N(q) it is the walk
+less gamma enclosed at the walk's scale.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import math
 
 from . import _kernels_py as kernels, numerics
 from .errors import DomainError
-from .numerics import harmonic_exact, ln_ends, ln_fixed, round_bits
+from .numerics import gamma_reference, harmonic_exact, ln_ends, ln_fixed, round_bits
 
 __all__ = [
     "SequenceKind",
@@ -36,6 +42,8 @@ __all__ = [
     "UPlus",
     "UMinus",
     "Walk",
+    "deviation",
+    "envelope_start",
     "values",
 ]
 
@@ -192,13 +200,19 @@ def _split(kind: SequenceKind):
 
     def mu(n):
         # n + b = (n b_den + b_num)/b_den is coprime because b is
-        x_num = n * b_den + b_num
-        if x_num <= 0:
-            text = f"{x_num}/{b_den}" if b_den != 1 else str(x_num)
-            raise DomainError(f"log argument n + b = {text} must be positive")
-        return n - 1, (a_den, a_num * n), (x_num, b_den)
+        return n - 1, (a_den, a_num * n), (_log_argument(n, b_num, b_den), b_den)
 
     return mu
+
+
+def _log_argument(n: int, b_num: int, b_den: int) -> int:
+    """n b_den + b_num, the numerator of a mu point's log argument n + b over
+    b_den, which must be positive."""
+    x_num = n * b_den + b_num
+    if x_num <= 0:
+        text = f"{x_num}/{b_den}" if b_den != 1 else str(x_num)
+        raise DomainError(f"log argument n + b = {text} must be positive")
+    return x_num
 
 
 def _tails(kind: SequenceKind, q: int):
@@ -295,6 +309,99 @@ class Walk:
         d_lo, d_hi = kernels.harmonic_fixed(m, self._q, self._m)
         self._h_lo, self._h_hi, self._m = self._h_lo + d_lo, self._h_hi + d_hi, m
         return self._h_lo + t_lo, self._h_hi + t_hi
+
+
+def envelope_start(q: int) -> int:
+    """N(q) = (q + 1) 2**max(0, (q - 260) // 80): the least index from which
+    `deviation` at scale 2**-q takes the asymptotic envelope instead of the
+    walk.  It is at least q + 1, where `kernels.digamma_log_fixed` reaches
+    2**-q, and past that it is a cost rule in n and q alone, measured on the
+    dearest kind, a mu point with b != 0 (an atanh on top of the series):
+    there the envelope costs at most the walk per row from n = q + 1 up to
+    q = 300, and from about 2 (q + 1), 4 (q + 1) and 8 (q + 1) at q = 350,
+    470 and 544, as both get dearer with q and the series' K falls only as
+    q / (2 log2 n).  Above q = 544 the rule is extrapolated, so the walk
+    stays the route of high-precision sweeps."""
+    return (q + 1) << max(0, (q - 260) // 80)
+
+
+def deviation(kind: SequenceKind, q: int):
+    """n -> (lo, hi) with lo <= (x_n - gamma) * 2**q <= hi, for the kinds with
+    an exact point (`kind.exact`), at nondecreasing n.
+
+    As H_m - gamma = psi(m + 1), every such x_n - gamma is D(n) =
+    psi(n) - ln n plus an exact part, with no gamma and no logarithm of n:
+
+        v:  x_n - gamma = D(n) + ((a - 1) n + b) / (n (n - 1)),
+        mu: x_n - gamma = D(n) + 1/(a n) - 2 atanh(b / (2n + b)),
+
+    by psi(n - 1) = psi(n) - 1/(n - 1) and ln(n + b) - ln n =
+    2 atanh(b / (2n + b)).  (For SOptimal the rational part and the first
+    term of D combine into 1/(12 n**2 (n - 1)).)  From n = N(q) =
+    `envelope_start`(q) on, D(n) is `kernels.digamma_log_fixed`(n, q), at
+    most 4 ulps wide there (N(q) > q), the rational part is floored and
+    ceiled, and the atanh, for b != 0, is one `kernels.atanh_fixed` chain
+    at w = q + bitlen(q) + 2, rounded outward to q (or `numerics.ln_ends`
+    where |b| / (2n + b) > 1/2): a v pair is at most 5 ulps wide and a mu
+    pair at most 6.  Below N(q) the series cannot reach 2**-q, so the pair
+    is `Walk`(kind, q) less gamma enclosed at that scale
+    (`numerics.gamma_reference`(q)), rounded outward to q, carried from row
+    to row, about n + 5 ulps wide.  The domain checks and messages are
+    `_split`'s, whose DomainError UPlus and UMinus raise.
+    """
+    _split(kind)  # the kinds without an exact point raise here
+    family, (a_num, a_den), (b_num, b_den) = kind.exact
+    start = envelope_start(q)
+    head = []  # the walk and gamma's ends, made at the first row below start
+
+    def walked(n):
+        if not head:
+            head.extend((Walk(kind, q), *gamma_reference(q)))
+        walk, g_lo, g_hi, q_g = head
+        lo, hi = walk(n)
+        shift = q_g - q
+        return ((lo << shift) - g_hi) >> shift, -((g_lo - (hi << shift)) >> shift)
+
+    if family == "v":  # ((a - 1) n + b) / (n (n - 1)) over a_den b_den n (n - 1)
+        r_n, r_1, r_den = (a_num - a_den) * b_den, b_num * a_den, a_den * b_den
+
+        def exact_part(n):
+            num, den = (r_n * n + r_1) << q, r_den * n * (n - 1)
+            return num // den, -(-num // den)
+    else:
+        if a_num < 0:  # 1/(a n) = a_den/(a_num n), its denominator made positive
+            a_num, a_den = -a_num, -a_den
+        w_q = q + q.bit_length() + 2
+        shift = w_q - q
+
+        def exact_part(n):
+            # 1/(a n) - ln(1 + b/n), with 1/(a n) = a_den/den and the logarithm
+            # [l_lo, l_hi] at scale 2**-w_q, floored and ceiled onto 2**-q
+            den, l_lo, l_hi = a_num * n, 0, 0
+            if b_num:
+                x_num = _log_argument(n, b_num, b_den)
+                u, w = abs(b_num), x_num + n * b_den  # b / (2n + b) = b_num / w
+                if 2 * u > w:
+                    g = math.gcd(x_num, n * b_den)
+                    x = x_num // g, n * b_den // g
+                    return ln_ends((a_den, den), (a_den, den), x, q)
+                t_lo, t_hi = kernels.atanh_fixed(u, w, w_q)
+                if b_num > 0:  # ln(1 + b/n) = 2 atanh(b / (2n + b))
+                    l_lo, l_hi = 2 * t_lo, 2 * t_hi
+                else:
+                    l_lo, l_hi = -2 * t_hi, -2 * t_lo
+            c = a_den << w_q
+            return (c - den * l_hi) // (den << shift), -((den * l_lo - c) // (den << shift))
+
+    def at(n):
+        if n < start:
+            return walked(n)  # the walk checks the domain
+        _check_domain(kind, n)
+        d_lo, d_hi = kernels.digamma_log_fixed(n, q)
+        e_lo, e_hi = exact_part(n)
+        return d_lo + e_lo, d_hi + e_hi
+
+    return at
 
 
 def values(kind: SequenceKind, n_from: int, n_to: int, p: int):

@@ -658,3 +658,43 @@ def test_formatter_matches_parent_formatters(case):
             assert half_up(num, s) == expected
             assert nearest(num, -s) == _parent_decimal_str(value, places, "nearest")
             assert nearest(num, s) == _parent_decimal_str(F(num << s), places, "nearest")
+
+
+def test_sweep_far_from_the_start_takes_no_walk_log_or_gamma(capsys, monkeypatch):
+    # from N(q) on a row is the envelope of psi - ln plus an exact rational, so
+    # a sweep from 10**12 sums no harmonic term, takes no logarithm of n and
+    # encloses no constant, and costs what a sweep from 10**3 costs
+    from gammaseq import numerics, sequences
+
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(kernels, "harmonic_fixed", counting("harmonic", kernels.harmonic_fixed))
+    for module in (numerics, sequences, bounds):
+        monkeypatch.setattr(module, "ln_fixed", counting("ln", module.ln_fixed))
+    for module in (numerics, sequences, bounds):
+        monkeypatch.setattr(module, "gamma_reference", counting("gamma", module.gamma_reference))
+    n_from = 10**12
+    argv = (f"sweep-bounds --entry theorem22 --from {n_from} --to {n_from + 999}"
+            " --precision 192 --format csv")
+    assert cli.main(argv.split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert calls == []
+    assert lines[0] == "n,lower,value_lo,value_hi,upper,verdict,margin"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(n_from, n_from + 1000))
+    assert all(r[5] == CERTIFIED_TRUE for r in rows)
+    e = get_entry("theorem22")
+    ulp = F(1, 10 ** cli._decimal_digits(192))
+    mp.mp.prec = 2 * 192 + 128
+    for i in (0, 1, 317, 998, 999):
+        n = n_from + i
+        dev = mpf_to_fraction(mp_value(e.target, n) - mp.euler)
+        value_lo, value_hi = F(rows[i][2]), F(rows[i][3])
+        assert value_lo - ulp <= dev <= value_hi + ulp, n
+        assert F(*e.lower(n, None)) < dev < F(*e.upper(n, None)), n

@@ -507,20 +507,24 @@ def test_csv_failure_partway_keeps_the_earlier_rows(capsys, monkeypatch):
     # CSV rows are written as they are made; a failure at n_fail leaves rows
     # n_from..n_fail - 1 on stdout and exits with its code and one line on
     # stderr, in a sweep too, past where its rows were once buffered (1..256)
-    split = sequences._split
     n_fail = None
 
-    def failing(kind):
-        inner = split(kind)
+    def failing(make):
+        def made(*args):
+            inner = make(*args)
 
-        def at(n):
-            if n == n_fail:
-                raise DomainError(f"no split at n = {n}")
-            return inner(n)
+            def at(n):
+                if n == n_fail:
+                    raise DomainError(f"no split at n = {n}")
+                return inner(n)
 
-        return at
+            return at
 
-    monkeypatch.setattr(sequences, "_split", failing)
+        return made
+
+    # eval's values split each index; a sweep's rows read `deviation`
+    monkeypatch.setattr(sequences, "_split", failing(sequences._split))
+    monkeypatch.setattr(bounds, "deviation", failing(bounds.deviation))
     for argv, header, n_from, n_fail in [
         ("eval --seq s --n 3 --to 40", "n,value,rational_part,log_argument", 3, 30),
         ("sweep-bounds --entry chen --to 400",

@@ -47,10 +47,12 @@ bit lengths 4 to 9 and across n = 257, and the chen sweep across n = 533
 capped at 48 bits were recorded with the rows made, escalated and
 yielded in chunks of 256 indices, which one row at a time replaced.
 The theorem22 sweep from 3 to 300 at 64 bits and the detemple sweep
-from 150 to 175 at 128 bits, whose rows lie on both sides of where the
-sweep rows could leave the harmonic walk (the detemple rows through the
-logarithm of n + 1/2), were recorded with every row walked from n = 1
-and the constant enclosed at the row's precision.
+from 170 to 190 at 128 bits, whose rows lie on both sides of where the
+sweep rows leave the harmonic walk for the envelope of psi - ln (n = 112
+and n = 177; the detemple rows through the atanh of 1/(4n + 1)), and
+the detemple sweep from 150 to 175 at 128 bits, just below, were
+recorded with every row walked from n = 1 and the constant enclosed at
+the row's precision, the second of them from a copy of that code.
 The escalated and capped chen sweeps across n = 533 and the capped
 chen-mortici sweeps to 40 were recorded again, and the capped
 chen-mortici sweep from 300 to 320 first, when each row's deviation
@@ -164,11 +166,14 @@ GOLDEN = [  # (file, command, exit code)
     ("sweep_chen_cap48_533.csv",
      "sweep-bounds --entry chen --from 528 --to 548 --precision 32 --precision-cap 48"
      " --format csv", 0),
-    # rows on both sides of the working scale plus one, on the v and the mu family
+    # rows on both sides of N(q) on the v family (n = 112), and just below it on mu
     ("sweep_theorem22_300_64.csv",
      "sweep-bounds --entry theorem22 --from 3 --to 300 --precision 64 --format csv", 0),
     ("sweep_detemple_150_175.csv",
      "sweep-bounds --entry detemple --from 150 --to 175 --precision 128 --format csv", 0),
+    # across n = 177, where the rows at 128 bits leave the walk for the envelope
+    ("sweep_detemple_170_190.csv",
+     "sweep-bounds --entry detemple --from 170 --to 190 --precision 128 --format csv", 0),
 ]
 
 

@@ -132,10 +132,16 @@ def test_digamma_log_fixed_brackets_oracle(kernels, x, q):
     lo, hi = kernels.digamma_log_fixed(x, q)
     assert lo <= digamma_log_oracle(x, q) <= hi
     length = q // 8 + 2  # the table the kernel reads at q
-    num, den = kernels.bernoulli_table(length)[-1]
+    table = kernels.bernoulli_table(length)
+    num, den = table[-1]
     if abs(num) << q < den * x ** (2 * length):
-        # the last term of the table is below one ulp at x: at most length + 1 ulps wide
-        assert hi - lo <= length + 1
+        # the last term of the table is below one ulp at x: once at most
+        # length + 1 ulps wide, now at most 4
+        assert hi - lo <= min(length + 1, 4)
+    if any(abs((b_num << q) // b_den) + 1 <= x ** (2 * k)
+           for k, (b_num, b_den) in enumerate(table, 1)):
+        # a floored term is below one ulp, so the remainder is: 3 ulps wide
+        assert hi - lo <= 3
 
 
 def test_digamma_log_fixed_rejects_nonpositive(kernels):

@@ -383,3 +383,91 @@ def test_kinds_are_immutable_values():
 
 def test_u_variants_have_no_split_but_evaluate():
     assert F(1, 2) < value_at(UPlus(), 12, 128) < 1
+
+
+# x_n - gamma from the envelope of psi - ln and from the walk
+
+
+def _gamma_ends(q):
+    """gamma between two exact Fractions, from `gamma_reference`(q)."""
+    return dyadic_ends(*gamma_reference(q))
+
+
+@st.composite
+def deviation_points(draw):
+    """A mu or v point with random rational a and b, a scale q in 64..512 and
+    up to five increasing indices to 10**5 in the point's domain."""
+    kind = draw(st.one_of(
+        st.sampled_from([GammaN(), DeTempleR(), VernescuV(), SOptimal()]),
+        st.builds(MuFamily, _rationals.filter(bool), _rationals),
+        st.builds(MuFamily, _rationals.filter(bool),
+                  st.fractions(min_value=-40, max_value=4000, max_denominator=7)),
+        st.builds(VFamily, _rationals, _rationals),
+    ))
+    n_min = kind.n_min
+    if isinstance(kind, MuFamily):
+        n_min = max(n_min, math.floor(-kind.b) + 1)  # keeps n + b > 0
+    ns = draw(st.sets(st.integers(n_min, 10**5), min_size=1, max_size=5))
+    return kind, draw(st.integers(64, 512)), sorted(ns)
+
+
+def _around_the_switch(q):
+    n_env = sequences.envelope_start(q)
+    return sorted({q, q + 1, n_env - 1, n_env, *(10**k for k in range(6, 19))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=deviation_points())
+@example(point=(SOptimal(), 224, _around_the_switch(224)))
+@example(point=(GammaN(), 400, _around_the_switch(400)))  # N(q) = 2 (q + 1)
+@example(point=(DeTempleR(), 512, _around_the_switch(512)))  # N(q) = 8 (q + 1)
+@example(point=(VernescuV(), 64, _around_the_switch(64)))
+@example(point=(VFamily(F(-7, 4), F(11, 6)), 100, _around_the_switch(100)))
+@example(point=(MuFamily(F(-2, 3), F(-5, 2)), 160, _around_the_switch(160)))  # atanh of b < 0
+@example(point=(MuFamily(F(1), F(10**5)), 64, [65, 1000, 10**5]))  # ln where b / (2n + b) > 1/2
+@example(point=(MuFamily(F(3), F(-1000, 3)), 64, [334, 400, 499, 500]))  # and b < 0
+def test_deviation_contains_mpmath_and_meets_the_walk(point):
+    kind, q, ns = point
+    n_env = sequences.envelope_start(q)
+    deviation = sequences.deviation(kind, q)
+    g_lo, g_hi = _gamma_ends(q + 64)
+    for n in ns:
+        lo, hi = deviation(n)
+        mp.mp.prec = 2 * q + 64 + n.bit_length()
+        exact = mpf_to_fraction((mp_value(kind, n) - mp.euler) * mp.mpf(2) ** q)
+        assert lo <= exact <= hi, (kind, q, n)
+        # a few ulps from N(q) on (v and mu with b = 0: the series and one
+        # rounding; mu with b != 0: one more for the logarithm), and the walk's
+        # n + 4 below it
+        assert hi - lo <= (6 if n >= n_env else n + 4), (kind, q, n)
+        if n <= 10**5:  # the walk less gamma meets the pair
+            w_lo, w_hi = walk_ends(kind, n, q)
+            assert Fraction(lo, 1 << q) <= w_hi - g_lo and w_lo - g_hi <= Fraction(hi, 1 << q)
+
+
+def test_deviation_keeps_the_domain_checks():
+    for kind in (UPlus(), UMinus()):
+        with pytest.raises(DomainError, match="has irrational parameters and no exact split"):
+            sequences.deviation(kind, 64)
+    q = 64
+    n_env = sequences.envelope_start(q)
+    with pytest.raises(DomainError, match="defined for n >= 3"):
+        sequences.deviation(SOptimal(), q)(2)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        sequences.deviation(GammaN(), q)(float(n_env))
+    for n in (5, n_env + 5):  # n + b <= 0 on either side of N(q)
+        b = F(-2 * n - 1, 2) if n < n_env else F(-n)
+        with pytest.raises(DomainError, match="log argument n \\+ b = .* must be positive"):
+            sequences.deviation(MuFamily(F(1), b), q)(n)
+    deviation = sequences.deviation(GammaN(), q)
+    deviation(10)
+    with pytest.raises(DomainError, match="must not decrease"):
+        deviation(3)  # below N(q) the walk cannot step back
+
+
+def test_envelope_start_is_past_the_series_reach():
+    # digamma_log_fixed's width bound holds from x = q + 1 on, so N(q) > q;
+    # past that the measured cost rule keeps the walk longer as q grows
+    assert all(sequences.envelope_start(q) > q for q in range(1, 4000))
+    assert [sequences.envelope_start(q) for q in (64, 240, 300, 350, 470, 544)] == [
+        65, 241, 301, 702, 1884, 4360]
