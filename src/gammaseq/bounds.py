@@ -394,10 +394,9 @@ def _on_scale(x: Pair, scale: int) -> tuple[int, int]:
 
 
 def _scale(p: int) -> int:
-    """The row scale at precision p: GUARD_BITS over p, the bit length of the
-    index N where the rows leave the walk, as a row's pair is about n ulps
-    wide below it, and 8 spare bits for the pairs from N on, a few ulps
-    wide, and the walk's near N."""
+    """The row scale at precision p: GUARD_BITS over p, plus the bit length
+    of the index N where the rows leave the walk, as a row's pair below N
+    is about n ulps wide, plus 8 spare bits."""
     q = p + GUARD_BITS
     return q + envelope_start(q).bit_length() + 8
 
@@ -491,13 +490,13 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
 
 
 def _rows(entry: BoundEntry, n_from: int, n_to: int, p: int, cap: int):
-    rows = {}  # precision -> row(n) of one deviation, carried from row to row
+    makers = {}  # precision -> row(n) of one deviation, carried from row to row
 
     def row_at(precision: int, n: int) -> SweepRow:
-        if precision not in rows:
+        if precision not in makers:
             c = entry.constant(precision) if entry.reads_c else None
-            rows[precision] = _row_walk(entry, precision, c)
-        return rows[precision](n)
+            makers[precision] = _row_walk(entry, precision, c)
+        return makers[precision](n)
 
     for n in range(n_from, n_to + 1):
         row = row_at(p, n)
