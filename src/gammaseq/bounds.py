@@ -474,7 +474,7 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
     precision, carried from row to row; its scale depends on the
     precision alone, so every row is the row a sweep of n alone gives at
     its precision, and the work is linear in the range (below N(q) the
-    deviation walks H_m once, and from there on each row is O(K) work).
+    deviation walks H_{n-1} once, and from there on each row is O(K) work).
     Rows undecided at the cap are reported as such, never as true.
     """
     cap = precision_cap if precision_cap is not None else DEFAULT_CAP_FACTOR * p

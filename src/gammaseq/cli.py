@@ -285,7 +285,7 @@ def cmd_eval(args) -> int:
             for n, (m, e) in zip(ns, values):
                 yield fill(n, nearest(m, e))
             return
-        # H_j, summed along the range, and the rational part as integer Decimals: each
+        # H_{n-1}, summed along the range, and the rational part as integer Decimals: each
         # step is linear in their length, and str() copies their base 10**19 limbs.
         from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 
@@ -302,11 +302,11 @@ def cmd_eval(args) -> int:
 
         harmonic = Decimal(0), Decimal(1)  # H_0
         for n, (m, e) in zip(ns, values):
-            j, (c_num, c_den), x = split(n)
+            (c_num, c_den), x = split(n)
             if n > args.n:
-                harmonic = add(*harmonic, 1, j)
-            elif j:  # the first row adds H_j, summed afresh
-                harmonic = add(*harmonic, *harmonic_exact(j).as_integer_ratio())
+                harmonic = add(*harmonic, 1, n - 1)
+            elif n > 1:  # the first row adds H_{n-1}, summed afresh
+                harmonic = add(*harmonic, *harmonic_exact(n - 1).as_integer_ratio())
             g = math.gcd(c_num, c_den)
             rational = add(*harmonic, c_num // g, c_den // g)
             yield fill(n, nearest(m, e), _ratio_str(*rational), _ratio_str(*x))

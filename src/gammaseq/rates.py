@@ -97,17 +97,17 @@ def _log2_ratio(num: int, den: int) -> float:
 
 def _differences(kind: SequenceKind, q: int, grid):
     """(n, lo, hi) for each n of grid, [lo, hi] * 2**-q enclosing x_n - x_{n+1}
-    without a harmonic sum: x_n = H_m + T(n), with m at a fixed offset below
-    n, so the difference is T(n) - T(n + 1) - 1/(m + 1), from the tails T of
-    `sequences._tails`, each at most 3 ulps wide (n < 2**(3q), see
-    `numerics.ln_fixed`), and the step's ceiling and floor at 2**q on the
-    low and high ends: at most 7 ulps wide whatever n is."""
+    without a harmonic sum: x_n = H_{n-1} + T(n), so the difference is
+    T(n) - T(n + 1) - 1/n, from the tails T of `sequences._tails`, each at
+    most 3 ulps wide (n < 2**(3q), see `numerics.ln_fixed`), and the step's
+    ceiling and floor at 2**q on the low and high ends: at most 7 ulps wide
+    whatever n is."""
     from . import sequences
 
     tail, one = sequences._tails(kind, q), 1 << q
     for n in grid:
-        (m, lo1, hi1), (_, lo2, hi2) = tail(n), tail(n + 1)
-        yield n, lo1 - hi2 + (-one) // (m + 1), hi1 - lo2 - one // (m + 1)
+        (lo1, hi1), (lo2, hi2) = tail(n), tail(n + 1)
+        yield n, lo1 - hi2 + (-one) // n, hi1 - lo2 - one // n
 
 
 def empirical_rate(kind: SequenceKind, n_grid, p: int) -> EmpiricalRate:

@@ -4,23 +4,24 @@ Every sequence here is a point (a, b) of one of two families: the mu
 family H_{n-1} + 1/(a n) - ln(n + b) and the v family
 H_{n-2} + (a n + b)/(n(n - 1)) - ln n.  gamma_n is mu at (1, 0), R_n mu
 at (1, 1/2), V_n mu at (2, 0), s_n v at (3/2, -5/12).  A rational point
-splits the value at n into H_m + c - ln x, c and x integer pairs
-(num, den) with den > 0, x reduced (`_split`, one closure per family).
-Certified values come from one resumable walk over any nondecreasing
-indices, `Walk`, which gives integer pairs at scale 2**-q: H_m is the
-kernel's pair, carried across the gaps by `harmonic_fixed`, plus the
-tail, whose ends are `numerics.ln_ends`: floor and ceiling of
-(c - ln x) * 2**q, with no Fraction per index.  UPlus and UMinus are mu
-points with irrational a and b; their tails take the logarithm of the
-integer 6n^2 - 1 and a short series in 1/(6n^2), with one enclosure of
-sqrt(6) per walk (`_sqrt6_tails`).  `values` rounds the walk's pairs to
-p bits in integers, as (m, e) with the value m * 2**e.  `deviation`
-gives x_n - gamma itself for the exact points, as `bounds` reads it:
-from n = N(q) (`envelope_start`) on it is psi(n) - ln n from the
-kernel's asymptotic series plus the point's exact rational (and one
-short atanh for mu with b != 0), with no harmonic sum, no logarithm of
-n and no gamma, at O(K) work whatever n is; below N(q) it is the walk
-less gamma enclosed at the walk's scale.
+splits the value at n into H_{n-1} + c - ln x, c and x integer pairs
+(num, den) with den > 0, x reduced (`_split`, one closure per family; a v
+point's c takes in H_{n-2} = H_{n-1} - 1/(n - 1)).  Certified values come
+from one resumable walk over any nondecreasing indices, `Walk`, which
+gives integer pairs at scale 2**-q: H_{n-1} is the kernel's pair, carried
+across the gaps by `harmonic_fixed`, plus the tail, whose ends are
+`numerics.ln_ends`: floor and ceiling of (c - ln x) * 2**q, with no
+Fraction per index.  UPlus and UMinus are mu points with irrational a and
+b; their tails take the logarithm of the integer 6n^2 - 1 and a short
+series in 1/(6n^2), with one enclosure of sqrt(6) per walk
+(`_sqrt6_tails`).  `values` rounds the walk's pairs to p bits in
+integers, as (m, e) with the value m * 2**e.  `deviation` gives
+x_n - gamma itself for the exact points, as `bounds` reads it: from
+n = N(q) (`envelope_start`) on it is psi(n) - ln n from the kernel's
+asymptotic series plus c - ln(x/n) from the same split (one short atanh
+where x != n), with no harmonic sum, no logarithm of n and no gamma, at
+O(K) work whatever n is; below N(q) it is the walk less gamma enclosed
+at the walk's scale.
 """
 
 from __future__ import annotations
@@ -183,48 +184,46 @@ def _check_domain(kind: SequenceKind, n: int) -> None:
 
 
 def _split(kind: SequenceKind):
-    """n -> (m, c, x): the sequence at n is H_m + c - ln x, with the
+    """n -> (c, x): the sequence at n is H_{n-1} + c - ln x, with the
     correction c and the log argument x as integer pairs (num, den),
-    den > 0; c need not be reduced, x is."""
+    den > 0; c need not be reduced, x is.  This is the one reader of a
+    kind's (family, a, b)."""
     if kind.exact is None:
         if kind.sqrt6_sign:
             raise DomainError(f"{kind.describe()} has irrational parameters and no exact "
                               "split; evaluate it with Walk or values")
         raise DomainError(f"unknown sequence kind {kind!r}")
     family, (a_num, a_den), (b_num, b_den) = kind.exact
-    if family == "v":  # (a n + b)/(n(n - 1)) over the common denominator a_den b_den
-        p, r, d = a_num * b_den, b_num * a_den, a_den * b_den
-        return lambda n: (n - 2, (p * n + r, d * n * (n - 1)), (n, 1))
+    if family == "v":
+        # H_{n-2} = H_{n-1} - 1/(n - 1) folded in: ((a - 1) n + b)/(n(n - 1))
+        # over the common denominator a_den b_den
+        p, r, d = (a_num - a_den) * b_den, b_num * a_den, a_den * b_den
+        return lambda n: ((p * n + r, d * n * (n - 1)), (n, 1))
     if a_num < 0:  # 1/(a n) = a_den/(a_num n), its denominator made positive
         a_num, a_den = -a_num, -a_den
 
     def mu(n):
-        # n + b = (n b_den + b_num)/b_den is coprime because b is
-        return n - 1, (a_den, a_num * n), (_log_argument(n, b_num, b_den), b_den)
+        # n + b = (n b_den + b_num)/b_den, which must be positive, is coprime because b is
+        x_num = n * b_den + b_num
+        if x_num <= 0:
+            text = f"{x_num}/{b_den}" if b_den != 1 else str(x_num)
+            raise DomainError(f"log argument n + b = {text} must be positive")
+        return (a_den, a_num * n), (x_num, b_den)
 
     return mu
 
 
-def _log_argument(n: int, b_num: int, b_den: int) -> int:
-    """n b_den + b_num, the numerator of a mu point's log argument n + b over
-    b_den, which must be positive."""
-    x_num = n * b_den + b_num
-    if x_num <= 0:
-        text = f"{x_num}/{b_den}" if b_den != 1 else str(x_num)
-        raise DomainError(f"log argument n + b = {text} must be positive")
-    return x_num
-
-
 def _tails(kind: SequenceKind, q: int):
-    """n -> (m, lo, hi) with [lo, hi] * 2**-q enclosing correction - ln(argument)."""
+    """n -> (lo, hi) with [lo, hi] * 2**-q enclosing correction - ln(argument),
+    the sequence at n less H_{n-1}."""
     if kind.sqrt6_sign:
         return _sqrt6_tails(kind, q)
     split = _split(kind)
 
     def tail(n):
         _check_domain(kind, n)
-        m, c, x = split(n)
-        return (m, *ln_ends(c, c, x, q))
+        c, x = split(n)
+        return ln_ends(c, c, x, q)
 
     return tail
 
@@ -281,7 +280,7 @@ def _sqrt6_tails(kind: SequenceKind, q: int):
         den = 6 * n << den_shift
         lo = ((3 * n * (l6_lo - x_hi) << w) + three + root_lo) // den
         hi = -((-(3 * n * (l6_hi - x_lo) << w) - three - root_hi) // den)
-        return n - 1, lo, hi
+        return lo, hi
 
     return tail
 
@@ -291,9 +290,9 @@ class Walk:
     nondecreasing indices passed one at a time, rounded outward onto
     scale 2**-q.
 
-    H_m is carried across the gaps as the kernel's exact integer pair and
-    the tail is computed only at the indices asked for, so the pair at n
-    does not depend on the other indices: it is Walk(kind, q)(n).  A walk
+    H_{n-1} is carried across the gaps as the kernel's exact integer pair
+    and the tail is computed only at the indices asked for, so the pair at
+    n does not depend on the other indices: it is Walk(kind, q)(n).  A walk
     may be paused and resumed at any larger index.
     """
 
@@ -303,11 +302,11 @@ class Walk:
         self._h_lo = self._h_hi = self._m = 0
 
     def __call__(self, n: int) -> tuple[int, int]:
-        m, t_lo, t_hi = self._tail(n)
-        if m < self._m:
+        t_lo, t_hi = self._tail(n)
+        if n - 1 < self._m:
             raise DomainError(f"walk indices must not decrease, got {n} after a larger one")
-        d_lo, d_hi = kernels.harmonic_fixed(m, self._q, self._m)
-        self._h_lo, self._h_hi, self._m = self._h_lo + d_lo, self._h_hi + d_hi, m
+        d_lo, d_hi = kernels.harmonic_fixed(n - 1, self._q, self._m)
+        self._h_lo, self._h_hi, self._m = self._h_lo + d_lo, self._h_hi + d_hi, n - 1
         return self._h_lo + t_lo, self._h_hi + t_hi
 
 
@@ -327,31 +326,30 @@ def envelope_start(q: int) -> int:
 
 def deviation(kind: SequenceKind, q: int):
     """n -> (lo, hi) with lo <= (x_n - gamma) * 2**q <= hi, for the kinds with
-    an exact point (`kind.exact`), at nondecreasing n.
+    an exact split, at nondecreasing n.
 
-    As H_m - gamma = psi(m + 1), every such x_n - gamma is D(n) =
-    psi(n) - ln n plus an exact part, with no gamma and no logarithm of n:
+    As H_{n-1} - gamma = psi(n), every such x_n = H_{n-1} + c - ln x gives
 
-        v:  x_n - gamma = D(n) + ((a - 1) n + b) / (n (n - 1)),
-        mu: x_n - gamma = D(n) + 1/(a n) - 2 atanh(b / (2n + b)),
+        x_n - gamma = D(n) + c - ln(x/n),  ln(x/n) = 2 atanh((x - n)/(x + n)),
 
-    by psi(n - 1) = psi(n) - 1/(n - 1) and ln(n + b) - ln n =
-    2 atanh(b / (2n + b)).  (For SOptimal the rational part and the first
-    term of D combine into 1/(12 n**2 (n - 1)).)  From n = N(q) =
-    `envelope_start`(q) on, D(n) is `kernels.digamma_log_fixed`(n, q), at
-    most 4 ulps wide there (N(q) > q), the rational part is floored and
-    ceiled, and the atanh, for b != 0, is one `kernels.atanh_fixed` chain
-    at w = q + bitlen(q) + 2, rounded outward to q (or `numerics.ln_ends`
-    where |b| / (2n + b) > 1/2): a v pair is at most 5 ulps wide and a mu
-    pair at most 6.  Below N(q) the series cannot reach 2**-q, so the pair
-    is `Walk`(kind, q) less gamma enclosed at that scale
-    (`numerics.gamma_reference`(q)), rounded outward to q, carried from row
-    to row, about n + 5 ulps wide.  The domain checks and messages are
-    `_split`'s, whose DomainError UPlus and UMinus raise.
+    with D(n) = psi(n) - ln n, and no gamma and no logarithm of n.  (For
+    SOptimal c and the first two terms of D combine into 1/(12 n**2 (n - 1)).)
+    From n = N(q) = `envelope_start`(q) on, D(n) is
+    `kernels.digamma_log_fixed`(n, q), at most 4 ulps wide there (N(q) > q).
+    Where x = n (v points, and mu points with b = 0) c is floored and
+    ceiled; otherwise c less the logarithm is, with the atanh one
+    `kernels.atanh_fixed` chain at w = q + bitlen(q) + 2, rounded outward
+    to q (or `numerics.ln_ends` of x/n where |x - n| / (x + n) > 1/2): a v
+    pair is at most 5 ulps wide and a mu pair at most 6.  Below N(q) the
+    series cannot reach 2**-q, so the pair is `Walk`(kind, q) less gamma
+    enclosed at that scale (`numerics.gamma_reference`(q)), rounded outward
+    to q, carried from row to row, about n + 5 ulps wide.  The domain
+    checks and messages are `_split`'s, whose DomainError UPlus and UMinus
+    raise.
     """
-    _split(kind)  # the kinds without an exact point raise here
-    family, (a_num, a_den), (b_num, b_den) = kind.exact
+    split = _split(kind)  # the kinds without an exact split raise here
     start = envelope_start(q)
+    w_q = q + q.bit_length() + 2
     head = []  # the walk and gamma's ends, made at the first row below start
 
     def walked(n):
@@ -362,44 +360,27 @@ def deviation(kind: SequenceKind, q: int):
         shift = q_g - q
         return ((lo << shift) - g_hi) >> shift, -((g_lo - (hi << shift)) >> shift)
 
-    if family == "v":  # ((a - 1) n + b) / (n (n - 1)) over a_den b_den n (n - 1)
-        r_n, r_1, r_den = (a_num - a_den) * b_den, b_num * a_den, a_den * b_den
-
-        def exact_part(n):
-            num, den = (r_n * n + r_1) << q, r_den * n * (n - 1)
-            return num // den, -(-num // den)
-    else:
-        if a_num < 0:  # 1/(a n) = a_den/(a_num n), its denominator made positive
-            a_num, a_den = -a_num, -a_den
-        w_q = q + q.bit_length() + 2
-        shift = w_q - q
-
-        def exact_part(n):
-            # 1/(a n) - ln(1 + b/n), with 1/(a n) = a_den/den and the logarithm
-            # [l_lo, l_hi] at scale 2**-w_q, floored and ceiled onto 2**-q
-            den, l_lo, l_hi = a_num * n, 0, 0
-            if b_num:
-                x_num = _log_argument(n, b_num, b_den)
-                u, w = abs(b_num), x_num + n * b_den  # b / (2n + b) = b_num / w
-                if 2 * u > w:
-                    g = math.gcd(x_num, n * b_den)
-                    x = x_num // g, n * b_den // g
-                    return ln_ends((a_den, den), (a_den, den), x, q)
-                t_lo, t_hi = kernels.atanh_fixed(u, w, w_q)
-                if b_num > 0:  # ln(1 + b/n) = 2 atanh(b / (2n + b))
-                    l_lo, l_hi = 2 * t_lo, 2 * t_hi
-                else:
-                    l_lo, l_hi = -2 * t_hi, -2 * t_lo
-            c = a_den << w_q
-            return (c - den * l_hi) // (den << shift), -((den * l_lo - c) // (den << shift))
-
     def at(n):
         if n < start:
             return walked(n)  # the walk checks the domain
         _check_domain(kind, n)
         d_lo, d_hi = kernels.digamma_log_fixed(n, q)
-        e_lo, e_hi = exact_part(n)
-        return d_lo + e_lo, d_hi + e_hi
+        (c_num, c_den), (x_num, x_den) = split(n)
+        u = x_num - n * x_den
+        if not u:  # x = n
+            num = c_num << q
+            return d_lo + num // c_den, d_hi - (-num // c_den)
+        w = x_num + n * x_den  # (x - n)/(x + n) = u/w
+        if 2 * abs(u) > w:
+            g = math.gcd(x_num, n * x_den)
+            e_lo, e_hi = ln_ends((c_num, c_den), (c_num, c_den),
+                                 (x_num // g, n * x_den // g), q)
+            return d_lo + e_lo, d_hi + e_hi
+        # c - 2 atanh(u/w) at scale 2**-w_q, floored and ceiled onto 2**-q
+        t_lo, t_hi = kernels.atanh_fixed(abs(u), w, w_q)
+        l_lo, l_hi = (2 * t_lo, 2 * t_hi) if u > 0 else (-2 * t_hi, -2 * t_lo)
+        c, den = c_num << w_q, c_den << w_q - q
+        return d_lo + (c - c_den * l_hi) // den, d_hi - ((c_den * l_lo - c) // den)
 
     return at
 
@@ -418,8 +399,8 @@ def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
         # an exact pair passes at once, a wider one straddling 0 never does
         while (hi - lo) << (p + 1) > abs(lo + hi):
             if lo <= 0 <= hi and kind.exact:
-                m, (c_num, c_den), x = _split(kind)(n)  # exactly 0 needs ln x = 0
-                if x == (1, 1) and (harmonic_exact(m) if m else 0) * c_den + c_num == 0:
+                (c_num, c_den), x = _split(kind)(n)  # exactly 0 needs ln x = 0
+                if x == (1, 1) and (harmonic_exact(n - 1) if n > 1 else 0) * c_den + c_num == 0:
                     lo = hi = 0
                     break
             q_n *= 2  # value is unusually close to zero; retry tighter

@@ -26,13 +26,13 @@ def walk_ends(kind, n: int, q: int) -> tuple[Fraction, Fraction]:
     return dyadic_ends(*Walk(kind, q)(n), q)
 
 
-def split_at(kind, n: int) -> tuple[int, Fraction, Fraction]:
-    """(m, c, x) with the sequence `kind` at n equal to H_m + c - ln x: the integer
-    pairs of `sequences._split`, with c and x as Fractions."""
+def split_at(kind, n: int) -> tuple[Fraction, Fraction]:
+    """(c, x) with the sequence `kind` at n equal to H_{n-1} + c - ln x: the integer
+    pairs of `sequences._split`, as Fractions."""
     from gammaseq.sequences import _split
 
-    m, c, x = _split(kind)(n)
-    return m, Fraction(*c), Fraction(*x)
+    c, x = _split(kind)(n)
+    return Fraction(*c), Fraction(*x)
 
 
 def _mp_frac(x):
@@ -43,7 +43,7 @@ def _mp_frac(x):
 
 def mp_value(kind, n: int):
     """The sequence `kind` at n in mpmath at its working precision, from the
-    published formulas, independent of the split's H_m + correction form."""
+    published formulas, independent of the split's H_{n-1} + correction form."""
     import mpmath as mp
 
     from gammaseq.sequences import (

@@ -73,13 +73,13 @@ def test_eval_range_and_params(capsys):
 ])
 def test_eval_running_rational_part(capsys, argv, kind):
     # the printed rational part is summed along the range; it must be the
-    # text of the exact H_m + correction in lowest terms on every row, also
-    # when the range starts late
+    # text of the exact H_{n-1} + correction in lowest terms on every row,
+    # also when the range starts late
     code, data = run_json(capsys, "eval", *argv)
     assert code == 0
     for row in data["rows"]:
-        m, c, _x = split_at(kind, row["n"])
-        assert row["rational_part"] == str(harmonic_exact(m) + c)
+        c, _x = split_at(kind, row["n"])
+        assert row["rational_part"] == str(harmonic_exact(row["n"] - 1) + c)
 
 
 def _add_ratios(a_num, a_den, b_num, b_den):
@@ -101,11 +101,13 @@ def _ratio_str(num, den):
 
 def _oracle_rational_parts(kind, n_from, n_to):
     """The rational_part texts of eval over n_from..n_to, summed along the
-    range in Python ints: H_j afresh on the first row, then + 1/j per row."""
+    range in Python ints: H_j afresh on the first row, then + 1/j per row,
+    with j = n - 1."""
     split = sequences._split(kind)
     harmonic = None
     for n in range(n_from, n_to + 1):
-        j, (c_num, c_den), _x = split(n)
+        (c_num, c_den), _x = split(n)
+        j = n - 1
         if harmonic is None:
             harmonic = harmonic_exact(j).as_integer_ratio() if j else (0, 1)
         else:
@@ -140,7 +142,7 @@ def eval_ranges(draw):
 @example(case=(["--seq", "gamma", "--n", "1", "--to", "30"], GammaN(), 1, 30))
 def test_eval_rational_parts_match_the_integer_oracle(case):
     # the printed rational part is the integer route's text: lowest terms,
-    # "0" and never "-0" or "0/d", and the exact H_m + correction
+    # "0" and never "-0" or "0/d", and the exact H_{n-1} + correction
     argv, kind, n_from, n_to = case
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -148,8 +150,8 @@ def test_eval_rational_parts_match_the_integer_oracle(case):
     printed = [line.split(",")[2] for line in out.getvalue().splitlines()[1:]]
     assert printed == list(_oracle_rational_parts(kind, n_from, n_to))
     for n, text in zip(range(n_from, n_to + 1), printed):
-        m, c, _x = split_at(kind, n)
-        assert text == str(harmonic_exact(m) + c if m else c)
+        c, _x = split_at(kind, n)
+        assert text == str(harmonic_exact(n - 1) + c if n > 1 else c)
         assert text != "-0" and not text.startswith("0/")
 
 
@@ -495,8 +497,8 @@ def test_eval_prints_past_the_integer_string_limit(capsys):
     for n, line in zip(range(9850, 9901), lines[1:]):
         fields = line.split(",")
         assert fields[0] == fields[3] == f"{n}"
-        m, c, _x = split_at(GammaN(), n)
-        exact = harmonic_exact(m) + c
+        c, _x = split_at(GammaN(), n)
+        exact = harmonic_exact(n - 1) + c
         num, den = fields[2].split("/")
         assert int(decimal.Decimal(num)) == exact.numerator
         assert int(decimal.Decimal(den)) == exact.denominator

@@ -53,8 +53,8 @@ def test_optimal_sequence_bracket_midpoints_to_2000():
 def test_v_family_at_gamma_parameters_splits_to_2000():
     kind = VFamily(F(2), F(-1))
     for n in range(3, 2001):
-        m, c, x = split_at(kind, n)
-        assert harmonic_exact(m) + c == harmonic_exact(n)
+        c, x = split_at(kind, n)
+        assert harmonic_exact(n - 1) + c == harmonic_exact(n)
         assert x == n
 
 

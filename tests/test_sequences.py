@@ -13,7 +13,7 @@ from conftest import (
     dyadic_ends, dyadic_value, ln_bracket, mp_value, mpf_to_fraction, split_at, sqrt_bracket,
     walk_ends,
 )
-from gammaseq import sequences
+from gammaseq import _kernels_py as kernels, sequences
 from gammaseq._kernels_py import harmonic_fixed
 from gammaseq.errors import DomainError
 from gammaseq.numerics import gamma_reference, harmonic_exact
@@ -38,19 +38,19 @@ def value_at(kind, n, p):
     return dyadic_value(*next(values(kind, n, n, p)))
 
 
-def rational_part(m, c):
-    """H_m + c, exactly (H_0 = 0)."""
-    return (harmonic_exact(m) if m else 0) + c
+def rational_part(n, c):
+    """H_{n-1} + c, exactly (H_0 = 0)."""
+    return (harmonic_exact(n - 1) if n > 1 else 0) + c
 
 
 def test_split_gamma_n_at_one():
-    m, c, x = split_at(GammaN(), 1)
-    assert rational_part(m, c) == 1 and x == 1
+    c, x = split_at(GammaN(), 1)
+    assert rational_part(1, c) == 1 and x == 1
 
 
 def test_split_s_optimal_formula():
-    m, c, x = split_at(SOptimal(), 10)
-    assert rational_part(m, c) == harmonic_exact(8) + F(13, 12 * 9) + F(5, 120)
+    c, x = split_at(SOptimal(), 10)
+    assert rational_part(10, c) == harmonic_exact(8) + F(13, 12 * 9) + F(5, 120)
     assert x == 10
 
 
@@ -68,8 +68,8 @@ def test_named_kinds_are_family_points(kind, point):
 def test_v_family_at_2_minus_1_is_gamma_n():
     kind = VFamily(F(2), F(-1))
     for n in range(3, 300):
-        m, c, x = split_at(kind, n)
-        assert rational_part(m, c) == harmonic_exact(n)
+        c, x = split_at(kind, n)
+        assert rational_part(n, c) == harmonic_exact(n)
         assert x == n
 
 
@@ -94,11 +94,11 @@ def _error_fraction(a, b, n):
 
 def _deviation_core(a, b, n):
     """VFamily's correction c at n, as the walk's split gives it, less the
-    steps 1/(n-1) + 1/n from H_{n-2} to H_n, plus the terms 1/(2n) - 1/(12 n^2)
-    of H_n - ln n - gamma: by the partial-fraction identity, the error
+    step 1/n from H_{n-1} to H_n, plus the terms 1/(2n) - 1/(12 n^2) of
+    H_n - ln n - gamma: by the partial-fraction identity, the error
     fraction."""
-    _m, c, _x = split_at(VFamily(a, b), n)
-    return c - F(1, n - 1) - F(1, n) + F(1, 2 * n) - F(1, 12 * n * n)
+    c, _x = split_at(VFamily(a, b), n)
+    return c - F(1, n) + F(1, 2 * n) - F(1, 12 * n * n)
 
 
 def test_error_fraction_hand_values():
@@ -200,12 +200,14 @@ def exact_points(draw):
 def test_split_pairs_are_the_published_pieces(point):
     kind, n = point
     c, x = _published_pieces(kind, n)
+    if isinstance(kind, (SOptimal, VFamily)):  # H_{n-2} = H_{n-1} - 1/(n - 1)
+        c -= F(1, n - 1)
     if x <= 0:
         with pytest.raises(DomainError, match=f"^log argument n \\+ b = {x} must be positive$"):
             sequences._split(kind)(n)
         return
-    m, (c_num, c_den), (x_num, x_den) = sequences._split(kind)(n)
-    assert all(type(v) is int for v in (m, c_num, c_den, x_num, x_den))
+    (c_num, c_den), (x_num, x_den) = sequences._split(kind)(n)
+    assert all(type(v) is int for v in (c_num, c_den, x_num, x_den))
     assert c_den > 0 and x_den > 0 and x_num > 0
     assert math.gcd(x_num, x_den) == 1  # ln_fixed reads the reduced bit lengths
     assert (F(c_num, c_den), F(x_num, x_den)) == (c, x)
@@ -260,9 +262,9 @@ def test_walk_agrees_with_single_index_and_oracles(walk):
         assert lo - slack <= oracle <= hi + slack
         assert 0 <= hi - lo <= width_cap
         if not isinstance(kind, (UPlus, UMinus)):
-            m, c, x = split_at(kind, n)
+            c, x = split_at(kind, n)
             ln_lo, ln_hi = ln_bracket(x, q)
-            exact_rational = rational_part(m, c)
+            exact_rational = rational_part(n, c)
             assert lo <= exact_rational - ln_lo and exact_rational - ln_hi <= hi
 
 
@@ -301,6 +303,22 @@ def test_exactly_zero_value_rounds_to_zero():
     kind = MuFamily(F(-10, 137), F(-5))
     assert value_at(kind, 6, 64) == 0
     assert [dyadic_value(*v) == 0 for v in values(kind, 6, 8, 64)] == [True, False, False]
+
+
+def test_exact_zero_is_told_without_a_retry(monkeypatch):
+    # the exact zero is read off the split at the first pair that straddles 0;
+    # no retry could decide it, as every tighter pair straddles 0 as well
+    real, scales = sequences.Walk, []
+
+    def counted(kind, q):
+        scales.append(q)
+        if len(scales) > 1:
+            raise AssertionError(f"a retry at q = {q}")
+        return real(kind, q)
+
+    monkeypatch.setattr(sequences, "Walk", counted)
+    assert value_at(MuFamily(F(-10, 137), F(-5)), 6, 64) == 0
+    assert scales == [64 + 32 + 3]
 
 
 def test_pair_symmetric_about_zero_retries(monkeypatch):
@@ -343,8 +361,8 @@ def test_sqrt6_tails_contain_mpmath_and_meet_the_fraction_route(kind):
     tail = sequences._tails(kind, q)
     rng = random.Random(27)
     for n in [*range(1, 3001), *(rng.randint(3001, 10**6) for _ in range(300))]:
-        m, lo, hi = tail(n)
-        assert m == n - 1 and 0 <= hi - lo <= 3  # the docstring's width
+        lo, hi = tail(n)
+        assert 0 <= hi - lo <= 3  # the docstring's width
         oracle = mpf_to_fraction(1 / (a * n) - mp.ln(n + b)) * 2**q
         assert lo - slack <= oracle <= hi + slack, n
         old_lo, old_hi = _fraction_tail(kind, n, q)
@@ -443,6 +461,37 @@ def test_deviation_contains_mpmath_and_meets_the_walk(point):
         if n <= 10**5:  # the walk less gamma meets the pair
             w_lo, w_hi = walk_ends(kind, n, q)
             assert Fraction(lo, 1 << q) <= w_hi - g_lo and w_lo - g_hi <= Fraction(hi, 1 << q)
+
+
+@pytest.mark.parametrize("kind", [
+    SOptimal(), VFamily(F(-7, 4), F(11, 6)), VFamily(F(2), F(-1)), GammaN(), VernescuV(),
+    MuFamily(F(-2, 3), 0), MuFamily(F(5, 3), 0),
+], ids=repr)
+@pytest.mark.parametrize("q", [64, 224, 400])
+def test_deviation_where_x_is_n_is_the_series_plus_c_rounded(kind, q, monkeypatch):
+    # v points and mu points with b = 0 have the log argument x = n, so from
+    # N(q) on the pair is D(n)'s plus the floor and ceiling of c * 2**q, with
+    # c = ((a - 1) n + b)/(n (n - 1)) or 1/(a n), and no logarithm at all
+    def no_log(*args):
+        raise AssertionError("a logarithm where x = n")
+
+    monkeypatch.setattr(kernels, "atanh_fixed", no_log)
+    monkeypatch.setattr(sequences, "ln_ends", no_log)
+    if isinstance(kind, (SOptimal, VFamily)):
+        a, b = (F(3, 2), F(-5, 12)) if isinstance(kind, SOptimal) else (kind.a, kind.b)
+        correction = lambda n: ((a - 1) * n + b) / (n * (n - 1))  # noqa: E731
+    else:
+        a = kind.a if isinstance(kind, MuFamily) else F(2 if isinstance(kind, VernescuV) else 1)
+        correction = lambda n: 1 / (a * n)  # noqa: E731
+    n_env = sequences.envelope_start(q)
+    rng = random.Random(q)
+    ns = sorted({n_env, n_env + 1, 10**18, *(rng.randint(n_env, 10**18) for _ in range(20))})
+    deviation = sequences.deviation(kind, q)
+    for n in ns:
+        d_lo, d_hi = kernels.digamma_log_fixed(n, q)
+        lo, hi = deviation(n)
+        scaled = correction(n) * 2**q
+        assert (lo - d_lo, hi - d_hi) == (math.floor(scaled), math.ceil(scaled)), n
 
 
 def test_deviation_keeps_the_domain_checks():
