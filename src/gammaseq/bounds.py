@@ -32,7 +32,7 @@ import dataclasses
 import math
 
 from .errors import DomainError
-from .numerics import GUARD_BITS, gamma_reference, ln_fixed
+from .numerics import GUARD_BITS, _check_precision, gamma_reference, ln_fixed
 from .sequences import DeTempleR, GammaN, SequenceKind, SOptimal, deviation, envelope_start
 
 __all__ = [
@@ -95,13 +95,17 @@ class BoundEntry:
         return min(candidates)
 
     def restricted(self, side: str) -> "BoundEntry":
+        """The entry with only `side` kept; it reads c only if that side does."""
+        reads_c = (side,) if side in self.reads_c else ()
         if side == "lower":
             return dataclasses.replace(
-                self, entry_id=f"{self.entry_id}-lower", upper=None, n_min_upper=None
+                self, entry_id=f"{self.entry_id}-lower", upper=None, n_min_upper=None,
+                reads_c=reads_c,
             )
         if side == "upper":
             return dataclasses.replace(
-                self, entry_id=f"{self.entry_id}-upper", lower=None, n_min_lower=None
+                self, entry_id=f"{self.entry_id}-upper", lower=None, n_min_lower=None,
+                reads_c=reads_c,
             )
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 
@@ -467,8 +471,9 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
     """(cap, rows): the precision cap in force and an iterator over the
     final rows of the sweep, in order, each made as it is asked for.
 
-    The arguments are checked before this returns: a cap below p, a start
-    below the entry's n_min or an empty range is a DomainError.  Each row
+    The arguments are checked before this returns: a precision p below
+    `numerics.MIN_PRECISION`, a cap below p, a start below the entry's
+    n_min or an empty range is a DomainError.  Each row
     is made at p; while it is undecided, precision doubles (up to the
     cap) and the row is made again.  There is one `_row_walk` per
     precision, carried from row to row; its scale depends on the
@@ -477,6 +482,7 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
     deviation walks H_{n-1} once, and from there on each row is O(K) work).
     Rows undecided at the cap are reported as such, never as true.
     """
+    _check_precision(p)
     cap = precision_cap if precision_cap is not None else DEFAULT_CAP_FACTOR * p
     if cap < p:
         raise DomainError(f"precision cap {cap} is below the starting precision {p}")

@@ -182,6 +182,35 @@ def test_constant_sides_bracket_published_formula(p):
                 assert F(*row.upper) == min(at_lo, at_hi), (entry_id, p, n)
 
 
+@pytest.mark.parametrize("entry_id", [
+    "anderson-upper", "alzer-chen-qi-upper", "qiu-vuorinen-lower", "chen-upper"])
+def test_restricted_entry_encloses_no_constant_of_the_side_it_drops(entry_id, monkeypatch):
+    # the kept side reads no constant, so no precision encloses gamma (nor
+    # chen's shift, which takes gamma and ln(3/2)), and the kept side's rows
+    # are the full entry's
+    base, side = entry_id.rsplit("-", 1)
+    full = {p: sweep(get_entry(base), 2, 60, p, precision_cap=p).rows for p in (64, 128)}
+    calls = []
+
+    def counted(real):
+        def wrapped(*args):
+            calls.append(args)
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(bounds, "gamma_reference", counted(bounds.gamma_reference))
+    monkeypatch.setattr(bounds, "ln_fixed", counted(bounds.ln_fixed))
+    entry = get_entry(entry_id)
+    assert entry.reads_c == ()
+    fields = ("n", "value_lo", "value_hi", side, f"margin_{side}")
+    for p in (64, 128):
+        rows = sweep(entry, 2, 60, p, precision_cap=p).rows
+        assert [[getattr(r, f) for f in fields] for r in rows] == [
+            [getattr(r, f) for f in fields] for r in full[p]]
+    assert calls == []
+
+
 def _chen_shift_oracle(p):
     """chen's shift as the Fraction formula it was written as before the
     integer constant, from gamma's ends, ln(3/2) from ln_fixed and the

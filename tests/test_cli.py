@@ -447,6 +447,20 @@ def test_rate_rejects_grid_start_below_one(capsys, start):
     assert captured.err == "error: --grid-start must be at least 1\n"
 
 
+@pytest.mark.parametrize("argv,precision", [
+    (["--precision", "31"], "31"),
+    (["--precision=-40", "--precision-cap=-40"], "-40"),
+])
+def test_sweep_rejects_precision_below_the_minimum(capsys, argv, precision):
+    # as every other command: the message names the given p, not an inner scale,
+    # and no row is printed at fewer digits than 32 bits give
+    code = cli.main(["sweep-bounds", "--entry", "toth", "--to", "5", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: precision must be an integer >= 32, got {precision}\n"
+
+
 def test_precision_cap_below_start_exits_two(capsys):
     # every row would run at 64 bits while the metadata reported the cap of 16
     code = cli.main(["sweep-bounds", "--entry", "young", "--from", "1", "--to", "3",
