@@ -7,8 +7,9 @@ first nonzero coefficient of the difference series gives both the
 rate and the limit exactly.  The optimizer reads the family's n^-2 and
 n^-3 coefficients as linear forms ca*a + cb*b + c and solves them for a,
 then b.  The empirical route fits the same exponent from certified
-numeric differences, which sum no harmonic terms, as a cross-check; it
-loads neither the series nor `fractions`.
+numeric differences as a cross-check: every sequence is H_{n-1} plus a
+tail T(n), so x_n - x_{n+1} = T(n) - T(n + 1) - 1/n sums no harmonic
+terms; it loads neither the series nor `fractions`.
 """
 
 from __future__ import annotations

@@ -303,10 +303,11 @@ class Walk:
 
     def __call__(self, n: int) -> tuple[int, int]:
         t_lo, t_hi = self._tail(n)
-        if n - 1 < self._m:
+        m = n - 1
+        if m < self._m:
             raise DomainError(f"walk indices must not decrease, got {n} after a larger one")
-        d_lo, d_hi = kernels.harmonic_fixed(n - 1, self._q, self._m)
-        self._h_lo, self._h_hi, self._m = self._h_lo + d_lo, self._h_hi + d_hi, n - 1
+        d_lo, d_hi = kernels.harmonic_fixed(m, self._q, self._m)
+        self._h_lo, self._h_hi, self._m = self._h_lo + d_lo, self._h_hi + d_hi, m
         return self._h_lo + t_lo, self._h_hi + t_hi
 
 
