@@ -150,11 +150,13 @@ class Tally:
             self.add(row)
 
     def add(self, row: SweepRow) -> None:
-        self.counts[row.verdict] += 1
-        least = self.least  # m / 2**s < m' / 2**s' compared as m 2**s' < m' 2**s
-        if row.verdict == CERTIFIED_TRUE and (
-                least is None or row.margin << least.scale < least.margin << row.scale):
-            self.least = row
+        verdict = row.verdict
+        self.counts[verdict] += 1
+        if verdict == CERTIFIED_TRUE:
+            least = self.least  # m / 2**s < m' / 2**s' compared as m 2**s' < m' 2**s
+            if least is None or (row.margin < least.margin if row.scale == least.scale
+                                 else row.margin << least.scale < least.margin << row.scale):
+                self.least = row
 
 
 class SweepReport:
@@ -382,19 +384,15 @@ def _side_ends(side, c, n: int, name: str) -> Interval:
     ends of c, ordered by cross-multiplication."""
     if c is None:
         inf = sup = side(n, None)
+        if sup[1] > 0:
+            return inf, sup
     else:
         inf, sup = side(n, c[0]), side(n, c[1])
     if inf[1] <= 0 or sup[1] <= 0:
         raise DomainError(f"the {name} has a non-positive denominator at n = {n}")
-    if inf is not sup and inf[0] * sup[1] > sup[0] * inf[1]:
+    if inf[0] * sup[1] > sup[0] * inf[1]:
         inf, sup = sup, inf  # monotone in c, so the ends bracket it in one order or the other
     return inf, sup
-
-
-def _on_scale(x: Pair, scale: int) -> tuple[int, int]:
-    """Floor and ceiling of x * 2**scale."""
-    below, rest = divmod(x[0] << scale, x[1])
-    return below, below + (rest > 0)
 
 
 def _scale(p: int) -> int:
@@ -409,8 +407,9 @@ def _row_walk(entry: BoundEntry, p: int, c):
     """row(n): the SweepRow of one entry at precision p, for nondecreasing
     n, from one `deviation` of its target at the scale `_scale`(p).  c is
     the entry's constant enclosed at p, or None."""
-    lower = entry.lower if entry.n_min_lower is not None else None
-    upper = entry.upper if entry.n_min_upper is not None else None
+    n_min_lower, n_min_upper = entry.n_min_lower, entry.n_min_upper
+    lower = entry.lower if n_min_lower is not None else None
+    upper = entry.upper if n_min_upper is not None else None
     c_lower = c if "lower" in entry.reads_c else None
     c_upper = c if "upper" in entry.reads_c else None
     scale = _scale(p)
@@ -420,43 +419,41 @@ def _row_walk(entry: BoundEntry, p: int, c):
 
     def row(n: int) -> SweepRow:
         dev_lo, dev_hi = value(n)
-        margins = []
         lower_sup = upper_inf = margin_lower = margin_upper = None
         separated, falsified = True, False
-        # an integer d > x exactly when d > floor(x), and d < x when d < ceil(x)
-        if lower is not None and n >= entry.n_min_lower:
+        # an integer d > x exactly when d > floor(x), and d < x when d < ceil(x);
+        # each binding end's floor and ceiling come from one divmod
+        if lower is not None and n >= n_min_lower:
             lower_inf, lower_sup = _side_ends(lower, c_lower, n, lower_name)
-            below, above = _on_scale(lower_sup, scale)
-            margin_lower = dev_lo - above
-            margins.append(margin_lower)
+            below, rest = divmod(lower_sup[0] << scale, lower_sup[1])
+            margin_lower = dev_lo - below - (rest > 0)
             separated = dev_lo > below
             if lower_inf is not lower_sup:
-                below = _on_scale(lower_inf, scale)[0]
+                below = (lower_inf[0] << scale) // lower_inf[1]
             falsified = dev_hi <= below
-        if upper is not None and n >= entry.n_min_upper:
+        if upper is not None and n >= n_min_upper:
             upper_inf, upper_sup = _side_ends(upper, c_upper, n, upper_name)
-            below, above = _on_scale(upper_inf, scale)
+            below, rest = divmod(upper_inf[0] << scale, upper_inf[1])
             margin_upper = below - dev_hi
-            margins.append(margin_upper)
+            above = below + (rest > 0)
             separated = separated and dev_hi < above
             if upper_sup is not upper_inf:
-                above = _on_scale(upper_sup, scale)[1]
+                above = -((-upper_sup[0] << scale) // upper_sup[1])
             falsified = falsified or dev_lo >= above
-        if not margins:
+            margin = (margin_upper if margin_lower is None or margin_upper < margin_lower
+                      else margin_lower)
+        elif margin_lower is None:
             raise DomainError(f"no side of {entry.entry_id!r} applies at n = {n}")
+        else:
+            margin = margin_lower
         if falsified:
             verdict = CERTIFIED_FALSE
         elif separated:
             verdict = CERTIFIED_TRUE
         else:
             verdict = UNDECIDED
-        return SweepRow(
-            n=n, verdict=verdict, margin=min(margins),
-            margin_lower=margin_lower, margin_upper=margin_upper,
-            lower=lower_sup, upper=upper_inf,
-            value_lo=dev_lo, value_hi=dev_hi,
-            precision=p, scale=scale,
-        )
+        return SweepRow(n, verdict, margin, margin_lower, margin_upper, lower_sup, upper_inf,
+                        dev_lo, dev_hi, p, scale)
 
     return row
 
@@ -498,18 +495,19 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
 def _rows(entry: BoundEntry, n_from: int, n_to: int, p: int, cap: int):
     makers = {}  # precision -> row(n) of one deviation, carried from row to row
 
-    def row_at(precision: int, n: int) -> SweepRow:
+    def maker(precision: int):
         if precision not in makers:
             c = entry.constant(precision) if entry.reads_c else None
             makers[precision] = _row_walk(entry, precision, c)
-        return makers[precision](n)
+        return makers[precision]
 
+    row_at_p = maker(p)  # called directly; the dict is looked up only to escalate
     for n in range(n_from, n_to + 1):
-        row = row_at(p, n)
+        row = row_at_p(n)
         precision = p
         while row.verdict == UNDECIDED and precision < cap:
             precision = min(2 * precision, cap)
-            row = row_at(precision, n)
+            row = maker(precision)(n)
         yield row
 
 

@@ -10,11 +10,12 @@ Rows are streamed: `sweep-bounds` and `eval` make their rows one at a
 time, and neither keeps the rows it has written, so memory stays flat
 in the range (peak RSS about 17 MB for a `theorem22` sweep of 10^4
 rows and of 5 * 10^4 rows alike).  Each of
-their rows goes from integers to one line: the command builds one line
-template per format (`_line_template`: a CSV line, or a JSON object with
-its keys in sorted order) and fills it with texts printed straight from
-the row's integers (`_printers`), with no dict, csv.writer, Fraction or
-BigReal per row.  CSV writes each row as it is made, so a failure
+their rows goes from integers to one line: the command builds one
+%-template per format (`_line_template`: a CSV line, or a JSON object
+with its keys in sorted order) and fills it with texts printed straight
+from the row's integers (`_printers`): a sweep row through one
+`row_line` closure, an `eval` value through `nearest`, with no dict,
+csv.writer, Fraction or BigReal per row.  CSV writes each row as it is made, so a failure
 partway through a range leaves the earlier rows on stdout, and an error
 in the first row prints no header; the command still exits with its
 code and one line on stderr (141 for a closed pipe).  JSON spools the
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 
@@ -122,14 +124,19 @@ def _frac_str(x) -> str:
 _INT_PART_DIGITS = 64
 
 
-def _printers(places: int):
-    """(half_up, ratio, nearest): the decimal texts of the streamed rows,
+def _printers(places: int, fill=None):
+    """(text, nearest, row_line): the decimal texts of the streamed rows,
     with `places` >= 1 digits after the point, made once per command.
 
-    half_up(m, s) prints m * 2**-s as ((|m| 10**places << 1) + 2**s) >>
-    (s + 1), and ratio(num, den), den > 0, with one integer division;
-    both round as decimal_text(..., "half-up"), ties away from zero, and a
-    negative value keeps its sign when it prints as zero (-0.000).
+    text(negative, q) prints q * 10**-places, with a minus sign when
+    `negative`, even where q is 0.  row_line(r) is `fill`'s line of the
+    bounds.SweepRow r, its seven columns in `cmd_sweep_bounds`' order,
+    printed from r's integers: each dyadic column m * 2**-s as
+    text(m < 0, ((|m| 10**places << 1) + 2**s) >> (s + 1)) and each side
+    num/den, den > 0, with one integer division; both round as
+    decimal_text(..., "half-up"), ties away from zero, and a negative
+    value keeps its sign when it prints as zero (-0.000).  value_hi
+    reuses value_lo's text where their rounded integers and signs agree.
     nearest(m, e) prints m * 2**e as decimal_text(..., "nearest"), ties to
     even, and a value that prints as zero has no sign.
 
@@ -153,11 +160,19 @@ def _printers(places: int):
         digits = digits_of(q).rjust(width, "0")
         return f"{'-' if negative else ''}{digits[:-places]}.{digits[-places:]}"
 
-    def half_up(m: int, s: int) -> str:
-        return text(m < 0, (abs(m) * twice + (1 << s)) >> (s + 1))
-
-    def ratio(num: int, den: int) -> str:
-        return text(num < 0, (abs(num) * twice + den) // (den << 1))
+    def row_line(r) -> str:
+        lo, hi, margin, lower, upper = r.value_lo, r.value_hi, r.margin, r.lower, r.upper
+        half, shift = 1 << r.scale, r.scale + 1
+        q_lo = (abs(lo) * twice + half) >> shift
+        q_hi = (abs(hi) * twice + half) >> shift
+        lo_text = text(lo < 0, q_lo)
+        hi_text = lo_text if q_hi == q_lo and (hi < 0) == (lo < 0) else text(hi < 0, q_hi)
+        if lower is not None:
+            lower = text(lower[0] < 0, (abs(lower[0]) * twice + lower[1]) // (lower[1] << 1))
+        if upper is not None:
+            upper = text(upper[0] < 0, (abs(upper[0]) * twice + upper[1]) // (upper[1] << 1))
+        return fill((r.n, lower or "", lo_text, hi_text, upper or "", r.verdict,
+                     text(margin < 0, (abs(margin) * twice + half) >> shift)))
 
     def nearest(m: int, e: int) -> str:
         t = abs(m) * ten
@@ -170,26 +185,28 @@ def _printers(places: int):
             q += 1
         return text(m < 0 and q > 0, q)
 
-    return half_up, ratio, nearest
+    return text, nearest, row_line
 
 
-def _line_template(fmt: str, columns: list, keys: list) -> str:
-    """The str.format template of one streamed row, whose fields come in
-    the order of `keys`, a subset of `columns`: "n" is an integer, every
-    other field a text that needs no CSV quoting and no JSON escaping
-    (a decimal, a fraction "p/q", empty, or a hyphenated verdict word).
+def _line_template(fmt: str, columns: list, keys: list):
+    """fill(fields): the line of one streamed row, whose fields come as a
+    tuple in the order of `keys`, a subset of `columns` in their order:
+    "n" is an integer, every other field a text that needs no CSV quoting
+    and no JSON escaping (a decimal, a fraction "p/q", empty, or a
+    hyphenated verdict word).
 
-    CSV is one line with a field per column, empty where a column is
-    not in `keys`.  JSON is the row object as json.dumps(envelope,
-    indent=2, sort_keys=True) nests it, keys sorted, after the separator
-    ",\n    " (`_write_json` drops the first row's comma).
+    The line is a %-template, made once.  CSV is one line with a field per
+    column, empty where a column is not in `keys`.  JSON is the row object
+    as json.dumps(envelope, indent=2, sort_keys=True) nests it, keys
+    sorted, after the separator ",\n    " (`_write_json` drops the first
+    row's comma), and one itemgetter puts the fields in that order.
     """
-    slot = {key: "{%d}" % i for i, key in enumerate(keys)}
     if fmt == "csv":
-        return ",".join(slot.get(column, "") for column in columns) + "\n"
-    items = ",\n      ".join(f'"{key}": ' + (slot[key] if key == "n" else f'"{slot[key]}"')
-                              for key in sorted(keys))
-    return ",\n    {{\n      " + items + "\n    }}"
+        return (",".join("%s" if column in keys else "" for column in columns) + "\n").__mod__
+    template = ",\n    {\n      " + ",\n      ".join(
+        f'"{key}": ' + ("%s" if key == "n" else '"%s"') for key in sorted(keys)) + "\n    }"
+    pick = operator.itemgetter(*map(keys.index, sorted(keys)))
+    return lambda fields: template % pick(fields)
 
 
 def _json_text(value, indent: str) -> str:
@@ -273,17 +290,17 @@ def cmd_eval(args) -> int:
     if n_last < args.n:
         raise DomainError("--to must not be smaller than --n")
     digits = _decimal_digits(args.precision)
-    nearest = _printers(digits)[2]
+    nearest = _printers(digits)[1]
     columns = ["n", "value", "rational_part", "log_argument"]
     split = sequences._split(kind) if kind.exact else None  # UPlus, UMinus have none
-    fill = _line_template(args.format, columns, columns if split else columns[:2]).format
+    fill = _line_template(args.format, columns, columns if split else columns[:2])
 
     def lines():
         ns = range(args.n, n_last + 1)
         values = sequences.values(kind, args.n, n_last, args.precision)
         if split is None:
             for n, (m, e) in zip(ns, values):
-                yield fill(n, nearest(m, e))
+                yield fill((n, nearest(m, e)))
             return
         # H_{n-1}, summed along the range, and the rational part as integer Decimals: each
         # step is linear in their length, and str() copies their base 10**19 limbs.
@@ -309,7 +326,7 @@ def cmd_eval(args) -> int:
                 harmonic = add(*harmonic, *harmonic_exact(n - 1).as_integer_ratio())
             g = math.gcd(c_num, c_den)
             rational = add(*harmonic, c_num // g, c_den // g)
-            yield fill(n, nearest(m, e), _ratio_str(*rational), _ratio_str(*x))
+            yield fill((n, nearest(m, e), _ratio_str(*rational), _ratio_str(*x)))
 
     params = {"seq": args.seq, "n": args.n, "to": n_last, "precision": args.precision}
     if args.a is not None:
@@ -419,19 +436,15 @@ def cmd_sweep_bounds(args) -> int:
     cap, swept = bounds.sweep_rows(entry, n_from, args.n_to, args.precision,
                                    precision_cap=args.precision_cap)
     digits = _decimal_digits(args.precision)
-    half_up, ratio, _ = _printers(digits)
     columns = ["n", "lower", "value_lo", "value_hi", "upper", "verdict", "margin"]
-    fill = _line_template(args.format, columns, columns).format
+    text, _, row_line = _printers(digits, _line_template(args.format, columns, columns))
     tally = bounds.Tally()
 
     def lines():
+        add = tally.add
         for r in swept:
-            tally.add(r)
-            s, lower, upper = r.scale, r.lower, r.upper
-            yield fill(r.n, ratio(*lower) if lower is not None else "",
-                       half_up(r.value_lo, s), half_up(r.value_hi, s),
-                       ratio(*upper) if upper is not None else "",
-                       r.verdict, half_up(r.margin, s))
+            add(r)
+            yield row_line(r)
 
     def metadata():
         meta = {
@@ -443,7 +456,8 @@ def cmd_sweep_bounds(args) -> int:
         }
         least = tally.least
         if least is not None:
-            meta["min_margin"] = half_up(least.margin, least.scale)
+            m, s = least.margin, least.scale  # rounded as row_line rounds the margin column
+            meta["min_margin"] = text(m < 0, (abs(m) * 10**digits * 2 + (1 << s)) >> (s + 1))
             meta["min_margin_n"] = least.n
         if entry.note:
             meta["note"] = entry.note

@@ -361,16 +361,19 @@ def deviation(kind: SequenceKind, q: int):
         shift = q_g - q
         return ((lo << shift) - g_hi) >> shift, -((g_lo - (hi << shift)) >> shift)
 
+    digamma_log, n_min = kernels.digamma_log_fixed, kind.n_min
+
     def at(n):
         if n < start:
             return walked(n)  # the walk checks the domain
-        _check_domain(kind, n)
-        d_lo, d_hi = kernels.digamma_log_fixed(n, q)
+        if type(n) is not int or n < n_min:
+            _check_domain(kind, n)
+        d_lo, d_hi = digamma_log(n, q)
         (c_num, c_den), (x_num, x_den) = split(n)
         u = x_num - n * x_den
-        if not u:  # x = n
-            num = c_num << q
-            return d_lo + num // c_den, d_hi - (-num // c_den)
+        if not u:  # x = n: c's floor and ceiling from one divmod
+            below, rest = divmod(c_num << q, c_den)
+            return d_lo + below, d_hi + below + (rest > 0)
         w = x_num + n * x_den  # (x - n)/(x + n) = u/w
         if 2 * abs(u) > w:
             g = math.gcd(x_num, n * x_den)

@@ -360,6 +360,79 @@ def test_escalated_walks_resume_across_rows(monkeypatch, cap):
             assert row == alone, n
 
 
+_ENTRY_IDS = [e.entry_id + suffix for e in catalog() for suffix in ("", "-lower", "-upper")]
+
+
+@st.composite
+def sweep_ranges(draw):
+    """An entry or one of its sides, a <= b <= 600 from its n_min, and p."""
+    entry = get_entry(draw(st.sampled_from(_ENTRY_IDS)))
+    a = draw(st.integers(entry.n_min, 600))
+    return entry, a, draw(st.integers(a, 600)), draw(st.sampled_from([32, 48, 64]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=sweep_ranges())
+def test_a_row_does_not_depend_on_where_its_sweep_starts(case):
+    # every row, escalated or not, is the one-row sweep at n at its final
+    # precision, whatever range the sweep started at
+    entry, a, b, p = case
+    rows = list(bounds.sweep_rows(entry, a, b, p)[1])
+    assert [row.n for row in rows] == list(range(a, b + 1))
+    for row in rows:
+        alone = bounds.sweep_rows(entry, row.n, row.n, row.precision,
+                                  precision_cap=row.precision)[1]
+        assert [row] == list(alone), (entry.entry_id, a, b, p, row.n)
+
+
+def test_a_sweep_makes_one_maker_and_one_row_per_index(capsys, monkeypatch):
+    # a sweep builds its row maker once per precision and one SweepRow per
+    # index, however many rows it prints
+    makers, built = [], []
+    row_walk, init = bounds._row_walk, SweepRow.__init__
+
+    def counting_walk(*args):
+        makers.append(args[1])
+        return row_walk(*args)
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(bounds, "_row_walk", counting_walk)
+    monkeypatch.setattr(SweepRow, "__init__", counting_init)
+    n_from = 10**6
+    argv = (f"sweep-bounds --entry theorem22 --from {n_from} --to {n_from + 999}"
+            " --precision 192 --format csv")
+    assert cli.main(argv.split()) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1001
+    assert makers == [192]
+    assert built == list(range(n_from, n_from + 1000))
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_a_side_that_reads_c_is_falsified_by_its_far_end_exactly(side):
+    # a side that reads c is the constant itself; its far end lies half an ulp
+    # inside the deviation's far end, and its near end far away on the other
+    # side, so the row is undecided, not false: the far end is floored
+    # (lower) or ceiled (upper) onto the row scale before it is compared
+    young = check(get_entry("young"), 10, 32)
+    half_ulp = 1 << (young.scale + 1)
+    if side == "lower":
+        ends = (2 * young.value_hi - 1, half_ulp), (1, 1)
+    else:
+        ends = (2 * young.value_lo + 1, half_ulp), (-1, 1)
+    entry = BoundEntry(f"probe-{side}", GammaN(),
+                       (lambda n, c: c) if side == "lower" else None,
+                       (lambda n, c: c) if side == "upper" else None,
+                       1 if side == "lower" else None, 1 if side == "upper" else None,
+                       "a fixture", constant=lambda p: ends, reads_c=(side,))
+    row = check(entry, 10, 32)
+    assert (row.value_lo, row.value_hi, row.scale) == (young.value_lo, young.value_hi,
+                                                       young.scale)
+    assert row.verdict == UNDECIDED
+
+
 def test_monotone_refinement():
     # raising precision never flips certified-true to certified-false
     e = get_entry("mortici-refined")
@@ -665,6 +738,7 @@ def dyadics(draw):
 @example(case=(-1, 1 << 2000, 600))  # prints as -0.000...0 half-up, 0.000...0 nearest
 @example(case=(-5, 8, 2))  # -0.625: half-up -0.63, nearest -0.62
 @example(case=(3, 1, 600))  # s = 0
+@example(case=(-1, 1 << 600, 120))  # value_lo -1, value_hi +1: -0.000...0 and 0.000...0
 def test_formatter_matches_parent_formatters(case):
     num, den, places = case
     value = F(num, den)
@@ -678,15 +752,26 @@ def test_formatter_matches_parent_formatters(case):
     if places:
         expected = _parent_sweep_decimal(value, places)
         assert decimal_text(num, den, places, "half-up") == expected
-        # the row templates' printers: the shift formula on dyadic values,
-        # one division on sides, and eval's nearest on m * 2**e
-        half_up, ratio, nearest = cli._printers(places)
-        assert ratio(num, den) == expected
+        # the streamed rows' printers: row_line prints a sweep row's sides with
+        # one division and its dyadic columns with the shift formula, and
+        # eval's nearest prints m * 2**e
+        columns = ["n", "lower", "value_lo", "value_hi", "upper", "verdict", "margin"]
+        _, nearest, row_line = cli._printers(places, cli._line_template("csv", columns, columns))
         if den & (den - 1) == 0:
+            # value_hi = |m| reuses value_lo's text for m >= 0, and for m < 0 has the
+            # same rounded integer with the other sign
             s = den.bit_length() - 1
-            assert half_up(num, s) == expected
+            row = SweepRow(7, CERTIFIED_TRUE, num, num, None, (num, den), (num, den),
+                           num, abs(num), 64, s)
+            hi = decimal_text(abs(num), den, places, "half-up")
+            assert row_line(row) == (
+                f"7,{expected},{expected},{hi},{expected},{CERTIFIED_TRUE},{expected}\n")
             assert nearest(num, -s) == _parent_decimal_str(value, places, "nearest")
             assert nearest(num, s) == _parent_decimal_str(F(num << s), places, "nearest")
+        else:
+            row = SweepRow(7, UNDECIDED, 0, None, 0, None, (num, den), 0, 0, 64, 0)
+            zero = decimal_text(0, 1, places, "half-up")
+            assert row_line(row) == f"7,,{zero},{zero},{expected},{UNDECIDED},{zero}\n"
 
 
 def test_sweep_far_from_the_start_takes_no_walk_log_or_gamma(capsys, monkeypatch):

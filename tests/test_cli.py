@@ -582,6 +582,43 @@ def test_eval_value_prints_past_the_integer_string_limit(capsys):
     assert value.startswith("0.58194326688744586416031031863302985090806499773280610382")
 
 
+def test_sweep_row_prints_past_the_integer_string_limit(capsys):
+    # at 14337 bits each of a sweep row's five decimals has 4301 places, so
+    # row_line converts their integers through decimal, and each prints the
+    # half-up text of the row's exact value
+    limit = sys.get_int_max_str_digits()
+    code = cli.main(["sweep-bounds", "--entry", "young", "--to", "2", "--precision", "14337",
+                     "--format", "csv"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    header, *lines = captured.out.splitlines()
+    assert header == "n,lower,value_lo,value_hi,upper,verdict,margin"
+    places = cli._decimal_digits(14337)
+    assert places == 4301
+    rows = list(bounds.sweep_rows(bounds.get_entry("young"), 1, 2, 14337)[1])
+    unit = decimal.Decimal(1).scaleb(-places)
+    with decimal.localcontext(decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                              Emin=decimal.MIN_EMIN)) as ctx:
+        for line, row in zip(lines, rows, strict=True):
+            n, lower, value_lo, value_hi, upper, verdict, margin = line.split(",")
+            assert (int(n), verdict) == (row.n, bounds.CERTIFIED_TRUE)
+            exact = []
+            # the sides 1/4, 1/6 and 1/2 are positive, so truncating them 60 digits past the
+            # last place moves no half-up rounding
+            for num, den in (row.lower, row.upper):
+                ctx.prec, ctx.rounding = places + 60, decimal.ROUND_DOWN
+                exact.append(ctx.divide(decimal.Decimal(num), decimal.Decimal(den)))
+            ctx.prec = decimal.MAX_PREC
+            ctx.traps[decimal.Inexact] = True
+            for m in (row.value_lo, row.value_hi, row.margin):  # m * 2**-scale, exactly
+                exact.append(decimal.Decimal(m * 5**row.scale).scaleb(-row.scale))
+            ctx.traps[decimal.Inexact] = False
+            printed = [str(x.quantize(unit, decimal.ROUND_HALF_UP)) for x in exact]
+            assert [lower, upper, value_lo, value_hi, margin] == printed
+            assert all(len(text.split(".")[1]) == places for text in printed)
+
+
 def test_enclose_past_the_string_limit_exits_two(capsys):
     # the enclosure is computed, but its printed digits exceed str()'s limit
     code = cli.main(["enclose", "--precision", "16384"])
@@ -732,7 +769,7 @@ def test_eval_rounds_twice_in_integers_as_bigreal(case):
     # parent's two roundings
     lo, hi, q, p, d = case
     expected = numerics.BigReal.from_fraction(Fraction(lo + hi, 2 << q), p).decimal_str(d)
-    assert cli._printers(d)[2](*numerics.round_bits(lo + hi, q + 1, p)) == expected
+    assert cli._printers(d)[1](*numerics.round_bits(lo + hi, q + 1, p)) == expected
 
 
 # every catalog entry at 32 bits, capped so that rows stay undecided, and
