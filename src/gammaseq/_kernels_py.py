@@ -8,8 +8,8 @@ one floor chain, `digamma_log_fixed` sums the asymptotic series of
 psi(x) - ln x in one floored Horner pass over coefficients floored once
 per scale and widens by its remainder, whose sign is known, and
 `gamma_series_fixed` sums its alternating series in
-blocks split exactly by binary splitting, then folds the blocks in one
-floored Horner pass at a scale with headroom for the cancellation.  So
+short blocks split exactly by binary splitting, then folds them in one
+floored Horner pass, each block at the scale its own rounding needs.  So
 kernel outputs compose into rigorous enclosures no matter how they are
 combined downstream.
 """
@@ -198,11 +198,17 @@ def _series_split(a, b, x):
     P = (-x)**(b - a), Q = a (a + 1) ... (b - 1) and T is the integer with
     T / Q**2 = sum_{a <= k < b} (-x)**(k - a + 1) / ((a ... k) k).  Halves
     [a, m) and [m, b) combine as P = P1 P2, Q = Q1 Q2 and
-    T = T1 Q2**2 + P1 Q1 T2.  For a = 1 the sum is -S_(b-1)(x), where
-    S_K(x) is the sum of the first K terms of S(x).
+    T = T1 Q2**2 + P1 Q1 T2; a range of at most 16 terms is summed in a
+    loop by the same rule, one term (-x, k, -x) at a time.  For a = 1 the
+    sum is -S_(b-1)(x), where S_K(x) is the sum of the first K terms of S(x).
     """
-    if b - a == 1:
-        return -x, a, -x
+    if b - a <= 16:
+        p, den, t = -x, a, -x
+        for k in range(a + 1, b):
+            t = t * k * k - p * den * x
+            p *= -x
+            den *= k
+        return p, den, t
     m = (a + b) // 2
     p1, q1, t1 = _series_split(a, m, x)
     p2, q2, t2 = _series_split(m, b, x)
@@ -260,32 +266,57 @@ def _series_terms(x, q):
     return k
 
 
+def _blocks(x, q):
+    """(P_i, Q_i, T_i, s_i) for `gamma_series_fixed`'s blocks, last to first.
+
+    The first K terms, K from `_series_terms`, are cut into blocks
+    [a_i, a_(i+1)) of L = s // (8 bitlen(K)) terms, 1 = a_0 < ... < a_nb = K + 1,
+    where s = q + 64 + h and h = ceil(x 14427 / 10000) > x log2(e), so each
+    Q_i = a_i ... (a_(i+1) - 1) has at most s/8 bits; `_series_split` gives
+    (P_i, Q_i, T_i) exactly.  Block i's floor reaches the sum multiplied by
+    W_i = |P_0 ... P_(i-1)| / (Q_0 ... Q_(i-1)) = x**(a_i - 1) / (a_i - 1)!,
+    so it is folded at s_i = q + 64 + bitlen(nb) + lw_i with lw_i >= log2 W_i:
+    `_series_terms` stops at x**K / K! < (K + 1)**2 2**-q, so
+    lw_nb = 2 bitlen(K + 1) - q, and W_i = W_(i+1) Q_i / |P_i|, so lw_i is
+    lw_(i+1) less bitlen(P_i) - 1 - bitlen(Q_i).  Each W_i 2**-s_i is then at
+    most 2**-(q + 64 + bitlen(nb)), and the nb of them sum to less than
+    2**-(q + 64).  W falls past k = x, and K is the least K >= x that passes
+    `_series_terms`' test, so W_i >= x**K / K! >= 2**-q and every
+    s_i >= 64 + bitlen(nb).  Only the blocks near k = x, where the terms
+    reach about e**x / x < 2**h, are folded near s.
+    """
+    k = _series_terms(x, q)
+    h = -(-x * 14427 // 10000)
+    step = max(1, (q + 64 + h) // (8 * k.bit_length()))
+    starts = range(1, k + 1, step)
+    g = q + 64 + len(starts).bit_length()
+    lw = 2 * (k + 1).bit_length() - q
+    for a in reversed(starts):
+        p, den, t = _series_split(a, min(a + step, k + 1), x)
+        lw -= p.bit_length() - 1 - den.bit_length()
+        yield p, den, t, g + lw
+
+
 def gamma_series_fixed(x, q):
     """Enclosure of S(x) * 2**q where S(x) = sum_{k>=1} (-1)^(k+1) x^k / (k k!).
 
-    Requires integer x >= 1.  Takes the first K terms, K from
-    `_series_terms`, in consecutive blocks [a_i, a_(i+1)) of L terms,
-    1 = a_0 < a_1 < ... < a_nb = K + 1, with L = s // (2 bitlen(K)) so
-    that each block's Q_i = a_i ... (a_(i+1) - 1) has at most s/2 bits.
-    `_series_split` gives each block's (P_i, Q_i, T_i) exactly, and its
-    combine rule at the block boundaries gives -S_K(x) = c_0, where
-    c_i = T_i / Q_i**2 + (P_i / Q_i) c_(i+1) and c_nb = 0.  One Horner
-    pass from the last block to the first carries c_i at scale 2**s and
-    rounds each step down once: A_nb = 0 and
-    A_i = floor((T_i 2**s + P_i Q_i A_(i+1)) / Q_i**2).  So every operand
-    has O(s) bits, not the 2 K log2(K) bits of Q**2 over all K terms.
-    Three errors remain:
+    Requires integer x >= 1.  `_blocks` gives the first K terms as nb exact
+    blocks (P_i, Q_i, T_i), and the combine rule of `_series_split` gives
+    -S_K(x) = c_0, where c_i = T_i / Q_i**2 + (P_i / Q_i) c_(i+1) and c_nb = 0.
+    One Horner pass from the last block to the first carries c_i at block
+    i's own scale 2**s_i and rounds each step down once: A_nb = 0 and
+    A_i = floor((T_i 2**s_i + P_i Q_i A_(i+1) 2**(s_i - s_(i+1))) / Q_i**2),
+    a negative shift dividing inside the same floor.  So every operand has
+    O(s) bits, not the 2 K log2(K) bits of Q**2 over all K terms.  Three
+    errors remain:
 
-    - Rounding.  E_i = A_i - c_i 2**s obeys E_i = (P_i / Q_i) E_(i+1) - d_i
-      with 0 <= d_i < 1, and P_0 ... P_(i-1) / (Q_0 ... Q_(i-1)) is
-      (-x)**(a_i - 1) / (a_i - 1)!.  So |E_0| < sum_i x**(a_i - 1) / (a_i - 1)!,
-      a sum of distinct terms of the series of e**x, and |E_0| < e**x < 2**h
-      with h = ceil(x 14427 / 10000), as 14427 / 10000 > log2(e).  These h
-      bits are the headroom for the terms near k = x, about e**x / x,
-      which cancel down to S(x), about ln x + 0.58.
-    - Scaling.  With s = q + 64 + h, f = floor(-A_0 / 2**(s - q)) is the
-      floor of S_K 2**q - E_0 2**(q - s), where |E_0 2**(q - s)| < 2**-64,
-      so S_K(x) * 2**q is in (f - 1, f + 2).
+    - Rounding.  E_i = A_i - c_i 2**s_i obeys
+      E_i 2**-s_i = (P_i / Q_i) E_(i+1) 2**-s_(i+1) - d_i 2**-s_i with
+      0 <= d_i < 1, so |E_0| 2**-s_0 < sum_i W_i 2**-s_i < 2**-(q + 64),
+      with W_i and the bound from `_blocks`.
+    - Scaling.  W_0 = 1, so s_0 >= q + 64, and f = floor(-A_0 / 2**(s_0 - q))
+      is the floor of S_K 2**q - E_0 2**(q - s_0), where
+      |E_0 2**(q - s_0)| < 2**-64, so S_K(x) * 2**q is in (f - 1, f + 2).
     - Tail.  For k >= x, t_(k+1) / t_k = x k / (k+1)**2 < 1, where
       t_k = x^k / (k k!), so from K + 1 > x on the terms decrease to 0
       and alternate: |S(x) - S_K(x)| < t_(K+1) < 2**-q by the choice of K.
@@ -294,13 +325,10 @@ def gamma_series_fixed(x, q):
     """
     if x < 1:
         raise ValueError("gamma_series_fixed requires x >= 1")
-    k = _series_terms(x, q)
-    h = -(-x * 14427 // 10000)
-    s = q + 64 + h
-    step = max(1, s // (2 * k.bit_length()))
-    acc = 0
-    for a in reversed(range(1, k + 1, step)):
-        p, den, t = _series_split(a, min(a + step, k + 1), x)
-        acc = ((t << s) + p * den * acc) // (den * den)
+    acc = s = 0
+    for p, den, t, s_i in _blocks(x, q):
+        num = (t << s) + p * den * acc
+        acc = (num << s_i - s if s_i >= s else num >> s - s_i) // (den * den)
+        s = s_i
     f = -acc >> (s - q)
     return f - 2, f + 3

@@ -151,7 +151,7 @@ def test_digamma_log_fixed_rejects_nonpositive(kernels):
 
 def test_gamma_series_fixed_brackets_oracle(kernels):
     # the alternating sum equals euler + ln x + E1(x); at 500 and 2843 its
-    # terms reach about 2**712 and 2**4090 and the kernel folds 31 and 46
+    # terms reach about 2**712 and 2**4090 and the kernel folds 124 and 186
     # blocks, and 2843 is the x of gamma_reference(4096)
     mp.mp.prec = 700
     q = 400
@@ -173,7 +173,7 @@ def test_gamma_series_fixed_brackets_oracle_property(kernels, x, q):
 
 
 @pytest.mark.parametrize("x", [1, 2, 3, 7, 12])
-@pytest.mark.parametrize("a,b", [(1, 2), (1, 9), (3, 11), (1, 30)])
+@pytest.mark.parametrize("a,b", [(1, 2), (1, 9), (3, 11), (1, 17), (4, 21), (1, 30), (2, 35)])
 def test_series_split_is_the_exact_partial_sum(kernels, x, a, b):
     p, q, t = kernels._series_split(a, b, x)
     assert p == (-x) ** (b - a)
@@ -246,7 +246,7 @@ def assert_encloses_the_exact_split(kernels, x, q):
 
 @settings(max_examples=100, deadline=None)
 @given(x=st.integers(1, 400), q=st.integers(0, 1500))
-@example(x=400, q=1500)  # 20 blocks of 97 terms, terms up to about 2**568
+@example(x=400, q=1500)  # 79 blocks of 24 terms, terms up to about 2**568
 @example(x=1, q=0)  # one block
 def test_gamma_series_fixed_encloses_the_exact_split(kernels, x, q):
     assert_encloses_the_exact_split(kernels, x, q)
@@ -256,6 +256,48 @@ def test_gamma_series_fixed_encloses_the_exact_split(kernels, x, q):
 def test_gamma_series_fixed_encloses_the_exact_split_at_the_ladder_top(kernels, x, q):
     # the (x, q) that gamma_reference(12288) and gamma_reference(16384) pass
     assert_encloses_the_exact_split(kernels, x, q)
+
+
+def assert_blocks_keep_the_error_budget(kernels, x, q):
+    # W_i = |P_0 ... P_(i-1)| / (Q_0 ... Q_(i-1)) exactly, and the sum of the
+    # ceilings of W_i 2**(m - s_i) bounds sum_i W_i 2**-s_i from above at
+    # scale 2**-m; the blocks must cover the K terms, so that the products
+    # end at x**K and K!
+    blocks = list(kernels._blocks(x, q))[::-1]
+    least = 64 + len(blocks).bit_length()
+    m = q + 64 + least
+    num, den, total = 1, 1, 0
+    for p, d, _, s in blocks:
+        assert s >= least
+        total -= (-num << max(0, m - s)) // (den << max(0, s - m))
+        num *= abs(p)
+        den *= d
+    k = kernels._series_terms(x, q)
+    assert (num, den) == (x**k, math.factorial(k))
+    assert total < 1 << (m - q - 64)
+    return [s for *_, s in blocks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(1, 400), q=st.integers(0, 1500))
+@example(x=400, q=1500)
+@example(x=1, q=0)
+def test_blocks_keep_the_error_budget(kernels, x, q):
+    assert_blocks_keep_the_error_budget(kernels, x, q)
+
+
+@pytest.mark.parametrize("x,q", [(2843, 4176), (8522, 12368), (11361, 16464)])
+def test_blocks_keep_the_error_budget_at_the_ladder(kernels, x, q):
+    # the (x, q) that gamma_reference(4096), (12288) and (16384) pass
+    assert_blocks_keep_the_error_budget(kernels, x, q)
+
+
+def test_blocks_fold_well_below_the_uniform_scale(kernels):
+    # cost gate: at gamma_reference(4096)'s (x, q) the mean block scale is
+    # about 0.71 of s = q + 64 + h, the one scale every block once took
+    x, q = 2843, 4176
+    scales = assert_blocks_keep_the_error_budget(kernels, x, q)
+    assert sum(scales) <= 0.75 * len(scales) * (q + 64 + -(-x * 14427 // 10000))
 
 
 def test_gamma_series_fixed_rejects_nonpositive(kernels):

@@ -502,6 +502,19 @@ def test_gamma_reference_at_the_ladder_top_is_pinned(p):
     assert digest == GAMMA_REFERENCE_DIGESTS[p]
 
 
+def test_gamma_reference_is_pinned_at_every_checked_precision():
+    # one SHA-256 over f"{p}:{lo:x},{hi:x},{q};" at the 1,301 precisions the
+    # kernel's folds have been checked at, recorded with the fold at one
+    # uniform scale; any change to the kernel must leave every triple as it is
+    precisions = [*range(32, 1200), *range(1200, 6000, 37), 8192, 12288, 16384]
+    assert len(precisions) == 1301
+    digest = hashlib.sha256()
+    for p in precisions:
+        lo, hi, q = gamma_reference.__wrapped__(p)
+        digest.update(f"{p}:{lo:x},{hi:x},{q};".encode())
+    assert digest.hexdigest() == "de068e6f8907073bca0a3965b995860df858018395a3d4ddff96d119cdf82531"
+
+
 def test_gamma_reference_is_deterministic():
     a = gamma_reference.__wrapped__(128)
     b = gamma_reference.__wrapped__(128)
