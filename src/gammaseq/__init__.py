@@ -28,7 +28,7 @@ _HOMES = {name: module for module, names in (
     ("rates", "rate_from_series empirical_rate optimize_parameters"),
     ("polycert", "Polynomial taylor_shift positivity_certificate"
                  " derivative_of_f tail_sign_verdict"),
-    ("bounds", "catalog get_entry check sweep"),
+    ("bounds", "catalog get_entry sweep_rows"),
 ) for name in names.split()}
 
 __all__ = ["__version__", *_HOMES]

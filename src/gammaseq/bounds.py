@@ -18,12 +18,14 @@ of psi - ln plus an exact rational from a few hundred n on, with no
 harmonic sum, no logarithm of n and no gamma), and only an undecided
 row is made again, at each doubled precision; the sides' floors and
 ceilings and the margins are integers at the same scale.  It reports
-certified-true only under strict separation, decided exactly; check
-returns the one-row sweep's row.  Equality can therefore never be
-certified; sides that are sharp at n = 1 start at n = 2.  sweep_rows
-makes, escalates and yields one row at a time, with one deviation per
-precision carried from row to row, so a sweep holds no row it has
-yielded, and a row costs the same wherever the sweep starts.
+certified-true only under strict separation, decided exactly, so
+equality can never be certified; sides that are sharp at n = 1 start at
+n = 2.  sweep_rows is the one way to run a sweep: it makes, escalates
+and yields one row at a time, with one deviation per precision carried
+from row to row, so a sweep holds no row it has yielded, and a row costs
+the same wherever the sweep starts.  A SweepReport fed those rows keeps
+their verdict counts and the first certified-true row of least margin,
+and no row.
 """
 
 from __future__ import annotations
@@ -39,11 +41,8 @@ __all__ = [
     "BoundEntry",
     "SweepRow",
     "SweepReport",
-    "Tally",
     "catalog",
     "get_entry",
-    "check",
-    "sweep",
     "sweep_rows",
 ]
 
@@ -139,9 +138,12 @@ class SweepRow:
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-class Tally:
+class SweepReport:
     """Verdict counts and the first certified-true row of least margin,
-    margins compared across scales, over rows added one at a time."""
+    margins compared across scales, over rows added one at a time; it
+    keeps no row.  counts and least are instance attributes, not
+    __slots__: perfbench/tracer.py replaces any class attribute named
+    counts with a wrapper, and over a slot that makes it read-only."""
 
     def __init__(self, rows=()):
         self.counts = {CERTIFIED_TRUE: 0, CERTIFIED_FALSE: 0, UNDECIDED: 0}
@@ -157,44 +159,6 @@ class Tally:
             if least is None or (row.margin < least.margin if row.scale == least.scale
                                  else row.margin << least.scale < least.margin << row.scale):
                 self.least = row
-
-
-class SweepReport:
-    """The rows of one sweep, kept, with their verdict counts and the
-    first certified-true row of least margin.  Reports are equal when
-    their entry ids, rows and precisions are."""
-
-    __slots__ = ("entry_id", "rows", "precision_start", "precision_cap", "_tally")
-
-    def __init__(self, entry_id: str, rows: tuple, precision_start: int, precision_cap: int):
-        self.entry_id, self.rows = entry_id, rows
-        self.precision_start, self.precision_cap = precision_start, precision_cap
-        self._tally = Tally(rows)
-
-    def __eq__(self, other):
-        if type(other) is not SweepReport:
-            return NotImplemented
-        return ((self.entry_id, self.rows, self.precision_start, self.precision_cap)
-                == (other.entry_id, other.rows, other.precision_start, other.precision_cap))
-
-    @property
-    def counts(self) -> dict:
-        return self._tally.counts
-
-    @property
-    def min_margin(self):
-        """The least margin as an exact Fraction, or None."""
-        row = self._tally.least
-        if row is None:
-            return None
-        from fractions import Fraction  # no command reads a report
-
-        return Fraction(row.margin, 1 << row.scale)
-
-    @property
-    def min_margin_n(self) -> int | None:
-        row = self._tally.least
-        return None if row is None else row.n
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +183,8 @@ def _chen_shift(p: int) -> Interval:
     return ((1 << q) - r_hi, r_hi), ((1 << q) - r_lo, r_lo)
 
 
-def _catalog_entries() -> list[BoundEntry]:
+def catalog() -> list[BoundEntry]:
+    """All catalog entries, in historical order."""
     # each side is the published formula over one denominator, in integers;
     # a side that reads c takes it as a pair (c_num, c_den) with c_den > 0
     entries = []
@@ -353,11 +318,6 @@ def _catalog_entries() -> list[BoundEntry]:
     return entries
 
 
-def catalog() -> list[BoundEntry]:
-    """All catalog entries, in historical order."""
-    return _catalog_entries()
-
-
 def get_entry(entry_id: str) -> BoundEntry:
     """Look up an entry; an id with a '-lower'/'-upper' suffix restricts
     any entry to that side."""
@@ -458,11 +418,6 @@ def _row_walk(entry: BoundEntry, p: int, c):
     return row
 
 
-def check(entry: BoundEntry, n: int, p: int) -> SweepRow:
-    """Certified row for one entry at one index: the one-row sweep at p."""
-    return sweep(entry, n, n, p, precision_cap=p).rows[0]
-
-
 def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
                precision_cap: int | None = None):
     """(cap, rows): the precision cap in force and an iterator over the
@@ -509,16 +464,3 @@ def _rows(entry: BoundEntry, n_from: int, n_to: int, p: int, cap: int):
             precision = min(2 * precision, cap)
             row = maker(precision)(n)
         yield row
-
-
-def sweep(entry: BoundEntry, n_from: int, n_to: int, p: int,
-          precision_cap: int | None = None) -> SweepReport:
-    """Check an entry across a range, escalating precision on undecided
-    rows: every row of sweep_rows, kept in one report."""
-    cap, rows = sweep_rows(entry, n_from, n_to, p, precision_cap)
-    return SweepReport(
-        entry_id=entry.entry_id,
-        rows=tuple(rows),
-        precision_start=p,
-        precision_cap=cap,
-    )

@@ -438,10 +438,10 @@ def cmd_sweep_bounds(args) -> int:
     digits = _decimal_digits(args.precision)
     columns = ["n", "lower", "value_lo", "value_hi", "upper", "verdict", "margin"]
     text, _, row_line = _printers(digits, _line_template(args.format, columns, columns))
-    tally = bounds.Tally()
+    report = bounds.SweepReport()
 
     def lines():
-        add = tally.add
+        add = report.add
         for r in swept:
             add(r)
             yield row_line(r)
@@ -450,11 +450,11 @@ def cmd_sweep_bounds(args) -> int:
         meta = {
             "precision_bits": args.precision,
             "precision_cap": cap,
-            "counts": tally.counts,
+            "counts": report.counts,
             "decimal_digits": digits,
             "citation": entry.citation,
         }
-        least = tally.least
+        least = report.least
         if least is not None:
             m, s = least.margin, least.scale  # rounded as row_line rounds the margin column
             meta["min_margin"] = text(m < 0, (abs(m) * 10**digits * 2 + (1 << s)) >> (s + 1))
@@ -467,9 +467,9 @@ def cmd_sweep_bounds(args) -> int:
             {"entry": args.entry, "from": n_from, "to": args.n_to,
              "precision": args.precision},
             lines(), metadata, columns)
-    if tally.counts[bounds.CERTIFIED_FALSE]:
+    if report.counts[bounds.CERTIFIED_FALSE]:
         return EXIT_FALSIFIED
-    if tally.counts[bounds.UNDECIDED]:
+    if report.counts[bounds.UNDECIDED]:
         return EXIT_UNDECIDED
     return EXIT_OK
 

@@ -182,9 +182,6 @@ class BigReal:
             return decimal_text(self.mant << self.exp, 1, places, rounding)
         return decimal_text(self.mant, 1 << -self.exp, places, rounding)
 
-    def __repr__(self):
-        return f"BigReal({self.decimal_str(max(1, self.prec * 3 // 10))}, prec={self.prec})"
-
 
 # ---------------------------------------------------------------------------
 # harmonic numbers

@@ -138,24 +138,6 @@ class Polynomial:
             return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{k}" if c != 1 else f"x^{k}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"Polynomial({self})"
-
 
 def _as_poly(value):
     if isinstance(value, Polynomial):

@@ -96,18 +96,6 @@ class AsymptoticSeries:
             return NotImplemented
         return self.order == other.order and self._coeffs == other._coeffs
 
-    def __hash__(self):
-        return hash((self.order, frozenset(self._coeffs.items())))
-
-    def __str__(self):
-        if not self._coeffs:
-            return f"O(n^-{self.order + 1})"
-        parts = [f"({v})/n^{k}" for k, v in sorted(self._coeffs.items())]
-        return " + ".join(parts) + f" + O(n^-{self.order + 1})"
-
-    def __repr__(self):
-        return f"AsymptoticSeries<{self}>"
-
 
 class FamilyExpansion:
     """a * a_part + b * b_part + constant: an expansion linear in a and b."""

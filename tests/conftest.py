@@ -26,6 +26,13 @@ def walk_ends(kind, n: int, q: int) -> tuple[Fraction, Fraction]:
     return dyadic_ends(*Walk(kind, q)(n), q)
 
 
+def swept(entry, n_from: int, n_to: int, p: int, precision_cap=None) -> list:
+    """Every row of `bounds.sweep_rows` over n_from..n_to at p, collected into a list."""
+    from gammaseq.bounds import sweep_rows
+
+    return list(sweep_rows(entry, n_from, n_to, p, precision_cap)[1])
+
+
 def split_at(kind, n: int) -> tuple[Fraction, Fraction]:
     """(c, x) with the sequence `kind` at n equal to H_{n-1} + c - ln x: the integer
     pairs of `sequences._split`, as Fractions."""

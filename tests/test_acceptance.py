@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import dyadic_ends, split_at, walk_ends
+from conftest import dyadic_ends, split_at, swept, walk_ends
 from gammaseq import bounds
 from gammaseq.numerics import gamma_reference
 from gammaseq.rates import empirical_rate, optimize_parameters
@@ -81,13 +81,13 @@ def test_criterion_3_cubed_deviation_bracket():
 def test_criterion_4_theorem_sweep_to_10000():
     with budget(2.0, "criterion 4: bracket sweep n in [3, 10000] at p = 192"):
         entry = bounds.get_entry("theorem22")
-        report = bounds.sweep(entry, 3, 10000, 192)
-        counts = report.counts
+        rows = swept(entry, 3, 10000, 192)
+        counts = bounds.SweepReport(rows).counts
         assert counts[bounds.CERTIFIED_FALSE] == 0
         assert counts[bounds.UNDECIDED] == 0
         assert counts[bounds.CERTIFIED_TRUE] == 9998
         # every row from 9 on certifies both sides, 3..8 the lower side
-        for row in report.rows:
+        for row in rows:
             assert row.margin_lower is not None
             assert (row.margin_upper is not None) == (row.n >= 9)
 
@@ -109,8 +109,9 @@ def test_criterion_5_proof_artifacts_exact():
 def test_criterion_6_historical_catalog_to_2000():
     with budget(6.0, "criterion 6: all catalog entries over [n_min, 2000] at p = 128"):
         for entry in bounds.catalog():
-            report = bounds.sweep(entry, entry.n_min, 2000, 128)
-            assert report.counts[bounds.CERTIFIED_TRUE] == len(report.rows), (
+            rows = swept(entry, entry.n_min, 2000, 128)
+            report = bounds.SweepReport(rows)
+            assert report.counts[bounds.CERTIFIED_TRUE] == len(rows), (
                 entry.entry_id, report.counts)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    dyadic_ends, ln_bracket, mp_value, mpf_to_fraction, sqrt_bracket, walk_ends,
+    dyadic_ends, ln_bracket, mp_value, mpf_to_fraction, sqrt_bracket, swept, walk_ends,
 )
 from gammaseq import _kernels_py as kernels, bounds, cli
 from gammaseq.bounds import (
@@ -19,9 +19,8 @@ from gammaseq.bounds import (
     SweepReport,
     SweepRow,
     catalog,
-    check,
     get_entry,
-    sweep,
+    sweep_rows,
 )
 from gammaseq.errors import DomainError
 from gammaseq.numerics import GUARD_BITS, BigReal, decimal_text, gamma_reference
@@ -175,7 +174,7 @@ def test_constant_sides_bracket_published_formula(p):
             assert min(at_lo, at_hi) - slack <= oracle <= max(at_lo, at_hi) + slack, (
                 entry_id, p, n)
             # a sweep row compares against the end that is binding for the side
-            row = sweep(e.restricted(side), n, n, p, precision_cap=p).rows[0]
+            row = swept(e.restricted(side), n, n, p, p)[0]
             if side == "lower":
                 assert F(*row.lower) == max(at_lo, at_hi), (entry_id, p, n)
             else:
@@ -189,7 +188,7 @@ def test_restricted_entry_encloses_no_constant_of_the_side_it_drops(entry_id, mo
     # chen's shift, which takes gamma and ln(3/2)), and the kept side's rows
     # are the full entry's
     base, side = entry_id.rsplit("-", 1)
-    full = {p: sweep(get_entry(base), 2, 60, p, precision_cap=p).rows for p in (64, 128)}
+    full = {p: swept(get_entry(base), 2, 60, p, p) for p in (64, 128)}
     calls = []
 
     def counted(real):
@@ -205,7 +204,7 @@ def test_restricted_entry_encloses_no_constant_of_the_side_it_drops(entry_id, mo
     assert entry.reads_c == ()
     fields = ("n", "value_lo", "value_hi", side, f"margin_{side}")
     for p in (64, 128):
-        rows = sweep(entry, 2, 60, p, precision_cap=p).rows
+        rows = swept(entry, 2, 60, p, p)
         assert [[getattr(r, f) for f in fields] for r in rows] == [
             [getattr(r, f) for f in fields] for r in full[p]]
     assert calls == []
@@ -250,31 +249,31 @@ def test_get_entry_side_restriction():
 
 
 def test_check_young_example():
-    row = check(get_entry("young"), 5, 128)
+    row = swept(get_entry("young"), 5, 5, 128, 128)[0]
     assert row.verdict == CERTIFIED_TRUE
     assert row.margin > 0
 
 
 def test_check_theorem22_at_both_edges():
     e = get_entry("theorem22")
-    assert check(e, 9, 192).verdict == CERTIFIED_TRUE
-    assert check(get_entry("theorem22-lower"), 3, 192).verdict == CERTIFIED_TRUE
+    assert swept(e, 9, 9, 192, 192)[0].verdict == CERTIFIED_TRUE
+    assert swept(get_entry("theorem22-lower"), 3, 3, 192, 192)[0].verdict == CERTIFIED_TRUE
 
 
 def test_check_below_n_min_rejected():
     with pytest.raises(DomainError):
-        check(get_entry("theorem22"), 2, 128)
+        swept(get_entry("theorem22"), 2, 2, 128, 128)
     with pytest.raises(DomainError):
-        check(get_entry("theorem22-upper"), 5, 128)
+        swept(get_entry("theorem22-upper"), 5, 5, 128, 128)
 
 
 def test_sharp_sides_start_at_two():
     # anderson's lower side is an equality at n = 1; only the upper
     # side applies there and the check stays certifiable
-    row = sweep(get_entry("anderson"), 1, 1, 128).rows[0]
+    row = swept(get_entry("anderson"), 1, 1, 128)[0]
     assert row.verdict == CERTIFIED_TRUE
     assert row.margin_lower is None and row.margin_upper is not None
-    row2 = sweep(get_entry("qiu-vuorinen"), 1, 1, 128).rows[0]
+    row2 = swept(get_entry("qiu-vuorinen"), 1, 1, 128)[0]
     assert row2.verdict == CERTIFIED_TRUE
     assert row2.margin_lower is not None and row2.margin_upper is None
 
@@ -282,9 +281,10 @@ def test_sharp_sides_start_at_two():
 def test_sweep_small_ranges_all_true():
     for entry_id in ("mortici-vernescu", "franel", "chen", "chen-mortici"):
         e = get_entry(entry_id)
-        report = sweep(e, e.n_min, 300, 128)
-        assert report.counts[CERTIFIED_TRUE] == len(report.rows), (entry_id, report.counts)
-        assert report.min_margin > 0
+        rows = swept(e, e.n_min, 300, 128)
+        report = SweepReport(rows)
+        assert report.counts[CERTIFIED_TRUE] == len(rows), (entry_id, report.counts)
+        assert report.least.margin > 0
 
 
 def _escalating_fixture(n_from, n_to, n_escalate):
@@ -304,14 +304,14 @@ def _escalating_fixture(n_from, n_to, n_escalate):
 
 def test_undecided_rows_escalate_alone_by_doubling():
     e = _escalating_fixture(528, 548, 533)
-    report = sweep(e, 528, 548, 32)
-    assert report.counts[CERTIFIED_TRUE] == len(report.rows)
-    assert [r.precision for r in report.rows] == [32] * 5 + [64] * 16
-    assert check(e, 533, 32).verdict == UNDECIDED
+    rows = swept(e, 528, 548, 32)
+    assert SweepReport(rows).counts[CERTIFIED_TRUE] == len(rows)
+    assert [r.precision for r in rows] == [32] * 5 + [64] * 16
+    assert swept(e, 533, 533, 32, 32)[0].verdict == UNDECIDED
     # an escalated row is the one-row sweep at its final precision
-    assert report.rows[5] == sweep(e, 533, 533, 64, precision_cap=64).rows[0]
-    capped = sweep(e, 528, 548, 32, precision_cap=48)
-    assert [r.precision for r in capped.rows] == [32] * 5 + [48] * 16
+    assert rows[5] == swept(e, 533, 533, 64, 64)[0]
+    capped = swept(e, 528, 548, 32, 48)
+    assert [r.precision for r in capped] == [32] * 5 + [48] * 16
 
 
 def test_escalation_sums_harmonic_terms_linear_in_the_range(monkeypatch):
@@ -326,9 +326,9 @@ def test_escalation_sums_harmonic_terms_linear_in_the_range(monkeypatch):
         return harmonic_fixed(n, q, m)
 
     monkeypatch.setattr(kernels, "harmonic_fixed", counting)
-    report = sweep(get_entry("chen-mortici"), 100, 1100, 32)
-    assert report.counts[CERTIFIED_TRUE] == len(report.rows)
-    assert sum(r.precision > 32 for r in report.rows) > 900
+    rows = swept(get_entry("chen-mortici"), 100, 1100, 32)
+    assert SweepReport(rows).counts[CERTIFIED_TRUE] == len(rows)
+    assert sum(r.precision > 32 for r in rows) > 900
     assert sum(terms) < 20 * 1100
 
 
@@ -346,17 +346,17 @@ def test_escalated_walks_resume_across_rows(monkeypatch, cap):
         return harmonic_fixed(n, q, m)
 
     monkeypatch.setattr(kernels, "harmonic_fixed", counting)
-    report = sweep(e, 100, 1100, 32, precision_cap=cap)
+    rows = swept(e, 100, 1100, 32, cap)
     walked = sum(terms)
     # rows escalate, or stay undecided at a cap of 32
-    assert sum(r.precision > 32 or r.verdict == UNDECIDED for r in report.rows) > 900
+    assert sum(r.precision > 32 or r.verdict == UNDECIDED for r in rows) > 900
     # one main walk and one walk per escalated bit length, each <= 1100 terms;
     # a new walk per escalated row would sum hundreds of times as many
     assert walked < 6 * 1100
     for n in (150, 255, 256, 777, 1023, 1024, 1100):
-        row = report.rows[n - 100]
+        row = rows[n - 100]
         if row.precision > 32:
-            alone = sweep(e, n, n, row.precision, precision_cap=row.precision).rows[0]
+            alone = swept(e, n, n, row.precision, row.precision)[0]
             assert row == alone, n
 
 
@@ -377,12 +377,11 @@ def test_a_row_does_not_depend_on_where_its_sweep_starts(case):
     # every row, escalated or not, is the one-row sweep at n at its final
     # precision, whatever range the sweep started at
     entry, a, b, p = case
-    rows = list(bounds.sweep_rows(entry, a, b, p)[1])
+    rows = swept(entry, a, b, p)
     assert [row.n for row in rows] == list(range(a, b + 1))
     for row in rows:
-        alone = bounds.sweep_rows(entry, row.n, row.n, row.precision,
-                                  precision_cap=row.precision)[1]
-        assert [row] == list(alone), (entry.entry_id, a, b, p, row.n)
+        alone = swept(entry, row.n, row.n, row.precision, row.precision)
+        assert [row] == alone, (entry.entry_id, a, b, p, row.n)
 
 
 def test_a_sweep_makes_one_maker_and_one_row_per_index(capsys, monkeypatch):
@@ -416,7 +415,7 @@ def test_a_side_that_reads_c_is_falsified_by_its_far_end_exactly(side):
     # inside the deviation's far end, and its near end far away on the other
     # side, so the row is undecided, not false: the far end is floored
     # (lower) or ceiled (upper) onto the row scale before it is compared
-    young = check(get_entry("young"), 10, 32)
+    young = swept(get_entry("young"), 10, 10, 32, 32)[0]
     half_ulp = 1 << (young.scale + 1)
     if side == "lower":
         ends = (2 * young.value_hi - 1, half_ulp), (1, 1)
@@ -427,7 +426,7 @@ def test_a_side_that_reads_c_is_falsified_by_its_far_end_exactly(side):
                        (lambda n, c: c) if side == "upper" else None,
                        1 if side == "lower" else None, 1 if side == "upper" else None,
                        "a fixture", constant=lambda p: ends, reads_c=(side,))
-    row = check(entry, 10, 32)
+    row = swept(entry, 10, 10, 32, 32)[0]
     assert (row.value_lo, row.value_hi, row.scale) == (young.value_lo, young.value_hi,
                                                        young.scale)
     assert row.verdict == UNDECIDED
@@ -437,7 +436,7 @@ def test_monotone_refinement():
     # raising precision never flips certified-true to certified-false
     e = get_entry("mortici-refined")
     for n in (1, 2, 17):
-        verdicts = [check(e, n, p).verdict for p in (64, 128, 256)]
+        verdicts = [swept(e, n, n, p, p)[0].verdict for p in (64, 128, 256)]
         assert CERTIFIED_TRUE in verdicts
         assert CERTIFIED_FALSE not in verdicts
         first_true = verdicts.index(CERTIFIED_TRUE)
@@ -461,7 +460,7 @@ def test_theorem22_upper_margin_scales_like_n4():
     e = get_entry("theorem22")
     values = []
     for n in (1000, 3000, 10000):
-        row = sweep(e, n, n, 192).rows[0]
+        row = swept(e, n, n, 192)[0]
         values.append(float(F(row.margin_upper, 2**row.scale)) * n**4)
     assert max(values) / min(values) < 1.2
 
@@ -477,7 +476,7 @@ def test_falsified_entry_certified_false():
         n_min_upper=1,
         citation="synthetic test fixture",
     )
-    assert check(impossible, 10, 128).verdict == CERTIFIED_FALSE
+    assert swept(impossible, 10, 10, 128, 128)[0].verdict == CERTIFIED_FALSE
 
 
 @pytest.mark.parametrize("reads_c", [False, True])
@@ -492,11 +491,11 @@ def test_non_positive_side_denominator_is_a_domain_error(den, reads_c):
         citation="synthetic test fixture", reads_c=("lower",) if reads_c else (),
     )
     with pytest.raises(DomainError, match="lower side of 'signed-fixture' has a non-positive"):
-        sweep(fixture, 1, 3, 64)
+        swept(fixture, 1, 3, 64)
 
 
 def test_undecided_when_bound_sits_inside_value_interval():
-    row = check(get_entry("young"), 10, 64)
+    row = swept(get_entry("young"), 10, 10, 64, 64)[0]
     dev_mid = F(row.value_lo + row.value_hi, 2 ** (row.scale + 1))
     touching = BoundEntry(
         entry_id="young-touching",
@@ -507,13 +506,13 @@ def test_undecided_when_bound_sits_inside_value_interval():
         n_min_upper=None,
         citation="synthetic test fixture",
     )
-    assert check(touching, 10, 64).verdict == UNDECIDED
-    report = sweep(touching, 10, 10, 64, precision_cap=64)
-    assert report.counts[UNDECIDED] == 1
+    rows = swept(touching, 10, 10, 64, 64)
+    assert rows[0].verdict == UNDECIDED
+    assert SweepReport(rows).counts[UNDECIDED] == 1
 
 
 def test_verdicts_are_exact_within_one_unit_of_the_row_scale():
-    row = sweep(get_entry("young"), 10, 10, 64).rows[0]
+    row = swept(get_entry("young"), 10, 10, 64)[0]
     unit = F(1, 2**row.scale)
 
     def with_side(side, value):
@@ -525,7 +524,7 @@ def test_verdicts_are_exact_within_one_unit_of_the_row_scale():
             n_min_upper=1 if side == "upper" else None,
             citation="synthetic test fixture",
         )
-        return sweep(fixture, 10, 10, 64, precision_cap=64).rows[0]
+        return swept(fixture, 10, 10, 64, 64)[0]
 
     # half a unit inside the value interval's ends: separated, integer margin 0
     for side, value in [("lower", row.value_lo - F(1, 2)),
@@ -551,32 +550,36 @@ def test_least_margin_across_scales():
     # margins 3/4, 3/4, 5/8, 5/8, an undecided 0 and 3/4: the first least is n = 3
     rows = (row(1, 12, 4), row(2, 3, 2), row(3, 5, 3), row(4, 10, 4),
             row(5, 0, 3, UNDECIDED), row(6, 3, 2))
-    report = SweepReport("fixture", rows, 32, 64)
-    assert (report.min_margin, report.min_margin_n) == (F(5, 8), 3)
-    finer = SweepReport("fixture", (row(1, 5, 3), row(2, 9, 4)), 32, 64)
-    assert (finer.min_margin, finer.min_margin_n) == (F(9, 16), 2)
-    undecided = SweepReport("fixture", rows[4:5], 32, 64)
-    assert (undecided.min_margin, undecided.min_margin_n) == (None, None)
+
+    def least(rows):
+        # the least exact margin and its index, from rows added one at a time
+        report = SweepReport()
+        for r in rows:
+            report.add(r)
+        least = report.least
+        return None if least is None else (F(least.margin, 1 << least.scale), least.n)
+
+    assert least(rows) == (F(5, 8), 3)
+    assert least((row(1, 5, 3), row(2, 9, 4))) == (F(9, 16), 2)
+    assert least(rows[4:5]) is None
 
 
 def test_rows_and_reports_compare_by_value():
     e = get_entry("young")
-    report = sweep(e, 1, 4, 64)
-    assert report == sweep(e, 1, 4, 64) and check(e, 2, 64) == check(e, 2, 64)
-    assert report.rows[0] != report.rows[1]
-    assert report != sweep(e, 1, 4, 64, precision_cap=128)
-    assert report != sweep(e, 1, 3, 64)
-    row = check(e, 2, 64)
+    rows = swept(e, 1, 4, 64)
+    assert rows == swept(e, 1, 4, 64) and swept(e, 2, 2, 64, 64) == swept(e, 2, 2, 64, 64)
+    assert rows[0] != rows[1]
+    row = swept(e, 2, 2, 64, 64)[0]
     row.margin += 1  # rows are mutable, so they do not hash
-    assert row != check(e, 2, 64)
+    assert row != swept(e, 2, 2, 64, 64)[0]
     with pytest.raises(TypeError):
         hash(row)
 
 
 def test_precision_cap_below_start_rejected():
     with pytest.raises(DomainError):
-        sweep(get_entry("young"), 1, 3, 64, precision_cap=16)
-    assert sweep(get_entry("young"), 1, 3, 64, precision_cap=64).precision_cap == 64
+        sweep_rows(get_entry("young"), 1, 3, 64, precision_cap=16)
+    assert sweep_rows(get_entry("young"), 1, 3, 64, precision_cap=64)[0] == 64
 
 
 def _exact_verdict(entry, n, dev_lo, dev_hi, c):
@@ -630,16 +633,15 @@ def sweeps(draw):
 @example(case=(get_entry("chen-mortici"), 100, 130, 32))
 def test_rows_match_exact_fraction_oracle(case):
     entry, n_from, n_to, p = case
-    report = sweep(entry, n_from, n_to, p)
-    cap = report.precision_cap
-    for n, row in zip(range(n_from, n_to + 1), report.rows):
+    cap, rows = sweep_rows(entry, n_from, n_to, p)
+    for n, row in zip(range(n_from, n_to + 1), rows):
         # every verdict the walked oracle decides is kept
         oracle = _walked_verdict(entry, n, n_to, p, cap)
         assert oracle == UNDECIDED or row.verdict == oracle, (entry.entry_id, n, p)
         # the row was undecided at each precision it doubled through
         prec = p
         while prec < row.precision:
-            at = sweep(entry, n, n_to if prec == p else n, prec, precision_cap=prec).rows[0]
+            at = swept(entry, n, n_to if prec == p else n, prec, prec)[0]
             assert at.verdict == UNDECIDED, (n, prec)
             prec = min(2 * prec, cap)
         assert prec == row.precision

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mpf_to_fraction, split_at
+from conftest import mpf_to_fraction, split_at, swept
 from gammaseq import bounds, cli, numerics, sequences
 from gammaseq.bounds import BoundEntry
 from gammaseq.errors import DomainError
@@ -216,6 +216,34 @@ def test_sweep_bounds_json_and_exit_zero(capsys):
     assert data["metadata"]["counts"]["certified-true"] == 40
 
 
+@pytest.mark.parametrize("precision", [32, 64])
+def test_sweep_metadata_least_margin_is_the_printed_margin_of_its_row(capsys, precision):
+    # the metadata rounds the least margin with its own copy of row_line's
+    # rounding: its row is the first certified-true row of least exact
+    # margin, compared across scales, and it prints that row's margin
+    escalated = 0
+    for entry in bounds.catalog():
+        rows = swept(entry, entry.n_min, 200, precision)
+        escalated += sum(row.precision > precision for row in rows)
+        code, data = run_json(capsys, "sweep-bounds", "--entry", entry.entry_id,
+                              "--to", "200", "--precision", str(precision))
+        meta = data["metadata"]
+        assert [row["n"] for row in data["rows"]] == [row.n for row in rows]
+        assert meta["counts"] == bounds.SweepReport(rows).counts, entry.entry_id
+        true_rows = [row for row in rows if row.verdict == bounds.CERTIFIED_TRUE]
+        if not true_rows:
+            assert "min_margin" not in meta and "min_margin_n" not in meta
+            continue
+        least = min(Fraction(row.margin, 1 << row.scale) for row in true_rows)
+        first = next(row.n for row in true_rows
+                     if Fraction(row.margin, 1 << row.scale) == least)
+        assert meta["min_margin_n"] == first, entry.entry_id
+        printed = data["rows"][first - entry.n_min]["margin"]
+        assert meta["min_margin"] == printed, (entry.entry_id, first)
+    if precision == 32:  # rows escalate, so margins at several scales compete
+        assert escalated > 0
+
+
 def test_sweep_bounds_csv_columns(capsys):
     code, out = run(capsys, "sweep-bounds", "--entry", "toth", "--from", "1",
                     "--to", "5", "--precision", "128", "--format", "csv")
@@ -397,7 +425,7 @@ def test_falsified_entry_exits_one(capsys, monkeypatch):
 def test_undecided_rows_exit_three(capsys, monkeypatch):
     # a side at the middle of the row's value interval can be neither
     # certified nor falsified
-    row = bounds.check(bounds.get_entry("young"), 10, 64)
+    row = swept(bounds.get_entry("young"), 10, 10, 64, 64)[0]
     dev_mid = Fraction(row.value_lo + row.value_hi, 2 ** (row.scale + 1))
     touching = BoundEntry(
         entry_id="touching-fixture",
@@ -647,9 +675,13 @@ def test_reader_closing_stdout_exits_141_without_traceback():
 
 
 # the functions perfbench/tracer.py wraps that the package no longer has: no
-# command called them, so their per-layer metrics read 0 with them or without
+# command called them, so their per-layer metrics read 0 with them or without.
+# bounds.sweep kept every row of a sweep in a report with the properties
+# counts, min_margin and min_margin_n (one "bounds.report" each); sweep-bounds
+# streams its rows through sweep_rows into a SweepReport with none of them
 _DELETED_LAYERS = ["numerics.ln_interval", "sequences.evaluate_interval",
-                   "sequences.split_eval", "sequences.evaluate"]
+                   "sequences.split_eval", "sequences.evaluate", "bounds.sweep",
+                   "bounds.report", "bounds.report", "bounds.report"]
 
 
 def test_benchmark_tracer_finds_every_layer(tmp_path):
