@@ -425,7 +425,8 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
 
     The arguments are checked before this returns: a precision p below
     `numerics.MIN_PRECISION`, a cap below p, a start below the entry's
-    n_min or an empty range is a DomainError.  Each row
+    n_min, an empty range, or a cap or bound that is not an integer is a
+    DomainError.  Each row
     is made at p; while it is undecided, precision doubles (up to the
     cap) and the row is made again.  There is one `_row_walk` per
     precision, carried from row to row; its scale depends on the
@@ -436,6 +437,9 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
     """
     _check_precision(p)
     cap = precision_cap if precision_cap is not None else DEFAULT_CAP_FACTOR * p
+    for name, value in (("precision cap", cap), ("n_to", n_to)):
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if cap < p:
         raise DomainError(f"precision cap {cap} is below the starting precision {p}")
     if not isinstance(n_from, int) or n_from < entry.n_min:

@@ -479,18 +479,13 @@ def cmd_certify(args) -> int:
 
     target = args.target
     if target in ("P", "Q"):
-        variant = "f" if target == "P" else "g"
-        poly = polycert.derivative_numerator(variant)
-        center = (polycert.F_NUMERATOR_SHIFT_CENTER if variant == "f"
-                  else polycert.G_NUMERATOR_SHIFT_CENTER)
-        cert = polycert.positivity_certificate(poly, center)
-        ok = isinstance(cert, polycert.PositivityCertificate)
+        cert = polycert.numerator_certificate("f" if target == "P" else "g")
         columns = ["center", "certificate", "shifted_coefficients", "target"]
         rows = [{
             "target": target,
-            "center": center,
+            "center": int(cert.center),  # the centres are integers
             "shifted_coefficients": [_frac_str(c) for c in cert.shifted_coeffs],
-            "certificate": ok,
+            "certificate": isinstance(cert, polycert.PositivityCertificate),
         }]
     else:
         verdict = polycert.tail_sign_verdict(target)

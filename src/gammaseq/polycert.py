@@ -1,16 +1,16 @@
 """Exact polynomial algebra and positivity certificates.
 
 The certification route for the two-sided bracket on the optimal
-sequence works entirely in rational arithmetic: the step functions
-whose signs control the bracket are differentiated symbolically (their
-only non-rational piece, ln(1 + 1/x), has the rational derivative
--1/(x(x+1))).  Every pole of the derivative divides the known common
-denominator D = 60 x^5 (x - 1)^2 (x + 1)^5, so the derivative times D is
-a polynomial, built term by term and compared coefficient-wise against a
-closed-form numerator.  Positivity of that numerator on (c, inf) is
-certified by expanding it in powers of (x - c) and checking all
-coefficients are nonnegative.  A failed check is only a refusal, never
-a disproof: the criterion is sufficient, not necessary.
+sequence works entirely in rational arithmetic.  Each side of the
+bracket is one row of `_SIDES`; its step function is the sum of the
+terms c/(x - r)^k of `step_terms` less ln(1 + 1/x), whose derivative
+-1/(x(x+1)) is rational.  Every pole of the derivative divides the
+common denominator D = 60 x^5 (x - 1)^2 (x + 1)^5, so the derivative
+times D is a polynomial, built term by term and compared coefficient-wise
+against the side's closed-form numerator, +P or -Q.  Positivity of P or Q
+on (c, inf) is certified by expanding it in powers of (x - c) and
+checking all coefficients are nonnegative.  A failed check is only a
+refusal, never a disproof: the criterion is sufficient, not necessary.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ __all__ = [
     "positivity_certificate",
     "PositivityCertificate",
     "PositivityRefusal",
-    "StepFunction",
-    "step_function",
+    "step_terms",
+    "derivative",
     "derivative_of_f",
     "derivative_numerator",
     "derivative_denominator",
+    "numerator_certificate",
     "tail_sign_verdict",
     "TailSignVerdict",
 ]
@@ -199,11 +200,29 @@ def positivity_certificate(p: Polynomial, c):
 # ---------------------------------------------------------------------------
 # the two step functions controlling the bracket on s_n - gamma
 
-# s_{n+1} - s_n = 2/(3n) - 1/(12(n-1)) + 5/(12(n+1)) - ln(1 + 1/n), and the
-# step of each bracketed gap adds the telescoping difference of the bracket
-# itself.  Each step function is a sum of shifted reciprocals plus
-# -ln(1 + 1/x), so its derivative is exactly rational, with every pole
-# among the roots of D = 60 x^5 (x - 1)^2 (x + 1)^5.
+# One row per side S(n) = 1/(12 n^3) + t/n^4 of the bracket: "f" the lower
+# side, "g" the upper.  Each row holds t; the sign of the step function's
+# derivative on (centre, inf); the centre; the (x - centre)-coefficients of
+# the closed form (P for "f", Q for "g") that the derivative times D equals
+# up to that sign; and the conclusion the sign chain proves.
+_SIDES = {
+    "f": (Fraction(11, 120), 1, 1, (160, 1200, 2348, 2055, 875, 150),
+          "gap above the lower bracket is strictly decreasing for n >= 2 "
+          "with limit 0, hence positive: the lower bound holds for n >= 3"),
+    "g": (Fraction(13, 120), -1, 9, (772064, 1725456, 802376, 164805, 17405, 930, 20),
+          "gap below the upper bracket is strictly increasing for n >= 9 "
+          "with limit 0, hence negative: the upper bound holds for n >= 9"),
+}
+F_NUMERATOR_SHIFTED_COEFFS = _SIDES["f"][3]
+G_NUMERATOR_SHIFTED_COEFFS = _SIDES["g"][3]
+
+
+def _side(variant: str) -> tuple:
+    try:
+        return _SIDES[variant]
+    except KeyError:
+        raise DomainError(f"variant must be 'f' or 'g', got {variant!r}") from None
+
 
 # D's factor and its roots with their multiplicities, and D as text
 _DENOMINATOR_SCALE = 60
@@ -228,76 +247,32 @@ def _denominator_over(poles: dict) -> Polynomial:
     return out
 
 
-class ReciprocalTerm:
-    """coeff / (x - center)**power."""
+def step_terms(variant: str) -> tuple:
+    """The step function of one side, less its -ln(1 + 1/x), as terms
+    (c, r, k) that stand for c/(x - r)^k.
 
-    __slots__ = ("coeff", "center", "power")
-
-    def __init__(self, coeff: Fraction, center: Fraction, power: int):
-        self.coeff, self.center, self.power = coeff, center, power
-
-
-class StepFunction:
-    """Sum of shifted reciprocal terms plus log_coeff * ln(1 + 1/x)."""
-
-    __slots__ = ("name", "terms", "log_coeff")
-
-    def __init__(self, name: str, terms: tuple, log_coeff: Fraction):
-        self.name, self.terms, self.log_coeff = name, terms, log_coeff
-
-    def derivative(self) -> Polynomial:
-        """The derivative times D = 60 x^5 (x - 1)^2 (x + 1)^5, summed term by
-        term; CertificateError for a pole that D does not hold."""
-        total = Polynomial()
-        for t in self.terms:
-            total += -t.power * t.coeff * _denominator_over({t.center: t.power + 1})
-        # d/dx ln(1 + 1/x) = -1/(x(x+1))
-        return total - self.log_coeff * _denominator_over({0: 1, -1: 1})
-
-    def vanishes_at_infinity(self) -> bool:
-        """Structural check: every additive piece tends to zero.
-
-        Reciprocal terms vanish because their power is >= 1; the log
-        term vanishes because ln(1 + 1/x) -> ln 1 = 0.
-        """
-        return all(t.power >= 1 for t in self.terms)
+    The step of the gap s_n - gamma - S(n) is s_(n+1) - s_n, which is
+    2/(3n) - 1/(12(n-1)) + 5/(12(n+1)) - ln(1 + 1/n), plus the telescoping
+    S(n) - S(n+1) of the side S(n) = 1/(12 n^3) + t/n^4.
+    """
+    t, f = _side(variant)[0], Fraction
+    return ((f(2, 3), 0, 1), (f(-1, 12), 1, 1), (f(5, 12), -1, 1),
+            (f(1, 12), 0, 3), (t, 0, 4), (f(-1, 12), -1, 3), (-t, -1, 4))
 
 
-def _bracket_terms(quartic_coeff: Fraction) -> tuple:
-    f = Fraction
-    return (
-        ReciprocalTerm(f(2, 3), f(0), 1),
-        ReciprocalTerm(f(-1, 12), f(1), 1),
-        ReciprocalTerm(f(5, 12), f(-1), 1),
-        ReciprocalTerm(f(-1, 12), f(-1), 3),
-        ReciprocalTerm(-quartic_coeff, f(-1), 4),
-        ReciprocalTerm(f(1, 12), f(0), 3),
-        ReciprocalTerm(quartic_coeff, f(0), 4),
-    )
-
-
-def step_function(variant: str) -> StepFunction:
-    """The step function for a bracket side: "f" (lower, 11/120) or "g"
-    (upper, 13/120)."""
-    if variant == "f":
-        return StepFunction("f", _bracket_terms(Fraction(11, 120)), Fraction(-1))
-    if variant == "g":
-        return StepFunction("g", _bracket_terms(Fraction(13, 120)), Fraction(-1))
-    raise DomainError(f"variant must be 'f' or 'g', got {variant!r}")
+def derivative(terms) -> Polynomial:
+    """D = 60 x^5 (x - 1)^2 (x + 1)^5 times d/dx(sum c/(x - r)^k - ln(1 + 1/x))
+    over the terms (c, r, k), summed term by term; CertificateError for a
+    pole that D does not hold."""
+    total = _denominator_over({0: 1, -1: 1})  # -d/dx ln(1 + 1/x) = 1/(x(x+1))
+    for c, r, k in terms:
+        total -= k * c * _denominator_over({r: k + 1})
+    return total
 
 
 def derivative_of_f(variant: str) -> Polynomial:
     """Exact derivative of the requested step function times D."""
-    return step_function(variant).derivative()
-
-
-# Closed forms the derivatives are checked against: f' equals
-# P(x) / (60 x^5 (x-1)^2 (x+1)^5) with P expanded around x = 1, and
-# g' equals -Q(x) over the same denominator with Q expanded around x = 9.
-F_NUMERATOR_SHIFT_CENTER = 1
-F_NUMERATOR_SHIFTED_COEFFS = (160, 1200, 2348, 2055, 875, 150)
-G_NUMERATOR_SHIFT_CENTER = 9
-G_NUMERATOR_SHIFTED_COEFFS = (772064, 1725456, 802376, 164805, 17405, 930, 20)
+    return derivative(step_terms(variant))
 
 
 def derivative_denominator() -> Polynomial:
@@ -307,85 +282,46 @@ def derivative_denominator() -> Polynomial:
 
 def derivative_numerator(variant: str) -> Polynomial:
     """The closed-form numerator (P for "f", Q for "g") in standard powers."""
-    if variant == "f":
-        center, coeffs = F_NUMERATOR_SHIFT_CENTER, F_NUMERATOR_SHIFTED_COEFFS
-    elif variant == "g":
-        center, coeffs = G_NUMERATOR_SHIFT_CENTER, G_NUMERATOR_SHIFTED_COEFFS
-    else:
-        raise DomainError(f"variant must be 'f' or 'g', got {variant!r}")
-    return taylor_shift(Polynomial(coeffs), -center)
+    _, _, centre, coeffs, _ = _side(variant)
+    return taylor_shift(Polynomial(coeffs), -centre)
 
 
-def check_derivative_identity(variant: str) -> bool:
-    """Coefficient-wise identity between the symbolic derivative times D and
-    the closed-form numerator (+P for "f", -Q for "g")."""
-    numer = derivative_numerator(variant)
-    return derivative_of_f(variant) == (numer if variant == "f" else -numer)
+def numerator_certificate(variant: str):
+    """The positivity certificate (or refusal) of P or Q at its centre."""
+    return positivity_certificate(derivative_numerator(variant), _side(variant)[2])
 
 
 class TailSignVerdict:
     """Composed conclusion about one side of the bracket on s_n - gamma:
     derivative_sign is the sign of the step function's derivative on
-    (threshold, inf), function_sign that of the step function there."""
+    (threshold, inf), function_sign that of the step function there.  A
+    verdict is made only once the identity and the vanishing are checked."""
 
-    __slots__ = ("variant", "numerator_certificate", "denominator_certificate",
-                 "identity_checked", "derivative_sign", "threshold", "vanishes_at_infinity",
-                 "function_sign", "conclusion")
+    __slots__ = ("numerator_certificate", "identity_checked", "derivative_sign",
+                 "threshold", "vanishes_at_infinity", "function_sign", "conclusion")
 
-    def __init__(self, variant: str, numerator_certificate: PositivityCertificate,
-                 denominator_certificate: PositivityCertificate, identity_checked: bool,
-                 derivative_sign: int, threshold: int, vanishes_at_infinity: bool,
-                 function_sign: int, conclusion: str):
-        self.variant, self.identity_checked = variant, identity_checked
-        self.numerator_certificate = numerator_certificate
-        self.denominator_certificate = denominator_certificate
-        self.derivative_sign, self.function_sign = derivative_sign, function_sign
-        self.threshold, self.vanishes_at_infinity = threshold, vanishes_at_infinity
+    def __init__(self, numerator_certificate: PositivityCertificate, derivative_sign: int,
+                 threshold: int, conclusion: str):
+        self.numerator_certificate, self.threshold = numerator_certificate, threshold
+        self.derivative_sign, self.function_sign = derivative_sign, -derivative_sign
+        self.identity_checked = self.vanishes_at_infinity = True
         self.conclusion = conclusion
 
 
 def tail_sign_verdict(variant: str) -> TailSignVerdict:
-    """Certify the sign chain for one bracket side.
-
-    For "f": numerator positive on (1, inf) and the denominator too, so
-    the derivative is positive, the step function increases to its
-    limit 0 and is therefore negative; the gap above the lower bracket
-    strictly decreases from n = 2 on.  For "g" the signs flip (the
-    derivative is -Q/D) and the gap below the upper bracket strictly
-    increases from n = 9 on.
-    """
-    fn = step_function(variant)
-    if not check_derivative_identity(variant):
+    """Certify the sign chain for one bracket side: the derivative times D
+    is the side's sign times P or Q, both P or Q and D are positive past the
+    centre, and every piece vanishes at infinity.  So the step function has
+    the opposite sign, and the gap is monotone with limit 0 from there on."""
+    _, sign, centre, _, conclusion = _side(variant)
+    terms = step_terms(variant)
+    if derivative(terms) != sign * derivative_numerator(variant):
         raise CertificateError(f"derivative of {variant} does not match its closed form")
-    threshold = F_NUMERATOR_SHIFT_CENTER if variant == "f" else G_NUMERATOR_SHIFT_CENTER
-    numer_cert = positivity_certificate(derivative_numerator(variant), threshold)
-    den_cert = positivity_certificate(derivative_denominator(), threshold)
-    if not isinstance(numer_cert, PositivityCertificate) or not isinstance(
-        den_cert, PositivityCertificate
-    ):
+    numer_cert = numerator_certificate(variant)
+    if not all(isinstance(cert, PositivityCertificate) for cert in (
+            numer_cert, positivity_certificate(derivative_denominator(), centre))):
         raise CertificateError(f"positivity certificate unavailable for {variant!r}")
-    if not fn.vanishes_at_infinity():
+    # each term c/(x - r)^k with k >= 1 tends to 0, and so does ln(1 + 1/x)
+    if not all(k >= 1 for _, _, k in terms):
         raise CertificateError(f"{variant} does not vanish at infinity structurally")
-    if variant == "f":
-        conclusion = (
-            "gap above the lower bracket is strictly decreasing for n >= 2 "
-            "with limit 0, hence positive: the lower bound holds for n >= 3"
-        )
-        derivative_sign, function_sign = 1, -1
-    else:
-        conclusion = (
-            "gap below the upper bracket is strictly increasing for n >= 9 "
-            "with limit 0, hence negative: the upper bound holds for n >= 9"
-        )
-        derivative_sign, function_sign = -1, 1
-    return TailSignVerdict(
-        variant=variant,
-        numerator_certificate=numer_cert,
-        denominator_certificate=den_cert,
-        identity_checked=True,
-        derivative_sign=derivative_sign,
-        threshold=threshold,
-        vanishes_at_infinity=True,
-        function_sign=function_sign,
-        conclusion=conclusion,
-    )
+    return TailSignVerdict(numer_cert, sign, centre, conclusion)

@@ -582,6 +582,18 @@ def test_precision_cap_below_start_rejected():
     assert sweep_rows(get_entry("young"), 1, 3, 64, precision_cap=64)[0] == 64
 
 
+def test_a_cap_that_is_not_an_integer_is_rejected_before_the_sweep():
+    # a float cap once ran until a row escalated, then died with a TypeError
+    with pytest.raises(DomainError, match="precision cap must be an integer"):
+        sweep_rows(get_entry("chen-mortici"), 100, 1100, 32, precision_cap=48.5)
+
+
+def test_an_end_that_is_not_an_integer_is_rejected_before_the_sweep():
+    # a float end once passed the checks, then died with a TypeError at the first row
+    with pytest.raises(DomainError, match="n_to must be an integer"):
+        sweep_rows(get_entry("young"), 1, 10.5, 64)
+
+
 def _exact_verdict(entry, n, dev_lo, dev_hi, c):
     """Verdict and side margins of the exact value interval [dev_lo, dev_hi]
     at n, by Fraction arithmetic on the published sides."""

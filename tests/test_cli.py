@@ -282,7 +282,8 @@ def test_certify_prints_the_centre_polycert_owns(capsys, monkeypatch):
     # printed centre, and Q read about it keeps its shifted coefficients
     from gammaseq import polycert
 
-    monkeypatch.setattr(polycert, "G_NUMERATOR_SHIFT_CENTER", 10)
+    t, sign, _, coeffs, conclusion = polycert._SIDES["g"]
+    monkeypatch.setitem(polycert._SIDES, "g", (t, sign, 10, coeffs, conclusion))
     code, data = run_json(capsys, "certify", "--target", "Q")
     assert code == 0
     assert data["rows"][0]["center"] == 10

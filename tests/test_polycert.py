@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from conftest import dyadic_ends, walk_ends
+from gammaseq.bounds import get_entry
 from gammaseq.errors import CertificateError, DomainError
 from gammaseq.numerics import gamma_reference
 from gammaseq.polycert import (
@@ -15,18 +16,17 @@ from gammaseq.polycert import (
     Polynomial,
     PositivityCertificate,
     PositivityRefusal,
-    ReciprocalTerm,
-    StepFunction,
-    check_derivative_identity,
+    derivative,
     derivative_denominator,
     derivative_numerator,
     derivative_of_f,
+    numerator_certificate,
     positivity_certificate,
-    step_function,
+    step_terms,
     tail_sign_verdict,
     taylor_shift,
 )
-from gammaseq.sequences import SOptimal
+from gammaseq.sequences import SOptimal, _split
 
 F = Fraction
 X = Polynomial.x()
@@ -125,37 +125,73 @@ def test_zero_polynomial_refused():
 
 
 def test_derivative_identity_exact():
-    assert check_derivative_identity("f")
-    assert check_derivative_identity("g")
     # the derivatives times D are the closed-form numerators, +P and -Q
     assert derivative_of_f("f") == derivative_numerator("f")
     assert derivative_of_f("g") == -derivative_numerator("g")
     assert derivative_of_f("f").degree == 5 and derivative_of_f("g").degree == 6
 
 
+def test_numerator_certificates_are_the_verdicts():
+    for variant, coeffs in (("f", F_NUMERATOR_SHIFTED_COEFFS), ("g", G_NUMERATOR_SHIFTED_COEFFS)):
+        cert = numerator_certificate(variant)
+        assert isinstance(cert, PositivityCertificate) and cert.shifted_coeffs == coeffs
+        assert tail_sign_verdict(variant).numerator_certificate.center == cert.center
+
+
 def test_derivative_rejects_a_pole_outside_the_denominator():
     # D = 60 x^5 (x-1)^2 (x+1)^5 lacks (x - 2), and holds x only to the 5th power
-    log_only = StepFunction("h", (), F(-1))
-    assert log_only.derivative() * X * (X + 1) == derivative_denominator()
-    for term in (ReciprocalTerm(F(1), F(2), 1), ReciprocalTerm(F(1), F(0), 5),
-                 ReciprocalTerm(F(1), F(1), 2)):
+    assert derivative(()) * X * (X + 1) == derivative_denominator()
+    for term in ((F(1), 2, 1), (F(1), 0, 5), (F(1), 1, 2)):
         with pytest.raises(CertificateError):
-            StepFunction("h", (term,), F(-1)).derivative()
+            derivative((term,))
+
+
+def _side(variant):
+    entry = get_entry("theorem22")
+    return entry.lower if variant == "f" else entry.upper
+
+
+def test_step_terms_are_the_step_of_the_gap():
+    # s_n = H_(n-1) + c(n) - ln n, so the step of s_n - gamma - S(n) is
+    # 1/n + c(n+1) - c(n) + S(n) - S(n+1) - ln(1 + 1/n), the last part
+    # being the step function's log coefficient -1
+    split = _split(SOptimal())
+    assert split(5)[1] == (5, 1)  # the log argument is n itself
+
+    def c(n):
+        return F(*split(n)[0])
+
+    for variant in ("f", "g"):
+        side = _side(variant)
+
+        def S(n):
+            return F(*side(n, None))
+
+        terms = step_terms(variant)
+        for n in range(2, 201):
+            assert sum(coeff / (n - r) ** k for coeff, r, k in terms) == (
+                F(1, n) + c(n + 1) - c(n) + S(n) - S(n + 1)), (variant, n)
 
 
 def test_step_derivative_matches_finite_difference():
-    fn = step_function("f")
     fd = derivative_of_f("f")
+    split, side = _split(SOptimal()), _side("f")
     h = F(1, 2**16)
     x = F(2)
 
     def mpq(v):
         return mp.mpf(v.numerator) / v.denominator
 
-    def value(x):  # the step function in mpmath, to about 2^-200
-        x = mpq(x)
-        return sum(mpq(t.coeff) / (x - mpq(t.center)) ** t.power for t in fn.terms) + (
-            mpq(fn.log_coeff) * mp.log(1 + 1 / x))
+    def value(x):  # the step of the gap s_n - gamma - S(n) in mpmath, to about 2^-200
+        def c(y):  # c(n) at a rational point, by the split's rational function of n
+            num, den = split(y)[0]
+            return num / den
+
+        def S(y):
+            num, den = side(y, None)
+            return num / den
+
+        return mpq(1 / x + c(x + 1) - c(x) + S(x) - S(x + 1)) - mp.log(1 + 1 / mpq(x))
 
     with mp.workprec(256):
         diff = (value(x + h) - value(x - h)) / (2 * mpq(h))
@@ -164,8 +200,8 @@ def test_step_derivative_matches_finite_difference():
 
 
 def test_step_functions_vanish_at_infinity_structurally():
-    assert step_function("f").vanishes_at_infinity()
-    assert step_function("g").vanishes_at_infinity()
+    assert all(k >= 1 for _, _, k in step_terms("f"))
+    assert all(k >= 1 for _, _, k in step_terms("g"))
 
 
 def test_tail_sign_verdicts():
@@ -198,6 +234,6 @@ def test_verdicts_corroborated_numerically():
 
 def test_unknown_variant_rejected():
     with pytest.raises(DomainError):
-        step_function("h")
+        step_terms("h")
     with pytest.raises(DomainError):
         derivative_numerator("h")
