@@ -425,8 +425,8 @@ def sweep_rows(entry: BoundEntry, n_from: int, n_to: int, p: int,
 
     The arguments are checked before this returns: a precision p below
     `numerics.MIN_PRECISION`, a cap below p, a start below the entry's
-    n_min, an empty range, or a cap or bound that is not an integer is a
-    DomainError.  Each row
+    n_min, an empty range, or a cap or an end n_to that is not an integer
+    is a DomainError.  Each row
     is made at p; while it is undecided, precision doubles (up to the
     cap) and the row is made again.  There is one `_row_walk` per
     precision, carried from row to row; its scale depends on the
