@@ -143,36 +143,34 @@ def test_derivative_rejects_a_pole_outside_the_denominator():
             derivative((term,))
 
 
-def _side(variant):
-    entry = get_entry("theorem22")
-    return entry.lower if variant == "f" else entry.upper
-
-
-def test_step_terms_are_the_step_of_the_gap():
-    # s_n = H_(n-1) + c(n) - ln n, so the step of s_n - gamma - S(n) is
-    # 1/n + c(n+1) - c(n) + S(n) - S(n+1) - ln(1 + 1/n), the last part
-    # being the step function's log coefficient -1
-    split = _split(SOptimal())
+def _step_rational(variant):
+    """n -> 1/n + c(n+1) - c(n) + S(n) - S(n+1) at any rational n, with c
+    from the package's own split of s_n = H_(n-1) + c(n) - ln n and S the
+    side of theorem22: the step of s_n - gamma - S(n) less ln(1 + 1/n)."""
+    split, entry = _split(SOptimal()), get_entry("theorem22")
+    side = entry.lower if variant == "f" else entry.upper
     assert split(5)[1] == (5, 1)  # the log argument is n itself
 
     def c(n):
         return F(*split(n)[0])
 
+    def S(n):
+        return F(*side(n, None))
+
+    return lambda n: 1 / F(n) + c(n + 1) - c(n) + S(n) - S(n + 1)
+
+
+def test_step_terms_are_the_step_of_the_gap():
+    # the step function's log coefficient -1 is the -ln(1 + 1/n) of the step
     for variant in ("f", "g"):
-        side = _side(variant)
-
-        def S(n):
-            return F(*side(n, None))
-
-        terms = step_terms(variant)
+        rational, terms = _step_rational(variant), step_terms(variant)
         for n in range(2, 201):
-            assert sum(coeff / (n - r) ** k for coeff, r, k in terms) == (
-                F(1, n) + c(n + 1) - c(n) + S(n) - S(n + 1)), (variant, n)
+            assert sum(c / (n - r) ** k for c, r, k in terms) == rational(n), (variant, n)
 
 
 def test_step_derivative_matches_finite_difference():
     fd = derivative_of_f("f")
-    split, side = _split(SOptimal()), _side("f")
+    rational = _step_rational("f")
     h = F(1, 2**16)
     x = F(2)
 
@@ -180,15 +178,7 @@ def test_step_derivative_matches_finite_difference():
         return mp.mpf(v.numerator) / v.denominator
 
     def value(x):  # the step of the gap s_n - gamma - S(n) in mpmath, to about 2^-200
-        def c(y):  # c(n) at a rational point, by the split's rational function of n
-            num, den = split(y)[0]
-            return num / den
-
-        def S(y):
-            num, den = side(y, None)
-            return num / den
-
-        return mpq(1 / x + c(x + 1) - c(x) + S(x) - S(x + 1)) - mp.log(1 + 1 / mpq(x))
+        return mpq(rational(x)) - mp.log(1 + 1 / mpq(x))
 
     with mp.workprec(256):
         diff = (value(x + h) - value(x - h)) / (2 * mpq(h))
