@@ -58,6 +58,13 @@ chen-mortici sweeps to 40 were recorded again, and the capped
 chen-mortici sweep from 300 to 320 first, when each row's deviation
 came to subtract gamma enclosed at the walk's scale instead of at the
 row's precision, which narrowed every row.
+The eval ranges of s from 280 to 330 at 256 bits, of r from 100 to 140
+and of vfam at (-7/4, 11/6) from 3 to 200 at 64 bits, and of mu at
+(-10/137, -5) from 6 to 100 at 32 bits, whose value is exactly 0 at
+n = 6, each across the index N(q) from which `deviation` takes the
+envelope of psi - ln, were recorded with every value walked from n = 1
+and the rational part summed in two additions per row, which the
+deviation plus gamma's ends and one addition per row replaced.
 Each golden states the exit code its command returns.  Verdicts, exit
 codes and printed digits must not depend on how the certified values are
 computed.
@@ -174,6 +181,15 @@ GOLDEN = [  # (file, command, exit code)
     # across n = 177, where the rows at 128 bits leave the walk for the envelope
     ("sweep_detemple_170_190.csv",
      "sweep-bounds --entry detemple --from 170 --to 190 --precision 128 --format csv", 0),
+    # eval ranges across N(q): s at q = 297 (N = 298), r through the atanh of
+    # 1/(4n + 1) and vfam at q = 104 (N = 105), and mu at q = 71 (N = 72),
+    # exactly 0 at n = 6
+    ("eval_s_280_330.csv", "eval --seq s --n 280 --to 330 --precision 256 --format csv", 0),
+    ("eval_r_100_140.json", "eval --seq r --n 100 --to 140 --precision 64", 0),
+    ("eval_vfam_200.csv",
+     "eval --seq vfam --a=-7/4 --b 11/6 --n 3 --to 200 --precision 64 --format csv", 0),
+    ("eval_mu_zero_100.csv",
+     "eval --seq mu --a=-10/137 --b=-5 --n 6 --to 100 --precision 32 --format csv", 0),
 ]
 
 
