@@ -3,10 +3,10 @@
 The certified path has one interval representation: integers at an
 explicit scale, the kernels' protocol, where a pair (lo, hi) at scale
 2**-q brackets the true value.  ``Fraction`` values hold exact
-rationals only: series coefficients and exact harmonic numbers, which
-`eval` prints as rational parts and `sequences.values` reads to tell an
-exact zero; `fractions` is imported only where one is made, so that
-neither the sweep nor the constant's enclosure loads it.  `ln_fixed` is
+rationals only: series coefficients and exact harmonic numbers
+(`harmonic_exact`; `eval` and `sequences.values` read the integer pair
+of `_hsum`), and `fractions` is imported only where one is made, so
+that no sweep, enclosure or eval of a named kind loads it.  `ln_fixed` is
 the integer core for logarithms, at a scale of its own: it divides the
 argument by a power of two and the nearest anchor j / 2**7, whose
 logarithm and ln 2 it caches per scale, and sums one short atanh series
@@ -24,7 +24,7 @@ the difference, and head and series both have O(q) terms whatever m is.
 `round_bits` rounds an integer at a scale to an explicit number of bits
 (the first of `eval`'s two roundings, see `sequences.values`), and
 `decimal_text` prints num/den in any of the rounding modes of `_round`;
-the row templates of `cli` print their integers with the same rules.  A
+the row templates of `cli_rows` print their integers with the same rules.  A
 `BigReal` is a value rounded once to an explicit number of bits, in
 `_round`'s modes; no command uses it any more, and it stays as the
 reference that `round_bits` and the row templates are tested against.

@@ -14,14 +14,14 @@ across the gaps by `harmonic_fixed`, plus the tail, whose ends are
 Fraction per index.  UPlus and UMinus are mu points with irrational a and
 b; their tails take the logarithm of the integer 6n^2 - 1 and a short
 series in 1/(6n^2), with one enclosure of sqrt(6) per walk
-(`_sqrt6_tails`).  `values` rounds the walk's pairs to p bits in
-integers, as (m, e) with the value m * 2**e.  `deviation` gives
-x_n - gamma itself for the exact points, as `bounds` reads it: from
-n = N(q) (`envelope_start`) on it is psi(n) - ln n from the kernel's
-asymptotic series plus c - ln(x/n) from the same split (one short atanh
-where x != n), with no harmonic sum, no logarithm of n and no gamma, at
-O(K) work whatever n is; below N(q) it is the walk less gamma enclosed
-at the walk's scale.
+(`_sqrt6_tails`).  `deviation` gives x_n - gamma itself for the exact
+points, as `bounds` reads it: from n = N(q) (`envelope_start`) on it is
+psi(n) - ln n from the kernel's asymptotic series plus c - ln(x/n) from
+the same split (one short atanh where x != n), with no harmonic sum, no
+logarithm of n and no gamma, at O(K) work whatever n is; below N(q) it
+is the walk less gamma enclosed at the walk's scale.  `values` rounds
+to p bits, as (m, e) with the value m * 2**e, `deviation`'s pairs plus
+gamma's ends for the exact points and the walk's for UPlus and UMinus.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 
 from . import _kernels_py as kernels, numerics
 from .errors import DomainError
-from .numerics import gamma_reference, harmonic_exact, ln_ends, ln_fixed, round_bits
+from .numerics import gamma_reference, ln_ends, ln_fixed, round_bits
 
 __all__ = [
     "SequenceKind",
@@ -391,23 +391,32 @@ def deviation(kind: SequenceKind, q: int):
 
 def values(kind: SequenceKind, n_from: int, n_to: int, p: int):
     """Sequence values at n = n_from..n_to rounded to p bits, relative
-    error <= 2**(1-p) each, from one `Walk`: the midpoint of each pair
-    rounded by `numerics.round_bits`, as (m, e) with the value m * 2**e."""
+    error <= 2**(1-p) each, as (m, e) with the value m * 2**e: the midpoint
+    of a certified pair at scale 2**-q, q = p + GUARD_BITS + bitlen(n_to),
+    rounded by `numerics.round_bits`.  An exact kind's pair is `deviation`
+    plus gamma's ends at q from `numerics.gamma_reference`(q), at most 8
+    ulps wide from N(q) on, far inside the 2**(q - p) ulps the rounding
+    leaves; UPlus and UMinus take `Walk`.  A pair too wide to round, as
+    near 0, is walked again at twice the scale."""
     numerics._check_precision(p)
     q = p + numerics.GUARD_BITS + n_to.bit_length()
-    walk = Walk(kind, q)
+    if kind.exact:
+        pair, (g_lo, g_hi, q_g) = deviation(kind, q), gamma_reference(q)
+        g_lo, g_hi = g_lo >> q_g - q, -(-g_hi >> q_g - q)
+    else:
+        pair, g_lo, g_hi = Walk(kind, q), 0, 0
     for n in range(n_from, n_to + 1):
-        lo, hi = walk(n)
-        q_n = q
+        lo, hi = pair(n)
+        lo, hi, q_n = lo + g_lo, hi + g_hi, q
         # twice the midpoint, lo + hi, against the width at scale 2**-q_n:
         # an exact pair passes at once, a wider one straddling 0 never does
         while (hi - lo) << (p + 1) > abs(lo + hi):
             if lo <= 0 <= hi and kind.exact:
                 (c_num, c_den), x = _split(kind)(n)  # exactly 0 needs ln x = 0
-                if x == (1, 1) and (harmonic_exact(n - 1) if n > 1 else 0) * c_den + c_num == 0:
+                h_num, h_den = numerics._hsum(1, n - 1)
+                if x == (1, 1) and h_num * c_den + c_num * h_den == 0:
                     lo = hi = 0
                     break
             q_n *= 2  # value is unusually close to zero; retry tighter
             lo, hi = Walk(kind, q_n)(n)
         yield round_bits(lo + hi, q_n + 1, p)
-

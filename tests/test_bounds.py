@@ -22,6 +22,7 @@ from gammaseq.bounds import (
     get_entry,
     sweep_rows,
 )
+from gammaseq.cli_rows import _line_template, _printers
 from gammaseq.errors import DomainError
 from gammaseq.numerics import GUARD_BITS, BigReal, decimal_text, gamma_reference
 from gammaseq.polycert import Polynomial
@@ -770,7 +771,7 @@ def test_formatter_matches_parent_formatters(case):
         # one division and its dyadic columns with the shift formula, and
         # eval's nearest prints m * 2**e
         columns = ["n", "lower", "value_lo", "value_hi", "upper", "verdict", "margin"]
-        _, nearest, row_line = cli._printers(places, cli._line_template("csv", columns, columns))
+        _, nearest, row_line = _printers(places, _line_template("csv", columns, columns))
         if den & (den - 1) == 0:
             # value_hi = |m| reuses value_lo's text for m >= 0, and for m < 0 has the
             # same rounded integer with the other sign

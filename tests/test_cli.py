@@ -21,6 +21,9 @@ from hypothesis import strategies as st
 from conftest import mpf_to_fraction, split_at, swept
 from gammaseq import bounds, cli, numerics, sequences
 from gammaseq.bounds import BoundEntry
+from gammaseq.cli_enclose import _width_str
+from gammaseq.cli_expand import _linear_str
+from gammaseq.cli_rows import _printers
 from gammaseq.errors import DomainError
 from gammaseq.numerics import gamma_reference, harmonic_exact
 from gammaseq.sequences import GammaN, MuFamily, SOptimal, VernescuV, VFamily
@@ -80,6 +83,31 @@ def test_eval_running_rational_part(capsys, argv, kind):
     for row in data["rows"]:
         c, _x = split_at(kind, row["n"])
         assert row["rational_part"] == str(harmonic_exact(row["n"] - 1) + c)
+
+
+@pytest.mark.parametrize("kind,argv", [
+    (GammaN(), ["--seq", "gamma"]), (sequences.DeTempleR(), ["--seq", "r"]),
+    (VernescuV(), ["--seq", "v"]), (SOptimal(), ["--seq", "s"]),
+    (MuFamily(F(-3, 7), F(5, 2)), ["--seq", "mu", "--a=-3/7", "--b=5/2"]),
+    (VFamily(F(-7, 4), F(11, 6)), ["--seq", "vfam", "--a=-7/4", "--b=11/6"]),
+], ids=["gamma", "r", "v", "s", "mu", "vfam"])
+@pytest.mark.parametrize("first", ["n_min", "50"])
+def test_eval_rational_part_is_the_exact_sum_on_every_row(kind, argv, first):
+    # the first row sums H_{n-1} + c afresh, every later row adds
+    # 1/(n - 1) + c_n - c_{n-1}: each printed part is H_{n-1} + c in lowest
+    # terms, from n_min, where H_{n-1} is 0 or 1, and from n = 50
+    n_from = kind.n_min if first == "n_min" else 50
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["eval", *argv, "--n", str(n_from), "--to", str(n_from + 300),
+                         "--precision", "32", "--format", "csv"]) == 0
+    printed = [line.split(",")[2] for line in out.getvalue().splitlines()[1:]]
+    harmonic = harmonic_exact(n_from - 1) if n_from > 1 else F(0)
+    for n, text in zip(range(n_from, n_from + 301), printed, strict=True):
+        if n > n_from:
+            harmonic += F(1, n - 1)
+        c, _x = split_at(kind, n)
+        assert text == str(harmonic + c), n
 
 
 def _add_ratios(a_num, a_den, b_num, b_den):
@@ -179,7 +207,7 @@ def test_expand_linear_form_text():
         ((0, 1, 0), "b"),
         ((2, 0, F(1, 7)), "2*a + 1/7"),
     ]:
-        assert cli._linear_str(F(ca), F(cb), F(c)) == text
+        assert _linear_str(F(ca), F(cb), F(c)) == text
 
 
 def test_expand_round_trip_is_byte_identical(capsys):
@@ -351,7 +379,7 @@ def test_enclose_width_is_printed_from_the_exact_value(capsys):
     assert data["rows"][0]["width"] == data["metadata"]["enclosure_width"] == "1.052e-1238"
     for p in [*range(32, 1049, 37), 1048]:
         lo, hi, q = gamma_reference(p)
-        assert cli._width_str(hi - lo, 1 << q) == f"{float(Fraction(hi - lo, 1 << q)):.3e}"
+        assert _width_str(hi - lo, 1 << q) == f"{float(Fraction(hi - lo, 1 << q)):.3e}"
 
 
 @pytest.mark.parametrize("argv", [
@@ -802,7 +830,7 @@ def test_eval_rounds_twice_in_integers_as_bigreal(case):
     # parent's two roundings
     lo, hi, q, p, d = case
     expected = numerics.BigReal.from_fraction(Fraction(lo + hi, 2 << q), p).decimal_str(d)
-    assert cli._printers(d)[1](*numerics.round_bits(lo + hi, q + 1, p)) == expected
+    assert _printers(d)[1](*numerics.round_bits(lo + hi, q + 1, p)) == expected
 
 
 # every catalog entry at 32 bits, capped so that rows stay undecided, and
@@ -874,63 +902,96 @@ def test_version_flag(capsys):
     assert gammaseq.__version__ in out
 
 
-# a fresh interpreter runs cli.main(argv) and reports the gammaseq modules
-# and the standard library's csv and json if it loaded them
+# a fresh interpreter runs cli.main(argv) and reports the lines of source of the
+# package's modules it loaded, those modules, and the standard library's csv,
+# json and the others in _STDLIB if it loaded them
 _STDLIB = {"csv", "json", "dataclasses", "inspect", "decimal", "fractions"}
 _PROBE = f"""
 import sys
 from gammaseq import cli
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
-print(" ".join(sorted(m for m in sys.modules
-                      if m.startswith("gammaseq.") or m in {sorted(_STDLIB)!r})), file=sys.stderr)
+package = [m for name, m in sys.modules.items() if name.partition(".")[0] == "gammaseq"]
+lines = sum(len(open(m.__file__, encoding="utf-8").read().splitlines()) for m in package)
+print(lines, " ".join(sorted(m for m in sys.modules
+                             if m.startswith("gammaseq.") or m in {sorted(_STDLIB)!r})),
+      file=sys.stderr)
 sys.exit(code)
 """
 _HELP = json.loads((Path(__file__).resolve().parent / "data" / "help.json").read_text("utf-8"))
 _NUMERICS = {"numerics", "_kernels_py"}
 _RATES = {"rates", "series"}  # optimize; rate loads the walk, not the series
 _EXACT = {"fractions", "decimal"}  # fractions imports decimal
-_SWEEP = {"bounds", "sequences", *_NUMERICS, "dataclasses", "inspect"}  # BoundEntry
+_SWEEP = {"cli_sweep", "cli_rows", "bounds", "sequences", *_NUMERICS,
+          "dataclasses", "inspect"}  # BoundEntry
+_EVAL = {"cli_eval", "cli_rows", "sequences", *_NUMERICS}
+_ENCLOSE = {"cli_enclose", *_NUMERICS}
+_RATE = {"cli_rate", "rates", "sequences", *_NUMERICS, "json"}
+# (argv, modules loaded besides cli and errors, lines of the package's sources loaded)
 _IMPORTS = [
-    *((argv, set()) for argv in _HELP),  # --version and every --help
-    ("", set()),
-    ("bogus", set()),
-    ("eval --seq nope --n 1", set()),
-    ("enclose --precision 64", {*_NUMERICS, "json"}),
-    ("enclose --n 10 --precision 64 --format csv", {*_NUMERICS, "csv"}),
-    ("enclose --n 1000000 --precision 160", {*_NUMERICS, "json"}),  # the tail
-    ("sweep-bounds --entry young --to 10 --format csv", _SWEEP),
-    ("sweep-bounds --entry detemple --to 10 --format csv", _SWEEP),  # no fractions
-    ("sweep-bounds --entry young --to 10", {*_SWEEP, "json"}),
-    ("eval --seq s --n 3 --to 5", {"sequences", *_NUMERICS, *_EXACT, "json"}),
-    ("eval --seq s --n 3 --to 5 --format csv", {"sequences", *_NUMERICS, *_EXACT}),
-    ("eval --seq uplus --n 1 --to 5 --format csv", {"sequences", *_NUMERICS}),
-    ("rate --seq s --grid-stop 128", {"rates", "sequences", *_NUMERICS, "json"}),
-    ("rate --seq uminus --grid-stop 128", {"rates", "sequences", *_NUMERICS, "json"}),
-    ("optimize", {*_RATES, *_EXACT, "json"}),
-    ("certify --target P", {"polycert", *_EXACT, "json"}),
-    ("certify --target P --format csv", {"polycert", *_EXACT, "csv"}),
-    ("expand", {"series", *_EXACT, "json"}),
+    *((argv, set(), 331) for argv in _HELP),  # --version and every --help
+    ("", set(), 331),
+    ("bogus", set(), 331),
+    ("eval --seq nope --n 1", set(), 331),
+    ("enclose --precision 64", {*_ENCLOSE, "json"}, 1130),
+    ("enclose --n 10 --precision 64 --format csv", {*_ENCLOSE, "csv"}, 1130),
+    ("enclose --n 1000000 --precision 160", {*_ENCLOSE, "json"}, 1130),  # the tail
+    ("sweep-bounds --entry young --to 10 --format csv", _SWEEP, 2155),
+    ("sweep-bounds --entry detemple --to 10 --format csv", _SWEEP, 2155),  # no fractions
+    ("sweep-bounds --entry young --to 10", {*_SWEEP, "json"}, 2155),
+    # decimal only for the rational parts, once the first value is made
+    ("eval --seq s --n 3 --to 5", {*_EVAL, "decimal", "json"}, 1703),
+    ("eval --seq s --n 3 --to 5 --format csv", {*_EVAL, "decimal"}, 1703),
+    ("eval --seq s --n 1", _EVAL, 1703),  # exits 2 at its first value
+    ("eval --seq uplus --n 1 --to 5 --format csv", _EVAL, 1703),
+    ("eval --seq mu --a=-1/2 --b 0 --n 1 --to 5 --format csv", {*_EVAL, *_EXACT}, 1703),
+    ("rate --seq s --grid-stop 128", _RATE, 1751),
+    ("rate --seq uminus --grid-stop 128", _RATE, 1751),
+    ("optimize", {"cli_optimize", *_RATES, *_EXACT, "json"}, 726),
+    ("certify --target P", {"cli_certify", "polycert", *_EXACT, "json"}, 696),
+    ("certify --target P --format csv", {"cli_certify", "polycert", *_EXACT, "csv"}, 696),
+    ("expand", {"cli_expand", "series", *_EXACT, "json"}, 537),
 ]
+_FAILING = {"eval --seq s --n 1"}  # exits 2, as the usage errors, which load no command
 
 
-@pytest.mark.parametrize("argv,loads", _IMPORTS,
-                         ids=[argv or "no-command" for argv, _ in _IMPORTS])
-def test_each_command_imports_only_what_it_runs(argv, loads):
+@pytest.mark.parametrize("argv,loads,lines", _IMPORTS,
+                         ids=[argv or "no-command" for argv, _, _ in _IMPORTS])
+def test_each_command_imports_only_what_it_runs(argv, loads, lines):
     # every start compiles the modules it imports unless bytecode caches
-    # exist, so a command pays for each library module on its import path;
-    # the streamed commands write CSV without csv, and only JSON loads json;
-    # only sweep-bounds loads dataclasses (and inspect), and only exact
-    # rationals load fractions and decimal
+    # exist, so a command pays for each library module on its import path,
+    # and for each line of source: a start loads the module of its own
+    # command and of no other; the streamed commands write CSV without csv,
+    # and only JSON loads json; only sweep-bounds loads dataclasses (and
+    # inspect), only exact rationals load fractions, and decimal loads only
+    # for them and for eval's rational parts
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv.split()], capture_output=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(root / "src"), "COLUMNS": "80"},
     )
     err = proc.stderr.decode().splitlines()
-    assert err[-1].split() == sorted(m if m in _STDLIB else f"gammaseq.{m}"
-                                     for m in {"cli", "errors", *loads})
+    loaded, *modules = err[-1].split()
+    assert modules == sorted(m if m in _STDLIB else f"gammaseq.{m}"
+                             for m in {"cli", "errors", *loads})
+    assert int(loaded) == lines
     if argv in _HELP:  # recorded when cli imported every module at start
         assert (proc.returncode, proc.stdout.decode(), err[:-1]) == (0, _HELP[argv], [])
     else:
-        assert proc.returncode == (2 if not loads else 0), proc.stderr
+        failing = not loads or argv in _FAILING
+        assert proc.returncode == (2 if failing else 0), proc.stderr
+
+
+def test_run_as_a_module_imports_cli_once():
+    # `python -m gammaseq.cli` runs cli as __main__; the command modules
+    # import from gammaseq.cli, which must find that module, not compile and
+    # run the file a second time
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gammaseq.cli",
+         "eval", "--seq", "s", "--n", "3", "--to", "5", "--format", "csv"],
+        capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.decode().splitlines()]
+    assert "gammaseq.cli_rows" in imported and "gammaseq.cli" not in imported

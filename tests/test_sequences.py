@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,7 +17,7 @@ from conftest import (
 from gammaseq import _kernels_py as kernels, sequences
 from gammaseq._kernels_py import harmonic_fixed
 from gammaseq.errors import DomainError
-from gammaseq.numerics import gamma_reference, harmonic_exact
+from gammaseq.numerics import GUARD_BITS, gamma_reference, harmonic_exact, round_bits
 from gammaseq.sequences import (
     DeTempleR,
     GammaN,
@@ -520,3 +521,74 @@ def test_envelope_start_is_past_the_series_reach():
     assert all(sequences.envelope_start(q) > q for q in range(1, 4000))
     assert [sequences.envelope_start(q) for q in (64, 240, 300, 350, 470, 544)] == [
         65, 241, 301, 702, 1884, 4360]
+
+
+# values of the exact kinds through `deviation` plus gamma's ends
+
+
+def _walked_values(kind, n_from, n_to, p):
+    """{n: (m, e)} as `values` gave them from one `Walk` at its scale q, for
+    the n whose walk pair is narrow enough to round at once (no retry)."""
+    q = p + GUARD_BITS + n_to.bit_length()
+    walk, rounded = Walk(kind, q), {}
+    for n in range(n_from, n_to + 1):
+        lo, hi = walk(n)
+        if (hi - lo) << (p + 1) <= abs(lo + hi):
+            rounded[n] = round_bits(lo + hi, q + 1, p)
+    return rounded
+
+
+@st.composite
+def ranges_across_the_envelope(draw):
+    """An exact kind (a named one, or a mu or v point with random rational a
+    and b), p in 32..512 and a range of up to 70 indices across N(q), the
+    index from which `deviation` at the scale q of `values` takes the envelope."""
+    p = draw(st.integers(32, 512))
+    below, above = draw(st.integers(0, 40)), draw(st.integers(0, 30))
+    bits = 1
+    while True:  # q depends on bitlen(n_to), and N(q) on q
+        start = sequences.envelope_start(p + GUARD_BITS + bits)
+        if (start + above).bit_length() == bits:
+            break
+        bits = (start + above).bit_length()
+    n_from = max(3, start - below)
+    kind = draw(st.one_of(
+        st.sampled_from([GammaN(), DeTempleR(), VernescuV(), SOptimal()]),
+        st.builds(MuFamily, _rationals.filter(bool),
+                  st.fractions(min_value=1 - n_from, max_value=50, max_denominator=1000)),
+        st.builds(VFamily, _rationals, _rationals),
+    ))
+    return kind, n_from, start + above, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=ranges_across_the_envelope())
+@example(case=(SOptimal(), 280, 330, 256))  # q = 297, N = 298
+@example(case=(DeTempleR(), 100, 140, 64))  # the atanh of 1/(4n + 1) from N = 105
+@example(case=(MuFamily(F(-2, 3), F(-5, 2)), 60, 90, 32))  # a < 0, b < 0: N = 72
+def test_values_through_deviation_are_the_walks_and_within_mpmath(case):
+    # the deviation's pair plus gamma's ends differs from the walk's pair,
+    # but both are far narrower than the 2**(q - p) ulps the rounding to p
+    # bits leaves, so each value rounds as the walk's did, and lies within
+    # its relative error 2**(1 - p) of the sequence
+    kind, n_from, n_to, p = case
+    got = dict(zip(range(n_from, n_to + 1), values(kind, n_from, n_to, p)))
+    walked = _walked_values(kind, n_from, n_to, p)
+    assert {n: got[n] for n in walked} == walked
+    q = p + GUARD_BITS + n_to.bit_length()
+    mp.mp.prec = 2 * q
+    for n in sorted({n_from, n_to, random.Random(p).randint(n_from, n_to)}):
+        exact = mpf_to_fraction(mp_value(kind, n))
+        assert abs(dyadic_value(*got[n]) - exact) <= abs(exact) * F(2) ** (1 - p), (kind, n)
+
+
+def test_values_at_a_trillion_take_the_envelope_not_the_walk():
+    # from N(q) on a value costs the series' O(K) work whatever n is; the
+    # walk from n = 1 to 10**12 would not end
+    start = time.process_time()
+    got = list(values(GammaN(), 10**12, 10**12 + 5, 64))
+    assert time.process_time() - start < 1.0
+    mp.mp.prec = 2 * (64 + GUARD_BITS + 40)
+    for n, (m, e) in zip(range(10**12, 10**12 + 6), got, strict=True):
+        exact = mpf_to_fraction(mp_value(GammaN(), n))
+        assert abs(dyadic_value(m, e) - exact) <= exact * F(2) ** -63
